@@ -37,11 +37,13 @@ class DegenerateGeometryError(ValueError):
 
 
 def unit(v) -> np.ndarray:
-    """Return v normalized to unit length; reject near-zero vectors."""
+    """Return v normalized to unit length; reject near-zero and
+    non-finite vectors."""
     v = np.asarray(v, dtype=float)
     n = np.linalg.norm(v)
-    if n < 1e-12:
-        raise DegenerateGeometryError("zero-length direction vector")
+    if not 1e-12 <= n < math.inf:
+        raise DegenerateGeometryError(
+            "zero-length or non-finite direction vector")
     return v / n
 
 

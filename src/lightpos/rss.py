@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -73,9 +74,38 @@ class EmissionProfile:
             return np.cos(omega) ** self.params[0]
         return np.polynomial.polynomial.polyval(omega, self.params)
 
+    def value_and_slope(self, cos_w):
+        """f and df/d(cos omega) as functions of cos omega, vectorized;
+        cos omega is clamped to [1e-12, 1] first."""
+        c = np.minimum(np.maximum(cos_w, 1e-12), 1.0)
+        if self.kind == KIND_COSINE_POWER:
+            gamma = self.params[0]
+            return c ** gamma, gamma * c ** (gamma - 1.0)
+        w = np.arccos(c)
+        g = np.zeros_like(c)
+        dgdw = np.zeros_like(c)
+        for j in range(len(self.params) - 1, 0, -1):
+            g = g * w + self.params[j]
+            dgdw = dgdw * w + j * self.params[j]
+        g = g * w + self.params[0]
+        return g, -dgdw / np.sqrt(np.maximum(1.0 - c * c, 1e-18))
+
     def kernel_coding(self) -> tuple[int, np.ndarray]:
         """(kind code, coefficient array) consumed by the solver kernel."""
         return _KIND_CODES[self.kind], np.asarray(self.params, dtype=float)
+
+    @staticmethod
+    def from_kernel_coding(kind: int, coeffs) -> EmissionProfile:
+        """The profile a ``kernel_coding()`` pair stands for."""
+        return _decode_profile(int(kind), tuple(float(c) for c in coeffs))
+
+
+@lru_cache(maxsize=64)
+def _decode_profile(code, params):
+    # Kernels decode their profile on every call; construction validates
+    # the profile on a 1024-point grid, so decoded profiles are cached.
+    kind, = (k for k, c in _KIND_CODES.items() if c == code)
+    return EmissionProfile(kind, params)
 
 
 def make_profile(kind: str, params) -> EmissionProfile:

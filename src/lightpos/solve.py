@@ -18,6 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _kernels
+from ._kernels import _ref
 from .geom import normalize_plane, solve_frame_basis
 from .rss import EmissionProfile, LampModel
 
@@ -44,8 +45,8 @@ class Reading:
 
     def __post_init__(self):
         object.__setattr__(self, "plane", normalize_plane(self.plane))
-        if self.s <= 0:
-            raise ValueError("reading amplitude must be positive")
+        if not 0 < self.s < math.inf:
+            raise ValueError("reading amplitude must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,8 @@ def mflp_least_squares(readings, k: float, profile: EmissionProfile,
     readings = list(readings)
     if len(readings) < 3:
         raise ValueError("least squares needs at least three readings")
+    if not 0 < k < math.inf:
+        raise ValueError("lamp intensity constant must be positive and finite")
     planes = np.array([r.plane for r in readings])
     s = np.array([r.s for r in readings])
 
@@ -262,6 +265,53 @@ def to_world_position(lamp: LampModel, x_solve) -> np.ndarray:
     return lamp.position - np.matvec(basis, np.asarray(x_solve, dtype=float))
 
 
+def _multi_residuals(readings, lamp_table, k_scale):
+    """``levenberg_marquardt`` callback of ``solve_multi`` over world
+    positions (M, 3): each reading's relative residual is taken in its
+    own lamp's solve frame, where a position is feasible when the lamp is
+    above every face (solve-frame z > 0).  Readings of lamps that share
+    an intensity constant and emission profile are evaluated as one
+    array."""
+    bases = {i: solve_frame_basis(lamp_table[i].central_ray)
+             for i in sorted({r.lamp_id for r in readings})}
+    by_model = {}
+    for j, r in enumerate(readings):
+        lamp = lamp_table[r.lamp_id]
+        by_model.setdefault((lamp.k * k_scale, lamp.profile), []).append(j)
+    groups = [
+        (np.array(idx), k, profile,
+         np.array([[readings[j].plane] for j in idx]),
+         np.array([readings[j].s for j in idx]),
+         np.array([lamp_table[readings[j].lamp_id].position for j in idx]),
+         np.array([bases[readings[j].lamp_id] for j in idx]))
+        for (k, profile), idx in by_model.items()]
+
+    def residuals(p, rows):
+        r = np.empty((len(p), len(readings)))
+        jac = np.empty((len(p), len(readings), 3))
+        feasible = np.ones(len(p), dtype=bool)
+        for idx, k, profile, planes, s, position, basis in groups:
+            # Per reading, the lamp's solve-frame position x = B^T (L - p).
+            x = np.matvec(basis.transpose(0, 2, 1), position - p[:, None, :])
+            feasible &= np.all(x[:, :, 2] > 0, axis=1)
+            m, grad = _ref.rss_model(planes, k, profile, x)
+            r[:, idx] = (m[:, :, 0] - s) / s
+            jac[:, idx] = -np.matvec(basis, grad[:, :, 0]) / s[:, None]
+        return r, jac, feasible
+
+    return residuals
+
+
+def _lm_result(point, cost, status, iterations, n) -> SolveResult:
+    """A world-frame ``SolveResult`` from one ``levenberg_marquardt`` row."""
+    if status == _ref.STATUS_INFEASIBLE:
+        return SolveResult(np.full(3, np.nan), math.inf, STATUS_NO_CONVERGE)
+    return SolveResult(
+        point, float(np.sqrt(cost / n)),
+        STATUS_UNIQUE if status == _ref.STATUS_CONVERGED
+        else STATUS_NO_CONVERGE, int(iterations))
+
+
 def solve_multi(readings, lamp_table, k_scale: float = 1.0,
                 max_iter: int = 400, step_tol: float = 1e-10,
                 ftol: float = 1e-8) -> SolveResult:
@@ -283,7 +333,6 @@ def solve_multi(readings, lamp_table, k_scale: float = 1.0,
         return SolveResult(to_world_position(lamp, res.point),
                            res.residual_rms, res.status, res.iterations)
 
-    bases = {i: solve_frame_basis(lamp_table[i].central_ray) for i in lamp_ids}
     by_lamp = {i: [r for r in readings if r.lamp_id == i] for i in lamp_ids}
 
     # Seed from the lamp with the strongest independent triple.
@@ -301,66 +350,51 @@ def solve_multi(readings, lamp_table, k_scale: float = 1.0,
     if seed is None:
         return SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
 
-    def residuals(p):
-        r = np.empty(len(readings))
-        jac = np.empty((len(readings), 3))
-        for idx, rd in enumerate(readings):
-            lamp = lamp_table[rd.lamp_id]
-            basis = bases[rd.lamp_id]
-            x = basis.T @ (lamp.position - p)
-            if x[2] <= 0:
-                return None, None
-            d = np.linalg.norm(x)
-            c = x[2] / d
-            w = math.acos(max(-1.0, min(1.0, c)))
-            k = lamp.k * k_scale
-            f = float(lamp.profile.value(w))
-            dot = rd.plane @ x
-            m = k * dot * f / d**3
-            r[idx] = (m - rd.s) / rd.s
-            # Gradient of the model wrt x, then chain through x = B^T (L - p).
-            if lamp.profile.kind == "cosine_power":
-                g, dg = c ** lamp.profile.params[0], \
-                    lamp.profile.params[0] * c ** (lamp.profile.params[0] - 1)
-            else:
-                dgdw = np.polynomial.polynomial.polyval(
-                    w, [j * cj for j, cj in enumerate(lamp.profile.params)][1:]
-                    or [0.0])
-                g = f
-                dg = -dgdw / math.sqrt(max(1 - c * c, 1e-18))
-            dc_dx = np.array([0.0, 0.0, 1.0]) / d - x[2] * x / d**3
-            grad_x = k * (rd.plane * g / d**3 + dot * dg * dc_dx / d**3
-                          - 3 * dot * g * x / d**5)
-            jac[idx] = -(basis @ grad_x) / rd.s
-        return r, jac
+    p, cost, status, iters = _ref.levenberg_marquardt(
+        _multi_residuals(readings, lamp_table, k_scale), seed[None],
+        max_iter=max_iter, step_tol=step_tol, ftol=ftol)
+    return _lm_result(p[0], cost[0], status[0], iters[0], len(readings))
 
-    p = seed
-    r, jac = residuals(p)
-    if r is None:
-        return SolveResult(np.full(3, np.nan), math.inf, STATUS_NO_CONVERGE)
-    cost = float(r @ r)
-    lam = 1e-3
-    status = STATUS_NO_CONVERGE
-    it = 0
-    for it in range(1, max_iter + 1):
-        step = np.linalg.solve(jac.T @ jac + lam * np.eye(3), -(jac.T @ r))
-        trial = p + step
-        r_t, jac_t = residuals(trial)
-        if r_t is not None and float(r_t @ r_t) < cost:
-            improved = cost - float(r_t @ r_t)
-            p, r, jac, cost = trial, r_t, jac_t, float(r_t @ r_t)
-            lam = max(lam * 0.1, 1e-15)
-            if (np.linalg.norm(step) < step_tol
-                    or improved <= ftol * max(cost, 1e-300)):
-                status = STATUS_UNIQUE
-                break
-        else:
-            lam *= 10.0
-            if lam > 1e14:
-                if np.linalg.norm(step) < step_tol:
-                    status = STATUS_UNIQUE
-                break
-    return SolveResult(p, float(np.sqrt(cost / len(readings))), status, it)
+
+def _invert_distances(k, profile, dz, s):
+    """Per lamp, the distance d >= dz at which an upward face reads s:
+    s(d) = k dz f(dz / d) / d^3 decreases in d.  Bisects all lamps at
+    once until no interval shrinks any more."""
+    kdz = k * dz
+
+    def val(d):
+        return kdz * profile.value_and_slope(dz / d)[0] / d**3
+
+    lo, hi = dz * (1 + 1e-9), dz + 1.0
+    grow = (val(hi) > s) & (hi < dz + 1e6)
+    while grow.any():
+        hi = np.where(grow, hi * 2.0, hi)
+        grow = (val(hi) > s) & (hi < dz + 1e6)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        above = val(mid) > s
+        if not np.where(above, mid != lo, mid != hi).any():
+            break
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _trilateration_residuals(lamps, k, profile, s, z_receiver=None):
+    """``levenberg_marquardt`` callback of ``trilaterate`` over receiver
+    positions (M, 3), or (M, 2) with the height fixed at ``z_receiver``:
+    each lamp's reading is the model of an upward face, feasible when the
+    receiver is below every lamp."""
+    up = np.broadcast_to([0.0, 0.0, 1.0], (len(lamps), 1, 3))
+
+    def residuals(theta, rows):
+        q = theta if z_receiver is None else np.column_stack(
+            [theta, np.full(len(theta), z_receiver)])
+        x = lamps - q[:, None, :]
+        m, grad = _ref.rss_model(up, k, profile, x)
+        jac = -grad[:, :, 0, :theta.shape[1]] / s[:, None]
+        return (m[:, :, 0] - s) / s, jac, np.all(x[:, :, 2] > 0, axis=1)
+
+    return residuals
 
 
 def trilaterate(lamp_positions, k: float, profile: EmissionProfile,
@@ -375,95 +409,36 @@ def trilaterate(lamp_positions, k: float, profile: EmissionProfile,
     """
     lamps = np.asarray(lamp_positions, dtype=float)
     s = np.asarray(s, dtype=float)
-    if len(lamps) < 3 or np.any(s <= 0):
+    if len(lamps) < 3 or not np.all(s > 0):
         raise ValueError("need at least three lamps with positive readings")
+    if not (np.all(np.isfinite(lamps)) and np.all(np.isfinite(s))):
+        raise ValueError("lamp positions and readings must be finite")
+    z_fixed = z_receiver is not None
+    z0 = float(z_receiver) if z_fixed else 0.0
+    if not (math.isfinite(z0) and 0 < k < math.inf):
+        raise ValueError("k and the receiver height must be finite, k > 0")
     spread = np.linalg.norm(lamps - lamps.mean(axis=0), axis=1).max()
     area = 0.5 * np.linalg.norm(
         np.cross(lamps[1] - lamps[0], lamps[2] - lamps[0]))
     if area < 1e-9 * max(spread, 1.0) ** 2:
         return SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
 
-    z_fixed = z_receiver is not None
-    z0 = float(z_receiver) if z_fixed else 0.0
-
-    def invert_distance(dz, si):
-        # s(d) = k * dz * f(acos(dz/d)) / d^3 decreases in d >= dz.
-        lo, hi = dz * (1 + 1e-9), dz + 1.0
-        def val(d):
-            return k * dz * float(profile.value(math.acos(dz / d))) / d**3
-        while val(hi) > si and hi < dz + 1e6:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if val(mid) > si:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
     # Linear lateration seed from inverted ranges at the initial height.
     dz0 = lamps[:, 2] - z0
     if np.any(dz0 <= 0):
         raise ValueError("receiver must start below every lamp")
-    d_est = np.array([invert_distance(dz0[i], s[i]) for i in range(len(s))])
+    d_est = _invert_distances(k, profile, dz0, s)
     rows = 2 * (lamps[1:, :2] - lamps[0, :2])
     rhs = (d_est[0] ** 2 - d_est[1:] ** 2
            + np.sum(lamps[1:, :2] ** 2, axis=1)
            - np.sum(lamps[0, :2] ** 2)
            + dz0[1:] ** 2 - dz0[0] ** 2)
     xy, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    p = np.array([xy[0], xy[1], z0])
 
-    def residuals(q):
-        dz = lamps[:, 2] - q[2]
-        if np.any(dz <= 0):
-            return None
-        delta = lamps - q
-        d = np.linalg.norm(delta, axis=1)
-        f = profile.value(np.arccos(np.clip(dz / d, -1.0, 1.0)))
-        return (k * dz * f / d**3 - s) / s
-
-    n_free = 2 if z_fixed else 3
-    r = residuals(p)
-    if r is None:
-        return SolveResult(np.full(3, np.nan), math.inf, STATUS_NO_CONVERGE)
-    cost = float(r @ r)
-    lam = 1e-3
-    status = STATUS_NO_CONVERGE
-    it = 0
-    eps = 1e-7
-    for it in range(1, max_iter + 1):
-        jac = np.empty((len(s), n_free))
-        for j in range(n_free):
-            dq = np.zeros(3)
-            dq[j] = eps
-            rp = residuals(p + dq)
-            rm = residuals(p - dq)
-            if rp is None or rm is None:
-                rp = r if rp is None else rp
-                rm = r if rm is None else rm
-            jac[:, j] = (rp - rm) / (2 * eps)
-        try:
-            step = np.linalg.solve(jac.T @ jac + lam * np.eye(n_free),
-                                   -(jac.T @ r))
-        except np.linalg.LinAlgError:
-            lam *= 10.0
-            continue
-        trial = p.copy()
-        trial[:n_free] += step
-        r_t = residuals(trial)
-        if r_t is not None and float(r_t @ r_t) < cost:
-            improved = cost - float(r_t @ r_t)
-            p, r, cost = trial, r_t, float(r_t @ r_t)
-            lam = max(lam * 0.1, 1e-15)
-            if (np.linalg.norm(step) < step_tol
-                    or improved <= ftol * max(cost, 1e-300)):
-                status = STATUS_UNIQUE
-                break
-        else:
-            lam *= 10.0
-            if lam > 1e14:
-                if np.linalg.norm(step) < step_tol:
-                    status = STATUS_UNIQUE
-                break
-    return SolveResult(p, float(np.sqrt(cost / len(s))), status, it)
+    theta, cost, status, iters = _ref.levenberg_marquardt(
+        _trilateration_residuals(lamps, k, profile, s,
+                                 z0 if z_fixed else None),
+        [xy if z_fixed else [*xy, z0]],
+        max_iter=max_iter, step_tol=step_tol, ftol=ftol)
+    point = np.array([*theta[0], z0]) if z_fixed else theta[0]
+    return _lm_result(point, cost[0], status[0], iters[0], len(s))

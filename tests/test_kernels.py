@@ -7,8 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+import lightpos
 from lightpos._kernels import BACKEND, solve_single
 from lightpos._kernels import _ref
+from lightpos.rss import EmissionProfile
+from lightpos.solve import mflp_closed_form_batch
 
 try:
     from lightpos._kernels import _core
@@ -78,10 +81,57 @@ def test_active_backend_reported():
 
 
 def test_env_var_forces_python_fallback():
-    env = dict(os.environ, LIGHTPOS_PURE_PY="1")
+    # The child imports the lightpos under test, installed or not.
+    src = os.path.dirname(os.path.dirname(lightpos.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, LIGHTPOS_PURE_PY="1", PYTHONPATH=path)
     out = subprocess.run(
         [sys.executable, "-c",
          "from lightpos._kernels import BACKEND; print(BACKEND)"],
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "python"
+
+
+def test_closed_form_seed_ends_after_one_iteration():
+    # Three readings make a square system that the closed form already
+    # solves; the refine stops on its first step, taken or rejected.
+    rng = np.random.default_rng(25)
+    for kind, coeffs in ((0, np.array([1.3])), (1, np.array([1.0, -0.4]))):
+        profile = EmissionProfile.from_kernel_coding(kind, coeffs)
+        planes = []
+        s = []
+        while len(planes) < 100:
+            p, *_, point = random_problem(rng)
+            d = np.linalg.norm(point)
+            g = profile.value_and_slope(point[2] / d)[0]
+            planes.append(p)
+            s.append(7.0 * (p @ point) * g / d**3 * rng.uniform(0.9, 1.1, 3))
+        seeds, unique = mflp_closed_form_batch(planes, s, 7.0, profile)
+        keep = unique & (seeds[:, 2] > 0)
+        assert keep.sum() > 50
+        x, _, status, iters = _ref.solve_batch(
+            np.array(planes)[keep], np.array(s)[keep], 7.0, kind, coeffs,
+            seeds[keep])
+        assert np.all(status == 0)
+        assert np.all(iters == 1)
+        assert np.allclose(x, seeds[keep], rtol=0, atol=1e-12)
+        for i in np.nonzero(keep)[0][:10]:
+            single = _ref.solve_single(planes[i], s[i], 7.0, kind, coeffs,
+                                       *seeds[i])
+            assert single[4:] == (0, 1)
+
+
+def test_singular_damped_system_raises_damping():
+    # J^T J is 1e20 * ones: singular in floating point until the damping
+    # outgrows its rounding, after which the solve proceeds and converges.
+    def residuals(theta, rows):
+        r = 1e10 * (theta[:, :1] + theta[:, 1:] - 1.0)
+        jac = np.full((len(theta), 1, 2), 1e10)
+        return r, jac, np.ones(len(theta), dtype=bool)
+
+    theta, cost, status, iters = _ref.levenberg_marquardt(
+        residuals, [[3.0, 2.0]], max_iter=100)
+    assert status[0] == _ref.STATUS_CONVERGED
+    assert iters[0] > 1
+    assert abs(theta[0].sum() - 1.0) < 1e-9

@@ -137,6 +137,18 @@ def test_cli_solve_roundtrip(tmp_path, capsys):
     assert out["status"] == "unique"
     point = [float(v) for v in out["point"]]
     assert np.allclose(point, [10, 10, 10], atol=1e-6)
+    # A non-finite amplitude, plane or k is bad input, not a failed solve.
+    good = doc["readings"][1]
+    for key, bad in (("s", math.nan), ("s", math.inf),
+                     ("plane", [math.nan, 0, 0])):
+        readings = doc["readings"][:1] + [dict(good, **{key: bad})] \
+            + doc["readings"][2:]
+        p.write_text(json.dumps(dict(doc, readings=readings)))
+        assert main(["solve", "--input", str(p)]) == EXIT_INPUT
+    for k in (math.nan, -1.0):
+        p.write_text(json.dumps(dict(doc, k=k)))
+        assert main(["solve", "--input", str(p)]) == EXIT_INPUT
+    capsys.readouterr()
 
 
 def test_cli_solve_degenerate_exit_code(tmp_path, capsys):
@@ -172,6 +184,14 @@ def test_cli_trilaterate(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     point = [float(v) for v in out["point"]]
     assert np.allclose(point[:2], truth[:2], atol=1e-5)
+    for key, bad in (("s", [s[0], math.nan, s[2]]),
+                     ("s", [s[0], math.inf, s[2]]),
+                     ("lamps", [lamps[0].tolist(), [4.0, math.nan, 3.0],
+                                lamps[2].tolist()]),
+                     ("k", math.nan), ("z_receiver", math.inf)):
+        p.write_text(json.dumps(dict(doc, **{key: bad})))
+        assert main(["trilaterate", "--input", str(p)]) == EXIT_INPUT
+    capsys.readouterr()
 
 
 def test_cli_calibrate(tmp_path, capsys):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from lightpos.rss import LampModel, make_profile
+from lightpos._kernels import _ref
+from lightpos.geom import solve_frame_basis, unit
 from lightpos.solve import (
     LampSighting,
     Reading,
@@ -18,6 +20,11 @@ from lightpos.solve import (
     solve_multi,
     to_world_position,
     trilaterate,
+)
+from lightpos.solve import (
+    _invert_distances,
+    _multi_residuals,
+    _trilateration_residuals,
 )
 
 COS = make_profile("cosine_power", [1.0])
@@ -34,8 +41,12 @@ def readings_for(point, planes, k=1.0, profile=COS, lamp_id=0):
 
 
 def test_reading_validation():
-    with pytest.raises(ValueError):
-        Reading(np.array([1.0, 0, 0]), -1.0)
+    for s in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Reading(np.array([1.0, 0, 0]), s)
+    for plane in ([math.nan, 0, 1], [math.inf, 0, 1], [0, 0, 0]):
+        with pytest.raises(ValueError):
+            Reading(np.array(plane), 1.0)
 
 
 def test_worked_example_forward_values():
@@ -242,6 +253,118 @@ def test_trilateration_collinear_is_degenerate():
 def test_trilateration_input_validation():
     with pytest.raises(ValueError):
         trilaterate(np.zeros((2, 3)), 1.0, COS, [1.0, 1.0])
+    lamps = np.array([[0, 0, 3], [1, 0, 3], [0, 1, 3]], dtype=float)
     with pytest.raises(ValueError):
-        trilaterate(np.array([[0, 0, 3], [1, 0, 3], [0, 1, 3]], dtype=float),
-                    1.0, COS, [1.0, -1.0, 1.0])
+        trilaterate(lamps, 1.0, COS, [1.0, -1.0, 1.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            trilaterate(lamps, 1.0, COS, [1.0, bad, 1.0])
+        with pytest.raises(ValueError):
+            trilaterate(np.where(lamps == 1, bad, lamps), 1.0, COS,
+                        [1.0, 1.0, 1.0])
+
+
+POLY = make_profile("polynomial", [1.0, -0.3, -0.05])
+
+
+def central_difference_jacobian(residuals, theta, rows=None, h=1e-6):
+    rows = np.arange(len(theta)) if rows is None else rows
+    cols = []
+    for j in range(theta.shape[1]):
+        dq = np.zeros_like(theta)
+        dq[:, j] = h
+        cols.append((residuals(theta + dq, rows)[0]
+                     - residuals(theta - dq, rows)[0]) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+def test_log_z_callback_jacobian():
+    rng = np.random.default_rng(24)
+    points = rng.uniform([-2, -2, 0.5], [2, 2, 4], size=(6, 3))
+    planes = rng.normal(size=(6, 4, 3))
+    planes /= np.linalg.norm(planes, axis=2)[..., None]
+    s = rng.uniform(0.1, 2.0, size=(6, 4))
+    rows = np.array([4, 0, 2, 5])
+    theta = np.column_stack([points[rows, :2], np.log(points[rows, 2])])
+    for profile in (make_profile("cosine_power", [1.7]), POLY):
+        residuals = _ref._log_z_residuals(planes, s, 9.0, profile)
+        _, jac, feasible = residuals(theta, rows)
+        assert feasible.all()
+        assert np.allclose(jac, central_difference_jacobian(
+            residuals, theta, rows), rtol=1e-6, atol=1e-7)
+
+
+def test_multi_callback_residuals_and_jacobian():
+    # Lamps 0 and 1 share k and profile, so their readings are evaluated
+    # as one array; residuals must match the scalar model reading by
+    # reading, and the Jacobian central differences.
+    rng = np.random.default_rng(30)
+    receivers = rng.uniform([1, 1, 0], [7, 7, 1], size=(5, 3))
+    for trial in range(4):
+        cos = make_profile("cosine_power", [rng.uniform(0.5, 2.5)])
+        shared, other = (cos, POLY) if trial % 2 else (POLY, cos)
+        lamps = {}
+        readings = []
+        for i, (k, profile) in enumerate(((20.0, shared), (20.0, shared),
+                                          (rng.uniform(5, 50), other))):
+            position = rng.uniform([0, 0, 3], [8, 8, 4])
+            ray = unit(receivers.mean(axis=0) - position
+                       + rng.normal(scale=0.5, size=3))
+            lamps[i] = LampModel(position, ray, k, profile, 50.0 + 10 * i)
+            for j in range(3):
+                readings.append(Reading(rng.normal(size=3),
+                                        rng.uniform(0.1, 2.0), i, j))
+        rng.shuffle(readings)
+        residuals = _multi_residuals(readings, lamps, 0.8)
+        r, jac, feasible = residuals(receivers, np.arange(len(receivers)))
+        assert feasible.all()
+        for n, p in enumerate(receivers):
+            for i, rd in enumerate(readings):
+                lamp = lamps[rd.lamp_id]
+                x = solve_frame_basis(lamp.central_ray).T @ (lamp.position - p)
+                m = model_rss(rd.plane[None], 0.8 * lamp.k, lamp.profile, x)
+                assert r[n, i] == pytest.approx((m[0] - rd.s) / rd.s,
+                                                rel=1e-12, abs=1e-12)
+        assert np.allclose(jac, central_difference_jacobian(
+            residuals, receivers), rtol=1e-6, atol=1e-7)
+
+
+def test_trilateration_callback_residuals_and_jacobian():
+    rng = np.random.default_rng(31)
+    lamps = rng.uniform([0, 0, 2.5], [6, 6, 3.5], size=(4, 3))
+    receivers = rng.uniform([1, 1, 0], [5, 5, 1], size=(5, 3))
+    s = rng.uniform(0.5, 3.0, size=4)
+    for profile in (make_profile("cosine_power", [1.6]), POLY):
+        for z_receiver in (0.7, None):
+            theta = receivers if z_receiver is None else receivers[:, :2]
+            residuals = _trilateration_residuals(lamps, 20.0, profile, s,
+                                                 z_receiver)
+            r, jac, feasible = residuals(theta, np.arange(len(theta)))
+            assert feasible.all()
+            q = receivers if z_receiver is None else np.column_stack(
+                [theta, np.full(len(theta), z_receiver)])
+            dz = lamps[:, 2] - q[:, None, 2]
+            d = np.linalg.norm(lamps - q[:, None, :], axis=2)
+            m = 20.0 * dz * profile.value(np.arccos(dz / d)) / d**3
+            assert np.allclose(r, (m - s) / s, rtol=1e-12, atol=1e-12)
+            assert np.allclose(jac, central_difference_jacobian(
+                residuals, theta), rtol=1e-6, atol=1e-7)
+
+
+def test_invert_distances_matches_scalar_bisection():
+    rng = np.random.default_rng(32)
+    for profile in (make_profile("cosine_power", [1.3]), POLY):
+        dz = rng.uniform(0.5, 4.0, size=6)
+        s = rng.uniform(0.01, 5.0, size=6)
+        d = _invert_distances(30.0, profile, dz, s)
+        for i in range(6):
+            def val(x):
+                return 30.0 * dz[i] * float(
+                    profile.value(math.acos(dz[i] / x))) / x**3
+            lo, hi = dz[i] * (1 + 1e-9), dz[i] + 1.0
+            while val(hi) > s[i] and hi < dz[i] + 1e6:
+                hi *= 2.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if val(mid) > s[i] else (lo, mid)
+            assert d[i] == pytest.approx(0.5 * (lo + hi), rel=1e-12)
