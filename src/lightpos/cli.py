@@ -217,31 +217,32 @@ def _cmd_calibrate(args):
 def _cmd_coverage(args):
     sf = load_scenario(args.scenario)
     scn = sf.scenario
-    out = {}
+    grid = dict(cell_size=sf.cell_size_m, receiver_height=sf.receiver_height_m)
+    if args.plan and not sf.candidates:
+        raise _InputError("scenario has no candidate lamp sites to plan with")
+    try:
+        if args.plan:
+            count, chosen, shortfall = greedy_min_lamps(
+                scn.bounds, scn.obstacles, sf.candidates, args.method, **grid)
+        else:
+            rep = coverage_analysis(
+                scn.bounds, scn.obstacles, scn.lamps, args.method, **grid)
+    except ValueError as exc:  # a lamp on a cell center
+        raise _InputError(str(exc)) from None
     if args.plan:
-        if not sf.candidates:
-            raise _InputError("scenario has no candidate lamp sites to plan with")
-        count, chosen, shortfall = greedy_min_lamps(
-            scn.bounds, scn.obstacles, sf.candidates, args.method,
-            cell_size=sf.cell_size_m, receiver_height=sf.receiver_height_m,
-        )
-        out["plan"] = {
+        out = {"plan": {
             "method": args.method,
             "lamps": count,
             "chosen": chosen,
             "uncovered_cells": shortfall,
-        }
+        }}
     else:
-        rep = coverage_analysis(
-            scn.bounds, scn.obstacles, scn.lamps, args.method,
-            cell_size=sf.cell_size_m, receiver_height=sf.receiver_height_m,
-        )
-        out["coverage"] = {
+        out = {"coverage": {
             "method": rep.method,
             "fraction": fmt(rep.fraction),
             "uncovered_cells": len(rep.uncovered_cells),
             "lamps": rep.lamp_count,
-        }
+        }}
     _emit(render_json(out), args.out)
     return EXIT_OK
 

@@ -185,24 +185,26 @@ class Aabb:
     def __post_init__(self):
         object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float))
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
+        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
+            raise ValueError("box corners must be finite")
         if np.any(self.lo > self.hi):
             raise ValueError("box min corner exceeds max corner")
 
-    def contains(self, p) -> bool:
+    def contains(self, p):
+        """Whether the point p, or each point of a (..., 3) array, lies in
+        the closed box."""
         p = np.asarray(p, dtype=float)
-        return bool(np.all(p >= self.lo) and np.all(p <= self.hi))
+        return np.all((p >= self.lo) & (p <= self.hi), axis=-1)
 
 
 def segments_blocked(p, q, obstacles) -> np.ndarray:
     """Which of the open segments p[i]-q[i] some box blocks, as a bool
     array; p and q are (..., 3) and broadcast against each other.
 
-    The array form of ``_segment_hits_box``, with the same rules: the
-    slab method on the open segment (endpoints touching a box face do not
-    count as occlusion), an axis with |q - p| below 1e-15 is parallel to
-    the slab and missed when p lies outside it, and a hit needs an
-    overlap longer than 1e-12 of the segment.  ``line_of_sight`` keeps
-    the scalar form, which is faster for one segment.
+    The slab method on the open segment: endpoints touching a box face do
+    not count as occlusion, an axis with |q - p| below 1e-15 is parallel
+    to the slab and missed when p lies outside it, and a hit needs an
+    overlap longer than 1e-12 of the segment.
     """
     p, q = np.broadcast_arrays(np.asarray(p, dtype=float),
                                np.asarray(q, dtype=float))
@@ -225,34 +227,14 @@ def segments_blocked(p, q, obstacles) -> np.ndarray:
     return blocked
 
 
-def _segment_hits_box(p: np.ndarray, q: np.ndarray, box: Aabb) -> bool:
-    # Slab method on the open segment (endpoints touching a box face do
-    # not count as occlusion).
-    d = q - p
-    tmin, tmax = 0.0, 1.0
-    for i in range(3):
-        if abs(d[i]) < 1e-15:
-            if p[i] < box.lo[i] or p[i] > box.hi[i]:
-                return False
-            continue
-        t1 = (box.lo[i] - p[i]) / d[i]
-        t2 = (box.hi[i] - p[i]) / d[i]
-        if t1 > t2:
-            t1, t2 = t2, t1
-        tmin = max(tmin, t1)
-        tmax = min(tmax, t2)
-        if tmin > tmax:
-            return False
-    return tmax - tmin > 1e-12
-
-
 def line_of_sight(p, q, obstacles) -> bool:
-    """True when the open segment p-q is not blocked by any box."""
+    """True when the open segment p-q is not blocked by any box: the
+    one-segment call of ``segments_blocked``."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if np.allclose(p, q):
         raise ValueError("line_of_sight endpoints coincide")
-    return not any(_segment_hits_box(p, q, box) for box in obstacles)
+    return not segments_blocked(p, q, obstacles)
 
 
 def solve_frame_basis(central_ray) -> np.ndarray:

@@ -133,10 +133,14 @@ class LampModel:
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
         object.__setattr__(self, "central_ray", unit(self.central_ray))
-        if self.k <= 0:
-            raise ValueError("lamp intensity constant must be positive")
-        if self.flash_hz <= 0:
-            raise ValueError("lamp flash frequency must be positive")
+        if not np.all(np.isfinite(self.position)):
+            raise ValueError("lamp position must be finite")
+        if not 0 < self.k < math.inf:
+            raise ValueError("lamp intensity constant must be positive and finite")
+        if not 0 < self.flash_hz < math.inf:
+            raise ValueError("lamp flash frequency must be positive and finite")
+        if not self.range_m > 0:
+            raise ValueError("lamp range must be positive (inf for unbounded)")
 
 
 def eval_rss(lamp: LampModel, face_center, face_normal) -> float:

@@ -146,13 +146,27 @@ def _lamp_from_json(obj) -> LampModel:
     )
 
 
+def _non_finite_paths(node, path=""):
+    # JSON paths of the NaN and infinite numbers in a decoded document
+    # (Python's json module reads NaN, Infinity and 1e999).
+    if isinstance(node, float) and not math.isfinite(node):
+        yield path
+    elif isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _non_finite_paths(child, f"{path}/{key}")
+
+
 def parse_scenario(data) -> ScenarioFile:
-    """Validate a decoded scenario document and build the model objects."""
+    """Validate a decoded scenario document, whose numbers must all be
+    finite, and build the model objects."""
     try:
         jsonschema.validate(data, SCHEMA)
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
         raise ScenarioFormatError(f"at {path}: {exc.message}") from None
+    for path in _non_finite_paths(data):
+        raise ScenarioFormatError(f"at {path[1:]}: number is not finite")
 
     try:
         bounds = Aabb(data["bounds"]["min"], data["bounds"]["max"])

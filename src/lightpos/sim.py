@@ -19,7 +19,7 @@ from .geom import (
     Attitude,
     Polyhedron,
     half_dodecahedron,
-    line_of_sight,
+    line_of_sight,  # noqa: F401 (unused; perfbench/tracer.py wraps it here)
     receiver_rotation,
     segments_blocked,
     solve_frame_basis,
@@ -243,8 +243,7 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
     if mode not in (MODE_FAST, MODE_END_TO_END):
         raise ValueError(f"unknown measurement mode {mode!r}")
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    inside = np.all((positions >= scn.bounds.lo)
-                    & (positions <= scn.bounds.hi), axis=1)
+    inside = scn.bounds.contains(positions)
     if not inside.all():
         position = positions[np.argmin(inside)]
         raise ValueError(f"receiver pose {position} outside scenario bounds")
@@ -528,7 +527,7 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
     if seed is None:
         seed = scn.noise.seed
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    inside = [i for i, p in enumerate(points) if scn.bounds.contains(p)]
+    inside = np.flatnonzero(scn.bounds.contains(points))
     fixes = [(t, i) for t in range(trials) for i in inside]
     truth = points[[i for _, i in fixes]].reshape(-1, 3)
     rows = []
@@ -564,43 +563,64 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
     return rows, monotone
 
 
-def _visible_lamps(cell, lamps, obstacles):
-    out = []
-    for i, lamp in enumerate(lamps):
-        d = np.linalg.norm(lamp.position - cell)
-        if d <= lamp.range_m and line_of_sight(lamp.position, cell, obstacles):
-            out.append(i)
-    return out
-
-
-def _has_valid_triple(visible_ids, lamps,
-                      min_separation=MIN_LAMP_SEPARATION,
-                      min_area=MIN_TRIANGLE_AREA) -> bool:
-    if len(visible_ids) < 3:
-        return False
-    pos = [lamps[i].position for i in visible_ids]
-    for a, b, c in combinations(range(len(pos)), 3):
-        pa, pb, pc = pos[a], pos[b], pos[c]
-        if (np.linalg.norm(pb - pa) < min_separation
-                or np.linalg.norm(pc - pa) < min_separation
-                or np.linalg.norm(pc - pb) < min_separation):
-            continue
-        if 0.5 * np.linalg.norm(np.cross(pb - pa, pc - pa)) >= min_area:
-            return True
-    return False
-
-
-def grid_cells(bounds: Aabb, cell_size: float, height: float):
-    """Cell-center grid over the floorplan at the receiver height."""
-    if cell_size <= 0:
-        raise ValueError("cell size must be positive")
+def grid_cells(bounds: Aabb, cell_size: float, height: float) -> np.ndarray:
+    """Cell-center grid over the floorplan at the receiver height, as a
+    (K, 3) array in x-major order."""
+    if not (0 < cell_size < math.inf and math.isfinite(height)):
+        raise ValueError("cell size must be positive and finite, and the "
+                         "receiver height finite")
     xs = np.arange(bounds.lo[0] + cell_size / 2, bounds.hi[0], cell_size)
     ys = np.arange(bounds.lo[1] + cell_size / 2, bounds.hi[1], cell_size)
-    return [np.array([x, y, height]) for x in xs for y in ys]
+    x, y = np.meshgrid(xs, ys, indexing="ij")
+    return np.column_stack([x.ravel(), y.ravel(), np.full(x.size, height)])
 
 
-def _cell_blocked(cell, obstacles) -> bool:
-    return any(box.contains(cell) for box in obstacles)
+def _visibility(bounds: Aabb, obstacles, lamps, cell_size: float,
+                height: float):
+    """The grid cells outside every box, (K, 3), and which lamps see them,
+    (lamps, K): the cell center lies within the lamp's ``range_m`` and no
+    box blocks the segment between them.  A lamp in range of a cell
+    center it coincides with (``np.allclose``) raises ValueError, as
+    ``line_of_sight`` does."""
+    cells = grid_cells(bounds, cell_size, height)
+    for box in obstacles:
+        cells = cells[~box.contains(cells)]
+    pos = np.array([lamp.position for lamp in lamps]).reshape(-1, 3)
+    delta = pos[:, None, :] - cells
+    in_range = np.sqrt(np.vecdot(delta, delta)) <= np.array(
+        [lamp.range_m for lamp in lamps])[:, None]
+    coincide = np.all(np.abs(delta) <= 1e-8 + 1e-5 * np.abs(cells), axis=-1)
+    if np.any(in_range & coincide):
+        raise ValueError("a lamp coincides with a cell center")
+    return cells, in_range & ~segments_blocked(pos[:, None, :], cells,
+                                               obstacles)
+
+
+def _valid_triples(lamps) -> np.ndarray:
+    """Index triples (i < j < k) of lamps that can anchor a trilateration
+    fix, pairwise at least MIN_LAMP_SEPARATION apart and spanning at least
+    MIN_TRIANGLE_AREA, as a (T, 3) array."""
+    triples = np.array(list(combinations(range(len(lamps)), 3)),
+                       dtype=np.intp).reshape(-1, 3)
+    pos = np.array([lamp.position for lamp in lamps]).reshape(-1, 3)
+    pa, pb, pc = (pos[triples[:, j]] for j in range(3))
+    sides = np.stack([pb - pa, pc - pa, pc - pb])
+    lengths = np.sqrt(np.vecdot(sides, sides))
+    separated = np.all(lengths >= MIN_LAMP_SEPARATION, axis=0)
+    normal = np.cross(pb - pa, pc - pa)
+    area = 0.5 * np.sqrt(np.vecdot(normal, normal))
+    return triples[separated & (area >= MIN_TRIANGLE_AREA)]
+
+
+def _anchor_groups(lamps, method: str) -> np.ndarray:
+    """The lamp sets that position a cell when all of them see it: each
+    lamp alone for the multi-face method, each valid triple for
+    trilateration; a (groups, group size) index array."""
+    if method == METHOD_MFLP:
+        return np.arange(len(lamps))[:, None]
+    if method == METHOD_TRILATERATION:
+        return _valid_triples(lamps)
+    raise ValueError(f"unknown coverage method {method!r}")
 
 
 def coverage_analysis(bounds: Aabb, obstacles, lamps, method: str,
@@ -611,76 +631,53 @@ def coverage_analysis(bounds: Aabb, obstacles, lamps, method: str,
     A cell counts as covered for the multi-face method when one lamp sees
     it (the half-dodecahedron receiver then guarantees three usable
     faces), and for trilateration when three sufficiently separated,
-    non-collinear lamps see it.
+    non-collinear lamps see it.  A lamp sees a cell within its
+    ``range_m`` of the cell center with a clear line of sight; the whole
+    (lamps, cells) visibility matrix is built at once.
     """
-    cells = [c for c in grid_cells(bounds, cell_size, receiver_height)
-             if not _cell_blocked(c, obstacles)]
-    uncovered = []
-    for cell in cells:
-        vis = _visible_lamps(cell, lamps, obstacles)
-        if method == METHOD_MFLP:
-            ok = len(vis) >= 1
-        elif method == METHOD_TRILATERATION:
-            ok = _has_valid_triple(vis, lamps)
-        else:
-            raise ValueError(f"unknown coverage method {method!r}")
-        if not ok:
-            uncovered.append(tuple(cell))
-    fraction = 1.0 - len(uncovered) / len(cells) if cells else 0.0
-    return CoverageReport(method, fraction, tuple(uncovered), len(lamps))
+    groups = _anchor_groups(lamps, method)
+    cells, vis = _visibility(bounds, obstacles, lamps, cell_size,
+                             receiver_height)
+    covered = vis[groups].all(axis=1).any(axis=0)
+    uncovered = tuple(tuple(c) for c in cells[~covered])
+    fraction = 1.0 - len(uncovered) / len(cells) if len(cells) else 0.0
+    return CoverageReport(method, fraction, uncovered, len(lamps))
 
 
 def greedy_min_lamps(bounds: Aabb, obstacles, candidates, method: str,
                      cell_size: float = 0.3, receiver_height: float = 0.0):
     """Greedy max-coverage lamp placement until full coverage.
 
-    Ties break by candidate order (then by progress toward three visible
-    lamps per cell for trilateration).  Returns (count, chosen indices,
-    uncovered cell count); a nonzero shortfall means full coverage is
-    unattainable with the given candidates.
+    Each round adds the candidate that newly covers the most cells (as
+    ``coverage_analysis`` counts coverage); ties break by progress toward
+    three visible lamps per uncovered cell for trilateration, then by
+    candidate order.  Planning stops when no candidate makes progress.
+    Returns (count, chosen indices, uncovered cell count); a nonzero
+    shortfall means full coverage is unattainable with the given
+    candidates.
     """
-    cells = [c for c in grid_cells(bounds, cell_size, receiver_height)
-             if not _cell_blocked(c, obstacles)]
-    vis = np.zeros((len(candidates), len(cells)), dtype=bool)
-    for ci, cand in enumerate(candidates):
-        for ki, cell in enumerate(cells):
-            d = np.linalg.norm(cand.position - cell)
-            vis[ci, ki] = d <= cand.range_m and line_of_sight(
-                cand.position, cell, obstacles)
-
-    need = 1 if method == METHOD_MFLP else 3
+    groups = _anchor_groups(candidates, method)
+    cells, vis = _visibility(bounds, obstacles, candidates, cell_size,
+                             receiver_height)
+    group_vis = vis[groups].all(axis=1)
+    need = groups.shape[1]
+    n = len(candidates)
+    # with_candidate[ci, ci2]: lamp ci2 is in the plan once ci is added.
+    with_candidate = np.eye(n, dtype=bool)
     chosen: list[int] = []
     covered = np.zeros(len(cells), dtype=bool)
-
-    def cell_covered(ki, lamp_ids):
-        visible = [i for i in lamp_ids if vis[i, ki]]
-        if method == METHOD_MFLP:
-            return len(visible) >= 1
-        return _has_valid_triple(visible, candidates)
-
-    while not covered.all() and len(chosen) < len(candidates):
-        best = None
-        for ci in range(len(candidates)):
-            if ci in chosen:
-                continue
-            trial = chosen + [ci]
-            gain = 0
-            progress = 0
-            for ki in np.nonzero(~covered)[0]:
-                if not vis[ci, ki]:
-                    continue
-                n_before = sum(1 for i in chosen if vis[i, ki])
-                progress += max(0, min(need, n_before + 1) - min(need, n_before))
-                if not cell_covered(ki, chosen) and cell_covered(ki, trial):
-                    gain += 1
-            score = (gain, progress, -ci)
-            if best is None or score > best[0]:
-                best = (score, ci)
-        if best is None or best[0][:2] == (0, 0):
+    while not covered.all() and len(chosen) < n:
+        covered_with = with_candidate[:, groups].all(axis=2) @ group_vis
+        gain = (covered_with & ~covered).sum(axis=1)
+        short = ~covered & (vis[chosen].sum(axis=0) < need)
+        progress = (vis & short).sum(axis=1)
+        best = max((int(gain[ci]), int(progress[ci]), -ci)
+                   for ci in range(n) if ci not in chosen)
+        if best[:2] == (0, 0):
             break  # no candidate makes progress
-        chosen.append(best[1])
-        for ki in np.nonzero(~covered)[0]:
-            if cell_covered(ki, chosen):
-                covered[ki] = True
+        ci = -best[2]
+        chosen.append(ci)
+        with_candidate[:, ci] = True
+        covered = covered_with[ci]
     shortfall = int((~covered).sum())
     return len(chosen), chosen, shortfall

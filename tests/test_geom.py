@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lightpos.geom import (
     Aabb,
@@ -128,8 +130,16 @@ def test_aabb_contains_and_validation():
     box = Aabb([0, 0, 0], [1, 2, 3])
     assert box.contains([0.5, 1.0, 3.0])
     assert not box.contains([1.5, 1.0, 1.0])
+    assert box.contains([[0.5, 1.0, 3.0], [1.5, 1.0, 1.0],
+                         [0.0, 0.0, 0.0]]).tolist() == [True, False, True]
+    assert not box.contains([math.nan, 1.0, 1.0])
     with pytest.raises(ValueError):
         Aabb([1, 0, 0], [0, 1, 1])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            Aabb([0, bad, 0], [1, 1, 1])
+        with pytest.raises(ValueError):
+            Aabb([0, 0, 0], [1, 1, bad])
 
 
 def test_line_of_sight_blocked_and_clear():
@@ -146,6 +156,27 @@ def test_line_of_sight_endpoint_touch_is_not_occlusion():
     assert line_of_sight([0, 0.5, 0.5], [1, 0.5, 0.5], [box])
 
 
+def _reference_hits_box(p, q, box):
+    # Scalar slab method on the open segment, one box at a time: the
+    # independent oracle for segments_blocked and line_of_sight.
+    d = q - p
+    tmin, tmax = 0.0, 1.0
+    for i in range(3):
+        if abs(d[i]) < 1e-15:
+            if p[i] < box.lo[i] or p[i] > box.hi[i]:
+                return False
+            continue
+        t1 = (box.lo[i] - p[i]) / d[i]
+        t2 = (box.hi[i] - p[i]) / d[i]
+        if t1 > t2:
+            t1, t2 = t2, t1
+        tmin = max(tmin, t1)
+        tmax = min(tmax, t2)
+        if tmin > tmax:
+            return False
+    return tmax - tmin > 1e-12
+
+
 def test_segments_blocked_matches_line_of_sight():
     boxes = [Aabb([1, 1, 0], [2, 3, 2]), Aabb([0, 0, 0], [4, 0.2, 3])]
     rng = np.random.default_rng(4)
@@ -158,11 +189,47 @@ def test_segments_blocked_matches_line_of_sight():
                         rng.uniform(-1, 5, (300, 3))])
     keep = ~np.all(np.isclose(p, q), axis=1)
     p, q = p[keep], q[keep]
-    blocked = segments_blocked(p, q, boxes)
-    expected = [not line_of_sight(a, b, boxes) for a, b in zip(p, q)]
-    assert blocked.tolist() == expected
+    expected = [any(_reference_hits_box(a, b, box) for box in boxes)
+                for a, b in zip(p, q)]
+    assert segments_blocked(p, q, boxes).tolist() == expected
+    assert [not line_of_sight(a, b, boxes) for a, b in zip(p, q)] == expected
     assert 0 < sum(expected) < len(expected)
     assert not segments_blocked(p, q, ()).any()
+
+
+# Coordinates on a 1/4 grid put endpoints on box faces and make segments
+# axis-parallel; the finer floats give the general case.
+_coord = st.one_of(st.integers(-4, 20).map(lambda i: i / 4),
+                   st.floats(-1.0, 5.0, allow_nan=False))
+_point = st.tuples(_coord, _coord, _coord)
+
+
+@st.composite
+def _boxes(draw):
+    out = []
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(_point), draw(_point)
+        out.append(Aabb(np.minimum(a, b), np.maximum(a, b)))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_point, _point), min_size=1, max_size=8), _boxes(),
+       st.permutations(range(3)))
+def test_segments_blocked_batch_equals_single_and_axis_order(segs, boxes,
+                                                             perm):
+    p = np.array([a for a, _ in segs], dtype=float)
+    q = np.array([b for _, b in segs], dtype=float)
+    blocked = segments_blocked(p, q, boxes)
+    assert blocked.tolist() == [bool(segments_blocked(a, b, boxes))
+                                for a, b in zip(p, q)]
+    assert blocked.tolist() == [
+        any(_reference_hits_box(a, b, box) for box in boxes)
+        for a, b in zip(p, q)]
+    # Relabelling the axes of the whole scene permutes the slab loop only.
+    swapped = [Aabb(box.lo[perm], box.hi[perm]) for box in boxes]
+    assert segments_blocked(p[:, perm], q[:, perm], swapped).tolist() == \
+        blocked.tolist()
 
 
 def test_line_of_sight_rejects_coincident_endpoints():

@@ -55,6 +55,17 @@ def test_lamp_model_validation():
         vertical_lamp([0, 0, 3], k=-1.0)
     with pytest.raises(ValueError):
         LampModel(np.zeros(3), [0, 0, -1], 1.0, COS, flash_hz=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            vertical_lamp([0, 0, 3], k=bad)
+        with pytest.raises(ValueError):
+            vertical_lamp([0, 0, 3], flash_hz=bad)
+        with pytest.raises(ValueError):
+            vertical_lamp([0, bad, 3])
+    for bad in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            LampModel(np.zeros(3), [0, 0, -1], 1.0, COS, 65.0, range_m=bad)
+    assert vertical_lamp([0, 0, 3]).range_m == math.inf
 
 
 def test_eval_rss_worked_values():

@@ -232,6 +232,57 @@ def test_cli_coverage_and_plan(capsys):
     assert plan["uncovered_cells"] == 0
 
 
+def _edited_two_room(tmp_path, edit):
+    with open(fixture_path("two_room.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))  # writes NaN and Infinity literals
+    return str(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["obstacles"][0]["min"].__setitem__(1, math.nan),
+    lambda d: d["bounds"]["max"].__setitem__(0, math.inf),
+    lambda d: d["lamps"][0].__setitem__("k", math.nan),
+    lambda d: d["candidates"][2]["position"].__setitem__(2, math.nan),
+    lambda d: d["candidates"][0].__setitem__("flash_hz", math.inf),
+    lambda d: d["candidates"][0].__setitem__("range_m", math.nan),
+    lambda d: d["coverage"].__setitem__("cell_size_m", math.nan),
+    lambda d: d["coverage"].__setitem__("receiver_height_m", math.inf),
+], ids=["obstacle-corner", "bounds-corner", "lamp-k", "candidate-position",
+        "candidate-flash", "candidate-range", "cell-size", "height"])
+def test_cli_coverage_rejects_non_finite_scenario(tmp_path, capsys, edit):
+    path = _edited_two_room(tmp_path, edit)
+    with pytest.raises(ScenarioFormatError, match="not finite"):
+        load_scenario(path)
+    for extra in ([], ["--plan"]):
+        rc = main(["coverage", "--scenario", path, "--method", "mflp",
+                   *extra])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: at ")
+
+
+def test_non_finite_number_reports_json_path():
+    doc = dict(MINIMAL, noise={"accel_sd": math.nan},
+               points=[[1, 1, 0], [2, math.inf, 0]])
+    with pytest.raises(ScenarioFormatError, match="at noise/accel_sd"):
+        parse_scenario(doc)
+    del doc["noise"]
+    with pytest.raises(ScenarioFormatError, match="at points/1/1"):
+        parse_scenario(doc)
+
+
+def test_cli_coverage_candidate_on_cell_center_is_input_error(tmp_path,
+                                                              capsys):
+    # Cells are 0.5 m at height 1.0, so (0.25, 0.25, 1.0) is a cell center.
+    path = _edited_two_room(tmp_path, lambda d: d["candidates"][1].update(
+        position=[0.25, 0.25, 1.0]))
+    rc = main(["coverage", "--scenario", path, "--plan"])
+    assert rc == EXIT_INPUT
+    assert "cell center" in capsys.readouterr().err
+
+
 def test_cli_sensitivity(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main(["sensitivity", "--scenario", fixture_path("empty_room.json"),

@@ -3,11 +3,12 @@
 import math
 from dataclasses import replace
 from importlib import resources
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from lightpos.geom import Aabb, Attitude
+from lightpos.geom import Aabb, Attitude, line_of_sight
 from lightpos.rss import LampModel, eval_rss, make_profile
 from lightpos.scenario import load_scenario
 from lightpos.signal import OOK_FUNDAMENTAL
@@ -19,6 +20,7 @@ from lightpos.sim import (
     _point_rng,
     coverage_analysis,
     greedy_min_lamps,
+    grid_cells,
     locate,
     measure,
     oscillation_distance,
@@ -288,6 +290,168 @@ def test_greedy_min_lamps_single_room():
                                         cands, "mflp", cell_size=1.0,
                                         receiver_height=1.0)
     assert n == 1 and short == 0
+
+
+def test_grid_cells_rejects_non_finite_inputs():
+    bounds = Aabb([0, 0, 0], [10, 10, 3])
+    assert grid_cells(bounds, 2.0, 1.0).shape == (25, 3)
+    for size, height in ((math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0),
+                         (1.0, math.nan), (1.0, -math.inf)):
+        with pytest.raises(ValueError):
+            grid_cells(bounds, size, height)
+
+
+# Reference planner: the per-cell loops the array planner replaced, kept
+# here as the oracle for coverage_analysis and greedy_min_lamps.
+
+def _ref_visibility(bounds, obstacles, lamps, cell_size, height):
+    xs = np.arange(bounds.lo[0] + cell_size / 2, bounds.hi[0], cell_size)
+    ys = np.arange(bounds.lo[1] + cell_size / 2, bounds.hi[1], cell_size)
+    cells = [np.array([x, y, height]) for x in xs for y in ys]
+    cells = [c for c in cells
+             if not any(box.contains(c) for box in obstacles)]
+    vis = np.zeros((len(lamps), len(cells)), dtype=bool)
+    for ci, lamp in enumerate(lamps):
+        for ki, cell in enumerate(cells):
+            d = np.linalg.norm(lamp.position - cell)
+            vis[ci, ki] = d <= lamp.range_m and line_of_sight(
+                lamp.position, cell, obstacles)
+    return cells, vis
+
+
+def _ref_has_valid_triple(visible_ids, lamps):
+    if len(visible_ids) < 3:
+        return False
+    pos = [lamps[i].position for i in visible_ids]
+    for a, b, c in combinations(range(len(pos)), 3):
+        pa, pb, pc = pos[a], pos[b], pos[c]
+        if (np.linalg.norm(pb - pa) < 1.0 or np.linalg.norm(pc - pa) < 1.0
+                or np.linalg.norm(pc - pb) < 1.0):
+            continue
+        if 0.5 * np.linalg.norm(np.cross(pb - pa, pc - pa)) >= 0.5:
+            return True
+    return False
+
+
+def _ref_cell_covered(vis, ki, lamp_ids, lamps, method):
+    visible = [i for i in lamp_ids if vis[i, ki]]
+    if method == "mflp":
+        return len(visible) >= 1
+    return _ref_has_valid_triple(visible, lamps)
+
+
+def _ref_coverage(cells, vis, lamps, method):
+    uncovered = tuple(
+        tuple(cell) for ki, cell in enumerate(cells)
+        if not _ref_cell_covered(vis, ki, range(len(lamps)), lamps, method))
+    fraction = 1.0 - len(uncovered) / len(cells) if cells else 0.0
+    return fraction, uncovered
+
+
+def _ref_greedy(cells, vis, candidates, method):
+    need = 1 if method == "mflp" else 3
+    chosen = []
+    covered = np.zeros(len(cells), dtype=bool)
+    while not covered.all() and len(chosen) < len(candidates):
+        best = None
+        for ci in range(len(candidates)):
+            if ci in chosen:
+                continue
+            trial = chosen + [ci]
+            gain = progress = 0
+            for ki in np.nonzero(~covered)[0]:
+                if not vis[ci, ki]:
+                    continue
+                n_before = sum(1 for i in chosen if vis[i, ki])
+                progress += max(0, min(need, n_before + 1)
+                                - min(need, n_before))
+                if (not _ref_cell_covered(vis, ki, chosen, candidates, method)
+                        and _ref_cell_covered(vis, ki, trial, candidates,
+                                              method)):
+                    gain += 1
+            score = (gain, progress, -ci)
+            if best is None or score > best[0]:
+                best = (score, ci)
+        if best is None or best[0][:2] == (0, 0):
+            break
+        chosen.append(best[1])
+        for ki in np.nonzero(~covered)[0]:
+            if _ref_cell_covered(vis, ki, chosen, candidates, method):
+                covered[ki] = True
+    return len(chosen), chosen, int((~covered).sum())
+
+
+def test_planner_matches_per_cell_reference():
+    fixtures = {name: load_scenario(resources.files("lightpos") / "fixtures"
+                                    / f"{name}.json")
+                for name in ("two_room", "four_room")}
+    rng = np.random.default_rng(9)
+    shortfalls = partial = 0
+    for case in range(16):
+        name = ("two_room", "four_room")[case % 2]
+        sf = fixtures[name]
+        cands = list(sf.candidates)
+        order = rng.permutation(len(cands))[:rng.integers(1, len(cands) + 1)]
+        # Shrunken ranges make range_m, not only walls, cut visibility.
+        cands = [replace(cands[i], range_m=float(rng.uniform(3.0, 12.0)))
+                 if rng.random() < 0.5 else cands[i] for i in order]
+        method = ("mflp", "trilateration")[case // 2 % 2]
+        size = (0.3, 0.5, 0.7)[case % 3] if name == "two_room" else \
+            (0.5, 0.7)[case // 4 % 2]
+        height = (0.0, 0.8, 1.2)[case % 3]
+        args = (sf.scenario.bounds, sf.scenario.obstacles, cands, method)
+        cells, vis = _ref_visibility(*args[:3], size, height)
+        got = greedy_min_lamps(*args, cell_size=size, receiver_height=height)
+        assert got == _ref_greedy(cells, vis, cands, method)
+        rep = coverage_analysis(*args, cell_size=size, receiver_height=height)
+        fraction, uncovered = _ref_coverage(cells, vis, cands, method)
+        assert (rep.fraction, rep.uncovered_cells) == (fraction, uncovered)
+        assert (rep.method, rep.lamp_count) == (method, len(cands))
+        shortfalls += got[2] > 0
+        partial += 0 < fraction < 1
+    assert shortfalls >= 3 and partial >= 3
+
+
+def test_planner_boundary_cases_match_reference():
+    # Exact binary coordinates put one cell at exactly range_m from a lamp
+    # and a triple exactly at the separation and area limits; a pillar
+    # holds 4 of the 64 cells.
+    bounds = Aabb([0, 0, 0], [4, 4, 3])
+    pillar = (Aabb([1.5, 1.5, 0], [2.5, 2.5, 3]),)
+    below = LampModel([0.25, 0.25, 3.0], [0, 0, -1], 40.0, COS, 55.0,
+                      range_m=2.0)
+    triple = tuple(LampModel([x, y, 2.8], [0, 0, -1], 40.0, COS, 65.0)
+                   for x, y in ((0.5, 3.0), (1.5, 3.0), (0.5, 4.0)))
+    grid = dict(cell_size=0.5, receiver_height=1.0)
+    for lamps in ((below,), triple, (below,) + triple):
+        cells, vis = _ref_visibility(bounds, pillar, lamps, 0.5, 1.0)
+        for method in ("mflp", "trilateration"):
+            args = (bounds, pillar, lamps, method)
+            assert greedy_min_lamps(*args, **grid) == _ref_greedy(
+                cells, vis, lamps, method)
+            rep = coverage_analysis(*args, **grid)
+            assert (rep.fraction, rep.uncovered_cells) == _ref_coverage(
+                cells, vis, lamps, method)
+    assert len(cells) == 60 and vis[0].sum() == 1
+    assert coverage_analysis(bounds, pillar, triple, "trilateration",
+                             **grid).fraction > 0
+
+
+def test_planner_rejects_lamp_on_cell_center():
+    bounds = Aabb([0, 0, 0], [4, 4, 3])
+    # On the cell center (1.25, 1.75, 1.0), and within np.allclose of it.
+    for x in (1.25, 1.25 + 1e-6):
+        cands = (LampModel([1.0, 3.0, 2.8], [0, 0, -1], 40.0, COS, 55.0),
+                 LampModel([x, 1.75, 1.0], [0, 0, -1], 40.0, COS, 65.0))
+        for method in ("mflp", "trilateration"):
+            with pytest.raises(ValueError):
+                _ref_visibility(bounds, (), cands, 0.5, 1.0)
+            with pytest.raises(ValueError):
+                greedy_min_lamps(bounds, (), cands, method, cell_size=0.5,
+                                 receiver_height=1.0)
+            with pytest.raises(ValueError):
+                coverage_analysis(bounds, (), cands, method, cell_size=0.5,
+                                  receiver_height=1.0)
 
 
 def test_locate_rejects_unknown_pipeline():
