@@ -16,7 +16,6 @@ try:
 except _metadata.PackageNotFoundError:  # running from a source tree
     __version__ = "0.0.0"
 
-from ._kernels import BACKEND
 from .compass import (
     AccelSample,
     AccelValidityError,

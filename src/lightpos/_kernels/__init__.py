@@ -1,25 +1,9 @@
-"""Hot solver kernels: compiled extension when available, numpy fallback
-otherwise.  ``solve_batch``, many problems at once, is numpy in both
-cases.
-
-Set ``LIGHTPOS_PURE_PY=1`` to force the fallback (used by the kernel
-benchmark and for debugging).
+"""The single-lamp solver kernel: ``solve_batch`` solves many problems at
+once and ``solve_single`` is its batch of one, both from ``_ref``, the one
+numpy implementation.  Callers reach ``solve_single`` through this module
+(``_kernels.solve_single``), so it can be wrapped here.
 """
 
-import os
+from ._ref import solve_batch, solve_single
 
-from . import _ref
-
-if os.environ.get("LIGHTPOS_PURE_PY"):
-    _impl = _ref
-else:
-    try:
-        from . import _core as _impl
-    except ImportError:
-        _impl = _ref
-
-solve_single = _impl.solve_single
-solve_batch = _ref.solve_batch
-BACKEND = "cython" if _impl is not _ref else "python"
-
-__all__ = ["solve_single", "solve_batch", "BACKEND"]
+__all__ = ["solve_single", "solve_batch"]

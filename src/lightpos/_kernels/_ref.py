@@ -1,12 +1,11 @@
-"""Pure-numpy position solver: the Levenberg-Marquardt driver every solver
+"""The numpy position solver: the Levenberg-Marquardt driver every solver
 runs, the RSS model with its gradient, and the single-lamp kernel.
 
 ``levenberg_marquardt`` iterates many problems at once over a
 residual-and-Jacobian callback; the single-lamp kernel (``solve_batch``,
 and ``solve_single``, its batch of one), ``solve.solve_multi`` and
-``solve.trilaterate`` are its callers.  The compiled ``_core.pyx`` kernel
-agrees with ``solve_single`` on status and point; it lacks the driver's
-stop on a short rejected step, so it takes more iterations.
+``solve.trilaterate`` are its callers.  This is the package's only solver
+implementation; there is no compiled counterpart.
 """
 
 import numpy as np

@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._kernels import BACKEND
 from .compass import MagSample, calibrate_heading, fit_ellipse
 from .report import (
     STATS_COLUMNS,
@@ -303,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Light-intensity indoor positioning toolkit",
     )
     parser.add_argument("--version", action="version",
-                        version=f"lightpos {__version__} ({BACKEND} kernel)")
+                        version=f"lightpos {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a scenario and report fixes")

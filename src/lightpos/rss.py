@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import least_squares
 
-from .geom import unit
+from .geom import solve_frame_basis, unit
 
 _GRID = np.linspace(0.0, math.pi / 2, 1024)
 
@@ -121,6 +121,8 @@ class LampModel:
     intensity constant k > 0, emission profile, and a flash frequency in
     Hz that identifies the lamp in the frequency domain.  ``range_m``
     bounds the usable sensing range for coverage analysis.
+    ``solve_basis`` is the lamp's solve-frame basis
+    (``geom.solve_frame_basis`` of the central ray), built once here.
     """
 
     position: np.ndarray
@@ -129,6 +131,7 @@ class LampModel:
     profile: EmissionProfile
     flash_hz: float
     range_m: float = math.inf
+    solve_basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
@@ -141,6 +144,8 @@ class LampModel:
             raise ValueError("lamp flash frequency must be positive and finite")
         if not self.range_m > 0:
             raise ValueError("lamp range must be positive (inf for unbounded)")
+        object.__setattr__(self, "solve_basis",
+                           solve_frame_basis(self.central_ray))
 
 
 def eval_rss(lamp: LampModel, face_center, face_normal) -> float:

@@ -200,6 +200,10 @@ def parse_scenario(data) -> ScenarioFile:
         )
     except ValueError as exc:
         raise ScenarioFormatError(str(exc)) from None
+    for i, lamp in enumerate(candidates):
+        if not bounds.contains(lamp.position):
+            raise ScenarioFormatError(
+                f"at candidates/{i}: lamp site outside scenario bounds")
 
     traj = None
     if "trajectory" in data:

@@ -72,61 +72,104 @@ class PeakReading:
     amplitude: float
 
 
-def synthesize_trace(components, rate_hz: float, duration_s: float,
-                     gaussian_noise_sd: float = 0.0, seed=None) -> SampleTrace:
-    """Sum the components at rate_hz over duration_s, plus seeded
-    Gaussian noise.  Deterministic per seed."""
+def synthesize_traces(components, peaks, rate_hz: float, duration_s: float,
+                      gaussian_noise_sd: float = 0.0, seeds=None) -> np.ndarray:
+    """F traces that share the frequencies and shapes of ``components``,
+    as an (F, samples) array.
+
+    Trace f gives component c the peak ``peaks[f, c]``; the components'
+    own peaks are not used.  Each trace sums its components in list order
+    at rate_hz over duration_s, then adds Gaussian noise from its own
+    seed, ``seeds[f]``, so row f equals the trace ``synthesize_trace``
+    makes from the same components, peaks and seed (``seeds`` None draws
+    fresh entropy for every trace).
+    """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     fmax = max((c.freq_hz for c in components), default=0.0)
     if rate_hz <= 2 * fmax:
         raise NyquistError(f"rate {rate_hz} Hz <= 2 x {fmax} Hz component")
+    peaks = np.asarray(peaks, dtype=float).reshape(-1, len(components))
+    if np.any(peaks < 0):
+        raise ValueError("peaks must be nonnegative")
     n = int(round(rate_hz * duration_s))
     t = np.arange(n) / rate_hz
-    x = np.zeros(n)
-    for c in components:
+    x = np.zeros((len(peaks), n))
+    for c, peak in zip(components, peaks.T):
         if c.shape == SHAPE_DC:
-            x += c.peak
+            x += peak[:, None]
         elif c.shape == SHAPE_SINE:
-            x += c.peak * np.sin(2 * math.pi * c.freq_hz * t)
+            x += peak[:, None] * np.sin(2 * math.pi * c.freq_hz * t)
         else:
             # Band-limited OOK square: DC peak/2 plus odd sine harmonics
             # strictly below Nyquist.
-            x += 0.5 * c.peak
+            x += (0.5 * peak)[:, None]
             h = 1
             while c.freq_hz * h < rate_hz / 2:
-                x += (2 * c.peak / (math.pi * h)) * np.sin(
+                x += (2 * peak / (math.pi * h))[:, None] * np.sin(
                     2 * math.pi * c.freq_hz * h * t
                 )
                 h += 2
     if gaussian_noise_sd > 0:
-        rng = np.random.default_rng(seed)
-        x = x + rng.normal(0.0, gaussian_noise_sd, size=n)
-    return SampleTrace(rate_hz, x)
+        noise = np.empty_like(x)
+        if seeds is None:
+            seeds = [None] * len(x)
+        for row, seed in zip(noise, seeds, strict=True):
+            row[:] = np.random.default_rng(seed).normal(
+                0.0, gaussian_noise_sd, size=n)
+        x = x + noise
+    return x
 
 
-def _trim_window(trace: SampleTrace, freq_hz: float) -> int:
+def synthesize_trace(components, rate_hz: float, duration_s: float,
+                     gaussian_noise_sd: float = 0.0, seed=None) -> SampleTrace:
+    """Sum the components at rate_hz over duration_s, plus seeded
+    Gaussian noise.  Deterministic per seed.  The batch of one of
+    ``synthesize_traces``."""
+    x = synthesize_traces(components, [[c.peak for c in components]],
+                          rate_hz, duration_s, gaussian_noise_sd, [seed])
+    return SampleTrace(rate_hz, x[0])
+
+
+def _trim_window(n: int, rate_hz: float, freq_hz: float) -> int:
     """Window length in samples covering a whole number of periods."""
-    periods = math.floor(len(trace.samples) * freq_hz / trace.rate_hz)
+    periods = math.floor(n * freq_hz / rate_hz)
     if periods < 1:
         raise ValueError(
             f"trace shorter than one period of {freq_hz} Hz"
         )
-    return min(int(round(periods * trace.rate_hz / freq_hz)), len(trace.samples))
+    return min(int(round(periods * rate_hz / freq_hz)), n)
+
+
+def extract_amplitudes(samples, rate_hz: float, freqs) -> np.ndarray:
+    """Amplitudes of the sinusoidal components at each of L frequencies in
+    each of F traces: ``samples`` is (F, n), the result (F, L).
+
+    Per frequency, a single-bin DFT projection over a period-trimmed
+    window; the window mean is removed first, so a pure DC trace extracts
+    exactly 0.  Row f equals ``extract_amplitude`` of trace f.
+    """
+    samples = np.asarray(samples, dtype=float)
+    n = samples.shape[-1]
+    out = np.empty((len(samples), len(freqs)))
+    for j, freq_hz in enumerate(freqs):
+        if not 0 < freq_hz < rate_hz / 2:
+            raise ValueError(f"frequency {freq_hz} Hz outside (0, rate/2)")
+        m = _trim_window(n, rate_hz, freq_hz)
+        w = samples[:, :m] - np.mean(samples[:, :m], axis=-1, keepdims=True)
+        phase = -2j * math.pi * freq_hz / rate_hz * np.arange(m)
+        z = np.sum(w * np.exp(phase), axis=-1)
+        # hypot equals scalar abs() of a complex bit for bit; the vector
+        # complex np.abs may differ from it in the last bit.
+        out[:, j] = 2.0 * np.hypot(z.real, z.imag) / m
+    return out
 
 
 def extract_amplitude(trace: SampleTrace, freq_hz: float) -> float:
-    """Amplitude of the sinusoidal component at freq_hz.
-
-    Single-bin DFT projection over a period-trimmed window; the window
-    mean is removed first, so a pure DC trace extracts exactly 0.
-    """
-    if not 0 < freq_hz < trace.rate_hz / 2:
-        raise ValueError(f"frequency {freq_hz} Hz outside (0, rate/2)")
-    m = _trim_window(trace, freq_hz)
-    w = trace.samples[:m] - np.mean(trace.samples[:m])
-    phase = -2j * math.pi * freq_hz / trace.rate_hz * np.arange(m)
-    return 2.0 * abs(np.sum(w * np.exp(phase))) / m
+    """Amplitude of the sinusoidal component at freq_hz: the batch of one
+    of ``extract_amplitudes``."""
+    return float(extract_amplitudes(trace.samples[None], trace.rate_hz,
+                                    [freq_hz])[0, 0])
 
 
 def identify_lamps(trace: SampleTrace, candidates) -> list[PeakReading]:
@@ -155,8 +198,7 @@ def identify_lamps(trace: SampleTrace, candidates) -> list[PeakReading]:
         off &= np.abs(freqs - f) > resolution
     floor = 3.0 * 2.0 * np.median(spectrum[off]) / n if np.any(off) else 0.0
 
-    out = []
-    for f in candidates:
-        amp = extract_amplitude(trace, f)
-        out.append(PeakReading(f, amp if amp > floor else 0.0))
-    return out
+    amps = extract_amplitudes(trace.samples[None], trace.rate_hz,
+                              candidates)[0]
+    return [PeakReading(f, float(amp) if amp > floor else 0.0)
+            for f, amp in zip(candidates, amps)]

@@ -19,19 +19,20 @@ from .geom import (
     Attitude,
     Polyhedron,
     half_dodecahedron,
-    line_of_sight,  # noqa: F401 (unused; perfbench/tracer.py wraps it here)
     receiver_rotation,
     segments_blocked,
-    solve_frame_basis,
 )
 from .signal import (
     OOK_FUNDAMENTAL,
     SHAPE_DC,
     SHAPE_SQUARE_OOK,
     WaveComponent,
-    extract_amplitude,
-    synthesize_trace,
+    extract_amplitudes,
+    synthesize_traces,
 )
+# Unused here; perfbench/tracer.py wraps these names in this module.
+from .geom import line_of_sight, solve_frame_basis  # noqa: F401
+from .signal import extract_amplitude, synthesize_trace  # noqa: F401
 from . import _kernels
 from .solve import (
     LampSighting,
@@ -57,6 +58,10 @@ PIPELINE_MULTI = "multi"
 
 METHOD_MFLP = "mflp"
 METHOD_TRILATERATION = "trilateration"
+
+# End-to-end measurement synthesizes and extracts at most this many traces
+# per call.
+TRACE_BATCH = 4096
 
 # Trilateration geometry guards: lamps closer than this or spanning less
 # triangle area give ill-conditioned or ambiguous fixes.
@@ -109,6 +114,20 @@ class Scenario:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         object.__setattr__(self, "lamps", tuple(self.lamps))
         freqs = [l.flash_hz for l in self.lamps]
+        # Each flash must be sampled below Nyquist and fill at least one
+        # whole period of the window's samples, or it cannot be extracted.
+        samples = round(self.sample_rate_hz * self.window_s)
+        for f in freqs:
+            if f >= self.sample_rate_hz / 2:
+                raise ValueError(
+                    f"lamp flash {f} Hz at or above the Nyquist frequency "
+                    f"of {self.sample_rate_hz} Hz sampling"
+                )
+            if samples * f / self.sample_rate_hz < 1:
+                raise ValueError(
+                    f"a {self.window_s} s window is shorter than one period "
+                    f"of the {f} Hz lamp flash"
+                )
         resolution = 1.0 / self.window_s
         for i, fi in enumerate(freqs):
             for fj in freqs[i + 1:]:
@@ -237,7 +256,10 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
     end-to-end trace seeds.  Per lamp x face: line-of-sight check to the
     face centroid, forward RSS, then either the direct flash-fundamental
     amplitude with multiplicative noise (fast) or waveform synthesis plus
-    single-bin extraction (end_to_end).  Saturated faces are flagged and
+    single-bin extraction (end_to_end: one trace per fix and face,
+    synthesized by ``synthesize_traces`` and extracted by
+    ``extract_amplitudes`` in batches of up to TRACE_BATCH traces).
+    Saturated faces are flagged and
     excluded.  A pose outside the scenario bounds raises ValueError.
     """
     if mode not in (MODE_FAST, MODE_END_TO_END):
@@ -294,7 +316,7 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
         rss[:, li] = np.where(
             lit, (lamp.k / d**3)[:, None] * incidence * f[:, None], 0.0)
 
-        basis = solve_frame_basis(lamp.central_ray)
+        basis = lamp.solve_basis
         n_solve = np.matmul(normals_meas, basis)
         toward = np.matvec(basis.T, lamp.position - centers)
         n_solve[np.vecdot(n_solve, toward) < 0] *= -1.0
@@ -306,22 +328,28 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
         amps = OOK_FUNDAMENTAL * rss * (
             1.0 + scn.noise.rss_epsilon * (signs * 2 - 1))
     else:
-        amps = np.zeros(shape)
-        for n, seeds in enumerate(trace_seeds):
-            for fi in range(poly.n_faces):
-                components = [WaveComponent(0.0, scn.ambient_dc, SHAPE_DC)]
-                for li, lamp in enumerate(scn.lamps):
-                    if rss[n, li, fi] > 0:
-                        components.append(WaveComponent(
-                            lamp.flash_hz, rss[n, li, fi], SHAPE_SQUARE_OOK))
-                trace = synthesize_trace(
-                    components, scn.sample_rate_hz, scn.window_s,
-                    scn.noise.trace_noise_sd, seed=seeds[fi],
-                )
-                for li, lamp in enumerate(scn.lamps):
-                    if rss[n, li, fi] > 0:
-                        amps[n, li, fi] = extract_amplitude(
-                            trace, lamp.flash_hz)
+        # One trace per (fix, face): ambient DC, then every lamp in order,
+        # an unlit one at peak 0 (adding it changes no sample).
+        components = [WaveComponent(0.0, scn.ambient_dc, SHAPE_DC)] + [
+            WaveComponent(lamp.flash_hz, 0.0, SHAPE_SQUARE_OOK)
+            for lamp in scn.lamps]
+        peaks = np.empty((n_fix, poly.n_faces, len(components)))
+        peaks[..., 0] = scn.ambient_dc
+        peaks[..., 1:] = np.where(rss > 0, rss, 0.0).transpose(0, 2, 1)
+        peaks = peaks.reshape(-1, len(components))
+        seeds = [s for fix_seeds in trace_seeds for s in fix_seeds]
+        extracted = np.empty((len(peaks), len(scn.lamps)))
+        # Traces are independent rows; bounded batches bound their memory.
+        for lo in range(0, len(peaks), TRACE_BATCH):
+            traces = synthesize_traces(
+                components, peaks[lo:lo + TRACE_BATCH], scn.sample_rate_hz,
+                scn.window_s, scn.noise.trace_noise_sd,
+                seeds=seeds[lo:lo + TRACE_BATCH])
+            extracted[lo:lo + TRACE_BATCH] = extract_amplitudes(
+                traces, scn.sample_rate_hz,
+                [lamp.flash_hz for lamp in scn.lamps])
+        amps = np.where(rss > 0, extracted.reshape(n_fix, poly.n_faces, -1)
+                        .transpose(0, 2, 1), 0.0)
 
     valid = ~saturated[:, None, :] & (amps > 0) & (rss > 0)
     return MeasurementBatch(amps, valid, planes, saturated, tuple(att_meas))

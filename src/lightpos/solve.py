@@ -19,7 +19,9 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import _ref
-from .geom import normalize_plane, solve_frame_basis
+from .geom import normalize_plane
+# Unused here; perfbench/tracer.py wraps this name in this module.
+from .geom import solve_frame_basis  # noqa: F401
 from .rss import EmissionProfile, LampModel
 
 STATUS_UNIQUE = "unique"
@@ -107,7 +109,12 @@ def mflp_closed_form_batch(planes, s, k: float, profile: EmissionProfile):
     s = np.asarray(s, dtype=float)
     unique = np.abs(np.linalg.det(planes)) > INDEPENDENCE_TOL
     rows = planes / s[:, :, None]
-    direction = np.cross(rows[:, 0] - rows[:, 1], rows[:, 0] - rows[:, 2])
+    # The cross product a x b written out: the arithmetic of np.cross in
+    # its order, without its overhead on (N, 3) rows.
+    a0, a1, a2 = (rows[:, 0] - rows[:, 1]).T
+    b0, b1, b2 = (rows[:, 0] - rows[:, 2]).T
+    direction = np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                                 a0 * b1 - a1 * b0])
     unique &= ((np.sqrt(np.vecdot(direction, direction)) >= 1e-12)
                & (np.abs(direction[:, 2]) >= 1e-12))
     direction = np.where(direction[:, 2:] < 0, -direction, direction)
@@ -173,10 +180,11 @@ def mflp_least_squares(readings, k: float, profile: EmissionProfile,
         triple = _strongest_independent_triple(readings)
         if triple is None:
             return SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
-        seed = mflp_closed_form(*triple, k, profile)
-        if seed.status != STATUS_UNIQUE:
-            return seed
-        init = seed.point
+        seeds, unique = mflp_closed_form_batch(
+            [[r.plane for r in triple]], [[r.s for r in triple]], k, profile)
+        if not unique[0]:
+            return SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
+        init = seeds[0]
     init = np.asarray(init, dtype=float)
     if init[2] <= 0:
         raise ValueError("initial point must have z > 0 in the solve frame")
@@ -261,8 +269,8 @@ def select_top_readings(s, valid):
 def to_world_position(lamp: LampModel, x_solve) -> np.ndarray:
     """Receiver world position from the lamp's solve-frame solution; x_solve
     may be one point (3,) or several (N, 3)."""
-    basis = solve_frame_basis(lamp.central_ray)
-    return lamp.position - np.matvec(basis, np.asarray(x_solve, dtype=float))
+    return lamp.position - np.matvec(lamp.solve_basis,
+                                     np.asarray(x_solve, dtype=float))
 
 
 def _multi_residuals(readings, lamp_table, k_scale):
@@ -272,8 +280,6 @@ def _multi_residuals(readings, lamp_table, k_scale):
     above every face (solve-frame z > 0).  Readings of lamps that share
     an intensity constant and emission profile are evaluated as one
     array."""
-    bases = {i: solve_frame_basis(lamp_table[i].central_ray)
-             for i in sorted({r.lamp_id for r in readings})}
     by_model = {}
     for j, r in enumerate(readings):
         lamp = lamp_table[r.lamp_id]
@@ -283,7 +289,8 @@ def _multi_residuals(readings, lamp_table, k_scale):
          np.array([[readings[j].plane] for j in idx]),
          np.array([readings[j].s for j in idx]),
          np.array([lamp_table[readings[j].lamp_id].position for j in idx]),
-         np.array([bases[readings[j].lamp_id] for j in idx]))
+         np.array([lamp_table[readings[j].lamp_id].solve_basis
+                   for j in idx]))
         for (k, profile), idx in by_model.items()]
 
     def residuals(p, rows):

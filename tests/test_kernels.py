@@ -1,22 +1,10 @@
-"""Compiled kernel vs pure-numpy reference parity and backend selection."""
-
-import os
-import subprocess
-import sys
+"""The numpy solver kernel and its Levenberg-Marquardt driver."""
 
 import numpy as np
-import pytest
 
-import lightpos
-from lightpos._kernels import BACKEND, solve_single
 from lightpos._kernels import _ref
 from lightpos.rss import EmissionProfile
 from lightpos.solve import mflp_closed_form_batch
-
-try:
-    from lightpos._kernels import _core
-except ImportError:
-    _core = None
 
 
 def random_problem(rng):
@@ -53,44 +41,6 @@ def test_reference_solver_recovers_position():
         assert status == 0
         assert np.allclose([x, y, z], point, atol=1e-7)
         assert rms < 1e-8
-
-
-@pytest.mark.skipif(_core is None, reason="compiled kernel not built")
-def test_backends_agree():
-    # Iteration counts may differ (float ordering changes the damping
-    # path) but both must converge to the same point.
-    rng = np.random.default_rng(22)
-    for _ in range(200):
-        planes, s, k, kind, coeffs, _ = random_problem(rng)
-        ref = _ref.solve_single(planes, s, k, kind, coeffs,
-                                0.0, 0.0, 1.0, max_iter=400)
-        com = _core.solve_single(planes, s, k, kind, coeffs,
-                                 0.0, 0.0, 1.0, max_iter=400)
-        assert ref[4] == com[4]  # same status
-        assert np.allclose(ref[:3], com[:3], atol=1e-10)
-
-
-def test_active_backend_reported():
-    assert BACKEND in ("cython", "python")
-    rng = np.random.default_rng(23)
-    planes, s, k, kind, coeffs, point = random_problem(rng)
-    x, y, z, rms, status, _ = solve_single(
-        planes, s, k, kind, coeffs, 0.0, 0.0, 1.0, max_iter=400)
-    assert status == 0
-    assert np.allclose([x, y, z], point, atol=1e-7)
-
-
-def test_env_var_forces_python_fallback():
-    # The child imports the lightpos under test, installed or not.
-    src = os.path.dirname(os.path.dirname(lightpos.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, LIGHTPOS_PURE_PY="1", PYTHONPATH=path)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from lightpos._kernels import BACKEND; print(BACKEND)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "python"
 
 
 def test_closed_form_seed_ends_after_one_iteration():

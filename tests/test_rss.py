@@ -1,10 +1,12 @@
 """Forward RSS model and lamp parameter fitting."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lightpos.geom import solve_frame_basis
 from lightpos.rss import (
     EmissionProfile,
     InsufficientSamplesError,
@@ -66,6 +68,19 @@ def test_lamp_model_validation():
         with pytest.raises(ValueError):
             LampModel(np.zeros(3), [0, 0, -1], 1.0, COS, 65.0, range_m=bad)
     assert vertical_lamp([0, 0, 3]).range_m == math.inf
+
+
+def test_lamp_model_builds_its_solve_frame_basis_once():
+    lamp = LampModel([1.0, 2.0, 3.0], [0.2, -0.1, -1.0], 1.0, COS, 65.0)
+    assert np.array_equal(lamp.solve_basis,
+                          solve_frame_basis(lamp.central_ray))
+    tilted = replace(lamp, central_ray=[1.0, 0.0, -1.0])
+    assert np.array_equal(tilted.solve_basis,
+                          solve_frame_basis(tilted.central_ray))
+    assert not np.array_equal(tilted.solve_basis, lamp.solve_basis)
+    with pytest.raises(TypeError):
+        LampModel([0, 0, 3], [0, 0, -1], 1.0, COS, 65.0,
+                  solve_basis=np.eye(3))
 
 
 def test_eval_rss_worked_values():

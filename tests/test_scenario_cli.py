@@ -83,7 +83,7 @@ def test_cli_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert out.startswith("lightpos ") and "kernel" in out
+    assert out.startswith("lightpos ")
 
 
 def test_cli_simulate_writes_csv_and_sidecar(tmp_path):
@@ -281,6 +281,53 @@ def test_cli_coverage_candidate_on_cell_center_is_input_error(tmp_path,
     rc = main(["coverage", "--scenario", path, "--plan"])
     assert rc == EXIT_INPUT
     assert "cell center" in capsys.readouterr().err
+
+
+def _edited_three_lamps(tmp_path, edit):
+    with open(fixture_path("three_lamps.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    # 640 Hz sampling: Nyquist is 320 Hz.
+    (lambda d: d["lamps"][0].update(flash_hz=330.0), "Nyquist"),
+    (lambda d: d["lamps"][0].update(flash_hz=320.0), "Nyquist"),
+    (lambda d: d.update(sample_rate_hz=100.0), "Nyquist"),
+    # A 0.4 s window holds 256 samples, 0.8 periods of a 2 Hz flash.
+    (lambda d: d["lamps"][0].update(flash_hz=2.0), "shorter than one period"),
+    (lambda d: d.update(window_s=0.01), "shorter than one period"),
+], ids=["above-nyquist", "at-nyquist", "slow-sampling", "slow-flash",
+        "short-window"])
+def test_cli_rejects_unsampleable_flash(tmp_path, capsys, edit, message):
+    path = _edited_three_lamps(tmp_path, edit)
+    with pytest.raises(ScenarioFormatError, match=message):
+        load_scenario(path)
+    rc = main(["simulate", "--scenario", path, "--mode", "end_to_end"])
+    assert rc == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
+def test_flash_just_below_nyquist_and_one_period_accepted(tmp_path):
+    # 319 Hz stays below Nyquist; 2.5 Hz fills exactly one period of 256
+    # samples at 640 Hz.
+    load_scenario(_edited_three_lamps(
+        tmp_path, lambda d: d["lamps"][0].update(flash_hz=319.0)))
+    load_scenario(_edited_three_lamps(
+        tmp_path, lambda d: d["lamps"][0].update(flash_hz=2.5)))
+
+
+def test_cli_plan_rejects_candidate_outside_bounds(tmp_path, capsys):
+    path = _edited_two_room(
+        tmp_path, lambda d: d["candidates"][3]["position"].__setitem__(0, 60.0))
+    with pytest.raises(ScenarioFormatError, match="at candidates/3"):
+        load_scenario(path)
+    rc = main(["coverage", "--scenario", path, "--plan"])
+    assert rc == EXIT_INPUT
+    assert "candidates/3" in capsys.readouterr().err
 
 
 def test_cli_sensitivity(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lightpos.signal import (
     NyquistError,
@@ -12,8 +14,10 @@ from lightpos.signal import (
     SampleTrace,
     WaveComponent,
     extract_amplitude,
+    extract_amplitudes,
     identify_lamps,
     synthesize_trace,
+    synthesize_traces,
 )
 
 
@@ -134,3 +138,93 @@ def test_identify_lamps_noise_floor_zeroes_absent_lamps():
     assert readings[55.0] == 0.0
     assert readings[75.0] == 0.0
     assert readings[65.0] == pytest.approx(OOK_FUNDAMENTAL * 100.0, rel=0.03)
+
+
+def test_batched_synthesis_validates_inputs():
+    comps = [WaveComponent(65.0, 1.0, "sine")]
+    with pytest.raises(ValueError):
+        synthesize_traces(comps, [[1.0], [-1.0]], 640.0, 1.0)
+    with pytest.raises(NyquistError):
+        synthesize_traces([WaveComponent(320.0, 1.0, "sine")], [[1.0]],
+                          640.0, 1.0)
+    with pytest.raises(ValueError):
+        extract_amplitudes(np.zeros((2, 64)), 640.0, [65.0, 5.0])
+
+
+# Reference signal layer: one trace at a time, as synthesis and extraction
+# were written before they were batched; the oracle for both.
+
+def _ref_synthesize(components, rate_hz, duration_s, noise_sd, seed):
+    n = int(round(rate_hz * duration_s))
+    t = np.arange(n) / rate_hz
+    x = np.zeros(n)
+    for c in components:
+        if c.shape == "dc":
+            x += c.peak
+        elif c.shape == "sine":
+            x += c.peak * np.sin(2 * math.pi * c.freq_hz * t)
+        else:
+            x += 0.5 * c.peak
+            h = 1
+            while c.freq_hz * h < rate_hz / 2:
+                x += (2 * c.peak / (math.pi * h)) * np.sin(
+                    2 * math.pi * c.freq_hz * h * t)
+                h += 2
+    if noise_sd > 0:
+        x = x + np.random.default_rng(seed).normal(0.0, noise_sd, size=n)
+    return x
+
+
+def _ref_extract(samples, rate_hz, freq_hz):
+    periods = math.floor(len(samples) * freq_hz / rate_hz)
+    m = min(int(round(periods * rate_hz / freq_hz)), len(samples))
+    w = samples[:m] - np.mean(samples[:m])
+    phase = -2j * math.pi * freq_hz / rate_hz * np.arange(m)
+    return 2.0 * abs(np.sum(w * np.exp(phase))) / m
+
+
+_peak = st.one_of(st.just(0.0), st.floats(0.0, 1000.0))
+
+
+@st.composite
+def _trace_batches(draw):
+    rate = draw(st.sampled_from([100.0, 640.0, 1000.0, 1333.0]))
+    duration = draw(st.floats(0.05, 0.6))
+    n = int(round(rate * duration))
+    # Frequencies below Nyquist that fill at least one period of the trace.
+    freq = st.floats(1.01 * rate / n, 0.499 * rate)
+    components = [WaveComponent(draw(freq), 1.0,
+                                draw(st.sampled_from(["sine", "square_ook"])))
+                  for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        components.insert(0, WaveComponent(0.0, 1.0, "dc"))
+    n_traces = draw(st.integers(1, 5))
+    peaks = draw(st.lists(st.lists(_peak, min_size=len(components),
+                                   max_size=len(components)),
+                          min_size=n_traces, max_size=n_traces))
+    seeds = draw(st.lists(st.integers(0, 2**63 - 1), min_size=n_traces,
+                          max_size=n_traces))
+    noise_sd = draw(st.sampled_from([0.0, 0.5, 3.0]))
+    freqs = draw(st.lists(freq, min_size=1, max_size=4))
+    return components, peaks, rate, duration, noise_sd, seeds, freqs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trace_batches())
+def test_batched_signal_rows_equal_single_traces(batch):
+    components, peaks, rate, duration, noise_sd, seeds, freqs = batch
+    freqs = freqs + [c.freq_hz for c in components if c.shape != "dc"]
+    x = synthesize_traces(components, peaks, rate, duration, noise_sd, seeds)
+    amps = extract_amplitudes(x, rate, freqs)
+    assert x.shape == (len(peaks), int(round(rate * duration)))
+    assert amps.shape == (len(peaks), len(freqs))
+    for row, row_amps, row_peaks, seed in zip(x, amps, peaks, seeds):
+        own = [WaveComponent(c.freq_hz, p, c.shape)
+               for c, p in zip(components, row_peaks)]
+        single = synthesize_trace(own, rate, duration, noise_sd, seed)
+        assert np.array_equal(row, single.samples)
+        assert np.array_equal(row, _ref_synthesize(own, rate, duration,
+                                                   noise_sd, seed))
+        for f, amp in zip(freqs, row_amps):
+            assert amp == extract_amplitude(single, f)
+            assert amp == _ref_extract(row, rate, f)

@@ -8,21 +8,36 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from lightpos.geom import Aabb, Attitude, line_of_sight
+from lightpos.geom import (
+    Aabb,
+    Attitude,
+    line_of_sight,
+    receiver_rotation,
+    segments_blocked,
+    solve_frame_basis,
+)
 from lightpos.rss import LampModel, eval_rss, make_profile
 from lightpos.scenario import load_scenario
-from lightpos.signal import OOK_FUNDAMENTAL
+from lightpos.signal import (
+    OOK_FUNDAMENTAL,
+    WaveComponent,
+    extract_amplitude,
+    synthesize_trace,
+)
+from lightpos import sim
 from lightpos.sim import (
     MODE_END_TO_END,
     NoiseSpec,
     ReceiverSpec,
     Scenario,
+    _measured_attitude,
     _point_rng,
     coverage_analysis,
     greedy_min_lamps,
     grid_cells,
     locate,
     measure,
+    measure_batch,
     oscillation_distance,
     run_static,
     run_trajectory,
@@ -140,6 +155,100 @@ def test_end_to_end_close_to_fast(caplog):
     fast_by = {(r.lamp_id, r.face_id): r.s for r in fast.readings}
     for r in e2e.readings:
         assert r.s == pytest.approx(fast_by[(r.lamp_id, r.face_id)], rel=1e-6)
+
+
+# Reference end-to-end measurement: one trace per (fix, face) holding
+# only that face's lit lamps, synthesized and extracted one call at a
+# time, with each lamp's solve-frame basis built per call; the loop the
+# batched signal layer replaced, kept here as its oracle.
+
+def _ref_measure_end_to_end(scn, positions, attitude, rngs):
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    poly = scn.receiver.polyhedron
+    shape = (len(positions), len(scn.lamps), poly.n_faces)
+    rot_true = receiver_rotation(attitude)
+    rot_meas, trace_seeds = [], []
+    for rng in rngs:
+        rot_meas.append(receiver_rotation(
+            _measured_attitude(attitude, scn.noise, rng)))
+        trace_seeds.append([rng.integers(2**63)
+                            for _ in range(poly.n_faces)])
+    centers = positions[:, None, :] + poly.centroids @ rot_true.T
+    normals_true = poly.normals @ rot_true.T
+    normals_meas = np.matmul(poly.normals,
+                             np.array(rot_meas).transpose(0, 2, 1))
+    rss = np.zeros(shape)
+    planes = np.empty(shape + (3,))
+    for li, lamp in enumerate(scn.lamps):
+        delta = lamp.position - positions
+        d = np.sqrt(np.vecdot(delta, delta))
+        cos_w = np.vecdot(-delta / d[:, None], lamp.central_ray)
+        front = cos_w > 0
+        incidence = np.matvec(normals_true, delta)
+        lit = front[:, None] & (incidence > 0)
+        lit[lit] = ~segments_blocked(lamp.position, centers[lit],
+                                     scn.obstacles)
+        f = lamp.profile.value(np.arccos(np.where(front, np.minimum(
+            1.0, cos_w), 1.0)))
+        rss[:, li] = np.where(
+            lit, (lamp.k / d**3)[:, None] * incidence * f[:, None], 0.0)
+        basis = solve_frame_basis(lamp.central_ray)
+        n_solve = np.matmul(normals_meas, basis)
+        toward = np.matvec(basis.T, lamp.position - centers)
+        n_solve[np.vecdot(n_solve, toward) < 0] *= -1.0
+        planes[:, li] = n_solve
+    saturated = scn.ambient_dc + rss.sum(axis=1) > scn.saturation
+    amps = np.zeros(shape)
+    for n, seeds in enumerate(trace_seeds):
+        for fi in range(poly.n_faces):
+            components = [WaveComponent(0.0, scn.ambient_dc, "dc")]
+            for li, lamp in enumerate(scn.lamps):
+                if rss[n, li, fi] > 0:
+                    components.append(WaveComponent(
+                        lamp.flash_hz, rss[n, li, fi], "square_ook"))
+            trace = synthesize_trace(
+                components, scn.sample_rate_hz, scn.window_s,
+                scn.noise.trace_noise_sd, seed=seeds[fi])
+            for li, lamp in enumerate(scn.lamps):
+                if rss[n, li, fi] > 0:
+                    amps[n, li, fi] = extract_amplitude(trace, lamp.flash_hz)
+    valid = ~saturated[:, None, :] & (amps > 0) & (rss > 0)
+    return amps, valid, planes
+
+
+@pytest.mark.parametrize("trace_noise_sd, trace_batch",
+                         [(0.0, 4096), (0.5, 4096), (3.0, 4096), (0.5, 7)])
+def test_end_to_end_batch_matches_per_face_reference(
+        monkeypatch, trace_noise_sd, trace_batch):
+    # A trace batch of 7 splits the 36 traces of a call unevenly.
+    monkeypatch.setattr(sim, "TRACE_BATCH", trace_batch)
+    three = load_scenario(resources.files("lightpos") / "fixtures"
+                          / "three_lamps.json")
+    # A wall, a tilted lamp and a low saturation level leave faces
+    # occluded, unlit and saturated.
+    wall = Aabb([7.0, 0.0, 0.0], [7.2, 12.0, 2.0])
+    tilted = LampModel([8.0, 9.0, 3.0], [0.3, 0.0, -1.0], 40.0,
+                       make_profile("polynomial", [1.0, -0.4]), 75.0)
+    scenes = [three.scenario,
+              replace(three.scenario, obstacles=(wall,), saturation=880.0,
+                      lamps=three.scenario.lamps[:2] + (tilted,))]
+    poses = np.array([[6.0, 5.0, 0.0], [5.0, 4.0, 2.0], [11.5, 3.0, 0.5],
+                      [8.0, 9.0, 2.9], [1.0, 11.0, 0.0], [14.0, 6.0, 1.0]])
+    for scn in scenes:
+        scn = replace(scn, noise=replace(
+            scn.noise, trace_noise_sd=trace_noise_sd, heading_epsilon=0.1,
+            accel_sd=0.05))
+        for ai, att in enumerate((Attitude(0, 0, 0), Attitude(0.3, -0.2, 1.0),
+                                  Attitude(-0.6, 0.4, 4.0))):
+            def rngs():
+                return (_point_rng(7, ai, i) for i in range(len(poses)))
+            batch = measure_batch(scn, poses, att, rngs(), MODE_END_TO_END)
+            amps, valid, planes = _ref_measure_end_to_end(scn, poses, att,
+                                                          rngs())
+            assert valid.any() and not valid.all()
+            assert np.array_equal(batch.amps, amps)
+            assert np.array_equal(batch.valid, valid)
+            assert np.array_equal(batch.planes, planes)
 
 
 def test_measured_attitude_perturbed_within_bounds():
