@@ -91,9 +91,18 @@ def _fix_rows(fixes):
     return rows
 
 
+def _run_seed(args, sf) -> int:
+    """The run's seed: ``--seed``, else the scenario's ``noise.seed``."""
+    if args.seed is None:
+        return sf.scenario.noise.seed
+    if args.seed < 0:
+        raise _InputError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
+
+
 def _cmd_simulate(args):
     sf = load_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else sf.scenario.noise.seed
+    seed = _run_seed(args, sf)
     if sf.trajectory is not None:
         fixes = run_trajectory(
             sf.scenario, sf.trajectory.waypoints, sf.trajectory.speed_mps,
@@ -250,7 +259,7 @@ def _cmd_sensitivity(args):
     sf = load_scenario(args.scenario)
     if not sf.points:
         raise _InputError("sensitivity needs scenario points")
-    seed = args.seed if args.seed is not None else sf.scenario.noise.seed
+    seed = _run_seed(args, sf)
     eps_grid = [float(v) for v in args.eps.split(",")]
     eps_h_grid = [math.radians(float(v)) for v in args.eps_h_deg.split(",")]
     rows, monotone = sensitivity_sweep(

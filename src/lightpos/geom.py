@@ -72,23 +72,28 @@ class Attitude:
             raise ValueError(f"heading {self.heading} outside [0, 2*pi)")
 
 
-def attitude_to_rotation(att: Attitude) -> np.ndarray:
-    """Body-to-NED rotation matrix for the given attitude.
+def attitude_rotations(att) -> np.ndarray:
+    """Body-to-NED rotation matrices, (..., 3, 3), for (..., 3) attitudes
+    given as (pitch, roll, heading) rows.
 
     Composition is intrinsic Z-Y-X: heading about the down axis, then
     pitch about the intermediate right axis, then roll about the forward
     axis (the aerospace standard).
     """
-    cp, sp = math.cos(att.pitch), math.sin(att.pitch)
-    cr, sr = math.cos(att.roll), math.sin(att.roll)
-    ch, sh = math.cos(att.heading), math.sin(att.heading)
-    return np.array(
-        [
-            [ch * cp, ch * sp * sr - sh * cr, ch * sp * cr + sh * sr],
-            [sh * cp, sh * sp * sr + ch * cr, sh * sp * cr - ch * sr],
-            [-sp, cp * sr, cp * cr],
-        ]
-    )
+    att = np.asarray(att, dtype=float)
+    (cp, cr, ch), (sp, sr, sh) = np.cos(att.T), np.sin(att.T)
+    rot = np.array([
+        ch * cp, ch * sp * sr - sh * cr, ch * sp * cr + sh * sr,
+        sh * cp, sh * sp * sr + ch * cr, sh * sp * cr - ch * sr,
+        -sp, cp * sr, cp * cr,
+    ])
+    return rot.T.reshape(att.shape[:-1] + (3, 3))
+
+
+def attitude_to_rotation(att: Attitude) -> np.ndarray:
+    """Body-to-NED rotation matrix for one attitude: the batch of one of
+    ``attitude_rotations``."""
+    return attitude_rotations([att.pitch, att.roll, att.heading])
 
 
 def rotation_to_attitude(rot: np.ndarray) -> Attitude:
@@ -102,10 +107,16 @@ def rotation_to_attitude(rot: np.ndarray) -> Attitude:
     return Attitude(pitch, roll, heading)
 
 
+def receiver_rotations(att) -> np.ndarray:
+    """Receiver-local (z up) to world (z up) rotations, (..., 3, 3), for
+    (..., 3) (pitch, roll, heading) rows; identity at zero attitude."""
+    return NED_TO_WORLD @ attitude_rotations(att) @ LOCAL_TO_BODY
+
+
 def receiver_rotation(att: Attitude) -> np.ndarray:
-    """Receiver-local (z up) to world (z up) rotation; identity at zero
-    attitude."""
-    return NED_TO_WORLD @ attitude_to_rotation(att) @ LOCAL_TO_BODY
+    """Receiver-local to world rotation for one attitude: the batch of one
+    of ``receiver_rotations``."""
+    return receiver_rotations([att.pitch, att.roll, att.heading])
 
 
 @dataclass(frozen=True)
@@ -218,7 +229,10 @@ def segments_blocked(p, q, obstacles) -> np.ndarray:
             pi, di = p[..., i], d[..., i]
             parallel = np.abs(di) < 1e-15
             missed |= parallel & ((pi < box.lo[i]) | (pi > box.hi[i]))
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # A tiny step overflows the division to +-inf: a parallel axis
+            # is masked below, and otherwise +-inf is the right slab bound.
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
                 t1 = (box.lo[i] - pi) / di
                 t2 = (box.hi[i] - pi) / di
             tmin = np.where(parallel, tmin, np.maximum(tmin, np.minimum(t1, t2)))

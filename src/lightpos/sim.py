@@ -1,9 +1,11 @@
 """Scenario modeling, measurement generation with noise, batch and
 trajectory evaluation, stability metrics, and deployment-cost analysis.
 
-All randomness is drawn from per-point seeded generators (seed combined
-with the point/trial index), so identical scenario + seed pairs always
-reproduce bit-identical results regardless of evaluation order.
+All randomness is drawn per point from the stream of a generator seeded
+with the seed combined with the point/trial index, so identical scenario +
+seed pairs always reproduce bit-identical results regardless of evaluation
+order.  The sweep draws a whole noise cell's streams at once with
+``streams.KeyedStreams``, whose values equal those generators' draws.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .geom import (
     Polyhedron,
     half_dodecahedron,
     receiver_rotation,
+    receiver_rotations,
     segments_blocked,
 )
 from .signal import (
@@ -34,6 +37,7 @@ from .signal import (
 from .geom import line_of_sight, solve_frame_basis  # noqa: F401
 from .signal import extract_amplitude, synthesize_trace  # noqa: F401
 from . import _kernels
+from .streams import KeyedStreams
 from .solve import (
     LampSighting,
     Reading,
@@ -199,19 +203,46 @@ class CoverageReport:
     lamp_count: int
 
 
+def _attitude_noise(noise: NoiseSpec, rng):
+    """One pose's (pitch, roll, heading) offsets drawn from its generator,
+    in the order ``measure`` draws them: the heading offset, then pitch and
+    roll when the accelerometer is noisy.  Nothing is drawn without
+    attitude noise."""
+    if noise.heading_epsilon == 0 and noise.accel_sd == 0:
+        return 0.0, 0.0, 0.0
+    heading = rng.uniform(-noise.heading_epsilon, noise.heading_epsilon)
+    if not noise.accel_sd:
+        return 0.0, 0.0, heading
+    pitch = rng.normal(0, noise.accel_sd)
+    return pitch, rng.normal(0, noise.accel_sd), heading
+
+
+def _measured_attitudes(att: Attitude, offsets) -> np.ndarray:
+    """Measured (pitch, roll, heading) rows, (N, 3), from (N, 3) offsets:
+    pitch clipped to [-pi/2, pi/2], roll wrapped once toward (-pi, pi] and
+    heading taken modulo 2*pi.  A row outside the ranges of ``Attitude``
+    raises its ValueError."""
+    meas = np.array([att.pitch, att.roll, att.heading]) + offsets
+    # Column views: the assignments below update them in place.
+    pitch, roll, heading = meas.T
+    meas[:, 0] = np.maximum(-math.pi / 2, np.minimum(math.pi / 2, pitch))
+    meas[:, 1] = np.where(roll <= -math.pi, roll + 2 * math.pi,
+                          np.where(roll > math.pi, roll - 2 * math.pi, roll))
+    meas[:, 2] = np.remainder(heading, 2 * math.pi)
+    bad = (np.abs(roll) > math.pi) | (roll == -math.pi) | (
+        heading == 2 * math.pi)
+    if bad.any():
+        Attitude(*meas[np.argmax(bad)].tolist())
+    return meas
+
+
 def _measured_attitude(att: Attitude, noise: NoiseSpec, rng) -> Attitude:
+    """One pose's measured attitude drawn from rng: the batch of one of
+    ``_measured_attitudes``."""
     if noise.heading_epsilon == 0 and noise.accel_sd == 0:
         return att
-    heading = (att.heading + rng.uniform(-noise.heading_epsilon,
-                                         noise.heading_epsilon)) % (2 * math.pi)
-    pitch = att.pitch + (rng.normal(0, noise.accel_sd) if noise.accel_sd else 0.0)
-    roll = att.roll + (rng.normal(0, noise.accel_sd) if noise.accel_sd else 0.0)
-    pitch = max(-math.pi / 2, min(math.pi / 2, pitch))
-    if roll <= -math.pi:
-        roll += 2 * math.pi
-    elif roll > math.pi:
-        roll -= 2 * math.pi
-    return Attitude(pitch, roll, heading)
+    offsets = np.array([_attitude_noise(noise, rng)])
+    return Attitude(*_measured_attitudes(att, offsets)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -223,15 +254,15 @@ class MeasurementBatch:
     ``planes`` are each face's sensing-plane coefficients in the lamp's
     solve frame, signed to dot positively with the lamp but not yet
     normalized (``Reading`` and the batched solvers normalize them).
-    ``saturated`` flags saturated faces per fix, and ``attitudes`` are the
-    measured attitudes.
+    ``saturated`` flags saturated faces per fix, and ``attitudes`` holds
+    the measured attitudes as (pitch, roll, heading) rows.
     """
 
     amps: np.ndarray       # (N, lamps, faces)
     valid: np.ndarray      # (N, lamps, faces)
     planes: np.ndarray     # (N, lamps, faces, 3)
     saturated: np.ndarray  # (N, faces)
-    attitudes: tuple
+    attitudes: np.ndarray  # (N, 3)
     k_scale: float = OOK_FUNDAMENTAL
 
     def measurement_set(self, n: int) -> MeasurementSet:
@@ -242,24 +273,32 @@ class MeasurementBatch:
             for li, fi in zip(*np.nonzero(self.valid[n]))
         )
         saturated = tuple(int(fi) for fi in np.nonzero(self.saturated[n])[0])
-        return MeasurementSet(readings, self.attitudes[n], self.k_scale,
-                              saturated)
+        return MeasurementSet(readings,
+                              Attitude(*self.attitudes[n].tolist()),
+                              self.k_scale, saturated)
 
 
 def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
                   mode: str = MODE_FAST) -> MeasurementBatch:
     """Simulate N measurement epochs at once, all at one receiver attitude.
 
-    ``positions`` is (N, 3) and ``rngs`` yields one generator per pose,
-    each used for that pose alone and in the same order as ``measure``
-    uses it: attitude noise, then the fast-mode noise signs or the
-    end-to-end trace seeds.  Per lamp x face: line-of-sight check to the
-    face centroid, forward RSS, then either the direct flash-fundamental
-    amplitude with multiplicative noise (fast) or waveform synthesis plus
-    single-bin extraction (end_to_end: one trace per fix and face,
-    synthesized by ``synthesize_traces`` and extracted by
-    ``extract_amplitudes`` in batches of up to TRACE_BATCH traces).
-    Saturated faces are flagged and
+    ``positions`` is (N, 3).  ``rngs`` is either an iterable yielding one
+    numpy Generator per pose or a ``KeyedStreams`` of N keys, whose stream
+    n equals the draws of ``np.random.default_rng(keys[n])``.  Each pose's
+    noise comes from its own generator or stream, in the order ``measure``
+    draws it: attitude noise, then the fast-mode noise signs or the
+    end-to-end trace seeds.  Both forms fill the same arrays, which one
+    array pass then applies.  Keyed streams are drawn as arrays, all poses
+    at once, except when the accelerometer is noisy
+    (``scn.noise.accel_sd > 0``): numpy's normals come from a ziggurat that
+    can reject and redraw, so those draws come from one Generator per key.
+
+    Per lamp x face: line-of-sight check to the face centroid, forward
+    RSS, then either the direct flash-fundamental amplitude with
+    multiplicative noise (fast) or waveform synthesis plus single-bin
+    extraction (end_to_end: one trace per fix and face, synthesized by
+    ``synthesize_traces`` and extracted by ``extract_amplitudes`` in
+    batches of up to TRACE_BATCH traces).  Saturated faces are flagged and
     excluded.  A pose outside the scenario bounds raises ValueError.
     """
     if mode not in (MODE_FAST, MODE_END_TO_END):
@@ -273,25 +312,41 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
     poly = scn.receiver.polyhedron
     shape = (n_fix, len(scn.lamps), poly.n_faces)
     rot_true = receiver_rotation(attitude)
+    noise = scn.noise
 
-    # Draw every pose's noise first, in the order measure draws it.
-    att_meas = []
-    rot_meas = np.empty((n_fix, 3, 3))
-    if mode == MODE_FAST:
-        signs = np.empty(shape, dtype=np.int64)
+    # Draw every pose's noise first, in the order measure draws it: the
+    # (pitch, roll, heading) offsets, then the fast-mode noise signs or
+    # the end-to-end trace seeds.
+    offsets = np.zeros((n_fix, 3))
+    keyed = isinstance(rngs, KeyedStreams)
+    if keyed and len(rngs) != n_fix:
+        raise ValueError(f"{len(rngs)} keyed streams for {n_fix} poses")
+    if keyed and noise.accel_sd == 0:
+        if noise.heading_epsilon != 0:
+            offsets[:, 2] = rngs.uniform(-noise.heading_epsilon,
+                                         noise.heading_epsilon)
+        draws = (rngs.binary(shape[1:]) if mode == MODE_FAST
+                 else rngs.integers63(poly.n_faces))
     else:
-        trace_seeds = []
-    rngs = iter(rngs)
-    for n in range(n_fix):
-        rng = next(rngs)
-        meas = _measured_attitude(attitude, scn.noise, rng)
-        rot_meas[n] = rot_true if meas is attitude else receiver_rotation(meas)
-        att_meas.append(meas)
-        if mode == MODE_FAST:
-            signs[n] = rng.integers(0, 2, size=shape[1:])
-        else:
-            trace_seeds.append(
-                [rng.integers(2**63) for _ in range(poly.n_faces)])
+        rngs = iter(rngs.generators() if keyed else rngs)
+        draws = np.empty(shape if mode == MODE_FAST
+                         else (n_fix, poly.n_faces), dtype=np.int64)
+        for n in range(n_fix):
+            rng = next(rngs)
+            offsets[n] = _attitude_noise(noise, rng)
+            if mode == MODE_FAST:
+                draws[n] = rng.integers(0, 2, size=shape[1:])
+            else:
+                draws[n] = [rng.integers(2**63)
+                            for _ in range(poly.n_faces)]
+
+    if noise.heading_epsilon == 0 and noise.accel_sd == 0:
+        att_meas = np.full((n_fix, 3), [attitude.pitch, attitude.roll,
+                                        attitude.heading], dtype=float)
+        rot_meas = np.repeat(rot_true[None], n_fix, axis=0)
+    else:
+        att_meas = _measured_attitudes(attitude, offsets)
+        rot_meas = receiver_rotations(att_meas)
 
     centers = positions[:, None, :] + poly.centroids @ rot_true.T
     normals_true = poly.normals @ rot_true.T
@@ -326,7 +381,7 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
 
     if mode == MODE_FAST:
         amps = OOK_FUNDAMENTAL * rss * (
-            1.0 + scn.noise.rss_epsilon * (signs * 2 - 1))
+            1.0 + noise.rss_epsilon * (draws * 2 - 1))
     else:
         # One trace per (fix, face): ambient DC, then every lamp in order,
         # an unlit one at peak 0 (adding it changes no sample).
@@ -337,13 +392,13 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
         peaks[..., 0] = scn.ambient_dc
         peaks[..., 1:] = np.where(rss > 0, rss, 0.0).transpose(0, 2, 1)
         peaks = peaks.reshape(-1, len(components))
-        seeds = [s for fix_seeds in trace_seeds for s in fix_seeds]
+        seeds = draws.ravel().tolist()
         extracted = np.empty((len(peaks), len(scn.lamps)))
         # Traces are independent rows; bounded batches bound their memory.
         for lo in range(0, len(peaks), TRACE_BATCH):
             traces = synthesize_traces(
                 components, peaks[lo:lo + TRACE_BATCH], scn.sample_rate_hz,
-                scn.window_s, scn.noise.trace_noise_sd,
+                scn.window_s, noise.trace_noise_sd,
                 seeds=seeds[lo:lo + TRACE_BATCH])
             extracted[lo:lo + TRACE_BATCH] = extract_amplitudes(
                 traces, scn.sample_rate_hz,
@@ -352,7 +407,7 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
                         .transpose(0, 2, 1), 0.0)
 
     valid = ~saturated[:, None, :] & (amps > 0) & (rss > 0)
-    return MeasurementBatch(amps, valid, planes, saturated, tuple(att_meas))
+    return MeasurementBatch(amps, valid, planes, saturated, att_meas)
 
 
 def measure(scn: Scenario, position, attitude: Attitude = Attitude(0, 0, 0),
@@ -541,12 +596,13 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
     Each cell is solved as one batch: its trials x points fixes are
     measured together by ``measure_batch`` and, for the mflp pipeline,
     located together by ``locate_batch`` (other pipelines run ``locate``
-    per fix).  Every fix still draws from its own generator seeded with
-    (seed, cell indices, trial, point), so a cell's statistics equal those
-    of the same fixes run one at a time through ``measure`` and
-    ``locate``.  A fix that raises there (a point outside the bounds, no
-    lamp with three readings above the floor) or is not unique counts as
-    a failure.
+    per fix).  Every fix still draws the stream of its own generator
+    seeded with (seed, cell indices, trial, point): the cell's (N, 5) keys
+    go to ``measure_batch`` as one ``KeyedStreams``, which draws all of
+    them as arrays.  So a cell's statistics equal those of the same fixes
+    run one at a time through ``measure`` and ``locate``.  A fix that
+    raises there (a point outside the bounds, no lamp with three readings
+    above the floor) or is not unique counts as a failure.
 
     Returns (rows, mean_monotone) where rows are
     (eps, eps_h, ErrorStats) and mean_monotone reports whether the mean
@@ -558,14 +614,17 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
     inside = np.flatnonzero(scn.bounds.contains(points))
     fixes = [(t, i) for t in range(trials) for i in inside]
     truth = points[[i for _, i in fixes]].reshape(-1, 3)
+    fix_keys = np.array(fixes, dtype=np.int64).reshape(-1, 2)
     rows = []
     for ci, eps_h in enumerate(eps_h_grid):
         for cj, eps in enumerate(eps_grid):
             noisy = replace(scn, noise=replace(
                 scn.noise, rss_epsilon=eps, heading_epsilon=eps_h))
-            batch = measure_batch(
-                noisy, truth, Attitude(0, 0, 0),
-                (_point_rng(seed, ci, cj, t, i) for t, i in fixes), mode)
+            cell = np.array((int(seed), ci, cj))
+            keys = np.empty((len(fixes), 5), dtype=cell.dtype)
+            keys[:, :3], keys[:, 3:] = cell, fix_keys
+            batch = measure_batch(noisy, truth, Attitude(0, 0, 0),
+                                  KeyedStreams(keys), mode)
             if pipeline == PIPELINE_MFLP:
                 est, unique = locate_batch(noisy, batch)
             else:

@@ -1,6 +1,7 @@
 """Geometry: attitude conversions, receiver faces, visibility, LOS."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from lightpos.geom import (
     Aabb,
     Attitude,
+    LOCAL_TO_BODY,
+    NED_TO_WORLD,
     DegenerateGeometryError,
     attitude_to_rotation,
     half_dodecahedron,
@@ -18,6 +21,7 @@ from lightpos.geom import (
     linearly_independent,
     normalize_plane,
     receiver_rotation,
+    receiver_rotations,
     rotation_to_attitude,
     solve_frame_basis,
     solve_frame_plane,
@@ -79,6 +83,37 @@ def test_receiver_rotation_heading_only_spins_about_vertical():
     # A quarter turn of heading moves the local +x axis.
     moved = rot @ np.array([1.0, 0.0, 0.0])
     assert abs(moved @ np.array([1.0, 0.0, 0.0])) < 1e-12
+
+
+def _reference_rotation(pitch, roll, heading):
+    # The scalar body-to-NED formula on math.cos/math.sin, in the
+    # expression order the batched core keeps.
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    cr, sr = math.cos(roll), math.sin(roll)
+    ch, sh = math.cos(heading), math.sin(heading)
+    return np.array([
+        [ch * cp, ch * sp * sr - sh * cr, ch * sp * cr + sh * sr],
+        [sh * cp, sh * sp * sr + ch * cr, sh * sp * cr - ch * sr],
+        [-sp, cp * sr, cp * cr],
+    ])
+
+
+def test_receiver_rotations_equal_scalar_formula_bitwise():
+    # Measured attitudes are rotated as one batch; each matrix must equal
+    # the scalar formula's bit for bit, signed zeros included (heading-only
+    # rows hold exact zeros).
+    rng = np.random.default_rng(5)
+    att = np.column_stack([rng.uniform(-math.pi / 2, math.pi / 2, 400),
+                           rng.uniform(-math.pi, math.pi, 400),
+                           rng.uniform(0.0, 2 * math.pi, 400)])
+    att[:100, :2] = 0.0
+    ref = np.array([NED_TO_WORLD @ _reference_rotation(*row) @ LOCAL_TO_BODY
+                    for row in att])
+    assert receiver_rotations(att).tobytes() == ref.tobytes()
+    for row, want in zip(att[::20], ref[::20]):
+        assert receiver_rotation(Attitude(*row)).tobytes() == want.tobytes()
+        assert attitude_to_rotation(Attitude(*row)).tobytes() == \
+            _reference_rotation(*row).tobytes()
 
 
 def test_half_dodecahedron_shape():
@@ -230,6 +265,19 @@ def test_segments_blocked_batch_equals_single_and_axis_order(segs, boxes,
     swapped = [Aabb(box.lo[perm], box.hi[perm]) for box in boxes]
     assert segments_blocked(p[:, perm], q[:, perm], swapped).tolist() == \
         blocked.tolist()
+
+
+def test_segments_blocked_overflow_reaches_no_caller():
+    # A tiny step along an axis (parallel to its slab) or a slab 1e294 away
+    # overflows the slab division to +-inf, which gives the right answer;
+    # the overflow must not warn.
+    boxes = [Aabb([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+             Aabb([0.0, 0.0, 1e294], [1.0, 1.0, 2e294])]
+    p = np.array([[0.5, 0.0, 2.0], [2.0, 0.5, 0.0]])
+    q = np.array([[0.5, 1e-310, -1.0], [2.0, 0.5, 2e-15]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert segments_blocked(p, q, boxes).tolist() == [True, False]
 
 
 def test_line_of_sight_rejects_coincident_endpoints():

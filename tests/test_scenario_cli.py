@@ -120,6 +120,16 @@ def test_cli_simulate_missing_scenario_is_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sensitivity"])
+def test_cli_negative_seed_is_input_error(capsys, command):
+    rc = main([command, "--scenario", fixture_path("empty_room.json"),
+               "--seed", "-1"])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed" in err
+    assert "Traceback" not in err
+
+
 def test_cli_solve_roundtrip(tmp_path, capsys):
     doc = {
         "k": 1.0,

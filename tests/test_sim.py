@@ -18,6 +18,7 @@ from lightpos.geom import (
 )
 from lightpos.rss import LampModel, eval_rss, make_profile
 from lightpos.scenario import load_scenario
+from lightpos.streams import KeyedStreams
 from lightpos.signal import (
     OOK_FUNDAMENTAL,
     WaveComponent,
@@ -251,6 +252,70 @@ def test_end_to_end_batch_matches_per_face_reference(
             assert np.array_equal(batch.planes, planes)
 
 
+@pytest.mark.parametrize("mode", [sim.MODE_FAST, MODE_END_TO_END])
+def test_measure_batch_keyed_streams_equal_generators(monkeypatch, mode):
+    # Both forms of rngs fill the same arrays: keyed streams drawn as
+    # arrays, or with accelerometer noise one Generator per key.
+    three = load_scenario(resources.files("lightpos") / "fixtures"
+                          / "three_lamps.json").scenario
+    poses = np.array([[6.0, 5.0, 0.0], [5.0, 4.0, 2.0], [11.5, 3.0, 0.5],
+                      [8.0, 9.0, 2.9]])
+    keys = np.array([[7, 2**32 + i, 0, i] for i in range(len(poses))])
+    built = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a: built.append(a) or default_rng(*a))
+    for noise in ({}, {"heading_epsilon": 0.3, "rss_epsilon": 0.2,
+                       "trace_noise_sd": 0.5},
+                  {"heading_epsilon": 0.3, "accel_sd": 0.05}):
+        scn = replace(three, noise=replace(three.noise, **noise))
+        for att in (Attitude(0, 0, 0), Attitude(0.3, -0.2, 6.0)):
+            built.clear()
+            got = measure_batch(scn, poses, att, KeyedStreams(keys), mode)
+            # Keys arrive as lists, trace-noise seeds as ints.
+            per_fix = sum(isinstance(a[0], list) for a in built)
+            want = measure_batch(scn, poses, att,
+                                 [default_rng(k) for k in keys.tolist()],
+                                 mode)
+            for name in ("amps", "valid", "planes", "saturated",
+                         "attitudes"):
+                assert getattr(got, name).tobytes() == \
+                    getattr(want, name).tobytes(), name
+            # Generators per key only for normal (accelerometer) draws.
+            assert per_fix == (len(poses) if scn.noise.accel_sd else 0)
+
+
+def _ref_measured_attitude(att, d_pitch, d_roll, d_heading):
+    # The scalar attitude-noise arithmetic on Python floats: the oracle for
+    # the batched rows.
+    heading = (att.heading + d_heading) % (2 * math.pi)
+    pitch = max(-math.pi / 2, min(math.pi / 2, att.pitch + d_pitch))
+    roll = att.roll + d_roll
+    if roll <= -math.pi:
+        roll += 2 * math.pi
+    elif roll > math.pi:
+        roll -= 2 * math.pi
+    return Attitude(pitch, roll, heading)
+
+
+def test_measured_attitudes_match_scalar_reference():
+    # Offsets push pitch past its clip, roll across +-pi and heading across
+    # 0 and 2*pi; every row must equal the scalar arithmetic bit for bit.
+    rng = np.random.default_rng(8)
+    for att in (Attitude(0, 0, 0), Attitude(1.5, math.pi, 6.2),
+                Attitude(-1.5, -3.1, 0.05)):
+        offsets = np.column_stack([rng.normal(0, 0.3, 300),
+                                   rng.normal(0, 0.3, 300),
+                                   rng.uniform(-0.5, 0.5, 300)])
+        rows = sim._measured_attitudes(att, offsets)
+        want = [_ref_measured_attitude(att, *off) for off in offsets]
+        assert rows.tobytes() == np.array(
+            [[a.pitch, a.roll, a.heading] for a in want]).tobytes()
+    # A roll still outside (-pi, pi] after one wrap is no Attitude.
+    with pytest.raises(ValueError, match="roll"):
+        sim._measured_attitudes(Attitude(0, 3.0, 0), np.array([[0, 7.0, 0]]))
+
+
 def test_measured_attitude_perturbed_within_bounds():
     eps_h = math.radians(10)
     scn = simple_scenario(noise=NoiseSpec(heading_epsilon=eps_h,
@@ -327,6 +392,9 @@ def test_sensitivity_sweep_monotone_and_seeded():
 def test_sensitivity_sweep_equals_scalar_fixes():
     # The sweep solves each cell as one batch; its statistics must be those
     # of the same fixes run one at a time, seeded per (cell, trial, point).
+    # Besides the fast sweep: a seed that takes two entropy words, an
+    # end-to-end cell with trace noise, and accelerometer noise, which the
+    # sweep draws from one Generator per fix.
     sf = load_scenario(str(resources.files("lightpos") / "fixtures"
                            / "office_single_lamp.json"))
     scn = sf.scenario
@@ -335,33 +403,44 @@ def test_sensitivity_sweep_equals_scalar_fixes():
         np.array([0.3, 5.0, 1.0]),    # inside a wall: no lamp in sight
         np.array([13.0, 5.0, 0.0]),   # outside the bounds
     ]
-    eps_grid, eps_h_grid = [0.0, 0.2], [0.0, math.radians(10.0)]
-    seed, trials = 11, 3
-    rows, _ = sensitivity_sweep(scn, points, eps_grid, eps_h_grid, trials,
-                                seed=seed)
-    cells = [(ci, cj) for ci in range(2) for cj in range(2)]
-    for (ci, cj), (eps, eps_h, st) in zip(cells, rows):
-        assert (eps, eps_h) == (eps_grid[cj], eps_h_grid[ci])
-        noisy = replace(scn, noise=replace(
-            scn.noise, rss_epsilon=eps, heading_epsilon=eps_h))
-        errors, failures = [], 0
-        for t in range(trials):
-            for i, p in enumerate(points):
-                try:
-                    mset = measure(noisy, p, Attitude(0, 0, 0),
-                                   rng=_point_rng(seed, ci, cj, t, i))
-                    res = locate(noisy, mset)
-                except ValueError:
-                    failures += 1
-                    continue
-                if res.status == "unique":
-                    errors.append(float(np.linalg.norm(res.point - p)))
-                else:
-                    failures += 1
-        assert failures >= 2 * trials
-        assert (st.count, st.failures) == (len(errors), failures)
-        assert [st.mean, st.median, st.max] == pytest.approx(
-            [np.mean(errors), np.median(errors), np.max(errors)], rel=1e-9)
+    trials = 3
+    eps_h10 = math.radians(10.0)
+    cases = [
+        (11, [0.0, 0.2], [0.0, eps_h10], sim.MODE_FAST, {}),
+        (5_000_000_000, [0.0, 0.2], [0.0, eps_h10], sim.MODE_FAST, {}),
+        (11, [0.2], [eps_h10], MODE_END_TO_END, {"trace_noise_sd": 0.5}),
+        (11, [0.2], [0.0, eps_h10], sim.MODE_FAST, {"accel_sd": 0.02}),
+    ]
+    for seed, eps_grid, eps_h_grid, mode, extra_noise in cases:
+        base = replace(scn, noise=replace(scn.noise, **extra_noise))
+        rows, _ = sensitivity_sweep(base, points, eps_grid, eps_h_grid,
+                                    trials, mode=mode, seed=seed)
+        cells = [(ci, cj) for ci in range(len(eps_h_grid))
+                 for cj in range(len(eps_grid))]
+        assert len(rows) == len(cells)
+        for (ci, cj), (eps, eps_h, st) in zip(cells, rows):
+            assert (eps, eps_h) == (eps_grid[cj], eps_h_grid[ci])
+            noisy = replace(base, noise=replace(
+                base.noise, rss_epsilon=eps, heading_epsilon=eps_h))
+            errors, failures = [], 0
+            for t in range(trials):
+                for i, p in enumerate(points):
+                    try:
+                        mset = measure(noisy, p, Attitude(0, 0, 0), mode,
+                                       rng=_point_rng(seed, ci, cj, t, i))
+                        res = locate(noisy, mset)
+                    except ValueError:
+                        failures += 1
+                        continue
+                    if res.status == "unique":
+                        errors.append(float(np.linalg.norm(res.point - p)))
+                    else:
+                        failures += 1
+            assert failures >= 2 * trials
+            assert (st.count, st.failures) == (len(errors), failures)
+            assert [st.mean, st.median, st.max] == pytest.approx(
+                [np.mean(errors), np.median(errors), np.max(errors)],
+                rel=1e-9)
 
 
 def test_coverage_analysis_full_and_blocked():
