@@ -36,7 +36,6 @@ from .signal import (
 # Unused here; perfbench/tracer.py wraps these names in this module.
 from .geom import line_of_sight, solve_frame_basis  # noqa: F401
 from .signal import extract_amplitude, synthesize_trace  # noqa: F401
-from . import _kernels
 from .streams import KeyedStreams
 from .solve import (
     LampSighting,
@@ -278,6 +277,52 @@ class MeasurementBatch:
                               self.k_scale, saturated)
 
 
+def _lamp_geometry(scn: Scenario, positions, centers, normals_true,
+                   normals_meas):
+    """Model RSS (N, lamps, faces) and solve-frame planes
+    (N, lamps, faces, 3) of N poses, over all lamps at once.
+
+    ``centers`` (N, faces, 3) are the face centroids in the world,
+    ``normals_true`` (faces, 3) the true world face normals and
+    ``normals_meas`` (N, faces, 3) those of each pose's measured attitude,
+    from which the planes are taken.  The RSS is zero where a face is
+    occluded or back-lit.  Faces share the receiver origin in the model
+    (the face planes pass through it); centroids are used for occlusion
+    realism only.
+    """
+    # Lamp-major arrays, (L, N, ...): each lamp's constants broadcast over
+    # one long run of (fix, face) rows.
+    lamps = scn.lamps
+    lamp_pos = np.array([lamp.position for lamp in lamps]).reshape(-1, 3)
+    delta = lamp_pos[:, None, :] - positions                     # (L, N, 3)
+    d = np.sqrt(np.vecdot(delta, delta))
+    rays = np.array([lamp.central_ray for lamp in lamps]).reshape(-1, 1, 3)
+    cos_w = np.vecdot(-delta / d[..., None], rays)
+    front = cos_w > 0
+    incidence = np.matvec(normals_true, delta)                  # (L, N, F)
+    lit = front[..., None] & (incidence > 0)
+    if scn.obstacles:
+        # Only lit segments are tested; with no boxes none is blocked.
+        li, fix, face = np.nonzero(lit)
+        lit[li, fix, face] = ~segments_blocked(
+            lamp_pos[li], centers[fix, face], scn.obstacles)
+    omega = np.arccos(np.where(front, np.minimum(1.0, cos_w), 1.0))
+    f = np.array([lamp.profile.value(w) for lamp, w in zip(lamps, omega)]
+                 ).reshape(cos_w.shape)
+    k = np.array([lamp.k for lamp in lamps])[:, None]
+    rss = np.where(lit, (k / d**3)[..., None] * incidence * f[..., None], 0.0)
+
+    # Each face's plane in each lamp's solve frame, signed to dot
+    # positively with the direction from the face toward the lamp.
+    basis = np.array([lamp.solve_basis for lamp in lamps]).reshape(-1, 3, 3)
+    planes = np.matmul(normals_meas, basis[:, None])
+    toward = np.matvec(basis.transpose(0, 2, 1)[:, None, None],
+                       lamp_pos[:, None, None, :] - centers)
+    planes *= np.where(np.vecdot(planes, toward) < 0, -1.0, 1.0)[..., None]
+    return (np.ascontiguousarray(rss.transpose(1, 0, 2)),
+            np.ascontiguousarray(planes.transpose(1, 0, 2, 3)))
+
+
 def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
                   mode: str = MODE_FAST) -> MeasurementBatch:
     """Simulate N measurement epochs at once, all at one receiver attitude.
@@ -293,13 +338,15 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
     (``scn.noise.accel_sd > 0``): numpy's normals come from a ziggurat that
     can reject and redraw, so those draws come from one Generator per key.
 
-    Per lamp x face: line-of-sight check to the face centroid, forward
-    RSS, then either the direct flash-fundamental amplitude with
-    multiplicative noise (fast) or waveform synthesis plus single-bin
-    extraction (end_to_end: one trace per fix and face, synthesized by
-    ``synthesize_traces`` and extracted by ``extract_amplitudes`` in
-    batches of up to TRACE_BATCH traces).  Saturated faces are flagged and
-    excluded.  A pose outside the scenario bounds raises ValueError.
+    Per (fix, lamp, face), all lamps in one array pass
+    (``_lamp_geometry``): line-of-sight check to the face centroid,
+    forward RSS and the solve-frame plane.  Then either the direct
+    flash-fundamental amplitude with multiplicative noise (fast) or
+    waveform synthesis plus single-bin extraction (end_to_end: one trace
+    per fix and face, synthesized by ``synthesize_traces`` and extracted
+    by ``extract_amplitudes`` in batches of up to TRACE_BATCH traces).
+    Saturated faces are flagged and excluded.  A pose outside the scenario
+    bounds raises ValueError.
     """
     if mode not in (MODE_FAST, MODE_END_TO_END):
         raise ValueError(f"unknown measurement mode {mode!r}")
@@ -352,31 +399,8 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
     normals_true = poly.normals @ rot_true.T
     normals_meas = np.matmul(poly.normals, rot_meas.transpose(0, 2, 1))
 
-    # Raw model RSS per (lamp, face); zero when occluded or back-lit.
-    # Faces share the receiver origin in the model (the face planes pass
-    # through it); centroids are used for occlusion realism only.
-    rss = np.zeros(shape)
-    planes = np.empty(shape + (3,))
-    for li, lamp in enumerate(scn.lamps):
-        delta = lamp.position - positions
-        d = np.sqrt(np.vecdot(delta, delta))
-        cos_w = np.vecdot(-delta / d[:, None], lamp.central_ray)
-        front = cos_w > 0
-        incidence = np.matvec(normals_true, delta)
-        lit = front[:, None] & (incidence > 0)
-        lit[lit] = ~segments_blocked(lamp.position, centers[lit],
-                                     scn.obstacles)
-        f = lamp.profile.value(np.arccos(np.where(front, np.minimum(
-            1.0, cos_w), 1.0)))
-        rss[:, li] = np.where(
-            lit, (lamp.k / d**3)[:, None] * incidence * f[:, None], 0.0)
-
-        basis = lamp.solve_basis
-        n_solve = np.matmul(normals_meas, basis)
-        toward = np.matvec(basis.T, lamp.position - centers)
-        n_solve[np.vecdot(n_solve, toward) < 0] *= -1.0
-        planes[:, li] = n_solve
-
+    rss, planes = _lamp_geometry(scn, positions, centers, normals_true,
+                                 normals_meas)
     saturated = scn.ambient_dc + rss.sum(axis=1) > scn.saturation
 
     if mode == MODE_FAST:
@@ -430,7 +454,11 @@ def sightings_from(mset: MeasurementSet):
 def locate(scn: Scenario, mset: MeasurementSet, pipeline: str = PIPELINE_MFLP,
            m: int = 3, z_receiver=None) -> SolveResult:
     """Run the selected position pipeline on one measurement set,
-    returning a world-frame result."""
+    returning a world-frame result.
+
+    mflp solves the three selected readings of one lamp in closed form (0
+    iterations); multi refines its m readings by least squares, and
+    trilateration fits the top faces of three lamps."""
     sightings = sightings_from(mset)
     if pipeline == PIPELINE_MFLP:
         chosen = select_readings(sightings, 3)
@@ -465,11 +493,11 @@ def locate_batch(scn: Scenario, batch: MeasurementBatch):
     """The mflp pipeline of ``locate`` over every fix of a batch.
 
     Per fix: reading selection by ``select_top_readings``, the closed form
-    seed, the least-squares refine in the chosen lamp's solve frame, and
-    the world transform; the same steps ``locate`` takes one fix at a
-    time.  Returns (world positions (N, 3), unique (N,)); a fix that is not
-    unique, because no lamp keeps three readings, the closed form is
-    degenerate or the refine does not converge, has a NaN position.
+    on the three chosen readings in the chosen lamp's solve frame, which
+    is the fix, and the world transform; the same steps ``locate`` takes
+    one fix at a time.  Returns (world positions (N, 3), unique (N,)); a
+    fix that is not unique, because no lamp keeps three readings or the
+    closed form is degenerate, has a NaN position.
     """
     n_fix = len(batch.amps)
     est = np.full((n_fix, 3), np.nan)
@@ -483,16 +511,10 @@ def locate_batch(scn: Scenario, batch: MeasurementBatch):
         s = batch.amps[idx[:, None], li, chosen]
         k = lamp.k * batch.k_scale
         seed, seeded = mflp_closed_form_batch(planes, s, k, lamp.profile)
-        # mflp_least_squares raises on a seed with z <= 0.
+        # mflp_least_squares raises on a closed form with z <= 0.
         seeded[seeded] = seed[seeded, 2] > 0
-        idx, planes, s, seed = idx[seeded], planes[seeded], s[seeded], \
-            seed[seeded]
-        kind, coeffs = lamp.profile.kernel_coding()
-        x, _, status, _ = _kernels.solve_batch(planes, s, k, kind, coeffs,
-                                               seed)
-        converged = status == 0
-        est[idx[converged]] = to_world_position(lamp, x[converged])
-        unique[idx[converged]] = True
+        est[idx[seeded]] = to_world_position(lamp, seed[seeded])
+        unique[idx[seeded]] = True
     return est, unique
 
 

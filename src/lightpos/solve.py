@@ -3,10 +3,12 @@ squares, the m-reading multi-lamp generalization, and trilateration.
 
 All single-lamp solving happens in the lamp-aligned solve frame (+z
 anti-parallel to the central ray, receiver at the origin); the lamp
-position in that frame is the unknown.  Residuals are relative,
-(model - measured) / measured, matching the sensor's multiplicative
-error structure.  Face planes are oriented so their coefficients dot
-positively with the lamp position.
+position in that frame is the unknown.  Three readings make a square
+system, so a three-reading single-lamp fix is the closed form itself;
+least squares refines only fixes of more readings, or a caller-supplied
+starting point.  Residuals are relative, (model - measured) / measured,
+matching the sensor's multiplicative error structure.  Face planes are
+oriented so their coefficients dot positively with the lamp position.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ class Reading:
     face_id: int = 0
 
     def __post_init__(self):
+        if np.shape(self.plane) != (3,):
+            raise ValueError("a reading's plane needs three coefficients, "
+                             f"got shape {np.shape(self.plane)}")
         object.__setattr__(self, "plane", normalize_plane(self.plane))
         if not 0 < self.s < math.inf:
             raise ValueError("reading amplitude must be positive and finite")
@@ -163,10 +168,13 @@ def _strongest_independent_triple(readings):
 def mflp_least_squares(readings, k: float, profile: EmissionProfile,
                        init=None, max_iter: int = 100,
                        step_tol: float = 1e-10) -> SolveResult:
-    """Damped Gauss-Newton least squares over all readings of one lamp.
+    """Single-lamp solve over all readings of one lamp.
 
-    Seeds from the closed form on the strongest independent plane triple
-    unless an initial point is supplied.
+    Without an initial point, the closed form on the strongest independent
+    plane triple is the start; with exactly three readings that triple is
+    the whole square system, so the closed form is returned as the fix
+    (0 iterations).  More readings, or a supplied ``init``, are refined by
+    damped Gauss-Newton least squares from there.
     """
     readings = list(readings)
     if len(readings) < 3:
@@ -176,7 +184,8 @@ def mflp_least_squares(readings, k: float, profile: EmissionProfile,
     planes = np.array([r.plane for r in readings])
     s = np.array([r.s for r in readings])
 
-    if init is None:
+    closed_form = init is None
+    if closed_form:
         triple = _strongest_independent_triple(readings)
         if triple is None:
             return SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
@@ -188,6 +197,9 @@ def mflp_least_squares(readings, k: float, profile: EmissionProfile,
     init = np.asarray(init, dtype=float)
     if init[2] <= 0:
         raise ValueError("initial point must have z > 0 in the solve frame")
+    if closed_form and len(readings) == 3:
+        return SolveResult(init, _relative_rms(planes, s, k, profile, init),
+                           STATUS_UNIQUE)
 
     kind, coeffs = profile.kernel_coding()
     x, y, z, rms, status, iters = _kernels.solve_single(
@@ -416,6 +428,9 @@ def trilaterate(lamp_positions, k: float, profile: EmissionProfile,
     """
     lamps = np.asarray(lamp_positions, dtype=float)
     s = np.asarray(s, dtype=float)
+    if lamps.ndim != 2 or lamps.shape[1] != 3 or s.shape != lamps.shape[:1]:
+        raise ValueError(f"need lamp positions (n, 3) and readings (n,), got "
+                         f"{lamps.shape} and {s.shape}")
     if len(lamps) < 3 or not np.all(s > 0):
         raise ValueError("need at least three lamps with positive readings")
     if not (np.all(np.isfinite(lamps)) and np.all(np.isfinite(s))):

@@ -44,27 +44,45 @@ def _int_words(value) -> list:
     return words
 
 
+def _column_words(col: np.ndarray):
+    """One key column's entropy words: a (N, W) uint32 array and each
+    value's word count (N,).  Integer columns, and object columns whose
+    values fit in uint64, are split as arrays; a wider object column is
+    split once per distinct value."""
+    if col.dtype.kind == "O" and len(col) and not 0 <= col.min() \
+            <= col.max() < 2**64:
+        values, inverse = np.unique(col, return_inverse=True)
+        words = [_int_words(v) for v in values]
+        width = max(map(len, words))
+        table = np.array([w + [0] * (width - len(w)) for w in words],
+                         dtype=np.uint32)
+        return table[inverse], np.array([len(w) for w in words])[inverse]
+    if col.dtype.kind == "i" and (col < 0).any():
+        raise ValueError("expected non-negative integer")
+    col = col.astype(np.uint64)
+    high = col >> 32
+    return (np.stack([col & _MASK32, high], axis=1).astype(np.uint32),
+            1 + (high != 0))
+
+
 def _entropy_groups(keys):
     """The keys' entropy words grouped by length, as a list of
     (row indices, (rows, words) uint32 array)."""
     if isinstance(keys, np.ndarray) and keys.ndim == 2 \
-            and keys.dtype.kind in "iu":
-        if keys.dtype.kind == "i" and (keys < 0).any():
-            raise ValueError("expected non-negative integer")
-        keys = keys.astype(np.uint64)
-        low, high = keys & _MASK32, keys >> 32
-        # Bit j of a row's layout: value j takes a second word.
-        layout = (high != 0) @ (1 << np.arange(keys.shape[1]))
-        groups = []
-        for code in np.unique(layout):
-            rows = np.flatnonzero(layout == code)
-            words = []
-            for j in range(keys.shape[1]):
-                words.append(low[rows, j])
-                if code >> j & 1:
-                    words.append(high[rows, j])
-            groups.append((rows, np.stack(words, axis=1).astype(np.uint32)))
-        return groups
+            and keys.dtype.kind in "iuO":
+        columns = [_column_words(keys[:, j]) for j in range(keys.shape[1])]
+        words = np.zeros((len(keys), sum(w.shape[1] for w, _ in columns)),
+                         dtype=np.uint32)
+        # Each value's words go after the words of the values before it.
+        # Its unused trailing words are zeros, which the next values'
+        # words overwrite, or which lie past the row's length.
+        length = np.zeros(len(keys), dtype=np.intp)
+        for w, n in columns:
+            words[np.arange(len(keys))[:, None],
+                  length[:, None] + np.arange(w.shape[1])] = w
+            length += n
+        return [(rows, words[rows, :n]) for n in np.unique(length)
+                for rows in [np.flatnonzero(length == n)]]
     by_length = {}
     for n, key in enumerate(keys):
         words = [w for v in np.ravel(np.asarray(key, dtype=object))
@@ -139,11 +157,12 @@ class KeyedStreams:
     """N random streams; stream n draws what
     ``np.random.default_rng(keys[n])`` draws for the same calls.
 
-    ``keys`` is an (N, K) integer array or a sequence of N keys, each a
-    non-negative integer or a sequence of them.  A negative value raises
-    ValueError, as numpy does.  Values of 2**32 and above take more entropy
-    words; keys are seeded in groups of equal entropy length.  Each draw
-    method returns one row per stream and advances every stream alike.
+    ``keys`` is an (N, K) integer or object array of integers, or a
+    sequence of N keys, each a non-negative integer or a sequence of them.
+    A negative value raises ValueError, as numpy does.  Values of 2**32 and
+    above take more entropy words; keys are seeded in groups of equal
+    entropy length.  Each draw method returns one row per stream and
+    advances every stream alike.
     """
 
     def __init__(self, keys):

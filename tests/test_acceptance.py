@@ -163,7 +163,9 @@ def test_criterion_02_closed_form_roundtrip():
             assert cf.status == STATUS_UNIQUE
             scale = np.linalg.norm(point)
             assert np.linalg.norm(cf.point - point) < 1e-9 * scale
-            ls = mflp_least_squares(r, k, profile)
+            # Three readings: the closed form is the fix; least squares
+            # started there agrees.
+            ls = mflp_least_squares(r, k, profile, init=cf.point)
             assert ls.status == STATUS_UNIQUE
             assert np.linalg.norm(ls.point - cf.point) < 1e-6
 

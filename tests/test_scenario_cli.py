@@ -147,6 +147,18 @@ def test_cli_solve_roundtrip(tmp_path, capsys):
     assert out["status"] == "unique"
     point = [float(v) for v in out["point"]]
     assert np.allclose(point, [10, 10, 10], atol=1e-6)
+    # Three readings are solved in closed form; a fourth is refined.
+    assert out["iterations"] == 0
+    plane = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
+    d = math.sqrt(300.0)
+    four = doc["readings"] + [{"plane": plane.tolist(),
+                               "s": 20 / math.sqrt(2) * (10 / d) / d**3}]
+    p.write_text(json.dumps(dict(doc, readings=four)))
+    assert main(["solve", "--input", str(p)]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "unique" and out["iterations"] >= 1
+    assert np.allclose([float(v) for v in out["point"]], [10, 10, 10],
+                       atol=1e-6)
     # A non-finite amplitude, plane or k is bad input, not a failed solve.
     good = doc["readings"][1]
     for key, bad in (("s", math.nan), ("s", math.inf),
@@ -159,6 +171,37 @@ def test_cli_solve_roundtrip(tmp_path, capsys):
         p.write_text(json.dumps(dict(doc, k=k)))
         assert main(["solve", "--input", str(p)]) == EXIT_INPUT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("plane", [[1, 0], [1, 0, 0, 0], [[1, 0, 0]]])
+def test_cli_solve_rejects_plane_of_wrong_size(tmp_path, capsys, plane):
+    readings = [{"plane": [1, 0, 0], "s": 1 / 900},
+                {"plane": plane, "s": 1 / 900},
+                {"plane": [0, 0, 1], "s": 1 / 900}]
+    p = tmp_path / "readings.json"
+    p.write_text(json.dumps({"k": 1.0, "readings": readings}))
+    assert main(["solve", "--input", str(p)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "three coefficients" in err
+
+
+@pytest.mark.parametrize("edit", [
+    {"lamps": [[0, 0], [4, 0], [0, 4]]},
+    {"lamps": [[0, 0, 3, 1], [4, 0, 3, 1], [0, 4, 3, 1]]},
+    {"lamps": [0, 4, 3]},
+    {"s": [0.5, 0.5]},
+    {"s": [0.5, 0.5, 0.5, 0.5]},
+    {"s": 0.5},
+])
+def test_cli_trilaterate_rejects_misshapen_input(tmp_path, capsys, edit):
+    doc = {"k": 40.0, "lamps": [[0, 0, 3], [4, 0, 3], [0, 4, 3]],
+           "s": [0.5, 0.5, 0.5], "z_receiver": 0.0}
+    p = tmp_path / "tri.json"
+    p.write_text(json.dumps(dict(doc, **edit)))
+    assert main(["trilaterate", "--input", str(p)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "(n, 3)" in err
+    assert "Traceback" not in err
 
 
 def test_cli_solve_degenerate_exit_code(tmp_path, capsys):

@@ -7,6 +7,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lightpos.geom import (
     Aabb,
@@ -158,26 +160,11 @@ def test_end_to_end_close_to_fast(caplog):
         assert r.s == pytest.approx(fast_by[(r.lamp_id, r.face_id)], rel=1e-6)
 
 
-# Reference end-to-end measurement: one trace per (fix, face) holding
-# only that face's lit lamps, synthesized and extracted one call at a
-# time, with each lamp's solve-frame basis built per call; the loop the
-# batched signal layer replaced, kept here as its oracle.
-
-def _ref_measure_end_to_end(scn, positions, attitude, rngs):
-    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    poly = scn.receiver.polyhedron
-    shape = (len(positions), len(scn.lamps), poly.n_faces)
-    rot_true = receiver_rotation(attitude)
-    rot_meas, trace_seeds = [], []
-    for rng in rngs:
-        rot_meas.append(receiver_rotation(
-            _measured_attitude(attitude, scn.noise, rng)))
-        trace_seeds.append([rng.integers(2**63)
-                            for _ in range(poly.n_faces)])
-    centers = positions[:, None, :] + poly.centroids @ rot_true.T
-    normals_true = poly.normals @ rot_true.T
-    normals_meas = np.matmul(poly.normals,
-                             np.array(rot_meas).transpose(0, 2, 1))
+def _ref_lamp_geometry(scn, positions, centers, normals_true, normals_meas):
+    # The per-lamp loop that the one (fix, lamp, face) pass of
+    # sim._lamp_geometry replaced, kept as its oracle, with each lamp's
+    # solve-frame basis built per call.
+    shape = (len(positions), len(scn.lamps), len(normals_true))
     rss = np.zeros(shape)
     planes = np.empty(shape + (3,))
     for li, lamp in enumerate(scn.lamps):
@@ -198,6 +185,31 @@ def _ref_measure_end_to_end(scn, positions, attitude, rngs):
         toward = np.matvec(basis.T, lamp.position - centers)
         n_solve[np.vecdot(n_solve, toward) < 0] *= -1.0
         planes[:, li] = n_solve
+    return rss, planes
+
+
+# Reference end-to-end measurement: one trace per (fix, face) holding
+# only that face's lit lamps, synthesized and extracted one call at a
+# time over the per-lamp geometry; the loop the batched signal layer
+# replaced, kept here as its oracle.
+
+def _ref_measure_end_to_end(scn, positions, attitude, rngs):
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    poly = scn.receiver.polyhedron
+    shape = (len(positions), len(scn.lamps), poly.n_faces)
+    rot_true = receiver_rotation(attitude)
+    rot_meas, trace_seeds = [], []
+    for rng in rngs:
+        rot_meas.append(receiver_rotation(
+            _measured_attitude(attitude, scn.noise, rng)))
+        trace_seeds.append([rng.integers(2**63)
+                            for _ in range(poly.n_faces)])
+    centers = positions[:, None, :] + poly.centroids @ rot_true.T
+    normals_true = poly.normals @ rot_true.T
+    normals_meas = np.matmul(poly.normals,
+                             np.array(rot_meas).transpose(0, 2, 1))
+    rss, planes = _ref_lamp_geometry(scn, positions, centers, normals_true,
+                                     normals_meas)
     saturated = scn.ambient_dc + rss.sum(axis=1) > scn.saturation
     amps = np.zeros(shape)
     for n, seeds in enumerate(trace_seeds):
@@ -283,6 +295,65 @@ def test_measure_batch_keyed_streams_equal_generators(monkeypatch, mode):
                     getattr(want, name).tobytes(), name
             # Generators per key only for normal (accelerometer) draws.
             assert per_fix == (len(poses) if scn.noise.accel_sd else 0)
+
+
+_SCENE_BOUNDS = Aabb([0.0, 0.0, 0.0], [12.0, 12.0, 3.0])
+_tilt = st.floats(-1.5, 1.5)
+_lamp_profile = st.one_of(
+    st.floats(0.5, 3.0).map(lambda g: make_profile("cosine_power", [g])),
+    st.floats(-0.6, -0.1).map(lambda a: make_profile("polynomial", [1.0, a])))
+_box = st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0),
+                 st.floats(0.0, 1.5), st.floats(0.2, 3.0),
+                 st.floats(0.2, 3.0), st.floats(0.5, 2.0)).map(
+    lambda b: Aabb(b[:3], [b[0] + b[3], b[1] + b[4], b[2] + b[5]]))
+
+
+@st.composite
+def _multi_lamp_scenes(draw):
+    """A scene of 1-4 lamps with tilted central rays and either profile
+    kind, 0-2 boxes and noisy attitude and amplitudes, with 1-6 poses
+    below every lamp (lamps hang at 2.6-3 m, poses stand at most 2.5 m
+    high) and one measured attitude."""
+    lamps = tuple(
+        LampModel([draw(st.floats(1.0, 11.0)), draw(st.floats(1.0, 11.0)),
+                   draw(st.floats(2.6, 3.0))],
+                  [draw(_tilt), draw(_tilt), -1.0],
+                  draw(st.floats(10.0, 80.0)), draw(_lamp_profile),
+                  45.0 + 10.0 * i)
+        for i in range(draw(st.integers(1, 4))))
+    scn = Scenario(
+        _SCENE_BOUNDS, tuple(draw(st.lists(_box, max_size=2))), lamps,
+        ReceiverSpec.default(0.05),
+        NoiseSpec(rss_epsilon=draw(st.sampled_from([0.0, 0.1])),
+                  heading_epsilon=draw(st.sampled_from([0.0, 0.2])),
+                  accel_sd=draw(st.sampled_from([0.0, 0.05])),
+                  trace_noise_sd=draw(st.sampled_from([0.0, 0.5]))),
+        saturation=draw(st.sampled_from([855.0, 1000.0])))
+    poses = draw(st.lists(st.tuples(st.floats(0.0, 12.0),
+                                    st.floats(0.0, 12.0),
+                                    st.floats(0.0, 2.5)),
+                          min_size=1, max_size=6))
+    att = Attitude(draw(st.floats(-0.6, 0.6)), draw(st.floats(-0.6, 0.6)),
+                   draw(st.floats(0.0, 6.28)))
+    return scn, np.array(poses), att, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_multi_lamp_scenes())
+def test_lamp_geometry_one_pass_equals_per_lamp_loop(case):
+    # measure_batch with its geometry in one pass over all lamps, against
+    # the same call with the per-lamp loop: byte-equal in both modes.
+    scn, poses, att, seed = case
+    for mode in (sim.MODE_FAST, MODE_END_TO_END):
+        def rngs():
+            return (_point_rng(seed, i) for i in range(len(poses)))
+        got = measure_batch(scn, poses, att, rngs(), mode)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_lamp_geometry", _ref_lamp_geometry)
+            want = measure_batch(scn, poses, att, rngs(), mode)
+        for name in ("amps", "valid", "planes", "saturated"):
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes(), (mode, name)
 
 
 def _ref_measured_attitude(att, d_pitch, d_roll, d_heading):

@@ -4,10 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lightpos.rss import LampModel, make_profile
 from lightpos._kernels import _ref
-from lightpos.geom import solve_frame_basis, unit
+from lightpos.geom import (
+    Attitude,
+    half_dodecahedron,
+    receiver_rotation,
+    solve_frame_basis,
+    unit,
+)
 from lightpos.solve import (
     LampSighting,
     Reading,
@@ -47,6 +55,9 @@ def test_reading_validation():
     for plane in ([math.nan, 0, 1], [math.inf, 0, 1], [0, 0, 0]):
         with pytest.raises(ValueError):
             Reading(np.array(plane), 1.0)
+    for plane in ([1, 0], [1, 0, 0, 0], [[1, 0, 0]], 1.0):
+        with pytest.raises(ValueError, match="three coefficients"):
+            Reading(np.array(plane, dtype=float), 1.0)
 
 
 def test_worked_example_forward_values():
@@ -112,6 +123,51 @@ def test_least_squares_matches_closed_form():
         ls = mflp_least_squares(r, 7.0, COS)
         assert ls.status == STATUS_UNIQUE
         assert np.linalg.norm(ls.point - cf.point) < 1e-6
+
+
+_tilt = st.floats(-0.6, 0.6)
+_profiles = st.one_of(
+    st.floats(0.5, 3.0).map(lambda g: make_profile("cosine_power", [g])),
+    st.just(make_profile("polynomial", [1.0, -0.4])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(offset=st.tuples(st.floats(-3, 3), st.floats(-3, 3),
+                        st.floats(0.5, 4.0)),
+       tilt=st.tuples(_tilt, _tilt),
+       attitude=st.builds(Attitude, st.floats(-0.5, 0.5),
+                          st.floats(-0.5, 0.5), st.floats(0.0, 6.28)),
+       profile=_profiles, k=st.floats(1.0, 100.0))
+def test_three_reading_closed_form_is_the_least_squares_fix(
+        offset, tilt, attitude, profile, k):
+    # A lamp at ``offset`` from the receiver, its central ray tilted from
+    # straight down, read by the three most lit faces of a tilted and
+    # turned receiver.  The closed form is the three-reading fix, and an LM
+    # polish started there stays put.
+    offset = np.array(offset)
+    basis = solve_frame_basis(unit([tilt[0], tilt[1], -1.0]))
+    x = basis.T @ offset  # the lamp in the solve frame
+    assume(x[2] > 0.2 * np.linalg.norm(x))
+    normals = half_dodecahedron(0.05).normals @ receiver_rotation(attitude).T
+    incidence = normals @ offset
+    lit = np.argsort(-incidence)[:3]
+    assume(incidence[lit[2]] > 0.05 * np.linalg.norm(offset))
+    planes = normals[lit] @ basis
+    assume(abs(np.linalg.det(planes)) > 0.05)
+    r = readings_for(x, planes, k, profile)
+
+    closed = mflp_least_squares(r, k, profile)
+    polished = mflp_least_squares(r, k, profile, init=closed.point)
+    assert closed.status == polished.status == STATUS_UNIQUE
+    assert closed.iterations == 0 and polished.iterations >= 1
+    # A polynomial profile is a function of omega = arccos(cos omega),
+    # which near the central ray carries rounding up to sqrt(2 eps) rad,
+    # once in the readings and once in the closed form: their f values
+    # then differ by up to ~1e-8 relative, the positions by about half.
+    tol = 1e-9 if profile.kind == "cosine_power" else 1e-8
+    scale = np.linalg.norm(closed.point)
+    assert np.linalg.norm(polished.point - closed.point) <= tol * scale
+    assert np.linalg.norm(closed.point - x) <= tol * np.linalg.norm(x)
 
 
 def test_least_squares_uses_extra_readings():

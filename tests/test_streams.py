@@ -31,6 +31,18 @@ def _array_keys(draw):
     return np.array(rows, dtype=np.uint64)
 
 
+@st.composite
+def _object_keys(draw):
+    """An (N, K) object key array: columns of any size, some wider than
+    uint64, as a seed of 2**64 and above makes them."""
+    k = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_big_value, min_size=k, max_size=k),
+                         min_size=1, max_size=12))
+    keys = np.empty((len(rows), k), dtype=object)
+    keys[:] = rows
+    return keys
+
+
 # Keys of 1-6 values and of any size, lengths mixed in one batch.
 _ragged_keys = st.lists(st.lists(_big_value, min_size=1, max_size=6)
                         .map(tuple), min_size=1, max_size=12)
@@ -79,6 +91,24 @@ def test_ragged_keys_draw_numpy_streams(keys, draws):
     _check_draws(keys, draws)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_object_keys(), st.lists(_draw, min_size=1, max_size=4))
+def test_object_keys_draw_numpy_streams(keys, draws):
+    _check_draws(keys, draws)
+
+
+def test_sweep_keys_with_wide_seed_draw_numpy_streams():
+    # A sweep cell's (N, 5) keys at a seed above uint64: an object array
+    # whose seed column is constant and the other columns small.
+    cell = np.array((2**64 + 7, 1, 2))
+    assert cell.dtype == object
+    keys = np.empty((40, 5), dtype=object)
+    keys[:, :3] = cell
+    keys[:, 3:] = [(t, i) for t in range(4) for i in range(10)]
+    _check_draws(keys, [("uniform", -0.5, 0.5), ("binary", 3, 5),
+                        ("integers63", 2)])
+
+
 @settings(max_examples=50, deadline=None)
 @given(_array_keys())
 def test_raw_stream_matches_pcg64(keys):
@@ -93,6 +123,7 @@ def test_raw_stream_matches_pcg64(keys):
     (np.array([[3, -1], [1, 2]]), [3, -1]),
     ([(3, 1), (0, -2**40)], (0, -2**40)),
     ([-5], -5),
+    (np.array([[2**64, 1], [-1, 2]], dtype=object), [-1, 2]),
 ])
 def test_negative_key_raises_like_numpy(keys, bad):
     with pytest.raises(ValueError):
