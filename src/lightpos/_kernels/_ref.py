@@ -6,9 +6,10 @@ residual-and-Jacobian callback; the single-lamp kernel (``solve_batch``,
 and ``solve_single``, its batch of one), ``solve.solve_multi`` and
 ``solve.trilaterate`` are its callers.  The single-lamp kernel runs only
 for ``solve.mflp_least_squares`` given more than three readings or a
-starting point: a three-reading mflp fix, in ``sim.locate`` and
-``sim.locate_batch`` alike, is the closed form and runs no LM.  This is the
-package's only solver implementation; there is no compiled counterpart.
+starting point: a three-reading mflp fix is ``sim.locate_batch``'s closed
+form and runs no LM, and ``sim.locate`` on mflp, or multi with m = 3, is
+its batch of one.  This is the package's only solver implementation; there
+is no compiled counterpart.
 """
 
 import numpy as np

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,6 +73,29 @@ class PeakReading:
     amplitude: float
 
 
+# Rows of the sine and phasor bases are cached per sampling grid and
+# frequency: traces of one scenario share a few of them.
+_BASIS_CACHE = 256
+
+
+@lru_cache(maxsize=_BASIS_CACHE)
+def _sine_row(n: int, rate_hz: float, omega: float) -> np.ndarray:
+    """sin(omega t) at the n sample times t = arange(n) / rate_hz, as a
+    read-only row."""
+    row = np.sin(omega * (np.arange(n) / rate_hz))
+    row.flags.writeable = False
+    return row
+
+
+@lru_cache(maxsize=_BASIS_CACHE)
+def _phasor_row(m: int, rate_hz: float, freq_hz: float) -> np.ndarray:
+    """exp(-2j pi freq_hz k / rate_hz) for k = 0 .. m-1, as a read-only
+    row."""
+    row = np.exp(-2j * math.pi * freq_hz / rate_hz * np.arange(m))
+    row.flags.writeable = False
+    return row
+
+
 def synthesize_traces(components, peaks, rate_hz: float, duration_s: float,
                       gaussian_noise_sd: float = 0.0, seeds=None) -> np.ndarray:
     """F traces that share the frequencies and shapes of ``components``,
@@ -93,22 +117,20 @@ def synthesize_traces(components, peaks, rate_hz: float, duration_s: float,
     if np.any(peaks < 0):
         raise ValueError("peaks must be nonnegative")
     n = int(round(rate_hz * duration_s))
-    t = np.arange(n) / rate_hz
     x = np.zeros((len(peaks), n))
     for c, peak in zip(components, peaks.T):
         if c.shape == SHAPE_DC:
             x += peak[:, None]
         elif c.shape == SHAPE_SINE:
-            x += peak[:, None] * np.sin(2 * math.pi * c.freq_hz * t)
+            x += peak[:, None] * _sine_row(n, rate_hz, 2 * math.pi * c.freq_hz)
         else:
             # Band-limited OOK square: DC peak/2 plus odd sine harmonics
             # strictly below Nyquist.
             x += (0.5 * peak)[:, None]
             h = 1
             while c.freq_hz * h < rate_hz / 2:
-                x += (2 * peak / (math.pi * h))[:, None] * np.sin(
-                    2 * math.pi * c.freq_hz * h * t
-                )
+                x += (2 * peak / (math.pi * h))[:, None] * _sine_row(
+                    n, rate_hz, 2 * math.pi * c.freq_hz * h)
                 h += 2
     if gaussian_noise_sd > 0:
         noise = np.empty_like(x)
@@ -157,8 +179,7 @@ def extract_amplitudes(samples, rate_hz: float, freqs) -> np.ndarray:
             raise ValueError(f"frequency {freq_hz} Hz outside (0, rate/2)")
         m = _trim_window(n, rate_hz, freq_hz)
         w = samples[:, :m] - np.mean(samples[:, :m], axis=-1, keepdims=True)
-        phase = -2j * math.pi * freq_hz / rate_hz * np.arange(m)
-        z = np.sum(w * np.exp(phase), axis=-1)
+        z = np.sum(w * _phasor_row(m, rate_hz, freq_hz), axis=-1)
         # hypot equals scalar abs() of a complex bit for bit; the vector
         # complex np.abs may differ from it in the last bit.
         out[:, j] = 2.0 * np.hypot(z.real, z.imag) / m

@@ -6,12 +6,18 @@ with the seed combined with the point/trial index, so identical scenario +
 seed pairs always reproduce bit-identical results regardless of evaluation
 order.  The sweep draws a whole noise cell's streams at once with
 ``streams.KeyedStreams``, whose values equal those generators' draws.
+
+Measurements are arrays over (fix, lamp, face) (``MeasurementBatch``); a
+``MeasurementSet`` is a one-fix view of them.  The mflp pipeline is one
+array core, ``locate_batch``, and scalar ``locate`` is its batch of one;
+every pipeline chooses its readings from the arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -36,16 +42,15 @@ from .signal import (
 # Unused here; perfbench/tracer.py wraps these names in this module.
 from .geom import line_of_sight, solve_frame_basis  # noqa: F401
 from .signal import extract_amplitude, synthesize_trace  # noqa: F401
+from .solve import mflp_least_squares, select_readings  # noqa: F401
 from .streams import KeyedStreams
 from .solve import (
-    LampSighting,
     Reading,
     STATUS_UNIQUE,
     SolveResult,
     STATUS_DEGENERATE,
     mflp_closed_form_batch,
-    mflp_least_squares,
-    select_readings,
+    select_pooled_readings,
     select_top_readings,
     solve_multi,
     to_world_position,
@@ -146,16 +151,36 @@ class Scenario:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Extracted per-(lamp, face) amplitudes with solve-frame planes.
+    """One fix's measurements: a view of a one-fix ``MeasurementBatch``.
 
     Amplitudes are flash-fundamental values, i.e. (2/pi) x model RSS;
     ``k_scale`` carries that factor so solvers can use k_eff = k * k_scale.
+    ``locate`` reads the batch's arrays.  ``readings``, the fix's valid
+    readings as ``Reading`` objects in lamp then face order, is built
+    only when asked for, and then once.
     """
 
-    readings: tuple
-    attitude: Attitude
-    k_scale: float = OOK_FUNDAMENTAL
-    saturated_faces: tuple = ()
+    batch: MeasurementBatch
+
+    @cached_property
+    def readings(self) -> tuple:
+        b = self.batch
+        return tuple(
+            Reading(b.planes[0, li, fi], float(b.amps[0, li, fi]),
+                    int(li), int(fi))
+            for li, fi in zip(*np.nonzero(b.valid[0])))
+
+    @property
+    def attitude(self) -> Attitude:
+        return Attitude(*self.batch.attitudes[0].tolist())
+
+    @property
+    def saturated_faces(self) -> tuple:
+        return tuple(int(fi) for fi in np.nonzero(self.batch.saturated[0])[0])
+
+    @property
+    def k_scale(self) -> float:
+        return self.batch.k_scale
 
 
 @dataclass(frozen=True)
@@ -265,16 +290,10 @@ class MeasurementBatch:
     k_scale: float = OOK_FUNDAMENTAL
 
     def measurement_set(self, n: int) -> MeasurementSet:
-        """Fix n as a MeasurementSet, readings in lamp then face order."""
-        readings = tuple(
-            Reading(self.planes[n, li, fi], float(self.amps[n, li, fi]),
-                    int(li), int(fi))
-            for li, fi in zip(*np.nonzero(self.valid[n]))
-        )
-        saturated = tuple(int(fi) for fi in np.nonzero(self.saturated[n])[0])
-        return MeasurementSet(readings,
-                              Attitude(*self.attitudes[n].tolist()),
-                              self.k_scale, saturated)
+        """Fix n as a MeasurementSet: a one-fix view of these arrays."""
+        return MeasurementSet(MeasurementBatch(
+            self.amps[n][None], self.valid[n][None], self.planes[n][None],
+            self.saturated[n][None], self.attitudes[n][None], self.k_scale))
 
 
 def _lamp_geometry(scn: Scenario, positions, centers, normals_true,
@@ -444,11 +463,33 @@ def measure(scn: Scenario, position, attitude: Attitude = Attitude(0, 0, 0),
                          mode).measurement_set(0)
 
 
-def sightings_from(mset: MeasurementSet):
-    by_lamp = {}
-    for r in mset.readings:
-        by_lamp.setdefault(r.lamp_id, []).append(r)
-    return [LampSighting(i, tuple(rs)) for i, rs in sorted(by_lamp.items())]
+def _mflp_fixes(scn: Scenario, batch: MeasurementBatch):
+    """The mflp pipeline over every fix of a batch, ``locate_batch``'s
+    core: (points, status, residual) as ``locate_batch`` returns them, and
+    covered (N,), False where no lamp keeps three readings."""
+    n_fix = len(batch.amps)
+    points = np.full((n_fix, 3), np.nan)
+    status = np.full(n_fix, STATUS_DEGENERATE)
+    residual = np.full(n_fix, math.inf)
+    lamp_of, faces, covered = select_top_readings(batch.amps, batch.valid)
+    # Only the lamps that some fix chose.
+    for li in np.flatnonzero(np.bincount(lamp_of[covered],
+                                         minlength=len(scn.lamps))):
+        lamp = scn.lamps[li]
+        idx = np.flatnonzero(covered & (lamp_of == li))
+        chosen = faces[idx]
+        planes = batch.planes[idx[:, None], li, chosen]
+        planes = planes / np.sqrt(np.vecdot(planes, planes))[..., None]
+        s = batch.amps[idx[:, None], li, chosen]
+        k = lamp.k * batch.k_scale
+        x, unique, rms = mflp_closed_form_batch(planes, s, k, lamp.profile)
+        # The solve frame puts the lamp above the receiver: z > 0.
+        unique[unique] = x[unique, 2] > 0
+        fixed = idx[unique]
+        points[fixed] = to_world_position(lamp, x[unique])
+        status[fixed] = STATUS_UNIQUE
+        residual[fixed] = rms[unique]
+    return points, status, residual, covered
 
 
 def locate(scn: Scenario, mset: MeasurementSet, pipeline: str = PIPELINE_MFLP,
@@ -456,34 +497,43 @@ def locate(scn: Scenario, mset: MeasurementSet, pipeline: str = PIPELINE_MFLP,
     """Run the selected position pipeline on one measurement set,
     returning a world-frame result.
 
-    mflp solves the three selected readings of one lamp in closed form (0
-    iterations); multi refines its m readings by least squares, and
-    trilateration fits the top faces of three lamps."""
-    sightings = sightings_from(mset)
-    if pipeline == PIPELINE_MFLP:
-        chosen = select_readings(sightings, 3)
-        lamp = scn.lamps[chosen[0].lamp_id]
-        res = mflp_least_squares(chosen, lamp.k * mset.k_scale, lamp.profile)
-        if res.status != STATUS_UNIQUE:
-            return res
-        return SolveResult(to_world_position(lamp, res.point),
-                           res.residual_rms, res.status, res.iterations)
+    mflp, and multi with m = 3, is the batch of one of ``locate_batch``:
+    the three strongest readings of the best lamp, solved in closed form
+    (0 iterations); it raises ValueError when no lamp keeps three readings
+    above the RSS floor.  multi with m > 3 pools each kept lamp's three
+    strongest readings and refines the m strongest of them by least
+    squares (``solve_multi``); trilateration fits the top faces (index 0)
+    of the three lamps that read strongest there.  Readings are chosen
+    from the measurement arrays; only multi with m > 3 builds ``Reading``
+    objects, for its m readings.
+    """
+    batch = mset.batch
+    if pipeline == PIPELINE_MULTI and m < 3:
+        raise ValueError("at least three readings are required to solve")
+    if pipeline == PIPELINE_MFLP or (pipeline == PIPELINE_MULTI and m == 3):
+        points, status, residual, covered = _mflp_fixes(scn, batch)
+        if not covered[0]:
+            raise ValueError("no lamp has three readings above the RSS floor")
+        return SolveResult(points[0], float(residual[0]), str(status[0]))
     if pipeline == PIPELINE_MULTI:
-        chosen = select_readings(sightings, m)
-        return solve_multi(chosen, {i: scn.lamps[i] for i in
-                                    {r.lamp_id for r in chosen}},
-                           k_scale=mset.k_scale)
+        lamp_ids, faces = select_pooled_readings(batch.amps[0],
+                                                 batch.valid[0], m)
+        chosen = [Reading(batch.planes[0, li, fi],
+                          float(batch.amps[0, li, fi]), int(li), int(fi))
+                  for li, fi in zip(lamp_ids, faces)]
+        return solve_multi(chosen, {int(i): scn.lamps[i] for i in lamp_ids},
+                           k_scale=batch.k_scale)
     if pipeline == PIPELINE_TRILATERATION:
-        # One horizontal sensor: use the top face (index 0) per lamp.
-        top = {r.lamp_id: r.s for r in mset.readings if r.face_id == 0}
-        if len(top) < 3:
+        # One horizontal sensor: the top face (index 0) of each lamp.
+        s = batch.amps[0, :, 0]
+        ids = np.flatnonzero(batch.valid[0, :, 0])
+        if len(ids) < 3:
             return SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
-        ids = sorted(top, key=top.get, reverse=True)[:3]
+        ids = ids[np.argsort(-s[ids], kind="stable")[:3]]
         lamp0 = scn.lamps[ids[0]]
         return trilaterate(
             [scn.lamps[i].position for i in ids],
-            lamp0.k * mset.k_scale, lamp0.profile,
-            [top[i] for i in ids],
+            lamp0.k * batch.k_scale, lamp0.profile, s[ids],
             z_receiver=z_receiver,
         )
     raise ValueError(f"unknown pipeline {pipeline!r}")
@@ -494,28 +544,15 @@ def locate_batch(scn: Scenario, batch: MeasurementBatch):
 
     Per fix: reading selection by ``select_top_readings``, the closed form
     on the three chosen readings in the chosen lamp's solve frame, which
-    is the fix, and the world transform; the same steps ``locate`` takes
-    one fix at a time.  Returns (world positions (N, 3), unique (N,)); a
-    fix that is not unique, because no lamp keeps three readings or the
-    closed form is degenerate, has a NaN position.
+    is the fix, and the world transform.  Each lamp that some fix chose is
+    solved once, for all its fixes.  Returns world positions (N, 3),
+    status (N,) (``STATUS_UNIQUE`` or ``STATUS_DEGENERATE``), the relative
+    RMS residuals (N,) and the iterations (N,), all 0.  A fix that is not
+    unique, because no lamp keeps three readings or the closed form is
+    degenerate, has a NaN position and an infinite residual.
     """
-    n_fix = len(batch.amps)
-    est = np.full((n_fix, 3), np.nan)
-    unique = np.zeros(n_fix, dtype=bool)
-    lamp_of, faces, ok = select_top_readings(batch.amps, batch.valid)
-    for li, lamp in enumerate(scn.lamps):
-        idx = np.nonzero(ok & (lamp_of == li))[0]
-        chosen = faces[idx]
-        planes = batch.planes[idx[:, None], li, chosen]
-        planes = planes / np.sqrt(np.vecdot(planes, planes))[..., None]
-        s = batch.amps[idx[:, None], li, chosen]
-        k = lamp.k * batch.k_scale
-        seed, seeded = mflp_closed_form_batch(planes, s, k, lamp.profile)
-        # mflp_least_squares raises on a closed form with z <= 0.
-        seeded[seeded] = seed[seeded, 2] > 0
-        est[idx[seeded]] = to_world_position(lamp, seed[seeded])
-        unique[idx[seeded]] = True
-    return est, unique
+    points, status, residual, _ = _mflp_fixes(scn, batch)
+    return points, status, residual, np.zeros(len(points), dtype=np.int64)
 
 
 def _point_rng(seed, *indices):
@@ -616,12 +653,13 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
     and cell, all independently seeded.
 
     Each cell is solved as one batch: its trials x points fixes are
-    measured together by ``measure_batch`` and, for the mflp pipeline,
-    located together by ``locate_batch`` (other pipelines run ``locate``
-    per fix).  Every fix still draws the stream of its own generator
-    seeded with (seed, cell indices, trial, point): the cell's (N, 5) keys
-    go to ``measure_batch`` as one ``KeyedStreams``, which draws all of
-    them as arrays.  So a cell's statistics equal those of the same fixes
+    measured together by ``measure_batch`` and, for the mflp and multi
+    pipelines (multi at m = 3 is the same closed-form fix), located
+    together by ``locate_batch``; trilateration runs ``locate`` per fix.
+    Every fix still draws the stream of its own generator seeded with
+    (seed, cell indices, trial, point): the cell's (N, 5) keys go to
+    ``measure_batch`` as one ``KeyedStreams``, which draws all of them as
+    arrays.  So a cell's statistics equal those of the same fixes
     run one at a time through ``measure`` and ``locate``.  A fix that
     raises there (a point outside the bounds, no lamp with three readings
     above the floor) or is not unique counts as a failure.
@@ -647,8 +685,9 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
             keys[:, :3], keys[:, 3:] = cell, fix_keys
             batch = measure_batch(noisy, truth, Attitude(0, 0, 0),
                                   KeyedStreams(keys), mode)
-            if pipeline == PIPELINE_MFLP:
-                est, unique = locate_batch(noisy, batch)
+            if pipeline in (PIPELINE_MFLP, PIPELINE_MULTI):
+                est, status, _, _ = locate_batch(noisy, batch)
+                unique = status == STATUS_UNIQUE
             else:
                 est = np.full(truth.shape, np.nan)
                 unique = np.zeros(len(fixes), dtype=bool)

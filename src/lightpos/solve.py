@@ -105,10 +105,12 @@ def mflp_closed_form_batch(planes, s, k: float, profile: EmissionProfile):
     Dividing pairs of model equations cancels the distance and emission
     factors, leaving two homogeneous linear equations; the lamp direction
     is their null space, and the remaining scale follows from the
-    equations using z > 0.  Returns (points (N, 3), unique (N,)); a
-    problem is degenerate, with a NaN point, when its planes are not
-    linearly independent, its null space is not a direction with z != 0,
-    or the data is inconsistent with a lamp in the solver's domain.
+    equations using z > 0.  Returns (points (N, 3), unique (N,),
+    residual (N,)), the residual being the relative RMS residual of the
+    readings at the point; a problem is degenerate, with a NaN point and
+    an infinite residual, when its planes are not linearly independent,
+    its null space is not a direction with z != 0, or the data is
+    inconsistent with a lamp in the solver's domain.
     """
     planes = np.asarray(planes, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -134,10 +136,18 @@ def mflp_closed_form_batch(planes, s, k: float, profile: EmissionProfile):
         # in the solver's domain.
         unique &= np.all(dots > 0, axis=1) & (f > 0)
         z_sq = k * dots * f[:, None] / (s * (norm2 ** 1.5)[:, None])
-        z = np.sqrt(np.mean(z_sq, axis=1))
+        # Means over the three readings written out: np.mean's sum in its
+        # order, without a reduction loop per row.
+        mean_z_sq = (z_sq[:, 0] + z_sq[:, 1] + z_sq[:, 2]) / 3
+        z = np.sqrt(mean_z_sq)
+        # Each reading's model value at the point over its amplitude is
+        # its z_sq over z**2.
+        r0, r1, r2 = (z_sq / mean_z_sq[:, None] - 1.0).T
+        residual = np.sqrt((r0 * r0 + r1 * r1 + r2 * r2) / 3)
     points = np.column_stack([c1 * z, c2 * z, z])
     points[~unique] = np.nan
-    return points, unique
+    residual[~unique] = np.inf
+    return points, unique, residual
 
 
 def mflp_closed_form(r1: Reading, r2: Reading, r3: Reading,
@@ -148,7 +158,8 @@ def mflp_closed_form(r1: Reading, r2: Reading, r3: Reading,
     readings = (r1, r2, r3)
     planes = np.array([r.plane for r in readings])
     s = np.array([r.s for r in readings])
-    points, unique = mflp_closed_form_batch(planes[None], s[None], k, profile)
+    points, unique, _ = mflp_closed_form_batch(planes[None], s[None], k,
+                                               profile)
     if not unique[0]:
         return SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
     point = points[0]
@@ -189,7 +200,7 @@ def mflp_least_squares(readings, k: float, profile: EmissionProfile,
         triple = _strongest_independent_triple(readings)
         if triple is None:
             return SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
-        seeds, unique = mflp_closed_form_batch(
+        seeds, unique, _ = mflp_closed_form_batch(
             [[r.plane for r in triple]], [[r.s for r in triple]], k, profile)
         if not unique[0]:
             return SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
@@ -276,6 +287,29 @@ def select_top_readings(s, valid):
                                        np.asarray(valid, dtype=bool))
     faces = order[np.arange(len(best)), best, :3]
     return best, faces, kept.any(axis=-1)
+
+
+def select_pooled_readings(s, valid, m: int):
+    """The m > 3 rule of ``select_readings`` over one fix's (lamps, faces)
+    arrays of amplitudes and validity.
+
+    Each kept lamp's three strongest readings are pooled in lamp order and
+    sorted stably by s descending; the first m are chosen.  Returns their
+    (lamp indices, face indices), strongest first.  Raises ValueError when
+    m < 3 or no lamp keeps three readings.
+    """
+    if m < 3:
+        raise ValueError("at least three readings are required to solve")
+    s = np.asarray(s, dtype=float)
+    order, kept, _ = _rank_readings(s[None],
+                                    np.asarray(valid, dtype=bool)[None])
+    lamps = np.flatnonzero(kept[0])
+    if not len(lamps):
+        raise ValueError("no lamp has three readings above the RSS floor")
+    lamp_ids = np.repeat(lamps, 3)
+    faces = order[0, lamps, :3].ravel()
+    pick = np.argsort(-s[lamp_ids, faces], kind="stable")[:m]
+    return lamp_ids[pick], faces[pick]
 
 
 def to_world_position(lamp: LampModel, x_solve) -> np.ndarray:

@@ -57,7 +57,7 @@ def test_closed_form_seed_ends_after_one_iteration():
             g = profile.value_and_slope(point[2] / d)[0]
             planes.append(p)
             s.append(7.0 * (p @ point) * g / d**3 * rng.uniform(0.9, 1.1, 3))
-        seeds, unique = mflp_closed_form_batch(planes, s, 7.0, profile)
+        seeds, unique, _ = mflp_closed_form_batch(planes, s, 7.0, profile)
         keep = unique & (seeds[:, 2] > 0)
         assert keep.sum() > 50
         x, _, status, iters = _ref.solve_batch(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lightpos import signal
 from lightpos.signal import (
     NyquistError,
     OOK_FUNDAMENTAL,
@@ -228,3 +229,42 @@ def test_batched_signal_rows_equal_single_traces(batch):
         for f, amp in zip(freqs, row_amps):
             assert amp == extract_amplitude(single, f)
             assert amp == _ref_extract(row, rate, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_trace_batches())
+def test_cached_bases_equal_uncached_expressions(batch):
+    # The sine and phasor rows come from a cache; traces and amplitudes
+    # must equal the uncached expressions of the reference byte for byte,
+    # whether the rows are computed for this call or reused from it.
+    components, peaks, rate, duration, noise_sd, seeds, freqs = batch
+    want = np.array([
+        _ref_synthesize([WaveComponent(c.freq_hz, p, c.shape)
+                         for c, p in zip(components, row_peaks)],
+                        rate, duration, noise_sd, seed)
+        for row_peaks, seed in zip(peaks, seeds)])
+    want_amps = np.array([[_ref_extract(row, rate, f) for f in freqs]
+                          for row in want])
+    signal._sine_row.cache_clear()
+    signal._phasor_row.cache_clear()
+    for _ in range(2):
+        x = synthesize_traces(components, peaks, rate, duration, noise_sd,
+                              seeds)
+        assert x.tobytes() == want.tobytes()
+        assert extract_amplitudes(x, rate, freqs).tobytes() == \
+            want_amps.tobytes()
+    assert signal._sine_row.cache_info().hits > 0
+    assert signal._phasor_row.cache_info().hits > 0
+
+
+def test_cached_basis_rows_are_read_only():
+    for row in (signal._sine_row(192, 640.0, 2 * math.pi * 65.0),
+                signal._phasor_row(192, 640.0, 65.0)):
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+    # A trace is a fresh array: writing to it leaves the cache as it was.
+    x = synthesize_traces([WaveComponent(65.0, 1.0, "sine")], [[2.0]],
+                          640.0, 0.3)
+    x[:] = 0.0
+    assert synthesize_traces([WaveComponent(65.0, 1.0, "sine")], [[2.0]],
+                             640.0, 0.3).any()

@@ -28,6 +28,15 @@ from lightpos.signal import (
     synthesize_trace,
 )
 from lightpos import sim
+from lightpos.solve import (
+    LampSighting,
+    SolveResult,
+    mflp_least_squares,
+    select_readings,
+    solve_multi,
+    to_world_position,
+    trilaterate,
+)
 from lightpos.sim import (
     MODE_END_TO_END,
     NoiseSpec,
@@ -46,7 +55,6 @@ from lightpos.sim import (
     run_trajectory,
     sample_trajectory,
     sensitivity_sweep,
-    sightings_from,
 )
 
 COS = make_profile("cosine_power", [1.0])
@@ -354,6 +362,147 @@ def test_lamp_geometry_one_pass_equals_per_lamp_loop(case):
         for name in ("amps", "valid", "planes", "saturated"):
             assert getattr(got, name).tobytes() == \
                 getattr(want, name).tobytes(), (mode, name)
+
+
+# Reference pipelines: locate over Reading objects, grouped per lamp and
+# ranked by select_readings, as it ran before it chose readings from the
+# measurement arrays; kept here as the oracle of sim.locate.
+
+def _ref_sightings_from(mset):
+    by_lamp = {}
+    for r in mset.readings:
+        by_lamp.setdefault(r.lamp_id, []).append(r)
+    return [LampSighting(i, tuple(rs)) for i, rs in sorted(by_lamp.items())]
+
+
+def _ref_locate(scn, mset, pipeline, m=3, z_receiver=None):
+    sightings = _ref_sightings_from(mset)
+    if pipeline == sim.PIPELINE_MFLP:
+        chosen = select_readings(sightings, 3)
+        lamp = scn.lamps[chosen[0].lamp_id]
+        res = mflp_least_squares(chosen, lamp.k * mset.k_scale, lamp.profile)
+        if res.status != "unique":
+            return res
+        return SolveResult(to_world_position(lamp, res.point),
+                           res.residual_rms, res.status, res.iterations)
+    if pipeline == sim.PIPELINE_MULTI:
+        chosen = select_readings(sightings, m)
+        return solve_multi(chosen, {i: scn.lamps[i] for i in
+                                    {r.lamp_id for r in chosen}},
+                           k_scale=mset.k_scale)
+    top = {r.lamp_id: r.s for r in mset.readings if r.face_id == 0}
+    if len(top) < 3:
+        return SolveResult(np.full(3, np.nan), math.inf, "degenerate")
+    ids = sorted(top, key=top.get, reverse=True)[:3]
+    lamp0 = scn.lamps[ids[0]]
+    return trilaterate([scn.lamps[i].position for i in ids],
+                       lamp0.k * mset.k_scale, lamp0.profile,
+                       [top[i] for i in ids], z_receiver=z_receiver)
+
+
+def _outcome(fn, *args, **kwargs):
+    """A solve's result, or the ValueError it raised, as comparable
+    values: point bytes, status, iterations and residual."""
+    try:
+        res = fn(*args, **kwargs)
+    except ValueError as exc:
+        return ("raised", str(exc)), None
+    return (res.point.tobytes(), res.status, res.iterations), \
+        res.residual_rms
+
+
+_PIPELINES = [(sim.PIPELINE_MFLP, 3), (sim.PIPELINE_MULTI, 3),
+              (sim.PIPELINE_MULTI, 4), (sim.PIPELINE_MULTI, 9),
+              (sim.PIPELINE_TRILATERATION, 3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_multi_lamp_scenes())
+def test_locate_equals_reading_pipelines(case):
+    # locate chooses readings from the arrays; the Reading-based pipelines
+    # must give the same points, byte for byte, statuses, iterations and
+    # raised errors, and residuals equal up to round-off.  The batch's row n
+    # is locate on fix n, residual included.
+    scn, poses, att, seed = case
+    for mode in (sim.MODE_FAST, MODE_END_TO_END):
+        batch = measure_batch(scn, poses, att,
+                              (_point_rng(seed, i) for i in range(len(poses))),
+                              mode)
+        points, status, residual, iters = sim.locate_batch(scn, batch)
+        assert iters.tolist() == [0] * len(poses)
+        for n, pose in enumerate(poses):
+            mset = batch.measurement_set(n)
+            for pipeline, m in _PIPELINES:
+                z = pose[2] if pipeline == sim.PIPELINE_TRILATERATION else None
+                got, got_rms = _outcome(locate, scn, mset, pipeline, m, z)
+                want, want_rms = _outcome(_ref_locate, scn, mset, pipeline, m,
+                                          z)
+                assert got == want, (pipeline, m)
+                if got_rms is not None:
+                    # The closed form takes its residual from its own
+                    # terms, the Reading pipeline from the forward model
+                    # at the point: equal up to round-off, which is the
+                    # whole residual of a noise-free fix.
+                    assert got_rms == pytest.approx(want_rms, rel=1e-9,
+                                                    abs=1e-13)
+            res = locate(scn, mset) if status[n] == "unique" else None
+            if res is not None:
+                assert res.point.tobytes() == points[n].tobytes()
+                assert res.residual_rms == residual[n]
+            else:
+                assert np.isnan(points[n]).all() and residual[n] == math.inf
+
+
+def test_locate_rejects_few_readings_like_reading_pipelines():
+    # No lamp keeps three readings: mflp and multi raise; trilateration
+    # needs three lamps' top faces and reports degenerate.
+    scn = simple_scenario()
+    wall = Aabb([4.0, 0.0, 0.0], [4.2, 10.0, 3.0])
+    mset = measure(replace(scn, obstacles=(wall,)), [1.0, 5.0, 0.0],
+                   rng=np.random.default_rng(0))
+    assert not mset.readings
+    for pipeline, m in _PIPELINES + [(sim.PIPELINE_MULTI, 2)]:
+        got = _outcome(locate, scn, mset, pipeline, m)
+        assert got == _outcome(_ref_locate, scn, mset, pipeline, m)
+        assert (got[0][0] == "raised") == (pipeline != "trilateration")
+
+
+def test_mflp_locate_builds_no_readings(monkeypatch):
+    # mflp, and multi at m = 3, solve from the measurement arrays alone.
+    scn = simple_scenario(noise=NoiseSpec(rss_epsilon=0.1))
+    mset = measure(scn, [4.5, 5.5, 0.0], rng=np.random.default_rng(2))
+
+    def no_reading(*args):
+        raise AssertionError("a Reading was built")
+
+    monkeypatch.setattr(sim, "Reading", no_reading)
+    for pipeline in (sim.PIPELINE_MFLP, sim.PIPELINE_MULTI):
+        assert locate(scn, mset, pipeline).ok
+
+
+def test_locate_breaks_ties_like_reading_pipelines():
+    # Amplitudes drawn from a few values tie often, within a lamp and
+    # across lamps: the array selection must order them as the Reading
+    # pipelines do (lamp, then face order among equal amplitudes).
+    three = load_scenario(resources.files("lightpos") / "fixtures"
+                          / "three_lamps.json").scenario
+    poses = np.array([[7.0, 5.0, 0.0], [8.0, 6.0, 0.5], [9.0, 4.5, 0.0]])
+    base = measure_batch(three, poses, Attitude(0.1, -0.1, 1.0),
+                         (_point_rng(3, i) for i in range(len(poses))))
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for _ in range(40):
+        amps = rng.choice([2.0, 3.0, 5.0], size=base.amps.shape)
+        valid = rng.random(base.amps.shape) < 0.8
+        batch = replace(base, amps=amps, valid=valid)
+        for n, pose in enumerate(poses):
+            mset = batch.measurement_set(n)
+            for pipeline, m in _PIPELINES:
+                got = _outcome(locate, three, mset, pipeline, m, pose[2])
+                assert got[0] == _outcome(_ref_locate, three, mset, pipeline,
+                                          m, pose[2])[0], (pipeline, m)
+                outcomes.add((pipeline, m, got[0][-2]))
+    assert {(p, m, "unique") for p, m in _PIPELINES} <= outcomes
 
 
 def _ref_measured_attitude(att, d_pitch, d_roll, d_heading):
@@ -718,4 +867,5 @@ def test_locate_rejects_unknown_pipeline():
     mset = measure(scn, [5, 5, 0], rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         locate(scn, mset, "nonsense")
-    assert sightings_from(mset)[0].lamp_id == 0
+    # Readings come in lamp then face order: the first is lamp 0's.
+    assert mset.readings[0].lamp_id == 0
