@@ -463,35 +463,6 @@ def measure(scn: Scenario, position, attitude: Attitude = Attitude(0, 0, 0),
                          mode).measurement_set(0)
 
 
-def _mflp_fixes(scn: Scenario, batch: MeasurementBatch):
-    """The mflp pipeline over every fix of a batch, ``locate_batch``'s
-    core: (points, status, residual) as ``locate_batch`` returns them, and
-    covered (N,), False where no lamp keeps three readings."""
-    n_fix = len(batch.amps)
-    points = np.full((n_fix, 3), np.nan)
-    status = np.full(n_fix, STATUS_DEGENERATE)
-    residual = np.full(n_fix, math.inf)
-    lamp_of, faces, covered = select_top_readings(batch.amps, batch.valid)
-    # Only the lamps that some fix chose.
-    for li in np.flatnonzero(np.bincount(lamp_of[covered],
-                                         minlength=len(scn.lamps))):
-        lamp = scn.lamps[li]
-        idx = np.flatnonzero(covered & (lamp_of == li))
-        chosen = faces[idx]
-        planes = batch.planes[idx[:, None], li, chosen]
-        planes = planes / np.sqrt(np.vecdot(planes, planes))[..., None]
-        s = batch.amps[idx[:, None], li, chosen]
-        k = lamp.k * batch.k_scale
-        x, unique, rms = mflp_closed_form_batch(planes, s, k, lamp.profile)
-        # The solve frame puts the lamp above the receiver: z > 0.
-        unique[unique] = x[unique, 2] > 0
-        fixed = idx[unique]
-        points[fixed] = to_world_position(lamp, x[unique])
-        status[fixed] = STATUS_UNIQUE
-        residual[fixed] = rms[unique]
-    return points, status, residual, covered
-
-
 def locate(scn: Scenario, mset: MeasurementSet, pipeline: str = PIPELINE_MFLP,
            m: int = 3, z_receiver=None) -> SolveResult:
     """Run the selected position pipeline on one measurement set,
@@ -508,10 +479,8 @@ def locate(scn: Scenario, mset: MeasurementSet, pipeline: str = PIPELINE_MFLP,
     objects, for its m readings.
     """
     batch = mset.batch
-    if pipeline == PIPELINE_MULTI and m < 3:
-        raise ValueError("at least three readings are required to solve")
     if pipeline == PIPELINE_MFLP or (pipeline == PIPELINE_MULTI and m == 3):
-        points, status, residual, covered = _mflp_fixes(scn, batch)
+        points, status, residual, covered = locate_batch(scn, batch)
         if not covered[0]:
             raise ValueError("no lamp has three readings above the RSS floor")
         return SolveResult(points[0], float(residual[0]), str(status[0]))
@@ -547,12 +516,34 @@ def locate_batch(scn: Scenario, batch: MeasurementBatch):
     is the fix, and the world transform.  Each lamp that some fix chose is
     solved once, for all its fixes.  Returns world positions (N, 3),
     status (N,) (``STATUS_UNIQUE`` or ``STATUS_DEGENERATE``), the relative
-    RMS residuals (N,) and the iterations (N,), all 0.  A fix that is not
-    unique, because no lamp keeps three readings or the closed form is
-    degenerate, has a NaN position and an infinite residual.
+    RMS residuals (N,) and covered (N,), False where no lamp keeps three
+    readings.  A fix that is not unique, because no lamp keeps three
+    readings or the closed form is degenerate, has a NaN position and an
+    infinite residual.
     """
-    points, status, residual, _ = _mflp_fixes(scn, batch)
-    return points, status, residual, np.zeros(len(points), dtype=np.int64)
+    n_fix = len(batch.amps)
+    points = np.full((n_fix, 3), np.nan)
+    status = np.full(n_fix, STATUS_DEGENERATE)
+    residual = np.full(n_fix, math.inf)
+    lamp_of, faces, covered = select_top_readings(batch.amps, batch.valid)
+    # Only the lamps that some fix chose.
+    for li in np.flatnonzero(np.bincount(lamp_of[covered],
+                                         minlength=len(scn.lamps))):
+        lamp = scn.lamps[li]
+        idx = np.flatnonzero(covered & (lamp_of == li))
+        chosen = faces[idx]
+        planes = batch.planes[idx[:, None], li, chosen]
+        planes = planes / np.sqrt(np.vecdot(planes, planes))[..., None]
+        s = batch.amps[idx[:, None], li, chosen]
+        k = lamp.k * batch.k_scale
+        x, unique, rms = mflp_closed_form_batch(planes, s, k, lamp.profile)
+        # The solve frame puts the lamp above the receiver: z > 0.
+        unique[unique] = x[unique, 2] > 0
+        fixed = idx[unique]
+        points[fixed] = to_world_position(lamp, x[unique])
+        status[fixed] = STATUS_UNIQUE
+        residual[fixed] = rms[unique]
+    return points, status, residual, covered
 
 
 def _point_rng(seed, *indices):

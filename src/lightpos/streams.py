@@ -94,18 +94,6 @@ def _entropy_groups(keys):
             for rows, words in by_length.values()]
 
 
-def _check_keys(keys):
-    """Raise ValueError, as numpy's seeding does, on a negative key value."""
-    if isinstance(keys, np.ndarray) and keys.ndim == 2 \
-            and keys.dtype.kind in "iuO":
-        values = keys
-    else:
-        values = [v for key in keys
-                  for v in np.ravel(np.asarray(key, dtype=object))]
-    if np.any(np.asarray(values) < 0):
-        raise ValueError("expected non-negative integer")
-
-
 def _seed_state(words: np.ndarray):
     """SeedSequence(key).generate_state(4, np.uint64) for (rows, L)
     entropy words, as four (rows,) uint64 arrays."""
@@ -173,28 +161,16 @@ class KeyedStreams:
     sequence of N keys, each a non-negative integer or a sequence of them.
     A negative value raises ValueError, as numpy does.  Values of 2**32 and
     above take more entropy words; keys are seeded in groups of equal
-    entropy length, on the first array draw.  Each draw method returns one
-    row per stream and advances every stream alike.
+    entropy length.  Each draw method returns one row per stream and
+    advances every stream alike.
     """
 
     def __init__(self, keys):
-        _check_keys(keys)
         self._keys = keys
-        self._n = len(keys)
-        # The PCG64 states, seeded on the first array draw: a caller that
-        # only takes ``generators()`` never pays for them.
-        self._inc_hi = None
-        # The bit generator's buffered upper half of a 64-bit draw.
-        self._half = None
-
-    def __len__(self) -> int:
-        return self._n
-
-    def _seed(self):
-        n = self._n
+        n = len(keys)
         self._hi, self._lo = np.zeros(n, np.uint64), np.zeros(n, np.uint64)
         self._inc_hi, self._inc_lo = self._hi.copy(), self._lo.copy()
-        for rows, words in _entropy_groups(self._keys):
+        for rows, words in _entropy_groups(keys):
             s_hi, s_lo, q_hi, q_lo = _seed_state(words)
             # PCG64 srandom: inc = seq << 1 | 1, step from 0, add, step.
             inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
@@ -202,6 +178,11 @@ class KeyedStreams:
             hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
             self._hi[rows], self._lo[rows] = hi, lo
             self._inc_hi[rows], self._inc_lo[rows] = inc_hi, inc_lo
+        # The bit generator's buffered upper half of a 64-bit draw.
+        self._half = None
+
+    def __len__(self) -> int:
+        return len(self._hi)
 
     def generators(self):
         """One numpy Generator per key, in order, each at the start of its
@@ -211,8 +192,6 @@ class KeyedStreams:
         return (np.random.default_rng(key) for key in keys)
 
     def _next64(self) -> np.ndarray:
-        if self._inc_hi is None:
-            self._seed()
         self._hi, self._lo = _lcg_step(self._hi, self._lo, self._inc_hi,
                                        self._inc_lo)
         # XSL-RR: xor the halves, rotate right by the top six bits.

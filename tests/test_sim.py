@@ -422,14 +422,14 @@ def test_locate_equals_reading_pipelines(case):
     # locate chooses readings from the arrays; the Reading-based pipelines
     # must give the same points, byte for byte, statuses, iterations and
     # raised errors, and residuals equal up to round-off.  The batch's row n
-    # is locate on fix n, residual included.
+    # is locate on fix n, residual included; it is uncovered where mflp
+    # locate raises.
     scn, poses, att, seed = case
     for mode in (sim.MODE_FAST, MODE_END_TO_END):
         batch = measure_batch(scn, poses, att,
                               (_point_rng(seed, i) for i in range(len(poses))),
                               mode)
-        points, status, residual, iters = sim.locate_batch(scn, batch)
-        assert iters.tolist() == [0] * len(poses)
+        points, status, residual, covered = sim.locate_batch(scn, batch)
         for n, pose in enumerate(poses):
             mset = batch.measurement_set(n)
             for pipeline, m in _PIPELINES:
@@ -445,6 +445,8 @@ def test_locate_equals_reading_pipelines(case):
                     # whole residual of a noise-free fix.
                     assert got_rms == pytest.approx(want_rms, rel=1e-9,
                                                     abs=1e-13)
+            mflp, _ = _outcome(locate, scn, mset)
+            assert (mflp[0] != "raised") == covered[n]
             res = locate(scn, mset) if status[n] == "unique" else None
             if res is not None:
                 assert res.point.tobytes() == points[n].tobytes()

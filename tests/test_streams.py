@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightpos import streams
 from lightpos.streams import KeyedStreams
 
 # Word-count edges of SeedSequence's coercion, and values of every size.
@@ -131,23 +130,3 @@ def test_negative_key_raises_like_numpy(keys, bad):
         np.random.default_rng(bad)
     with pytest.raises(ValueError):
         KeyedStreams(keys)
-
-
-def test_streams_seed_on_first_array_draw(monkeypatch):
-    # Taking only the Generators computes no array state; the first array
-    # draw seeds every key once, and the draws still equal numpy's.
-    seeded = []
-    seed_state = streams._seed_state
-    monkeypatch.setattr(streams, "_seed_state",
-                        lambda words: seeded.append(len(words))
-                        or seed_state(words))
-    keys = np.array([[7, 2**32 + i, i] for i in range(5)])
-    ks = KeyedStreams(keys)
-    assert len(ks) == 5 and not seeded
-    gens = list(ks.generators())
-    assert not seeded
-    assert ks.uniform(-1.0, 1.0).tolist() == [g.uniform(-1.0, 1.0)
-                                              for g in gens]
-    assert ks.integers63(2).tolist() == [[g.integers(2**63)
-                                          for _ in range(2)] for g in gens]
-    assert seeded == [5]
