@@ -103,22 +103,28 @@ def _run_seed(args, sf) -> int:
 def _cmd_simulate(args):
     sf = load_scenario(args.scenario)
     seed = _run_seed(args, sf)
-    if sf.trajectory is not None:
-        fixes = run_trajectory(
-            sf.scenario, sf.trajectory.waypoints, sf.trajectory.speed_mps,
-            sf.trajectory.interval_s, pipeline=args.pipeline, m=args.m,
-            mode=args.mode, seed=seed,
-        )
-        errors = [f.error for f in fixes if f.status == STATUS_UNIQUE]
-        failures = sum(1 for f in fixes if f.status != STATUS_UNIQUE)
-        stats = ErrorStats.from_errors(errors, failures)
-    else:
-        if not sf.points:
-            raise _InputError("scenario has neither points nor a trajectory")
-        fixes, stats = run_static(
-            sf.scenario, sf.points, pipeline=args.pipeline, m=args.m,
-            mode=args.mode, seed=seed,
-        )
+    if not 0 <= args.max_failure_frac <= 1:
+        raise _InputError("--max-failure-frac must be in [0, 1], got "
+                          f"{args.max_failure_frac}")
+    if sf.trajectory is None and not sf.points:
+        raise _InputError("scenario has neither points nor a trajectory")
+    try:
+        if sf.trajectory is not None:
+            fixes = run_trajectory(
+                sf.scenario, sf.trajectory.waypoints, sf.trajectory.speed_mps,
+                sf.trajectory.interval_s, pipeline=args.pipeline, m=args.m,
+                mode=args.mode, seed=seed,
+            )
+            errors = [f.error for f in fixes if f.status == STATUS_UNIQUE]
+            failures = sum(1 for f in fixes if f.status != STATUS_UNIQUE)
+            stats = ErrorStats.from_errors(errors, failures)
+        else:
+            fixes, stats = run_static(
+                sf.scenario, sf.points, pipeline=args.pipeline, m=args.m,
+                mode=args.mode, seed=seed,
+            )
+    except ValueError as exc:  # the pipeline, or a pose outside the bounds
+        raise _InputError(str(exc)) from None
 
     header = ["time_s", "true_x", "true_y", "true_z",
               "est_x", "est_y", "est_z", "error_m", "status"]
@@ -255,17 +261,31 @@ def _cmd_coverage(args):
     return EXIT_OK
 
 
+def _grid(flag, text):
+    """The comma-separated numbers of a grid flag."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise _InputError(f"{flag}: {exc}") from None
+
+
 def _cmd_sensitivity(args):
     sf = load_scenario(args.scenario)
     if not sf.points:
         raise _InputError("sensitivity needs scenario points")
     seed = _run_seed(args, sf)
-    eps_grid = [float(v) for v in args.eps.split(",")]
-    eps_h_grid = [math.radians(float(v)) for v in args.eps_h_deg.split(",")]
-    rows, monotone = sensitivity_sweep(
-        sf.scenario, sf.points, eps_grid, eps_h_grid, args.trials,
-        pipeline=args.pipeline, seed=seed,
-    )
+    eps_grid = _grid("--eps", args.eps)
+    eps_h_grid = [math.radians(v) for v in _grid("--eps-h-deg",
+                                                 args.eps_h_deg)]
+    try:
+        # The sweep checks the trial count and every grid value before
+        # its first cell runs.
+        rows, monotone = sensitivity_sweep(
+            sf.scenario, sf.points, eps_grid, eps_h_grid, args.trials,
+            pipeline=args.pipeline, seed=seed,
+        )
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
     header = ["rss_epsilon", "heading_epsilon_deg", *STATS_COLUMNS,
               "count", "failures"]
     table = [

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -22,7 +21,6 @@ _GRID = np.linspace(0.0, math.pi / 2, 1024)
 
 KIND_COSINE_POWER = "cosine_power"
 KIND_POLYNOMIAL = "polynomial"
-_KIND_CODES = {KIND_COSINE_POWER: 0, KIND_POLYNOMIAL: 1}
 
 
 class ProfileError(ValueError):
@@ -43,7 +41,7 @@ class EmissionProfile:
     params: tuple = field(default=(1.0,))
 
     def __post_init__(self):
-        if self.kind not in _KIND_CODES:
+        if self.kind not in (KIND_COSINE_POWER, KIND_POLYNOMIAL):
             raise ProfileError(f"unknown profile kind {self.kind!r}")
         params = tuple(float(p) for p in np.atleast_1d(self.params))
         if not all(math.isfinite(p) for p in params):
@@ -89,23 +87,6 @@ class EmissionProfile:
             dgdw = dgdw * w + j * self.params[j]
         g = g * w + self.params[0]
         return g, -dgdw / np.sqrt(np.maximum(1.0 - c * c, 1e-18))
-
-    def kernel_coding(self) -> tuple[int, np.ndarray]:
-        """(kind code, coefficient array) consumed by the solver kernel."""
-        return _KIND_CODES[self.kind], np.asarray(self.params, dtype=float)
-
-    @staticmethod
-    def from_kernel_coding(kind: int, coeffs) -> EmissionProfile:
-        """The profile a ``kernel_coding()`` pair stands for."""
-        return _decode_profile(int(kind), tuple(float(c) for c in coeffs))
-
-
-@lru_cache(maxsize=64)
-def _decode_profile(code, params):
-    # Kernels decode their profile on every call; construction validates
-    # the profile on a 1024-point grid, so decoded profiles are cached.
-    kind, = (k for k, c in _KIND_CODES.items() if c == code)
-    return EmissionProfile(kind, params)
 
 
 def make_profile(kind: str, params) -> EmissionProfile:

@@ -92,8 +92,9 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.rss_epsilon <= 0.2:
             raise ValueError("rss_epsilon outside [0, 0.2]")
-        if self.heading_epsilon < 0 or self.accel_sd < 0 or self.trace_noise_sd < 0:
-            raise ValueError("noise magnitudes must be nonnegative")
+        if not all(0 <= v < math.inf for v in (
+                self.heading_epsilon, self.accel_sd, self.trace_noise_sd)):
+            raise ValueError("noise magnitudes must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -550,6 +551,30 @@ def _point_rng(seed, *indices):
     return np.random.default_rng((int(seed),) + tuple(int(i) for i in indices))
 
 
+def _check_pipeline(pipeline: str, m: int):
+    """Reject a pipeline ``locate`` does not know, or multi with m < 3,
+    before any fix runs: per fix, ``locate``'s ValueError is a failed
+    fix."""
+    if pipeline not in (PIPELINE_MFLP, PIPELINE_MULTI, PIPELINE_TRILATERATION):
+        raise ValueError(f"unknown pipeline {pipeline!r}")
+    if pipeline == PIPELINE_MULTI and m < 3:
+        raise ValueError("at least three readings are required to solve")
+
+
+def _fix_at(scn: Scenario, t: float, p, i: int, pipeline: str, m: int,
+            mode: str, seed, attitude: Attitude) -> Fix:
+    """Measure and solve the pose ``p`` at time ``t`` with the generator
+    of pose index ``i``; a ValueError on the way is a degenerate fix."""
+    rng = _point_rng(seed, i)
+    try:
+        mset = measure(scn, p, attitude, mode, rng)
+        z = p[2] if pipeline == PIPELINE_TRILATERATION else None
+        res = locate(scn, mset, pipeline, m, z_receiver=z)
+    except ValueError:
+        res = SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
+    return Fix(t, p, res.point, res.status)
+
+
 def run_static(scn: Scenario, points, pipeline: str = PIPELINE_MFLP,
                m: int = 3, mode: str = MODE_FAST, seed=None,
                attitude: Attitude = Attitude(0, 0, 0)):
@@ -558,26 +583,13 @@ def run_static(scn: Scenario, points, pipeline: str = PIPELINE_MFLP,
     Per-point failures (no coverage, degenerate, no convergence) are
     reported in the fix list and excluded from the statistics.
     """
+    _check_pipeline(pipeline, m)
     if seed is None:
         seed = scn.noise.seed
-    fixes = []
-    errors = []
-    failures = 0
-    for i, p in enumerate(points):
-        p = np.asarray(p, dtype=float)
-        rng = _point_rng(seed, i)
-        try:
-            mset = measure(scn, p, attitude, mode, rng)
-            z = p[2] if pipeline == PIPELINE_TRILATERATION else None
-            res = locate(scn, mset, pipeline, m, z_receiver=z)
-        except ValueError:
-            res = SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
-        fixes.append(Fix(float(i), p, res.point, res.status))
-        if res.status == STATUS_UNIQUE:
-            errors.append(float(np.linalg.norm(res.point - p)))
-        else:
-            failures += 1
-    return fixes, ErrorStats.from_errors(errors, failures)
+    fixes = [_fix_at(scn, float(i), np.asarray(p, dtype=float), i, pipeline,
+                     m, mode, seed, attitude) for i, p in enumerate(points)]
+    errors = [f.error for f in fixes if f.status == STATUS_UNIQUE]
+    return fixes, ErrorStats.from_errors(errors, len(fixes) - len(errors))
 
 
 def sample_trajectory(waypoints, speed: float, interval_s: float):
@@ -610,6 +622,7 @@ def run_trajectory(scn: Scenario, waypoints, speed: float, interval_s: float,
                    mode: str = MODE_FAST, seed=None,
                    attitude: Attitude = Attitude(0, 0, 0)):
     """Static pipeline at every sampled pose of a piecewise-linear path."""
+    _check_pipeline(pipeline, m)
     samples = sample_trajectory(waypoints, speed, interval_s)
     if seed is None:
         seed = scn.noise.seed
@@ -617,14 +630,8 @@ def run_trajectory(scn: Scenario, waypoints, speed: float, interval_s: float,
     for i, (t, p) in enumerate(samples):
         if not scn.bounds.contains(p):
             raise ValueError("trajectory leaves scenario bounds")
-        rng = _point_rng(seed, i)
-        try:
-            mset = measure(scn, p, attitude, mode, rng)
-            z = p[2] if pipeline == PIPELINE_TRILATERATION else None
-            res = locate(scn, mset, pipeline, m, z_receiver=z)
-        except ValueError:
-            res = SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
-        fixes.append(Fix(t, p, res.point, res.status))
+        fixes.append(_fix_at(scn, t, p, i, pipeline, m, mode, seed,
+                             attitude))
     return fixes
 
 
@@ -657,8 +664,15 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
 
     Returns (rows, mean_monotone) where rows are
     (eps, eps_h, ErrorStats) and mean_monotone reports whether the mean
-    error is non-decreasing in eps at every fixed eps_h.
+    error is non-decreasing in eps at every fixed eps_h.  Raises
+    ValueError before any cell runs when ``trials`` < 1 or a grid value
+    is not a valid ``NoiseSpec`` magnitude.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    # Every cell's noise is checked before the first cell runs.
+    noises = [[replace(scn.noise, rss_epsilon=eps, heading_epsilon=eps_h)
+               for eps in eps_grid] for eps_h in eps_h_grid]
     if seed is None:
         seed = scn.noise.seed
     points = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -669,8 +683,7 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
     rows = []
     for ci, eps_h in enumerate(eps_h_grid):
         for cj, eps in enumerate(eps_grid):
-            noisy = replace(scn, noise=replace(
-                scn.noise, rss_epsilon=eps, heading_epsilon=eps_h))
+            noisy = replace(scn, noise=noises[ci][cj])
             cell = np.array((int(seed), ci, cj))
             keys = np.empty((len(fixes), 5), dtype=cell.dtype)
             keys[:, :3], keys[:, 3:] = cell, fix_keys

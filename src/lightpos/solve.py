@@ -1,6 +1,12 @@
 """Position solvers: single-lamp multi-face closed form and least
 squares, the m-reading multi-lamp generalization, and trilateration.
 
+``levenberg_marquardt`` is the one least-squares driver: it iterates many
+problems at once over a residual-and-Jacobian callback, and
+``mflp_least_squares``, ``solve_multi`` and ``trilaterate`` each build
+their callback over ``rss_model`` and run it once.  There is no compiled
+counterpart.
+
 All single-lamp solving happens in the lamp-aligned solve frame (+z
 anti-parallel to the central ray, receiver at the origin); the lamp
 position in that frame is the unknown.  Three readings make a square
@@ -14,13 +20,11 @@ oriented so their coefficients dot positively with the lamp position.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from . import _kernels
-from ._kernels import _ref
 from .geom import normalize_plane
 # Unused here; perfbench/tracer.py wraps this name in this module.
 from .geom import solve_frame_basis  # noqa: F401
@@ -35,6 +39,162 @@ STATUS_NO_CONVERGE = "no_converge"
 RSS_FLOOR_FRACTION = 0.01
 
 INDEPENDENCE_TOL = 1e-6
+
+# ``levenberg_marquardt``'s per-problem outcomes.
+STATUS_CONVERGED = 0
+STATUS_MAX_ITER = 1
+STATUS_INFEASIBLE = 2
+
+_EZ = np.array([0.0, 0.0, 1.0])
+
+
+def rss_model(planes, k, profile, x):
+    """Model values k (plane . x) f(cos omega) / |x|^3 of a lamp at x,
+    cos omega = x_z / |x|, and their gradient wrt x.
+
+    ``x`` is (..., 3) and ``planes`` (..., n, 3); returns values (..., n)
+    and gradient (..., n, 3).
+    """
+    d = np.sqrt(np.vecdot(x, x))
+    c = x[..., 2] / d
+    p = np.matvec(planes, x)
+    g, dg = profile.value_and_slope(c)
+    d3 = d ** 3
+    m = k * p * g[..., None] / d3[..., None]
+    dc_dx = _EZ / d[..., None] - x[..., 2:] * x / d3[..., None]
+    gradient = k * (
+        planes * (g / d3)[..., None, None]
+        + p[..., None] * dc_dx[..., None, :] * (dg / d3)[..., None, None]
+        - (p * g[..., None] * 3.0 / d3[..., None] / d[..., None] ** 2)
+        [..., None] * x[..., None, :]
+    )
+    return m, gradient
+
+
+def _steps(a, b):
+    """Solutions of a @ x = b per problem, and which problems had a
+    singular matrix (their steps are zero)."""
+    try:
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0], \
+            np.zeros(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        out = np.zeros(b.shape)
+        singular = np.zeros(len(a), dtype=bool)
+        for i in range(len(a)):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return out, singular
+
+
+def levenberg_marquardt(residuals, theta0, max_iter=100, lam0=1e-3,
+                        step_tol=1e-10, ftol=1e-8):
+    """Damped Gauss-Newton solves of N least-squares problems at once.
+
+    ``residuals(theta, rows)`` evaluates the problems ``rows`` (M,) at
+    parameters ``theta`` (M, p) and returns their residuals (M, n),
+    Jacobians (M, n, p) and a feasibility mask (M,).  Each problem
+    minimizes the sum of its squared residuals and keeps its own damping
+    lambda: a feasible trial step that lowers the cost is taken and
+    divides lambda by ten; any other step is rejected and multiplies it by
+    ten.  A singular damped system is a rejected zero step.
+
+    A problem stops as converged on an accepted step shorter than
+    ``step_tol`` or with a relative cost reduction at most ``ftol``, and
+    on a rejected step shorter than ``step_tol`` that was not singular:
+    while the point stays put the damped step only shrinks as lambda
+    grows, so more rejections could only end at this point too.  It
+    stops unconverged when a rejected, non-singular step takes lambda
+    above 1e14, or after ``max_iter`` iterations.  A problem infeasible
+    at its start is not iterated.
+
+    Returns (theta (N, p), cost (N,), status (N,), iterations (N,)), with
+    status STATUS_CONVERGED, STATUS_MAX_ITER or STATUS_INFEASIBLE (cost
+    inf, 0 iterations).
+    """
+    theta = np.array(theta0, dtype=float)
+    n_problems, n_params = theta.shape
+    status = np.full(n_problems, STATUS_MAX_ITER)
+    iters = np.full(n_problems, max_iter)
+    cost = np.full(n_problems, np.inf)
+    eye = np.eye(n_params)
+    # Infeasible trials may divide by zero; their values are discarded.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        act = np.arange(n_problems)
+        r, jac, feasible = residuals(theta, act)
+        if not feasible.all():
+            status[~feasible], iters[~feasible] = STATUS_INFEASIBLE, 0
+            act, r, jac = act[feasible], r[feasible], jac[feasible]
+        # Working arrays of the problems still iterating; ``act`` maps
+        # them back to their rows in the outputs.
+        th, f = theta[act], np.vecdot(r, r)
+        lam = np.full(act.size, float(lam0))
+        for it in range(1, max_iter + 1):
+            if not act.size:
+                break
+            jac_t = jac.transpose(0, 2, 1)
+            step, singular = _steps(
+                np.matmul(jac_t, jac) + lam[:, None, None] * eye,
+                -np.matvec(jac_t, r))
+            trial = th + step
+            r_t, jac_trial, feasible = residuals(trial, act)
+            f_t = np.vecdot(r_t, r_t)
+            better = feasible & (f_t < f)
+            improved = f - f_t
+            step_small = np.sqrt(np.vecdot(step, step)) < step_tol
+            th = np.where(better[:, None], trial, th)
+            r = np.where(better[:, None], r_t, r)
+            jac = np.where(better[:, None, None], jac_trial, jac)
+            f = np.where(better, f_t, f)
+            lam = np.where(better, np.maximum(lam * 0.1, 1e-15), lam * 10.0)
+            small_gain = improved <= ftol * np.maximum(f, 1e-300)
+            converged = np.where(better, step_small | small_gain,
+                                 step_small & ~singular)
+            done = converged | (~better & ~singular & (lam > 1e14))
+            if done.any():
+                rows = act[done]
+                theta[rows], cost[rows], iters[rows] = th[done], f[done], it
+                status[rows[converged[done]]] = STATUS_CONVERGED
+                keep = ~done
+                act, th, r, jac, f, lam = (act[keep], th[keep], r[keep],
+                                           jac[keep], f[keep], lam[keep])
+        theta[act], cost[act] = th, f
+    return theta, cost, status, iters
+
+
+def _position(theta):
+    """Solve-frame positions from (x, y, log z) rows."""
+    x = theta.copy()
+    x[:, 2] = np.exp(theta[:, 2])
+    return x
+
+
+def _log_z_residuals(planes, s, k, profile):
+    """``levenberg_marquardt`` callback of ``mflp_least_squares`` over
+    (x, y, log z) rows: relative residuals of problem ``rows`` against
+    its readings, every position feasible."""
+    def residuals(theta, rows):
+        pl, sa = planes[rows], s[rows]
+        x = _position(theta)
+        m, grad = rss_model(pl, k, profile, x)
+        jac = grad / sa[:, :, None]
+        jac[:, :, 2] *= x[:, 2:]  # d/d(log z)
+        return (m - sa) / sa, jac, np.ones(len(rows), dtype=bool)
+
+    return residuals
+
+
+def _lm_result(point, cost, status, iterations, n) -> SolveResult:
+    """The ``SolveResult`` of one ``levenberg_marquardt`` row, with
+    ``point`` its position in the solver's frame and ``n`` its number of
+    residuals."""
+    if status == STATUS_INFEASIBLE:
+        return SolveResult(np.full(3, np.nan), math.inf, STATUS_NO_CONVERGE)
+    return SolveResult(
+        point, float(np.sqrt(cost / n)),
+        STATUS_UNIQUE if status == STATUS_CONVERGED
+        else STATUS_NO_CONVERGE, int(iterations))
 
 
 @dataclass(frozen=True)
@@ -212,14 +372,13 @@ def mflp_least_squares(readings, k: float, profile: EmissionProfile,
         return SolveResult(init, _relative_rms(planes, s, k, profile, init),
                            STATUS_UNIQUE)
 
-    kind, coeffs = profile.kernel_coding()
-    x, y, z, rms, status, iters = _kernels.solve_single(
-        planes, s, k, kind, coeffs, init[0], init[1], init[2],
-        max_iter=max_iter, step_tol=step_tol,
-    )
-    point = np.array([x, y, z])
-    out_status = STATUS_UNIQUE if status == 0 else STATUS_NO_CONVERGE
-    return SolveResult(point, rms, out_status, iters)
+    x0 = init[None]
+    theta, cost, status, iters = levenberg_marquardt(
+        _log_z_residuals(planes[None], s[None], k, profile),
+        np.column_stack([x0[:, 0], x0[:, 1], np.log(x0[:, 2])]),
+        max_iter=max_iter, step_tol=step_tol)
+    return _lm_result(_position(theta)[0], cost[0], status[0], iters[0],
+                      len(s))
 
 
 def _rank_readings(s, valid):
@@ -347,22 +506,12 @@ def _multi_residuals(readings, lamp_table, k_scale):
             # Per reading, the lamp's solve-frame position x = B^T (L - p).
             x = np.matvec(basis.transpose(0, 2, 1), position - p[:, None, :])
             feasible &= np.all(x[:, :, 2] > 0, axis=1)
-            m, grad = _ref.rss_model(planes, k, profile, x)
+            m, grad = rss_model(planes, k, profile, x)
             r[:, idx] = (m[:, :, 0] - s) / s
             jac[:, idx] = -np.matvec(basis, grad[:, :, 0]) / s[:, None]
         return r, jac, feasible
 
     return residuals
-
-
-def _lm_result(point, cost, status, iterations, n) -> SolveResult:
-    """A world-frame ``SolveResult`` from one ``levenberg_marquardt`` row."""
-    if status == _ref.STATUS_INFEASIBLE:
-        return SolveResult(np.full(3, np.nan), math.inf, STATUS_NO_CONVERGE)
-    return SolveResult(
-        point, float(np.sqrt(cost / n)),
-        STATUS_UNIQUE if status == _ref.STATUS_CONVERGED
-        else STATUS_NO_CONVERGE, int(iterations))
 
 
 def solve_multi(readings, lamp_table, k_scale: float = 1.0,
@@ -403,7 +552,7 @@ def solve_multi(readings, lamp_table, k_scale: float = 1.0,
     if seed is None:
         return SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
 
-    p, cost, status, iters = _ref.levenberg_marquardt(
+    p, cost, status, iters = levenberg_marquardt(
         _multi_residuals(readings, lamp_table, k_scale), seed[None],
         max_iter=max_iter, step_tol=step_tol, ftol=ftol)
     return _lm_result(p[0], cost[0], status[0], iters[0], len(readings))
@@ -443,7 +592,7 @@ def _trilateration_residuals(lamps, k, profile, s, z_receiver=None):
         q = theta if z_receiver is None else np.column_stack(
             [theta, np.full(len(theta), z_receiver)])
         x = lamps - q[:, None, :]
-        m, grad = _ref.rss_model(up, k, profile, x)
+        m, grad = rss_model(up, k, profile, x)
         jac = -grad[:, :, 0, :theta.shape[1]] / s[:, None]
         return (m[:, :, 0] - s) / s, jac, np.all(x[:, :, 2] > 0, axis=1)
 
@@ -491,7 +640,7 @@ def trilaterate(lamp_positions, k: float, profile: EmissionProfile,
            + dz0[1:] ** 2 - dz0[0] ** 2)
     xy, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
 
-    theta, cost, status, iters = _ref.levenberg_marquardt(
+    theta, cost, status, iters = levenberg_marquardt(
         _trilateration_residuals(lamps, k, profile, s,
                                  z0 if z_fixed else None),
         [xy if z_fixed else [*xy, z0]],

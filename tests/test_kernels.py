@@ -1,10 +1,15 @@
-"""The numpy solver kernel and its Levenberg-Marquardt driver."""
+"""The Levenberg-Marquardt driver and the single-lamp least squares that
+runs it."""
 
 import numpy as np
 
-from lightpos._kernels import _ref
-from lightpos.rss import EmissionProfile
-from lightpos.solve import mflp_closed_form_batch
+from lightpos import solve
+from lightpos.rss import make_profile
+from lightpos.solve import Reading, mflp_closed_form_batch, mflp_least_squares
+
+
+def kind_profile(kind, coeffs):
+    return make_profile(("cosine_power", "polynomial")[kind], coeffs)
 
 
 def random_problem(rng):
@@ -36,11 +41,12 @@ def test_reference_solver_recovers_position():
     rng = np.random.default_rng(21)
     for _ in range(100):
         planes, s, k, kind, coeffs, point = random_problem(rng)
-        x, y, z, rms, status, _ = _ref.solve_single(
-            planes, s, k, kind, coeffs, 0.0, 0.0, 1.0, max_iter=400)
-        assert status == 0
-        assert np.allclose([x, y, z], point, atol=1e-7)
-        assert rms < 1e-8
+        res = mflp_least_squares(
+            [Reading(p, v) for p, v in zip(planes, s)], k,
+            kind_profile(kind, coeffs), init=[0.0, 0.0, 1.0], max_iter=400)
+        assert res.status == solve.STATUS_UNIQUE
+        assert np.allclose(res.point, point, atol=1e-7)
+        assert res.residual_rms < 1e-8
 
 
 def test_closed_form_seed_ends_after_one_iteration():
@@ -48,7 +54,7 @@ def test_closed_form_seed_ends_after_one_iteration():
     # solves; the refine stops on its first step, taken or rejected.
     rng = np.random.default_rng(25)
     for kind, coeffs in ((0, np.array([1.3])), (1, np.array([1.0, -0.4]))):
-        profile = EmissionProfile.from_kernel_coding(kind, coeffs)
+        profile = kind_profile(kind, coeffs)
         planes = []
         s = []
         while len(planes) < 100:
@@ -60,16 +66,21 @@ def test_closed_form_seed_ends_after_one_iteration():
         seeds, unique, _ = mflp_closed_form_batch(planes, s, 7.0, profile)
         keep = unique & (seeds[:, 2] > 0)
         assert keep.sum() > 50
-        x, _, status, iters = _ref.solve_batch(
-            np.array(planes)[keep], np.array(s)[keep], 7.0, kind, coeffs,
-            seeds[keep])
-        assert np.all(status == 0)
+        x0 = seeds[keep]
+        theta, _, status, iters = solve.levenberg_marquardt(
+            solve._log_z_residuals(np.array(planes)[keep],
+                                   np.array(s)[keep], 7.0, profile),
+            np.column_stack([x0[:, 0], x0[:, 1], np.log(x0[:, 2])]))
+        x = solve._position(theta)
+        assert np.all(status == solve.STATUS_CONVERGED)
         assert np.all(iters == 1)
         assert np.allclose(x, seeds[keep], rtol=0, atol=1e-12)
         for i in np.nonzero(keep)[0][:10]:
-            single = _ref.solve_single(planes[i], s[i], 7.0, kind, coeffs,
-                                       *seeds[i])
-            assert single[4:] == (0, 1)
+            single = mflp_least_squares(
+                [Reading(p, v) for p, v in zip(planes[i], s[i])], 7.0,
+                profile, init=seeds[i])
+            assert (single.status, single.iterations) == (
+                solve.STATUS_UNIQUE, 1)
 
 
 def test_singular_damped_system_raises_damping():
@@ -80,8 +91,8 @@ def test_singular_damped_system_raises_damping():
         jac = np.full((len(theta), 1, 2), 1e10)
         return r, jac, np.ones(len(theta), dtype=bool)
 
-    theta, cost, status, iters = _ref.levenberg_marquardt(
+    theta, cost, status, iters = solve.levenberg_marquardt(
         residuals, [[3.0, 2.0]], max_iter=100)
-    assert status[0] == _ref.STATUS_CONVERGED
+    assert status[0] == solve.STATUS_CONVERGED
     assert iters[0] > 1
     assert abs(theta[0].sum() - 1.0) < 1e-9

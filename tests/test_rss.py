@@ -45,13 +45,6 @@ def test_profile_values():
     assert poly.value(0.5) == pytest.approx(0.75)
 
 
-def test_profile_kernel_coding():
-    kind, coeffs = COS.kernel_coding()
-    assert kind == 0 and np.allclose(coeffs, [1.0])
-    kind, coeffs = make_profile("polynomial", [1.0, -0.3]).kernel_coding()
-    assert kind == 1 and np.allclose(coeffs, [1.0, -0.3])
-
-
 def test_lamp_model_validation():
     with pytest.raises(ValueError):
         vertical_lamp([0, 0, 3], k=-1.0)

@@ -396,6 +396,61 @@ def test_cli_sensitivity(tmp_path):
     assert side["mean_monotone_in_rss_epsilon"] is True
 
 
+def assert_input_error(capsys, rc, flag):
+    assert rc == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and flag in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid, message", [
+    (["--eps", "abc"], "--eps"),
+    (["--eps", "0.5"], "rss_epsilon"),
+    (["--eps=-0.1"], "rss_epsilon"),
+    (["--eps-h-deg", "inf"], "finite"),
+    (["--eps-h-deg", "0,nan"], "finite"),
+])
+def test_cli_sensitivity_rejects_bad_grid_value(capsys, grid, message):
+    # Checked before the first cell runs: no rows, no traceback, and no
+    # RuntimeWarning from drawing heading noise of an infinite bound.
+    rc = main(["sensitivity", "--scenario", fixture_path("empty_room.json"),
+               "--trials", "1", *grid])
+    assert_input_error(capsys, rc, message)
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_cli_sensitivity_rejects_trials_below_one(capsys, trials):
+    rc = main(["sensitivity", "--scenario", fixture_path("empty_room.json"),
+               "--eps", "0", "--eps-h-deg", "0", "--trials", trials])
+    assert_input_error(capsys, rc, "trials")
+
+
+@pytest.mark.parametrize("path", ["points", "trajectory"])
+def test_cli_simulate_multi_with_two_readings_is_input_error(
+        tmp_path, capsys, path):
+    # Both the static and the trajectory run reject m < 3 before any fix,
+    # instead of marking every fix degenerate and exiting 2.
+    doc = dict(MINIMAL)
+    if path == "points":
+        doc["points"] = [[4.0, 4.0, 0.0], [6.0, 6.0, 0.0]]
+    else:
+        doc["trajectory"] = {"waypoints": [[4, 4, 0], [6, 6, 0]],
+                             "speed_mps": 1.0, "interval_s": 0.5}
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps(doc))
+    rc = main(["simulate", "--scenario", str(p), "--pipeline", "multi",
+               "--m", "2"])
+    assert_input_error(capsys, rc, "three readings")
+
+
+@pytest.mark.parametrize("frac", ["nan", "inf", "-0.1", "1.5"])
+def test_cli_simulate_rejects_bad_max_failure_frac(capsys, frac):
+    rc = main(["simulate", "--scenario", fixture_path("empty_room.json"),
+               "--max-failure-frac", frac])
+    assert_input_error(capsys, rc, "--max-failure-frac")
+
+
 def test_cli_signal(tmp_path, capsys):
     doc = {
         "components": [

@@ -77,6 +77,11 @@ def test_noise_spec_validation():
         NoiseSpec(rss_epsilon=0.3)
     with pytest.raises(ValueError):
         NoiseSpec(heading_epsilon=-0.1)
+    for field in ("rss_epsilon", "heading_epsilon", "accel_sd",
+                  "trace_noise_sd"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                NoiseSpec(**{field: bad})
 
 
 def test_scenario_rejects_unresolvable_frequencies():
@@ -590,6 +595,19 @@ def test_run_trajectory_noise_free():
                            interval_s=0.3, seed=0)
     assert all(f.status == "unique" for f in fixes)
     assert max(f.error for f in fixes) < 1e-9
+
+
+@pytest.mark.parametrize("pipeline, m", [("bogus", 3),
+                                         (sim.PIPELINE_MULTI, 2)])
+def test_runs_reject_bad_pipeline_before_any_fix(pipeline, m):
+    # Not a run of degenerate fixes: locate's ValueError would be caught
+    # per fix.
+    scn = simple_scenario()
+    with pytest.raises(ValueError):
+        run_static(scn, [[4, 4, 0]], pipeline=pipeline, m=m)
+    with pytest.raises(ValueError):
+        run_trajectory(scn, [[4, 4, 0], [6, 6, 0]], speed=1.0,
+                       interval_s=0.3, pipeline=pipeline, m=m)
 
 
 def test_oscillation_distance():

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lightpos.rss import LampModel, make_profile
-from lightpos._kernels import _ref
 from lightpos.geom import (
     Attitude,
     half_dodecahedron,
@@ -31,6 +30,7 @@ from lightpos.solve import (
 )
 from lightpos.solve import (
     _invert_distances,
+    _log_z_residuals,
     _multi_residuals,
     _trilateration_residuals,
 )
@@ -343,7 +343,7 @@ def test_log_z_callback_jacobian():
     rows = np.array([4, 0, 2, 5])
     theta = np.column_stack([points[rows, :2], np.log(points[rows, 2])])
     for profile in (make_profile("cosine_power", [1.7]), POLY):
-        residuals = _ref._log_z_residuals(planes, s, 9.0, profile)
+        residuals = _log_z_residuals(planes, s, 9.0, profile)
         _, jac, feasible = residuals(theta, rows)
         assert feasible.all()
         assert np.allclose(jac, central_difference_jacobian(
