@@ -8,9 +8,17 @@ order.  The sweep draws a whole noise cell's streams at once with
 ``streams.KeyedStreams``, whose values equal those generators' draws.
 
 Measurements are arrays over (fix, lamp, face) (``MeasurementBatch``); a
-``MeasurementSet`` is a one-fix view of them.  The mflp pipeline is one
-array core, ``locate_batch``, and scalar ``locate`` is its batch of one;
-every pipeline chooses its readings from the arrays.
+``MeasurementSet`` is a one-fix view of them.  They are made in two
+parts.  The pose part depends only on the true pose and attitude: line
+of sight, model RSS, saturation and each face's direction toward each
+lamp.  The per-fix part depends on the fix's noise draws: the measured
+attitude, the sensing planes it gives, the noisy or extracted amplitudes
+and which readings are valid.  The sweep computes the pose part of each
+point once and the per-fix part of every fix at it.
+
+The mflp pipeline is one array core, ``locate_batch``, and scalar
+``locate`` is its batch of one; every pipeline chooses its readings from
+the arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -297,21 +306,42 @@ class MeasurementBatch:
             self.saturated[n][None], self.attitudes[n][None], self.k_scale))
 
 
-def _lamp_geometry(scn: Scenario, positions, centers, normals_true,
-                   normals_meas):
-    """Model RSS (N, lamps, faces) and solve-frame planes
-    (N, lamps, faces, 3) of N poses, over all lamps at once.
+class _Poses(NamedTuple):
+    """What the measurements of N poses take from the true poses alone
+    (``_pose_geometry``): the same for every fix at a pose, whatever its
+    noise draws."""
 
-    ``centers`` (N, faces, 3) are the face centroids in the world,
-    ``normals_true`` (faces, 3) the true world face normals and
-    ``normals_meas`` (N, faces, 3) those of each pose's measured attitude,
-    from which the planes are taken.  The RSS is zero where a face is
-    occluded or back-lit.  Faces share the receiver origin in the model
-    (the face planes pass through it); centroids are used for occlusion
-    realism only.
+    attitude: Attitude     # the true receiver attitude
+    rot: np.ndarray        # (3, 3) its receiver rotation
+    rss: np.ndarray        # (N, lamps, faces) model RSS
+    saturated: np.ndarray  # (N, faces)
+    toward: np.ndarray     # (lamps, N, faces, 3) face to lamp, solve frame
+
+    def take(self, idx) -> _Poses:
+        """The poses at the indices ``idx``, in that order."""
+        return self._replace(rss=self.rss[idx], saturated=self.saturated[idx],
+                             toward=self.toward[:, idx])
+
+
+def _pose_geometry(scn: Scenario, positions, attitude: Attitude) -> _Poses:
+    """The pose part of ``measure_batch``: everything of N poses, (N, 3)
+    ``positions`` at one true ``attitude``, that no noise draw changes,
+    over all lamps at once.
+
+    Per (pose, lamp, face): the model RSS, zero where the line of sight
+    from the lamp to the face centroid is blocked or the face is back-lit,
+    and the direction from the face centroid toward the lamp in the lamp's
+    solve frame, which signs the planes.  Per (pose, face): saturation.
+    Faces share the receiver origin in the model (the face planes pass
+    through it); centroids are used for occlusion realism and the plane
+    signs only.
     """
+    poly = scn.receiver.polyhedron
+    rot_true = receiver_rotation(attitude)
+    centers = positions[:, None, :] + poly.centroids @ rot_true.T
+    normals_true = poly.normals @ rot_true.T
     # Lamp-major arrays, (L, N, ...): each lamp's constants broadcast over
-    # one long run of (fix, face) rows.
+    # one long run of (pose, face) rows.
     lamps = scn.lamps
     lamp_pos = np.array([lamp.position for lamp in lamps]).reshape(-1, 3)
     delta = lamp_pos[:, None, :] - positions                     # (L, N, 3)
@@ -323,24 +353,38 @@ def _lamp_geometry(scn: Scenario, positions, centers, normals_true,
     lit = front[..., None] & (incidence > 0)
     if scn.obstacles:
         # Only lit segments are tested; with no boxes none is blocked.
-        li, fix, face = np.nonzero(lit)
-        lit[li, fix, face] = ~segments_blocked(
-            lamp_pos[li], centers[fix, face], scn.obstacles)
+        li, pose, face = np.nonzero(lit)
+        lit[li, pose, face] = ~segments_blocked(
+            lamp_pos[li], centers[pose, face], scn.obstacles)
     omega = np.arccos(np.where(front, np.minimum(1.0, cos_w), 1.0))
     f = np.array([lamp.profile.value(w) for lamp, w in zip(lamps, omega)]
                  ).reshape(cos_w.shape)
     k = np.array([lamp.k for lamp in lamps])[:, None]
     rss = np.where(lit, (k / d**3)[..., None] * incidence * f[..., None], 0.0)
-
-    # Each face's plane in each lamp's solve frame, signed to dot
-    # positively with the direction from the face toward the lamp.
+    rss = np.ascontiguousarray(rss.transpose(1, 0, 2))
     basis = np.array([lamp.solve_basis for lamp in lamps]).reshape(-1, 3, 3)
-    planes = np.matmul(normals_meas, basis[:, None])
     toward = np.matvec(basis.transpose(0, 2, 1)[:, None, None],
                        lamp_pos[:, None, None, :] - centers)
+    saturated = scn.ambient_dc + rss.sum(axis=1) > scn.saturation
+    return _Poses(attitude, rot_true, rss, saturated, toward)
+
+
+def _fix_planes(scn: Scenario, normals_meas, toward) -> np.ndarray:
+    """The per-fix planes: each face's sensing plane in each lamp's solve
+    frame, (N, lamps, faces, 3), from the world face normals of each
+    fix's measured attitude, ``normals_meas`` (N, faces, 3), signed to dot
+    positively with the pose's direction from the face toward the lamp,
+    ``toward`` (lamps, N, faces, 3)."""
+    basis = np.array([lamp.solve_basis for lamp in scn.lamps]
+                     ).reshape(-1, 3, 3)
+    planes = np.matmul(normals_meas, basis[:, None])
     planes *= np.where(np.vecdot(planes, toward) < 0, -1.0, 1.0)[..., None]
-    return (np.ascontiguousarray(rss.transpose(1, 0, 2)),
-            np.ascontiguousarray(planes.transpose(1, 0, 2, 3)))
+    return np.ascontiguousarray(planes.transpose(1, 0, 2, 3))
+
+
+def _check_mode(mode: str):
+    if mode not in (MODE_FAST, MODE_END_TO_END):
+        raise ValueError(f"unknown measurement mode {mode!r}")
 
 
 def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
@@ -358,27 +402,36 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
     (``scn.noise.accel_sd > 0``): numpy's normals come from a ziggurat that
     can reject and redraw, so those draws come from one Generator per key.
 
-    Per (fix, lamp, face), all lamps in one array pass
-    (``_lamp_geometry``): line-of-sight check to the face centroid,
-    forward RSS and the solve-frame plane.  Then either the direct
+    Two parts, each over all lamps in one array pass.  Per pose
+    (``_pose_geometry``), from the true position and attitude alone: the
+    line-of-sight check to each face centroid, the forward RSS, saturation
+    and each face's direction toward the lamp.  Per fix
+    (``_measure_poses``), from its noise draws: the measured attitude, the
+    solve-frame planes of its faces (``_fix_planes``), signed by the
+    pose's directions toward the lamps, and either the direct
     flash-fundamental amplitude with multiplicative noise (fast) or
     waveform synthesis plus single-bin extraction (end_to_end: one trace
     per fix and face, synthesized by ``synthesize_traces`` and extracted
-    by ``extract_amplitudes`` in batches of up to TRACE_BATCH traces).
-    Saturated faces are flagged and excluded.  A pose outside the scenario
-    bounds raises ValueError.
+    by ``extract_amplitudes`` in batches of up to TRACE_BATCH traces) and
+    the valid readings.  Saturated faces are flagged and excluded.  A
+    pose outside the scenario bounds raises ValueError.
     """
-    if mode not in (MODE_FAST, MODE_END_TO_END):
-        raise ValueError(f"unknown measurement mode {mode!r}")
+    _check_mode(mode)
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     inside = scn.bounds.contains(positions)
     if not inside.all():
         position = positions[np.argmin(inside)]
         raise ValueError(f"receiver pose {position} outside scenario bounds")
-    n_fix = len(positions)
-    poly = scn.receiver.polyhedron
-    shape = (n_fix, len(scn.lamps), poly.n_faces)
-    rot_true = receiver_rotation(attitude)
+    return _measure_poses(scn, _pose_geometry(scn, positions, attitude),
+                          rngs, mode)
+
+
+def _measure_poses(scn: Scenario, poses: _Poses, rngs,
+                   mode: str) -> MeasurementBatch:
+    """The per-fix part of ``measure_batch``: one fix at each of the poses,
+    each with the noise of its own generator or stream in ``rngs``."""
+    n_fix, n_lamps, n_faces = shape = poses.rss.shape
+    attitude = poses.attitude
     noise = scn.noise
 
     # Draw every pose's noise first, in the order measure draws it: the
@@ -393,36 +446,32 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
             offsets[:, 2] = rngs.uniform(-noise.heading_epsilon,
                                          noise.heading_epsilon)
         draws = (rngs.binary(shape[1:]) if mode == MODE_FAST
-                 else rngs.integers63(poly.n_faces))
+                 else rngs.integers63(n_faces))
     else:
         rngs = iter(rngs.generators() if keyed else rngs)
         draws = np.empty(shape if mode == MODE_FAST
-                         else (n_fix, poly.n_faces), dtype=np.int64)
+                         else (n_fix, n_faces), dtype=np.int64)
         for n in range(n_fix):
             rng = next(rngs)
             offsets[n] = _attitude_noise(noise, rng)
             if mode == MODE_FAST:
                 draws[n] = rng.integers(0, 2, size=shape[1:])
             else:
-                draws[n] = [rng.integers(2**63)
-                            for _ in range(poly.n_faces)]
+                draws[n] = [rng.integers(2**63) for _ in range(n_faces)]
 
     if noise.heading_epsilon == 0 and noise.accel_sd == 0:
         att_meas = np.full((n_fix, 3), [attitude.pitch, attitude.roll,
                                         attitude.heading], dtype=float)
-        rot_meas = np.repeat(rot_true[None], n_fix, axis=0)
+        rot_meas = np.repeat(poses.rot[None], n_fix, axis=0)
     else:
         att_meas = _measured_attitudes(attitude, offsets)
         rot_meas = receiver_rotations(att_meas)
 
-    centers = positions[:, None, :] + poly.centroids @ rot_true.T
-    normals_true = poly.normals @ rot_true.T
-    normals_meas = np.matmul(poly.normals, rot_meas.transpose(0, 2, 1))
+    normals_meas = np.matmul(scn.receiver.polyhedron.normals,
+                             rot_meas.transpose(0, 2, 1))
+    planes = _fix_planes(scn, normals_meas, poses.toward)
 
-    rss, planes = _lamp_geometry(scn, positions, centers, normals_true,
-                                 normals_meas)
-    saturated = scn.ambient_dc + rss.sum(axis=1) > scn.saturation
-
+    rss = poses.rss
     if mode == MODE_FAST:
         amps = OOK_FUNDAMENTAL * rss * (
             1.0 + noise.rss_epsilon * (draws * 2 - 1))
@@ -432,12 +481,12 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
         components = [WaveComponent(0.0, scn.ambient_dc, SHAPE_DC)] + [
             WaveComponent(lamp.flash_hz, 0.0, SHAPE_SQUARE_OOK)
             for lamp in scn.lamps]
-        peaks = np.empty((n_fix, poly.n_faces, len(components)))
+        peaks = np.empty((n_fix, n_faces, len(components)))
         peaks[..., 0] = scn.ambient_dc
         peaks[..., 1:] = np.where(rss > 0, rss, 0.0).transpose(0, 2, 1)
         peaks = peaks.reshape(-1, len(components))
         seeds = draws.ravel().tolist()
-        extracted = np.empty((len(peaks), len(scn.lamps)))
+        extracted = np.empty((len(peaks), n_lamps))
         # Traces are independent rows; bounded batches bound their memory.
         for lo in range(0, len(peaks), TRACE_BATCH):
             traces = synthesize_traces(
@@ -447,9 +496,10 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
             extracted[lo:lo + TRACE_BATCH] = extract_amplitudes(
                 traces, scn.sample_rate_hz,
                 [lamp.flash_hz for lamp in scn.lamps])
-        amps = np.where(rss > 0, extracted.reshape(n_fix, poly.n_faces, -1)
+        amps = np.where(rss > 0, extracted.reshape(n_fix, n_faces, n_lamps)
                         .transpose(0, 2, 1), 0.0)
 
+    saturated = poses.saturated
     valid = ~saturated[:, None, :] & (amps > 0) & (rss > 0)
     return MeasurementBatch(amps, valid, planes, saturated, att_meas)
 
@@ -650,52 +700,62 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
     """Full factorial perturbation sweep; ``trials`` repeats per point
     and cell, all independently seeded.
 
-    Each cell is solved as one batch: its trials x points fixes are
-    measured together by ``measure_batch`` and, for the mflp and multi
-    pipelines (multi at m = 3 is the same closed-form fix), located
-    together by ``locate_batch``; trilateration runs ``locate`` per fix.
-    Every fix still draws the stream of its own generator seeded with
-    (seed, cell indices, trial, point): the cell's (N, 5) keys go to
-    ``measure_batch`` as one ``KeyedStreams``, which draws all of them as
-    arrays.  So a cell's statistics equal those of the same fixes
-    run one at a time through ``measure`` and ``locate``.  A fix that
-    raises there (a point outside the bounds, no lamp with three readings
-    above the floor) or is not unique counts as a failure.
+    The sweep measures each in-bounds point's true-pose geometry once per
+    call (``_pose_geometry``: line of sight, model RSS, saturation and the
+    directions that sign the planes); noise changes none of it.  Each
+    cell then runs only the per-fix part of ``measure_batch`` on its
+    trials x points fixes, gathered by point: attitude noise, the planes,
+    the fast-mode noise or the end-to-end traces and the valid readings.
+    For the mflp and multi pipelines (multi at m = 3 is the same
+    closed-form fix) the cell is located together by ``locate_batch``;
+    trilateration runs ``locate`` per fix.  Every fix still draws the
+    stream of its own generator seeded with (seed, cell indices, trial,
+    point): the cell's (N, 5) keys go to the per-fix part as one
+    ``KeyedStreams``, which draws all of them as arrays.  So a cell's
+    statistics equal those of the same fixes run one at a time through
+    ``measure`` and ``locate``.  A fix that raises there (a point outside
+    the bounds, no lamp with three readings above the floor) or is not
+    unique counts as a failure.
 
     Returns (rows, mean_monotone) where rows are
     (eps, eps_h, ErrorStats) and mean_monotone reports whether the mean
     error is non-decreasing in eps at every fixed eps_h.  Raises
-    ValueError before any cell runs when ``trials`` < 1 or a grid value
-    is not a valid ``NoiseSpec`` magnitude.
+    ValueError before any cell runs when ``trials`` < 1, ``mode`` is
+    unknown or a grid value is not a valid ``NoiseSpec`` magnitude.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     # Every cell's noise is checked before the first cell runs.
     noises = [[replace(scn.noise, rss_epsilon=eps, heading_epsilon=eps_h)
                for eps in eps_grid] for eps_h in eps_h_grid]
+    _check_mode(mode)
     if seed is None:
         seed = scn.noise.seed
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     inside = np.flatnonzero(scn.bounds.contains(points))
-    fixes = [(t, i) for t in range(trials) for i in inside]
-    truth = points[[i for _, i in fixes]].reshape(-1, 3)
-    fix_keys = np.array(fixes, dtype=np.int64).reshape(-1, 2)
+    poses = _pose_geometry(scn, points[inside], Attitude(0, 0, 0))
+    # The fixes, trial-major: (trial, point) keys and each fix's index
+    # into the in-bounds points.
+    fix_keys = np.empty((trials * len(inside), 2), dtype=np.int64)
+    fix_keys[:, 0] = np.repeat(np.arange(trials), len(inside))
+    fix_keys[:, 1] = np.tile(inside, trials)
+    fix_poses = poses.take(np.tile(np.arange(len(inside)), trials))
+    truth = points[fix_keys[:, 1]]
     rows = []
     for ci, eps_h in enumerate(eps_h_grid):
         for cj, eps in enumerate(eps_grid):
             noisy = replace(scn, noise=noises[ci][cj])
             cell = np.array((int(seed), ci, cj))
-            keys = np.empty((len(fixes), 5), dtype=cell.dtype)
+            keys = np.empty((len(fix_keys), 5), dtype=cell.dtype)
             keys[:, :3], keys[:, 3:] = cell, fix_keys
-            batch = measure_batch(noisy, truth, Attitude(0, 0, 0),
-                                  KeyedStreams(keys), mode)
+            batch = _measure_poses(noisy, fix_poses, KeyedStreams(keys), mode)
             if pipeline in (PIPELINE_MFLP, PIPELINE_MULTI):
                 est, status, _, _ = locate_batch(noisy, batch)
                 unique = status == STATUS_UNIQUE
             else:
                 est = np.full(truth.shape, np.nan)
-                unique = np.zeros(len(fixes), dtype=bool)
-                for n in range(len(fixes)):
+                unique = np.zeros(len(truth), dtype=bool)
+                for n in range(len(truth)):
                     try:
                         res = locate(noisy, batch.measurement_set(n),
                                      pipeline)

@@ -253,8 +253,43 @@ def test_cached_bases_equal_uncached_expressions(batch):
         assert x.tobytes() == want.tobytes()
         assert extract_amplitudes(x, rate, freqs).tobytes() == \
             want_amps.tobytes()
-    assert signal._sine_row.cache_info().hits > 0
-    assert signal._phasor_row.cache_info().hits > 0
+
+
+def test_scene_traces_reuse_cached_bases():
+    # A scene's traces, ambient DC and square-OOK flashes of 55-105 Hz at
+    # 640 Hz, need a few sine and phasor rows: the first call computes
+    # each once, the second reads every one from the cache, and both give
+    # the uncached expressions byte for byte.
+    rate, duration, noise_sd = 640.0, 0.3, 0.5
+    flashes = [55.0, 65.0, 75.0, 85.0, 95.0, 105.0]
+    components = [WaveComponent(0.0, 1.0, "dc")] + [
+        WaveComponent(f, 1.0, "square_ook") for f in flashes]
+    rng = np.random.default_rng(5)
+    peaks = np.column_stack([np.full(8, 850.0),
+                             rng.uniform(0.0, 120.0, (8, len(flashes)))])
+    seeds = list(range(8))
+    want = np.array([
+        _ref_synthesize([WaveComponent(c.freq_hz, p, c.shape)
+                         for c, p in zip(components, row_peaks)],
+                        rate, duration, noise_sd, seed)
+        for row_peaks, seed in zip(peaks, seeds)])
+    want_amps = np.array([[_ref_extract(row, rate, f) for f in flashes]
+                          for row in want])
+    # One sine row per odd harmonic below Nyquist: 13 in all.
+    harmonics = sum(1 for f in flashes for h in range(1, 12, 2)
+                    if f * h < rate / 2)
+    signal._sine_row.cache_clear()
+    signal._phasor_row.cache_clear()
+    for call in range(2):
+        x = synthesize_traces(components, peaks, rate, duration, noise_sd,
+                              seeds)
+        assert x.tobytes() == want.tobytes()
+        assert extract_amplitudes(x, rate, flashes).tobytes() == \
+            want_amps.tobytes()
+        for row_fn, rows in ((signal._sine_row, harmonics),
+                             (signal._phasor_row, len(flashes))):
+            info = row_fn.cache_info()
+            assert (info.misses, info.hits) == (rows, call * rows)
 
 
 def test_cached_basis_rows_are_read_only():

@@ -173,13 +173,17 @@ def test_end_to_end_close_to_fast(caplog):
         assert r.s == pytest.approx(fast_by[(r.lamp_id, r.face_id)], rel=1e-6)
 
 
-def _ref_lamp_geometry(scn, positions, centers, normals_true, normals_meas):
-    # The per-lamp loop that the one (fix, lamp, face) pass of
-    # sim._lamp_geometry replaced, kept as its oracle, with each lamp's
+def _ref_pose_geometry(scn, positions, attitude):
+    # The per-lamp loop that the one (pose, lamp, face) pass of
+    # sim._pose_geometry replaced, kept as its oracle, with each lamp's
     # solve-frame basis built per call.
+    poly = scn.receiver.polyhedron
+    rot_true = receiver_rotation(attitude)
+    centers = positions[:, None, :] + poly.centroids @ rot_true.T
+    normals_true = poly.normals @ rot_true.T
     shape = (len(positions), len(scn.lamps), len(normals_true))
     rss = np.zeros(shape)
-    planes = np.empty(shape + (3,))
+    toward = np.empty((len(scn.lamps), len(positions), len(normals_true), 3))
     for li, lamp in enumerate(scn.lamps):
         delta = lamp.position - positions
         d = np.sqrt(np.vecdot(delta, delta))
@@ -194,11 +198,21 @@ def _ref_lamp_geometry(scn, positions, centers, normals_true, normals_meas):
         rss[:, li] = np.where(
             lit, (lamp.k / d**3)[:, None] * incidence * f[:, None], 0.0)
         basis = solve_frame_basis(lamp.central_ray)
+        toward[li] = np.matvec(basis.T, lamp.position - centers)
+    saturated = scn.ambient_dc + rss.sum(axis=1) > scn.saturation
+    return sim._Poses(attitude, rot_true, rss, saturated, toward)
+
+
+def _ref_fix_planes(scn, normals_meas, toward):
+    # The per-lamp loop that sim._fix_planes replaced, kept as its oracle.
+    planes = np.empty((len(normals_meas), len(scn.lamps))
+                      + normals_meas.shape[1:])
+    for li, lamp in enumerate(scn.lamps):
+        basis = solve_frame_basis(lamp.central_ray)
         n_solve = np.matmul(normals_meas, basis)
-        toward = np.matvec(basis.T, lamp.position - centers)
-        n_solve[np.vecdot(n_solve, toward) < 0] *= -1.0
+        n_solve[np.vecdot(n_solve, toward[li]) < 0] *= -1.0
         planes[:, li] = n_solve
-    return rss, planes
+    return planes
 
 
 # Reference end-to-end measurement: one trace per (fix, face) holding
@@ -210,20 +224,17 @@ def _ref_measure_end_to_end(scn, positions, attitude, rngs):
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     poly = scn.receiver.polyhedron
     shape = (len(positions), len(scn.lamps), poly.n_faces)
-    rot_true = receiver_rotation(attitude)
     rot_meas, trace_seeds = [], []
     for rng in rngs:
         rot_meas.append(receiver_rotation(
             _measured_attitude(attitude, scn.noise, rng)))
         trace_seeds.append([rng.integers(2**63)
                             for _ in range(poly.n_faces)])
-    centers = positions[:, None, :] + poly.centroids @ rot_true.T
-    normals_true = poly.normals @ rot_true.T
     normals_meas = np.matmul(poly.normals,
                              np.array(rot_meas).transpose(0, 2, 1))
-    rss, planes = _ref_lamp_geometry(scn, positions, centers, normals_true,
-                                     normals_meas)
-    saturated = scn.ambient_dc + rss.sum(axis=1) > scn.saturation
+    poses = _ref_pose_geometry(scn, positions, attitude)
+    rss, saturated = poses.rss, poses.saturated
+    planes = _ref_fix_planes(scn, normals_meas, poses.toward)
     amps = np.zeros(shape)
     for n, seeds in enumerate(trace_seeds):
         for fi in range(poly.n_faces):
@@ -354,15 +365,17 @@ def _multi_lamp_scenes(draw):
 @settings(max_examples=60, deadline=None)
 @given(_multi_lamp_scenes())
 def test_lamp_geometry_one_pass_equals_per_lamp_loop(case):
-    # measure_batch with its geometry in one pass over all lamps, against
-    # the same call with the per-lamp loop: byte-equal in both modes.
+    # measure_batch with its pose geometry and its planes each in one pass
+    # over all lamps, against the same call with the per-lamp loops:
+    # byte-equal in both modes.
     scn, poses, att, seed = case
     for mode in (sim.MODE_FAST, MODE_END_TO_END):
         def rngs():
             return (_point_rng(seed, i) for i in range(len(poses)))
         got = measure_batch(scn, poses, att, rngs(), mode)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "_lamp_geometry", _ref_lamp_geometry)
+            mp.setattr(sim, "_pose_geometry", _ref_pose_geometry)
+            mp.setattr(sim, "_fix_planes", _ref_fix_planes)
             want = measure_batch(scn, poses, att, rngs(), mode)
         for name in ("amps", "valid", "planes", "saturated"):
             assert getattr(got, name).tobytes() == \
@@ -681,6 +694,95 @@ def test_sensitivity_sweep_equals_scalar_fixes():
             assert [st.mean, st.median, st.max] == pytest.approx(
                 [np.mean(errors), np.median(errors), np.max(errors)],
                 rel=1e-9)
+
+
+def _office_sweep_points():
+    """office_single_lamp, with two walls, and a few of its points plus
+    one inside a wall, one outside the bounds and one near the lamp."""
+    sf = load_scenario(str(resources.files("lightpos") / "fixtures"
+                           / "office_single_lamp.json"))
+    points = np.array(list(sf.points[::10]) + [
+        [0.3, 5.0, 1.0],    # inside a wall: no lamp in sight
+        [13.0, 5.0, 0.0],   # outside the bounds
+        [6.2, 4.8, 0.5],
+    ])
+    return sf.scenario, points
+
+
+@pytest.mark.parametrize("mode", [sim.MODE_FAST, MODE_END_TO_END])
+@pytest.mark.parametrize("extra_noise", [{}, {"accel_sd": 0.02}])
+def test_sweep_cell_arrays_equal_measure_batch(monkeypatch, mode,
+                                               extra_noise):
+    # The sweep gathers each fix's pose geometry from one pass over the
+    # points; every cell's arrays must equal measure_batch on the same
+    # fixes, (trial, point) in trial-major order over the in-bounds
+    # points, each with its own generator, byte for byte.
+    scn, points = _office_sweep_points()
+    # A full scale just above the ambient level saturates the most lit
+    # faces.
+    scn = replace(scn, saturation=852.5, noise=replace(
+        scn.noise, trace_noise_sd=0.5, **extra_noise))
+    eps_grid, eps_h_grid, trials, seed = [0.0, 0.2], [0.0, 0.3], 2, 17
+    cells = []
+    measure_poses = sim._measure_poses
+    monkeypatch.setattr(sim, "_measure_poses",
+                        lambda *a: cells.append(measure_poses(*a))
+                        or cells[-1])
+    sensitivity_sweep(scn, points, eps_grid, eps_h_grid, trials,
+                      mode=mode, seed=seed)
+    inside = [i for i, p in enumerate(points) if scn.bounds.contains(p)]
+    assert len(inside) == len(points) - 1
+    assert len(cells) == len(eps_grid) * len(eps_h_grid)
+    for (ci, eps_h), (cj, eps) in [(h, e) for h in enumerate(eps_h_grid)
+                                   for e in enumerate(eps_grid)]:
+        got = cells[ci * len(eps_grid) + cj]
+        noisy = replace(scn, noise=replace(scn.noise, rss_epsilon=eps,
+                                           heading_epsilon=eps_h))
+        fixes = [(t, i) for t in range(trials) for i in inside]
+        want = measure_batch(
+            noisy, points[[i for _, i in fixes]], Attitude(0, 0, 0),
+            [np.random.default_rng((seed, ci, cj, t, i)) for t, i in fixes],
+            mode)
+        assert want.valid.any() and not want.valid.all()
+        assert want.saturated.any() and not want.saturated.all()
+        for name in ("amps", "valid", "planes", "saturated", "attitudes"):
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes(), (ci, cj, name)
+
+
+def test_sweep_measures_pose_geometry_once_per_call(monkeypatch):
+    # The pose part, line of sight included, runs once per sweep over the
+    # in-bounds points, not once per cell; the point outside the bounds
+    # never reaches it.
+    scn, points = _office_sweep_points()
+    seen, blocked_calls = [], []
+    pose_geometry, blocked = sim._pose_geometry, sim.segments_blocked
+    monkeypatch.setattr(sim, "_pose_geometry",
+                        lambda s, pos, att: seen.append(pos.copy())
+                        or pose_geometry(s, pos, att))
+    monkeypatch.setattr(sim, "segments_blocked",
+                        lambda *a: blocked_calls.append(1) or blocked(*a))
+    for mode in (sim.MODE_FAST, MODE_END_TO_END):
+        seen.clear()
+        blocked_calls.clear()
+        rows, _ = sensitivity_sweep(scn, points, [0.0, 0.1, 0.2],
+                                    [0.0, 0.2], 2, mode=mode, seed=3)
+        assert len(rows) == 6
+        assert len(seen) == 1 and len(blocked_calls) == 1
+        assert np.array_equal(seen[0], np.delete(points, -2, axis=0))
+        assert all(st.failures >= 2 * 2 for _, _, st in rows)
+
+
+def test_sweep_with_no_point_in_bounds_fails_every_fix():
+    # No pose reaches either part; both modes count every fix as failed.
+    scn = simple_scenario()
+    for mode in (sim.MODE_FAST, MODE_END_TO_END):
+        rows, _ = sensitivity_sweep(scn, [[20.0, 5.0, 0.0]], [0.0, 0.1],
+                                    [0.0], 2, mode=mode, seed=1)
+        assert [(st.count, st.failures) for _, _, st in rows] == [(0, 2)] * 2
+        empty = measure_batch(scn, np.empty((0, 3)), Attitude(0, 0, 0), [],
+                              mode)
+        assert empty.amps.shape == (0, 1, 6)
 
 
 def test_coverage_analysis_full_and_blocked():
