@@ -77,16 +77,13 @@ from .sim import (
     sensitivity_sweep,
 )
 from .solve import (
-    LampSighting,
     Reading,
     SolveResult,
     STATUS_DEGENERATE,
     STATUS_NO_CONVERGE,
     STATUS_UNIQUE,
-    mflp_closed_form,
     mflp_least_squares,
     model_rss,
-    select_readings,
     solve_multi,
     to_world_position,
     trilaterate,

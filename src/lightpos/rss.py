@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -127,6 +128,55 @@ class LampModel:
             raise ValueError("lamp range must be positive (inf for unbounded)")
         object.__setattr__(self, "solve_basis",
                            solve_frame_basis(self.central_ray))
+
+
+class ProfileTable(NamedTuple):
+    """Emission profiles element by element, the distinct ``profiles``
+    and each element's ``index`` into them: it evaluates like one profile
+    over arrays shaped like ``index``."""
+
+    profiles: tuple
+    index: np.ndarray
+
+    def take(self, idx) -> ProfileTable:
+        return ProfileTable(self.profiles, self.index[idx])
+
+    def value(self, omega):
+        if len(self.profiles) == 1:
+            return self.profiles[0].value(omega)
+        return self._each("value", omega)
+
+    def value_and_slope(self, cos_w):
+        if len(self.profiles) == 1:
+            return self.profiles[0].value_and_slope(cos_w)
+        return self._each("value_and_slope", cos_w)
+
+    def _each(self, method, x):
+        out = np.empty((2,) + np.shape(x))
+        for i, profile in enumerate(self.profiles):
+            own = self.index == i
+            out[:, own] = getattr(profile, method)(x[own])
+        return out[0] if method == "value" else tuple(out)
+
+
+class LampTable(NamedTuple):
+    """Lamps as arrays: positions (L, 3), solve-frame bases (L, 3, 3),
+    intensity constants (L,) and emission profiles."""
+
+    position: np.ndarray
+    basis: np.ndarray
+    k: np.ndarray
+    profiles: ProfileTable
+
+    @classmethod
+    def of(cls, lamps) -> LampTable:
+        profiles = tuple(dict.fromkeys(lamp.profile for lamp in lamps))
+        index = [profiles.index(lamp.profile) for lamp in lamps]
+        return cls(
+            np.array([lamp.position for lamp in lamps]).reshape(-1, 3),
+            np.array([lamp.solve_basis for lamp in lamps]).reshape(-1, 3, 3),
+            np.array([lamp.k for lamp in lamps], dtype=float),
+            ProfileTable(profiles, np.array(index, dtype=np.intp)))
 
 
 def eval_rss(lamp: LampModel, face_center, face_normal) -> float:

@@ -16,9 +16,9 @@ attitude, the sensing planes it gives, the noisy or extracted amplitudes
 and which readings are valid.  The sweep computes the pose part of each
 point once and the per-fix part of every fix at it.
 
-The mflp pipeline is one array core, ``locate_batch``, and scalar
-``locate`` is its batch of one; every pipeline chooses its readings from
-the arrays.
+Every pipeline runs on one array core, ``locate_batch``, which chooses
+readings from the measurement arrays; scalar ``locate`` is its batch of
+one.  The runs and the sweep measure and locate all their fixes at once.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .geom import (
     receiver_rotations,
     segments_blocked,
 )
+from .rss import LampTable
 from .signal import (
     OOK_FUNDAMENTAL,
     SHAPE_DC,
@@ -48,22 +49,16 @@ from .signal import (
     extract_amplitudes,
     synthesize_traces,
 )
-# Unused here; perfbench/tracer.py wraps these names in this module.
-from .geom import line_of_sight, solve_frame_basis  # noqa: F401
-from .signal import extract_amplitude, synthesize_trace  # noqa: F401
-from .solve import mflp_least_squares, select_readings  # noqa: F401
 from .streams import KeyedStreams
 from .solve import (
-    Reading,
     STATUS_UNIQUE,
     SolveResult,
-    STATUS_DEGENERATE,
-    mflp_closed_form_batch,
+    closed_form_fixes,
+    degenerate_fixes,
     select_pooled_readings,
     select_top_readings,
     solve_multi,
-    to_world_position,
-    trilaterate,
+    trilaterate_batch,
 )
 
 MODE_FAST = "fast"
@@ -72,6 +67,11 @@ MODE_END_TO_END = "end_to_end"
 PIPELINE_MFLP = "mflp"
 PIPELINE_TRILATERATION = "trilateration"
 PIPELINE_MULTI = "multi"
+
+# The ValueError ``locate`` raises for a fix, by ``locate_batch`` code.
+LOCATE_ERRORS = ("", "no lamp has three readings above the RSS floor",
+                 "k and the receiver height must be finite, k > 0",
+                 "receiver must start below every lamp")
 
 METHOD_MFLP = "mflp"
 METHOD_TRILATERATION = "trilateration"
@@ -158,6 +158,11 @@ class Scenario:
             if not self.bounds.contains(lamp.position):
                 raise ValueError("lamp outside scenario bounds")
 
+    @cached_property
+    def lamp_table(self) -> LampTable:
+        """The lamps as arrays, for the solvers."""
+        return LampTable.of(self.lamps)
+
 
 @dataclass(frozen=True)
 class MeasurementSet:
@@ -165,20 +170,10 @@ class MeasurementSet:
 
     Amplitudes are flash-fundamental values, i.e. (2/pi) x model RSS;
     ``k_scale`` carries that factor so solvers can use k_eff = k * k_scale.
-    ``locate`` reads the batch's arrays.  ``readings``, the fix's valid
-    readings as ``Reading`` objects in lamp then face order, is built
-    only when asked for, and then once.
+    ``locate`` reads the batch's arrays.
     """
 
     batch: MeasurementBatch
-
-    @cached_property
-    def readings(self) -> tuple:
-        b = self.batch
-        return tuple(
-            Reading(b.planes[0, li, fi], float(b.amps[0, li, fi]),
-                    int(li), int(fi))
-            for li, fi in zip(*np.nonzero(b.valid[0])))
 
     @property
     def attitude(self) -> Attitude:
@@ -287,7 +282,7 @@ class MeasurementBatch:
     readings a solver may use: lit, unoccluded, unsaturated and positive.
     ``planes`` are each face's sensing-plane coefficients in the lamp's
     solve frame, signed to dot positively with the lamp but not yet
-    normalized (``Reading`` and the batched solvers normalize them).
+    normalized (``locate_batch`` normalizes the chosen ones).
     ``saturated`` flags saturated faces per fix, and ``attitudes`` holds
     the measured attitudes as (pitch, roll, heading) rows.
     """
@@ -516,113 +511,108 @@ def measure(scn: Scenario, position, attitude: Attitude = Attitude(0, 0, 0),
 
 def locate(scn: Scenario, mset: MeasurementSet, pipeline: str = PIPELINE_MFLP,
            m: int = 3, z_receiver=None) -> SolveResult:
-    """Run the selected position pipeline on one measurement set,
-    returning a world-frame result.
+    """The world-frame fix of one measurement set by the selected
+    pipeline: the batch of one of ``locate_batch``, raising its error."""
+    points, status, residual, iterations, error = locate_batch(
+        scn, mset.batch, pipeline, m, z_receiver)
+    if error[0]:
+        raise ValueError(LOCATE_ERRORS[error[0]])
+    return SolveResult(points[0], float(residual[0]), str(status[0]),
+                       int(iterations[0]))
 
-    mflp, and multi with m = 3, is the batch of one of ``locate_batch``:
-    the three strongest readings of the best lamp, solved in closed form
-    (0 iterations); it raises ValueError when no lamp keeps three readings
-    above the RSS floor.  multi with m > 3 pools each kept lamp's three
-    strongest readings and refines the m strongest of them by least
-    squares (``solve_multi``); trilateration fits the top faces (index 0)
-    of the three lamps that read strongest there.  Readings are chosen
-    from the measurement arrays; only multi with m > 3 builds ``Reading``
-    objects, for its m readings.
+
+def locate_batch(scn: Scenario, batch: MeasurementBatch,
+                 pipeline: str = PIPELINE_MFLP, m: int = 3, z_receiver=None):
+    """The position pipelines of ``locate`` over every fix of a batch,
+    each fix's readings chosen from the measurement arrays.
+
+    mflp, and multi with m = 3: the best lamp's three strongest readings
+    (``select_top_readings``) in closed form (``closed_form_fixes``).
+    multi with m > 3: the m strongest of the kept lamps' pooled readings
+    (``select_pooled_readings``); a fix of one lamp's three readings is
+    its closed form, the others go to ``solve_multi`` by reading count.
+    trilateration: the top faces of the three lamps reading strongest
+    there (``trilaterate_batch``), at the receiver heights ``z_receiver``
+    (one, or one per fix) or free; fewer than three is degenerate.
+
+    Returns (points (N, 3), status, residual, iterations, error), error
+    being the code in ``LOCATE_ERRORS`` of the ValueError ``locate``
+    raises for the fix, 0 for none.  Raises ValueError for an unknown
+    pipeline or multi with m < 3.
     """
-    batch = mset.batch
-    if pipeline == PIPELINE_MFLP or (pipeline == PIPELINE_MULTI and m == 3):
-        points, status, residual, covered = locate_batch(scn, batch)
-        if not covered[0]:
-            raise ValueError("no lamp has three readings above the RSS floor")
-        return SolveResult(points[0], float(residual[0]), str(status[0]))
-    if pipeline == PIPELINE_MULTI:
-        lamp_ids, faces = select_pooled_readings(batch.amps[0],
-                                                 batch.valid[0], m)
-        chosen = [Reading(batch.planes[0, li, fi],
-                          float(batch.amps[0, li, fi]), int(li), int(fi))
-                  for li, fi in zip(lamp_ids, faces)]
-        return solve_multi(chosen, {int(i): scn.lamps[i] for i in lamp_ids},
-                           k_scale=batch.k_scale)
+    _check_pipeline(pipeline, m)
     if pipeline == PIPELINE_TRILATERATION:
-        # One horizontal sensor: the top face (index 0) of each lamp.
-        s = batch.amps[0, :, 0]
-        ids = np.flatnonzero(batch.valid[0, :, 0])
-        if len(ids) < 3:
-            return SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
-        ids = ids[np.argsort(-s[ids], kind="stable")[:3]]
-        lamp0 = scn.lamps[ids[0]]
-        return trilaterate(
-            [scn.lamps[i].position for i in ids],
-            lamp0.k * batch.k_scale, lamp0.profile, s[ids],
-            z_receiver=z_receiver,
-        )
-    raise ValueError(f"unknown pipeline {pipeline!r}")
-
-
-def locate_batch(scn: Scenario, batch: MeasurementBatch):
-    """The mflp pipeline of ``locate`` over every fix of a batch.
-
-    Per fix: reading selection by ``select_top_readings``, the closed form
-    on the three chosen readings in the chosen lamp's solve frame, which
-    is the fix, and the world transform.  Each lamp that some fix chose is
-    solved once, for all its fixes.  Returns world positions (N, 3),
-    status (N,) (``STATUS_UNIQUE`` or ``STATUS_DEGENERATE``), the relative
-    RMS residuals (N,) and covered (N,), False where no lamp keeps three
-    readings.  A fix that is not unique, because no lamp keeps three
-    readings or the closed form is degenerate, has a NaN position and an
-    infinite residual.
-    """
-    n_fix = len(batch.amps)
-    points = np.full((n_fix, 3), np.nan)
-    status = np.full(n_fix, STATUS_DEGENERATE)
-    residual = np.full(n_fix, math.inf)
-    lamp_of, faces, covered = select_top_readings(batch.amps, batch.valid)
-    # Only the lamps that some fix chose.
-    for li in np.flatnonzero(np.bincount(lamp_of[covered],
-                                         minlength=len(scn.lamps))):
-        lamp = scn.lamps[li]
-        idx = np.flatnonzero(covered & (lamp_of == li))
-        chosen = faces[idx]
-        planes = batch.planes[idx[:, None], li, chosen]
+        return _trilaterate_fixes(scn, batch, z_receiver)
+    if pipeline == PIPELINE_MULTI and m > 3:
+        lamp_ids, faces, count = select_pooled_readings(batch.amps,
+                                                        batch.valid, m)
+    else:
+        lamp_ids, faces, count = select_top_readings(batch.amps, batch.valid)
+    points, status, residual, iterations = degenerate_fixes(len(count))
+    for n in np.unique(count[count >= 3]):
+        rows = np.flatnonzero(count == n)
+        idx = (rows[:, None], lamp_ids[rows, :n], faces[rows, :n])
+        planes = batch.planes[idx]
         planes = planes / np.sqrt(np.vecdot(planes, planes))[..., None]
-        s = batch.amps[idx[:, None], li, chosen]
-        k = lamp.k * batch.k_scale
-        x, unique, rms = mflp_closed_form_batch(planes, s, k, lamp.profile)
-        # The solve frame puts the lamp above the receiver: z > 0.
-        unique[unique] = x[unique, 2] > 0
-        fixed = idx[unique]
-        points[fixed] = to_world_position(lamp, x[unique])
-        status[fixed] = STATUS_UNIQUE
-        residual[fixed] = rms[unique]
-    return points, status, residual, covered
+        args = planes, batch.amps[idx], idx[1], scn.lamp_table, batch.k_scale
+        if n == 3:  # one lamp's three readings: the closed form is the fix
+            points[rows], unique, residual[rows] = closed_form_fixes(*args)
+            status[rows[unique]] = STATUS_UNIQUE
+        else:
+            points[rows], status[rows], residual[rows], iterations[rows] = \
+                solve_multi(*args)
+    return points, status, residual, iterations, np.where(count < 3, 1, 0)
 
 
-def _point_rng(seed, *indices):
-    return np.random.default_rng((int(seed),) + tuple(int(i) for i in indices))
+def _trilaterate_fixes(scn: Scenario, batch: MeasurementBatch, z_receiver):
+    """The trilateration pipeline of ``locate_batch``."""
+    s, valid = batch.amps[:, :, 0], batch.valid[:, :, 0]
+    points, status, residual, iterations = degenerate_fixes(len(s))
+    z = None if z_receiver is None else np.broadcast_to(
+        np.asarray(z_receiver, dtype=float), len(s))
+    lit = valid.sum(axis=1) >= 3
+    finite = np.isfinite(0.0 if z is None else z)  # a free z is finite
+    rows = np.flatnonzero(lit & finite)
+    error = np.where(lit & ~finite, 2, 0)
+    if rows.size:
+        # The three lamps reading strongest, ties in lamp order.
+        ids = np.argsort(np.where(valid[rows], -s[rows], np.inf), axis=1,
+                         kind="stable")[:, :3]
+        lamps = scn.lamp_table
+        (points[rows], status[rows], residual[rows], iterations[rows],
+         below) = trilaterate_batch(
+            lamps.position[ids], lamps.k[ids] * batch.k_scale,
+            lamps.profiles.take(ids), s[rows[:, None], ids],
+            None if z is None else z[rows])
+        error[rows[~below]] = 3
+    return points, status, residual, iterations, error
 
 
 def _check_pipeline(pipeline: str, m: int):
-    """Reject a pipeline ``locate`` does not know, or multi with m < 3,
-    before any fix runs: per fix, ``locate``'s ValueError is a failed
-    fix."""
+    """Reject a pipeline ``locate`` does not know, or multi with m < 3."""
     if pipeline not in (PIPELINE_MFLP, PIPELINE_MULTI, PIPELINE_TRILATERATION):
         raise ValueError(f"unknown pipeline {pipeline!r}")
     if pipeline == PIPELINE_MULTI and m < 3:
         raise ValueError("at least three readings are required to solve")
 
 
-def _fix_at(scn: Scenario, t: float, p, i: int, pipeline: str, m: int,
-            mode: str, seed, attitude: Attitude) -> Fix:
-    """Measure and solve the pose ``p`` at time ``t`` with the generator
-    of pose index ``i``; a ValueError on the way is a degenerate fix."""
-    rng = _point_rng(seed, i)
-    try:
-        mset = measure(scn, p, attitude, mode, rng)
-        z = p[2] if pipeline == PIPELINE_TRILATERATION else None
-        res = locate(scn, mset, pipeline, m, z_receiver=z)
-    except ValueError:
-        res = SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
-    return Fix(t, p, res.point, res.status)
+def _fixes(scn: Scenario, times, poses, pipeline: str, m: int, mode: str,
+           seed, attitude: Attitude) -> list:
+    """Measure every pose, pose i with the stream keyed (seed, i), and
+    locate them all (trilateration at the pose's height); a pose outside
+    the bounds, or one ``locate`` raises for, is a degenerate fix."""
+    _check_pipeline(pipeline, m)
+    poses = np.asarray(poses, dtype=float).reshape(-1, 3)
+    inside = np.flatnonzero(scn.bounds.contains(poses))
+    keys = np.empty((len(inside), 2), dtype=np.array(int(seed)).dtype)
+    keys[:, 0], keys[:, 1] = int(seed), inside
+    batch = measure_batch(scn, poses[inside], attitude, KeyedStreams(keys),
+                          mode)
+    points, status, *_ = degenerate_fixes(len(poses))
+    points[inside], status[inside], *_ = locate_batch(
+        scn, batch, pipeline, m, poses[inside, 2])
+    return [Fix(t, p, e, str(s)) for t, p, e, s in zip(times, poses, points,
+                                                        status)]
 
 
 def run_static(scn: Scenario, points, pipeline: str = PIPELINE_MFLP,
@@ -633,11 +623,10 @@ def run_static(scn: Scenario, points, pipeline: str = PIPELINE_MFLP,
     Per-point failures (no coverage, degenerate, no convergence) are
     reported in the fix list and excluded from the statistics.
     """
-    _check_pipeline(pipeline, m)
     if seed is None:
         seed = scn.noise.seed
-    fixes = [_fix_at(scn, float(i), np.asarray(p, dtype=float), i, pipeline,
-                     m, mode, seed, attitude) for i, p in enumerate(points)]
+    fixes = _fixes(scn, [float(i) for i in range(len(points))], points,
+                   pipeline, m, mode, seed, attitude)
     errors = [f.error for f in fixes if f.status == STATUS_UNIQUE]
     return fixes, ErrorStats.from_errors(errors, len(fixes) - len(errors))
 
@@ -672,17 +661,12 @@ def run_trajectory(scn: Scenario, waypoints, speed: float, interval_s: float,
                    mode: str = MODE_FAST, seed=None,
                    attitude: Attitude = Attitude(0, 0, 0)):
     """Static pipeline at every sampled pose of a piecewise-linear path."""
-    _check_pipeline(pipeline, m)
-    samples = sample_trajectory(waypoints, speed, interval_s)
+    times, poses = zip(*sample_trajectory(waypoints, speed, interval_s))
+    if not scn.bounds.contains(np.array(poses)).all():
+        raise ValueError("trajectory leaves scenario bounds")
     if seed is None:
         seed = scn.noise.seed
-    fixes = []
-    for i, (t, p) in enumerate(samples):
-        if not scn.bounds.contains(p):
-            raise ValueError("trajectory leaves scenario bounds")
-        fixes.append(_fix_at(scn, t, p, i, pipeline, m, mode, seed,
-                             attitude))
-    return fixes
+    return _fixes(scn, times, poses, pipeline, m, mode, seed, attitude)
 
 
 def oscillation_distance(points) -> float:
@@ -706,23 +690,24 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
     cell then runs only the per-fix part of ``measure_batch`` on its
     trials x points fixes, gathered by point: attitude noise, the planes,
     the fast-mode noise or the end-to-end traces and the valid readings.
-    For the mflp and multi pipelines (multi at m = 3 is the same
-    closed-form fix) the cell is located together by ``locate_batch``;
-    trilateration runs ``locate`` per fix.  Every fix still draws the
-    stream of its own generator seeded with (seed, cell indices, trial,
-    point): the cell's (N, 5) keys go to the per-fix part as one
-    ``KeyedStreams``, which draws all of them as arrays.  So a cell's
-    statistics equal those of the same fixes run one at a time through
-    ``measure`` and ``locate``.  A fix that raises there (a point outside
+    One ``locate_batch`` call locates the cell (multi at m = 3,
+    trilateration at a free height).  Every fix still draws the stream of
+    its own generator seeded with (seed, cell indices, trial, point): the
+    cell's (N, 5) keys go to the per-fix part as one ``KeyedStreams``,
+    which draws all of them as arrays.  So a cell's statistics equal
+    those of the same fixes run one at a time through ``measure`` and
+    ``locate``.  A fix that raises there (a point outside
     the bounds, no lamp with three readings above the floor) or is not
     unique counts as a failure.
 
     Returns (rows, mean_monotone) where rows are
     (eps, eps_h, ErrorStats) and mean_monotone reports whether the mean
     error is non-decreasing in eps at every fixed eps_h.  Raises
-    ValueError before any cell runs when ``trials`` < 1, ``mode`` is
-    unknown or a grid value is not a valid ``NoiseSpec`` magnitude.
+    ValueError before any cell runs when ``trials`` < 1, ``mode`` or
+    ``pipeline`` is unknown or a grid value is not a valid ``NoiseSpec``
+    magnitude.
     """
+    _check_pipeline(pipeline, 3)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     # Every cell's noise is checked before the first cell runs.
@@ -749,20 +734,8 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
             keys = np.empty((len(fix_keys), 5), dtype=cell.dtype)
             keys[:, :3], keys[:, 3:] = cell, fix_keys
             batch = _measure_poses(noisy, fix_poses, KeyedStreams(keys), mode)
-            if pipeline in (PIPELINE_MFLP, PIPELINE_MULTI):
-                est, status, _, _ = locate_batch(noisy, batch)
-                unique = status == STATUS_UNIQUE
-            else:
-                est = np.full(truth.shape, np.nan)
-                unique = np.zeros(len(truth), dtype=bool)
-                for n in range(len(truth)):
-                    try:
-                        res = locate(noisy, batch.measurement_set(n),
-                                     pipeline)
-                    except ValueError:
-                        continue
-                    if res.status == STATUS_UNIQUE:
-                        est[n], unique[n] = res.point, True
+            est, status, *_ = locate_batch(noisy, batch, pipeline)
+            unique = status == STATUS_UNIQUE
             miss = est[unique] - truth[unique]
             errors = np.sqrt(np.vecdot(miss, miss))
             failures = trials * len(points) - int(unique.sum())

@@ -3,9 +3,9 @@ squares, the m-reading multi-lamp generalization, and trilateration.
 
 ``levenberg_marquardt`` is the one least-squares driver: it iterates many
 problems at once over a residual-and-Jacobian callback, and
-``mflp_least_squares``, ``solve_multi`` and ``trilaterate`` each build
-their callback over ``rss_model`` and run it once.  There is no compiled
-counterpart.
+``mflp_least_squares``, ``solve_multi`` and ``trilaterate_batch`` each
+build their callback over ``rss_model`` and run it once.  There is no
+compiled counterpart.
 
 All single-lamp solving happens in the lamp-aligned solve frame (+z
 anti-parallel to the central ray, receiver at the origin); the lamp
@@ -26,9 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .geom import normalize_plane
-# Unused here; perfbench/tracer.py wraps this name in this module.
-from .geom import solve_frame_basis  # noqa: F401
-from .rss import EmissionProfile, LampModel
+from .rss import EmissionProfile, LampModel, LampTable, ProfileTable
 
 STATUS_UNIQUE = "unique"
 STATUS_DEGENERATE = "degenerate"
@@ -52,9 +50,11 @@ def rss_model(planes, k, profile, x):
     """Model values k (plane . x) f(cos omega) / |x|^3 of a lamp at x,
     cos omega = x_z / |x|, and their gradient wrt x.
 
-    ``x`` is (..., 3) and ``planes`` (..., n, 3); returns values (..., n)
-    and gradient (..., n, 3).
+    ``x`` is (..., 3), ``planes`` (..., n, 3) and ``k`` and ``profile``
+    one or a ``ProfileTable`` over (...); returns values (..., n) and
+    gradient (..., n, 3).
     """
+    k = np.asarray(k)[..., None]
     d = np.sqrt(np.vecdot(x, x))
     c = x[..., 2] / d
     p = np.matvec(planes, x)
@@ -62,7 +62,7 @@ def rss_model(planes, k, profile, x):
     d3 = d ** 3
     m = k * p * g[..., None] / d3[..., None]
     dc_dx = _EZ / d[..., None] - x[..., 2:] * x / d3[..., None]
-    gradient = k * (
+    gradient = k[..., None] * (
         planes * (g / d3)[..., None, None]
         + p[..., None] * dc_dx[..., None, :] * (dg / d3)[..., None, None]
         - (p * g[..., None] * 3.0 / d3[..., None] / d[..., None] ** 2)
@@ -92,13 +92,14 @@ def levenberg_marquardt(residuals, theta0, max_iter=100, lam0=1e-3,
                         step_tol=1e-10, ftol=1e-8):
     """Damped Gauss-Newton solves of N least-squares problems at once.
 
-    ``residuals(theta, rows)`` evaluates the problems ``rows`` (M,) at
+    ``residuals(theta, rows)`` evaluates the problems ``rows`` at
     parameters ``theta`` (M, p) and returns their residuals (M, n),
-    Jacobians (M, n, p) and a feasibility mask (M,).  Each problem
-    minimizes the sum of its squared residuals and keeps its own damping
-    lambda: a feasible trial step that lowers the cost is taken and
-    divides lambda by ten; any other step is rejected and multiplies it by
-    ten.  A singular damped system is a rejected zero step.
+    Jacobians (M, n, p) and a feasibility mask (M,); ``rows`` is an index
+    array (M,), or a whole slice while every problem is iterating.  Each
+    problem minimizes the sum of its squared residuals and keeps its own
+    damping lambda: a feasible trial step that lowers the cost is taken
+    and divides lambda by ten; any other step is rejected and multiplies
+    it by ten.  A singular damped system is a rejected zero step.
 
     A problem stops as converged on an accepted step shorter than
     ``step_tol`` or with a relative cost reduction at most ``ftol``, and
@@ -122,7 +123,7 @@ def levenberg_marquardt(residuals, theta0, max_iter=100, lam0=1e-3,
     # Infeasible trials may divide by zero; their values are discarded.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         act = np.arange(n_problems)
-        r, jac, feasible = residuals(theta, act)
+        r, jac, feasible = residuals(theta, slice(None))
         if not feasible.all():
             status[~feasible], iters[~feasible] = STATUS_INFEASIBLE, 0
             act, r, jac = act[feasible], r[feasible], jac[feasible]
@@ -138,7 +139,8 @@ def levenberg_marquardt(residuals, theta0, max_iter=100, lam0=1e-3,
                 np.matmul(jac_t, jac) + lam[:, None, None] * eye,
                 -np.matvec(jac_t, r))
             trial = th + step
-            r_t, jac_trial, feasible = residuals(trial, act)
+            r_t, jac_trial, feasible = residuals(
+                trial, act if act.size < n_problems else slice(None))
             f_t = np.vecdot(r_t, r_t)
             better = feasible & (f_t < f)
             improved = f - f_t
@@ -180,21 +182,30 @@ def _log_z_residuals(planes, s, k, profile):
         m, grad = rss_model(pl, k, profile, x)
         jac = grad / sa[:, :, None]
         jac[:, :, 2] *= x[:, 2:]  # d/d(log z)
-        return (m - sa) / sa, jac, np.ones(len(rows), dtype=bool)
+        return (m - sa) / sa, jac, np.ones(len(theta), dtype=bool)
 
     return residuals
 
 
-def _lm_result(point, cost, status, iterations, n) -> SolveResult:
-    """The ``SolveResult`` of one ``levenberg_marquardt`` row, with
-    ``point`` its position in the solver's frame and ``n`` its number of
-    residuals."""
-    if status == STATUS_INFEASIBLE:
-        return SolveResult(np.full(3, np.nan), math.inf, STATUS_NO_CONVERGE)
-    return SolveResult(
-        point, float(np.sqrt(cost / n)),
-        STATUS_UNIQUE if status == STATUS_CONVERGED
-        else STATUS_NO_CONVERGE, int(iterations))
+def _lm_fixes(n_fix, rows, points, cost, status, iterations, n):
+    """``SolveResult`` fields of N fixes as arrays: ``rows`` are
+    ``levenberg_marquardt``'s problems of n residuals at ``points`` (NaN
+    for an infeasible start), the others degenerate."""
+    out = degenerate_fixes(n_fix)
+    out[0][rows] = np.where((status == STATUS_INFEASIBLE)[:, None], np.nan,
+                            points)
+    out[1][rows] = np.where(status == STATUS_CONVERGED, STATUS_UNIQUE,
+                            STATUS_NO_CONVERGE)
+    out[2][rows], out[3][rows] = np.sqrt(cost / n), iterations
+    return out
+
+
+def degenerate_fixes(n_fix: int):
+    """(points, status, residual, iterations) of N degenerate fixes."""
+    return (np.full((n_fix, 3), np.nan),
+            np.full(n_fix, STATUS_DEGENERATE,
+                    dtype=f"<U{len(STATUS_NO_CONVERGE)}"),
+            np.full(n_fix, math.inf), np.zeros(n_fix, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -228,22 +239,6 @@ class SolveResult:
         return self.status == STATUS_UNIQUE
 
 
-@dataclass(frozen=True)
-class LampSighting:
-    """All readings of one lamp, strongest first."""
-
-    lamp_id: int
-    readings: tuple
-
-    def __post_init__(self):
-        readings = tuple(
-            sorted(self.readings, key=lambda r: r.s, reverse=True)
-        )
-        if any(r.lamp_id != self.lamp_id for r in readings):
-            raise ValueError("sighting mixes readings from several lamps")
-        object.__setattr__(self, "readings", readings)
-
-
 def model_rss(planes: np.ndarray, k: float, profile: EmissionProfile,
               point: np.ndarray) -> np.ndarray:
     """Forward model values for a lamp at ``point`` in the solve frame."""
@@ -253,24 +248,20 @@ def model_rss(planes: np.ndarray, k: float, profile: EmissionProfile,
     return k * (planes @ point) * f / d**3
 
 
-def _relative_rms(planes, s, k, profile, point) -> float:
-    r = (model_rss(planes, k, profile, point) - s) / s
-    return float(np.sqrt(np.mean(r * r)))
-
-
-def mflp_closed_form_batch(planes, s, k: float, profile: EmissionProfile):
+def mflp_closed_form_batch(planes, s, k, profile):
     """Exact single-lamp solves of N problems of three readings each.
 
-    ``planes`` is (N, 3, 3), unit sensing planes, and ``s`` (N, 3).
-    Dividing pairs of model equations cancels the distance and emission
-    factors, leaving two homogeneous linear equations; the lamp direction
-    is their null space, and the remaining scale follows from the
-    equations using z > 0.  Returns (points (N, 3), unique (N,),
-    residual (N,)), the residual being the relative RMS residual of the
-    readings at the point; a problem is degenerate, with a NaN point and
-    an infinite residual, when its planes are not linearly independent,
-    its null space is not a direction with z != 0, or the data is
-    inconsistent with a lamp in the solver's domain.
+    ``planes`` is (N, 3, 3), unit sensing planes, and ``s`` (N, 3); ``k``
+    and ``profile`` are one or per problem (N,).  Dividing pairs of model
+    equations cancels the distance and emission factors, leaving two
+    homogeneous linear equations; the lamp direction is their null space,
+    and the remaining scale follows from the equations using z > 0.
+    Returns (points (N, 3), unique (N,), residual (N,)), the residual
+    being the relative RMS residual of the readings at the point; a
+    problem is degenerate, with a NaN point and an infinite residual, when
+    its planes are not linearly independent, its null space is not a
+    direction with z != 0, or the data is inconsistent with a lamp in the
+    solver's domain.
     """
     planes = np.asarray(planes, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -295,7 +286,8 @@ def mflp_closed_form_batch(planes, s, k: float, profile: EmissionProfile):
         # Sign assumptions violated: the data is inconsistent with a lamp
         # in the solver's domain.
         unique &= np.all(dots > 0, axis=1) & (f > 0)
-        z_sq = k * dots * f[:, None] / (s * (norm2 ** 1.5)[:, None])
+        z_sq = np.asarray(k)[..., None] * dots * f[:, None] / (
+            s * (norm2 ** 1.5)[:, None])
         # Means over the three readings written out: np.mean's sum in its
         # order, without a reduction loop per row.
         mean_z_sq = (z_sq[:, 0] + z_sq[:, 1] + z_sq[:, 2]) / 3
@@ -308,23 +300,6 @@ def mflp_closed_form_batch(planes, s, k: float, profile: EmissionProfile):
     points[~unique] = np.nan
     residual[~unique] = np.inf
     return points, unique, residual
-
-
-def mflp_closed_form(r1: Reading, r2: Reading, r3: Reading,
-                     k: float, profile: EmissionProfile) -> SolveResult:
-    """Exact single-lamp solve from three readings on linearly
-    independent planes: the batch of one of ``mflp_closed_form_batch``.
-    """
-    readings = (r1, r2, r3)
-    planes = np.array([r.plane for r in readings])
-    s = np.array([r.s for r in readings])
-    points, unique, _ = mflp_closed_form_batch(planes[None], s[None], k,
-                                               profile)
-    if not unique[0]:
-        return SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
-    point = points[0]
-    return SolveResult(point, _relative_rms(planes, s, k, profile, point),
-                       STATUS_UNIQUE)
 
 
 def _strongest_independent_triple(readings):
@@ -369,7 +344,8 @@ def mflp_least_squares(readings, k: float, profile: EmissionProfile,
     if init[2] <= 0:
         raise ValueError("initial point must have z > 0 in the solve frame")
     if closed_form and len(readings) == 3:
-        return SolveResult(init, _relative_rms(planes, s, k, profile, init),
+        r = (model_rss(planes, k, profile, init) - s) / s
+        return SolveResult(init, float(np.sqrt(np.mean(r * r))),
                            STATUS_UNIQUE)
 
     x0 = init[None]
@@ -377,8 +353,10 @@ def mflp_least_squares(readings, k: float, profile: EmissionProfile,
         _log_z_residuals(planes[None], s[None], k, profile),
         np.column_stack([x0[:, 0], x0[:, 1], np.log(x0[:, 2])]),
         max_iter=max_iter, step_tol=step_tol)
-    return _lm_result(_position(theta)[0], cost[0], status[0], iters[0],
-                      len(s))
+    points, status, residual, iters = _lm_fixes(1, [0], _position(theta), cost,
+                                                status, iters, len(s))
+    return SolveResult(points[0], float(residual[0]), status[0],
+                       int(iters[0]))
 
 
 def _rank_readings(s, valid):
@@ -387,9 +365,9 @@ def _rank_readings(s, valid):
     Per fix and lamp, valid readings are ordered by s descending, ties in
     face order, and the lamp is kept when three of them reach 1% of its
     strongest.  The best lamp is the kept one with the greatest top-three
-    mean, the first lamp on ties.  Returns (order (N, lamps, faces),
-    kept (N, lamps), best (N,)); ``best`` is meaningless for a fix that
-    keeps no lamp.
+    mean, the first lamp on ties.  Returns (order (N, lamps, faces), the
+    amplitudes in that order (0 where invalid), kept (N, lamps),
+    best (N,)); ``best`` is meaningless for a fix that keeps no lamp.
     """
     # Fewer than one lamp or three faces: pad with invalid readings, which
     # keep no lamp.
@@ -399,76 +377,48 @@ def _rank_readings(s, valid):
         s, valid = np.pad(s, pad), np.pad(valid, pad)
     order = np.argsort(np.where(valid, -s, np.inf), axis=-1, kind="stable")
     s_sorted = np.take_along_axis(np.where(valid, s, 0.0), order, axis=-1)
-    valid_sorted = np.take_along_axis(valid, order, axis=-1)
-    # The readings above the floor are a prefix of the sorted ones.
-    floor = RSS_FLOOR_FRACTION * s_sorted[..., :1]
-    kept = (valid_sorted & (s_sorted >= floor))[..., 2]
-    mean3 = np.where(kept, np.mean(s_sorted[..., :3], axis=-1), -np.inf)
-    return order, kept, np.argmax(mean3, axis=-1)
-
-
-def select_readings(sightings, m: int = 3):
-    """Pick the readings to solve with.
-
-    Per lamp, readings below 1% of that lamp's strongest reading are
-    dropped and at most the three strongest are kept.  With m = 3 the
-    lamp with the greatest top-three mean wins; with m > 3 the m highest
-    surviving readings overall are returned.
-    """
-    if m < 3:
-        raise ValueError("at least three readings are required to solve")
-    sightings = [sg for sg in sightings if sg.readings]
-    s = np.zeros((1, len(sightings),
-                  max((len(sg.readings) for sg in sightings), default=0)))
-    for li, sg in enumerate(sightings):
-        s[0, li, :len(sg.readings)] = [r.s for r in sg.readings]
-    order, kept, best = _rank_readings(s, s > 0)
-    if not kept.any():
-        raise ValueError("no lamp has three readings above the RSS floor")
-    top = {li: [sightings[li].readings[j] for j in order[0, li, :3]]
-           for li in np.nonzero(kept[0])[0]}
-    if m == 3:
-        return top[best[0]]
-    pool = [r for rs in top.values() for r in rs]
-    pool.sort(key=lambda r: r.s, reverse=True)
-    return pool[:m]
+    # The valid readings, and of them those above the floor, are prefixes
+    # of the sorted ones.
+    floor = RSS_FLOOR_FRACTION * s_sorted[..., 0]
+    kept = (valid.sum(axis=-1) >= 3) & (s_sorted[..., 2] >= floor)
+    # np.mean's sum, in its order.
+    mean3 = (s_sorted[..., 0] + s_sorted[..., 1] + s_sorted[..., 2]) / 3
+    return order, s_sorted, kept, np.argmax(np.where(kept, mean3, -np.inf),
+                                            axis=-1)
 
 
 def select_top_readings(s, valid):
-    """The m = 3 rule of ``select_readings`` over N fixes at once.
-
-    ``s`` and ``valid`` are (N, lamps, faces).  Returns (lamp (N,),
-    faces (N, 3), ok (N,)): the chosen lamp and its three readings'
-    faces, strongest first; ok is False where no lamp keeps three
-    readings, and those rows are meaningless.
+    """The three-reading selection of N fixes (``_rank_readings``), from
+    (N, lamps, faces) amplitudes and validity, as ``select_pooled_readings``
+    returns it: the best lamp's three strongest readings, strongest first,
+    and a count of 3, or 0 (the row meaningless) where no lamp keeps three
+    readings.
     """
-    order, kept, best = _rank_readings(np.asarray(s, dtype=float),
-                                       np.asarray(valid, dtype=bool))
-    faces = order[np.arange(len(best)), best, :3]
-    return best, faces, kept.any(axis=-1)
+    order, _, kept, best = _rank_readings(np.asarray(s, dtype=float),
+                                          np.asarray(valid, dtype=bool))
+    return (np.repeat(best[:, None], 3, axis=1),
+            order[np.arange(len(best)), best, :3], 3 * kept.any(axis=-1))
 
 
 def select_pooled_readings(s, valid, m: int):
-    """The m > 3 rule of ``select_readings`` over one fix's (lamps, faces)
-    arrays of amplitudes and validity.
-
-    Each kept lamp's three strongest readings are pooled in lamp order and
-    sorted stably by s descending; the first m are chosen.  Returns their
-    (lamp indices, face indices), strongest first.  Raises ValueError when
-    m < 3 or no lamp keeps three readings.
+    """The m-reading selection of N fixes, from (N, lamps, faces)
+    amplitudes and validity: each kept lamp's three strongest readings
+    (``_rank_readings``), pooled in lamp order and sorted stably by s
+    descending; the first m are chosen.  Returns their (lamps (N, w),
+    faces (N, w)) and count (N,), min(m, 3 x kept lamps); entries past a
+    fix's count are meaningless.  Raises ValueError when m < 3.
     """
     if m < 3:
         raise ValueError("at least three readings are required to solve")
-    s = np.asarray(s, dtype=float)
-    order, kept, _ = _rank_readings(s[None],
-                                    np.asarray(valid, dtype=bool)[None])
-    lamps = np.flatnonzero(kept[0])
-    if not len(lamps):
-        raise ValueError("no lamp has three readings above the RSS floor")
-    lamp_ids = np.repeat(lamps, 3)
-    faces = order[0, lamps, :3].ravel()
-    pick = np.argsort(-s[lamp_ids, faces], kind="stable")[:m]
-    return lamp_ids[pick], faces[pick]
+    order, s_sorted, kept, _ = _rank_readings(
+        np.asarray(s, dtype=float), np.asarray(valid, dtype=bool))
+    n_fix = len(kept)
+    lamp_ids = np.repeat(np.arange(kept.shape[1]), 3)
+    pool = np.where(np.repeat(kept, 3, axis=1),
+                    -s_sorted[..., :3].reshape(n_fix, -1), np.inf)
+    pick = np.argsort(pool, axis=1, kind="stable")[:, :m]
+    faces = np.take_along_axis(order[..., :3].reshape(n_fix, -1), pick, 1)
+    return lamp_ids[pick], faces, np.minimum(m, 3 * kept.sum(axis=1))
 
 
 def to_world_position(lamp: LampModel, x_solve) -> np.ndarray:
@@ -478,84 +428,80 @@ def to_world_position(lamp: LampModel, x_solve) -> np.ndarray:
                                      np.asarray(x_solve, dtype=float))
 
 
-def _multi_residuals(readings, lamp_table, k_scale):
+def closed_form_fixes(planes, s, lamp_ids, lamps: LampTable, k_scale: float):
+    """World fixes of N problems in closed form, each three readings of
+    one lamp, ``lamp_ids[:, 0]``: ``mflp_closed_form_batch`` with each
+    lamp's k and profile.  A fix must also put the lamp above the
+    receiver (solve-frame z > 0).  Returns (points (N, 3), unique (N,),
+    residual (N,)); a fix that is not unique has a NaN point and an
+    infinite residual."""
+    lamp_of = lamp_ids[:, 0]
+    x, unique, rms = mflp_closed_form_batch(
+        planes, s, lamps.k[lamp_of] * k_scale, lamps.profiles.take(lamp_of))
+    unique &= x[:, 2] > 0
+    # to_world_position, each fix with its own lamp.
+    world = lamps.position[lamp_of] - np.matvec(lamps.basis[lamp_of], x)
+    return (np.where(unique[:, None], world, np.nan), unique,
+            np.where(unique, rms, np.inf))
+
+
+def _multi_residuals(planes, s, lamp_ids, lamps, k_scale):
     """``levenberg_marquardt`` callback of ``solve_multi`` over world
-    positions (M, 3): each reading's relative residual is taken in its
-    own lamp's solve frame, where a position is feasible when the lamp is
-    above every face (solve-frame z > 0).  Readings of lamps that share
-    an intensity constant and emission profile are evaluated as one
-    array."""
-    by_model = {}
-    for j, r in enumerate(readings):
-        lamp = lamp_table[r.lamp_id]
-        by_model.setdefault((lamp.k * k_scale, lamp.profile), []).append(j)
-    groups = [
-        (np.array(idx), k, profile,
-         np.array([[readings[j].plane] for j in idx]),
-         np.array([readings[j].s for j in idx]),
-         np.array([lamp_table[readings[j].lamp_id].position for j in idx]),
-         np.array([lamp_table[readings[j].lamp_id].solve_basis
-                   for j in idx]))
-        for (k, profile), idx in by_model.items()]
+    positions (M, 3): each reading's relative residual in its own lamp's
+    solve frame, feasible when every lamp is above (solve-frame z > 0)."""
+    position, basis = lamps.position[lamp_ids], lamps.basis[lamp_ids]
+    k = (lamps.k * k_scale)[lamp_ids]
+    planes = planes[:, :, None, :]
 
     def residuals(p, rows):
-        r = np.empty((len(p), len(readings)))
-        jac = np.empty((len(p), len(readings), 3))
-        feasible = np.ones(len(p), dtype=bool)
-        for idx, k, profile, planes, s, position, basis in groups:
-            # Per reading, the lamp's solve-frame position x = B^T (L - p).
-            x = np.matvec(basis.transpose(0, 2, 1), position - p[:, None, :])
-            feasible &= np.all(x[:, :, 2] > 0, axis=1)
-            m, grad = rss_model(planes, k, profile, x)
-            r[:, idx] = (m[:, :, 0] - s) / s
-            jac[:, idx] = -np.matvec(basis, grad[:, :, 0]) / s[:, None]
-        return r, jac, feasible
+        b, sa, li = basis[rows], s[rows], lamp_ids[rows]
+        # Per reading, the lamp's solve-frame position x = B^T (L - p).
+        x = np.matvec(b.transpose(0, 1, 3, 2), position[rows] - p[:, None])
+        m, grad = rss_model(planes[rows], k[rows], lamps.profiles.take(li), x)
+        return ((m[..., 0] - sa) / sa,
+                -np.matvec(b, grad[..., 0, :]) / sa[..., None],
+                np.all(x[..., 2] > 0, axis=1))
 
     return residuals
 
 
-def solve_multi(readings, lamp_table, k_scale: float = 1.0,
+def solve_multi(planes, s, lamp_ids, lamps: LampTable, k_scale: float = 1.0,
                 max_iter: int = 400, step_tol: float = 1e-10,
-                ftol: float = 1e-8) -> SolveResult:
-    """Joint least squares over the receiver's world position from
-    readings of one or more lamps.
+                ftol: float = 1e-8):
+    """Joint least squares over the world positions of N receivers.
 
-    Each reading's residual is computed through its own lamp's solve
-    frame.  With a single lamp this delegates to the single-lamp
-    pipeline, so the reduction is exact.
+    ``planes`` (N, n, 3) are unit sensing planes in the solve frames of
+    the readings' lamps ``lamp_ids`` (N, n), at most three per lamp, and
+    ``s`` (N, n) their amplitudes; k is scaled by ``k_scale``.  The seed
+    is the unique closed form (``closed_form_fixes``) of the lamp with
+    three readings of the greatest mean amplitude, the first on ties; a
+    problem with none is degenerate.  Returns (points (N, 3), status,
+    residual, iterations), the fields of a ``SolveResult`` per problem.
     """
-    readings = list(readings)
-    lamp_ids = sorted({r.lamp_id for r in readings})
-    if len(lamp_ids) == 1:
-        lamp = lamp_table[lamp_ids[0]]
-        res = mflp_least_squares(readings, lamp.k * k_scale, lamp.profile,
-                                 max_iter=max_iter, step_tol=step_tol)
-        if res.status != STATUS_UNIQUE:
-            return res
-        return SolveResult(to_world_position(lamp, res.point),
-                           res.residual_rms, res.status, res.iterations)
+    # Each problem's readings grouped by lamp, in their order: a lamp's
+    # three readings are the runs of three equal lamp indices.
+    order = np.argsort(lamp_ids, axis=1, kind="stable")
+    grouped = np.take_along_axis(lamp_ids, order, axis=1)
+    if (grouped[:, 3:] == grouped[:, :-3]).any():
+        raise ValueError("a problem takes at most three readings of a lamp")
+    fix, first = np.nonzero(grouped[:, 2:] == grouped[:, :-2])
+    chosen = (fix[:, None], order[fix[:, None], first[:, None] + np.arange(3)])
+    seeds, unique, _ = closed_form_fixes(
+        planes[chosen], s[chosen], grouped[fix, first, None], lamps, k_scale)
+    s3 = s[chosen]
+    # np.mean's sum, in reading order.
+    mean = np.where(unique, (s3[:, 0] + s3[:, 1] + s3[:, 2]) / 3, -np.inf)
+    # Per problem, its lamps by mean descending, stably in lamp order.
+    by_mean = np.lexsort((-mean, fix))
+    best = by_mean[np.unique(fix[by_mean], return_index=True)[1]]
+    best = best[mean[best] > -np.inf]
 
-    by_lamp = {i: [r for r in readings if r.lamp_id == i] for i in lamp_ids}
-
-    # Seed from the lamp with the strongest independent triple.
-    seed = None
-    for i in sorted(lamp_ids,
-                    key=lambda j: -np.mean([r.s for r in by_lamp[j][:3]])):
-        triple = _strongest_independent_triple(by_lamp[i])
-        if triple is None:
-            continue
-        lamp = lamp_table[i]
-        res = mflp_closed_form(*triple, lamp.k * k_scale, lamp.profile)
-        if res.status == STATUS_UNIQUE:
-            seed = to_world_position(lamp, res.point)
-            break
-    if seed is None:
-        return SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
-
+    seeded = fix[best]
     p, cost, status, iters = levenberg_marquardt(
-        _multi_residuals(readings, lamp_table, k_scale), seed[None],
+        _multi_residuals(planes[seeded], s[seeded], lamp_ids[seeded], lamps,
+                         k_scale), seeds[best],
         max_iter=max_iter, step_tol=step_tol, ftol=ftol)
-    return _lm_result(p[0], cost[0], status[0], iters[0], len(readings))
+    return _lm_fixes(len(s), seeded, p, cost, status, iters, s.shape[1])
 
 
 def _invert_distances(k, profile, dz, s):
@@ -581,34 +527,83 @@ def _invert_distances(k, profile, dz, s):
     return 0.5 * (lo + hi)
 
 
-def _trilateration_residuals(lamps, k, profile, s, z_receiver=None):
-    """``levenberg_marquardt`` callback of ``trilaterate`` over receiver
-    positions (M, 3), or (M, 2) with the height fixed at ``z_receiver``:
-    each lamp's reading is the model of an upward face, feasible when the
-    receiver is below every lamp."""
-    up = np.broadcast_to([0.0, 0.0, 1.0], (len(lamps), 1, 3))
-
+def _trilateration_residuals(lamps, k, profiles, s, z_receiver=None):
+    """``levenberg_marquardt`` callback of ``trilaterate_batch`` over
+    positions (M, 3), or (M, 2) at heights ``z_receiver``: each reading an
+    upward face's model of its lamp, feasible below every lamp."""
     def residuals(theta, rows):
         q = theta if z_receiver is None else np.column_stack(
-            [theta, np.full(len(theta), z_receiver)])
-        x = lamps - q[:, None, :]
-        m, grad = rss_model(up, k, profile, x)
-        jac = -grad[:, :, 0, :theta.shape[1]] / s[:, None]
-        return (m[:, :, 0] - s) / s, jac, np.all(x[:, :, 2] > 0, axis=1)
+            [theta, z_receiver[rows]])
+        x = lamps[rows] - q[:, None, :]
+        sa = s[rows]
+        m, grad = rss_model(_EZ[None, None], k[rows], profiles.take(rows), x)
+        jac = -grad[:, :, 0, :theta.shape[1]] / sa[..., None]
+        return (m[:, :, 0] - sa) / sa, jac, np.all(x[:, :, 2] > 0, axis=1)
 
     return residuals
+
+
+def trilaterate_batch(lamps, k, profiles: ProfileTable, s, z_receiver=None,
+                      max_iter: int = 100, step_tol: float = 1e-10,
+                      ftol: float = 1e-8):
+    """Horizontal-face receiver positions of N problems, each from n >= 3
+    vertically hung lamps: the classic three-sphere geometry.
+
+    ``lamps`` (N, n, 3) are the lamp positions, ``k`` (N, n) and
+    ``profiles`` their intensity constants and emission profiles, ``s``
+    (N, n) the upward face's readings, and ``z_receiver`` (N,) the
+    receivers' heights, or None for free ones starting at 0.  Lamps
+    collinear in plan view (no plan-view triangle of them spans 1e-9 of
+    their squared plan-view spread, at least 1) are degenerate.  Ranges
+    inverted at the starting height seed a linear lateration, refined by
+    least squares.  Returns the fields of a ``SolveResult`` per problem,
+    (points (N, 3), status, residual, iterations), and below (N,), False
+    where a problem that is not degenerate does not start below every
+    lamp; it too has a NaN point.
+    """
+    n_fix, n = s.shape
+    z_fixed = z_receiver is not None
+    z0 = np.asarray(z_receiver, dtype=float) if z_fixed else np.zeros(n_fix)
+    xy = lamps[..., :2]
+    centered = xy - xy.mean(axis=1)[:, None]
+    spread = np.sqrt(np.vecdot(centered, centered)).max(axis=1)
+    a, b, c = (xy[:, i] for i in np.array(list(combinations(range(n), 3))).T)
+    u, v = b - a, c - a
+    area = 0.5 * np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+                        ).max(axis=1)
+    spanned = ~(area < 1e-9 * np.maximum(spread, 1.0) ** 2)
+    dz0 = lamps[..., 2] - z0[:, None]
+    below = ~spanned | np.all(dz0 > 0, axis=1)
+    rows = np.flatnonzero(spanned & below)
+
+    # Linear lateration seed from inverted ranges at the initial height.
+    lamps, s, k, dz0 = lamps[rows], s[rows], k[rows], dz0[rows]
+    profiles = profiles.take(rows)
+    d_est = _invert_distances(k, profiles, dz0, s)
+    lhs = 2 * (lamps[:, 1:, :2] - lamps[:, :1, :2])
+    rhs = (d_est[:, :1] ** 2 - d_est[:, 1:] ** 2
+           + np.sum(lamps[:, 1:, :2] ** 2, axis=2)
+           - np.sum(lamps[:, :1, :2] ** 2, axis=2)
+           + dz0[:, 1:] ** 2 - dz0[:, :1] ** 2)
+    xy = np.matvec(np.linalg.pinv(lhs), rhs)
+
+    z0 = z0[rows]
+    theta, cost, status, iters = levenberg_marquardt(
+        _trilateration_residuals(lamps, k, profiles, s,
+                                 z0 if z_fixed else None),
+        xy if z_fixed else np.column_stack([xy, z0]),
+        max_iter=max_iter, step_tol=step_tol, ftol=ftol)
+    points = np.column_stack([theta, z0]) if z_fixed else theta
+    return (*_lm_fixes(n_fix, rows, points, cost, status, iters, n), below)
 
 
 def trilaterate(lamp_positions, k: float, profile: EmissionProfile,
                 s, z_receiver=None, max_iter: int = 100,
                 step_tol: float = 1e-10, ftol: float = 1e-8) -> SolveResult:
     """Solve a horizontal-face receiver position from three or more
-    vertically hung lamps sharing one intensity model.
-
-    With the sensing face horizontal the per-lamp model depends only on
-    the height gap and distance, giving the classic three-sphere
-    geometry; collinear lamps are rejected as degenerate.
-    """
+    vertically hung lamps sharing one intensity model: the batch of one
+    of ``trilaterate_batch`` on checked inputs.  A start not below every
+    lamp raises ValueError."""
     lamps = np.asarray(lamp_positions, dtype=float)
     s = np.asarray(s, dtype=float)
     if lamps.ndim != 2 or lamps.shape[1] != 3 or s.shape != lamps.shape[:1]:
@@ -618,32 +613,15 @@ def trilaterate(lamp_positions, k: float, profile: EmissionProfile,
         raise ValueError("need at least three lamps with positive readings")
     if not (np.all(np.isfinite(lamps)) and np.all(np.isfinite(s))):
         raise ValueError("lamp positions and readings must be finite")
-    z_fixed = z_receiver is not None
-    z0 = float(z_receiver) if z_fixed else 0.0
-    if not (math.isfinite(z0) and 0 < k < math.inf):
+    z = None if z_receiver is None else np.array([float(z_receiver)])
+    if not ((z is None or math.isfinite(z[0])) and 0 < k < math.inf):
         raise ValueError("k and the receiver height must be finite, k > 0")
-    spread = np.linalg.norm(lamps - lamps.mean(axis=0), axis=1).max()
-    area = 0.5 * np.linalg.norm(
-        np.cross(lamps[1] - lamps[0], lamps[2] - lamps[0]))
-    if area < 1e-9 * max(spread, 1.0) ** 2:
-        return SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
-
-    # Linear lateration seed from inverted ranges at the initial height.
-    dz0 = lamps[:, 2] - z0
-    if np.any(dz0 <= 0):
+    n = len(lamps)
+    point, status, residual, iters, below = trilaterate_batch(
+        lamps[None], np.full((1, n), k),
+        ProfileTable((profile,), np.zeros((1, n), dtype=np.intp)), s[None],
+        z, max_iter, step_tol, ftol)
+    if not below[0]:
         raise ValueError("receiver must start below every lamp")
-    d_est = _invert_distances(k, profile, dz0, s)
-    rows = 2 * (lamps[1:, :2] - lamps[0, :2])
-    rhs = (d_est[0] ** 2 - d_est[1:] ** 2
-           + np.sum(lamps[1:, :2] ** 2, axis=1)
-           - np.sum(lamps[0, :2] ** 2)
-           + dz0[1:] ** 2 - dz0[0] ** 2)
-    xy, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-
-    theta, cost, status, iters = levenberg_marquardt(
-        _trilateration_residuals(lamps, k, profile, s,
-                                 z0 if z_fixed else None),
-        [xy if z_fixed else [*xy, z0]],
-        max_iter=max_iter, step_tol=step_tol, ftol=ftol)
-    point = np.array([*theta[0], z0]) if z_fixed else theta[0]
-    return _lm_result(point, cost[0], status[0], iters[0], len(s))
+    return SolveResult(point[0], float(residual[0]), status[0],
+                       int(iters[0]))

@@ -23,7 +23,12 @@ from lightpos.compass import (
     fit_ellipse,
     synth_distorted_samples,
 )
-from lightpos.geom import half_dodecahedron, tri_face_min_distance, visible_faces
+from lightpos.geom import (
+    Attitude,
+    half_dodecahedron,
+    tri_face_min_distance,
+    visible_faces,
+)
 from lightpos.rss import make_profile
 from lightpos.scenario import load_scenario
 from lightpos.signal import (
@@ -34,17 +39,17 @@ from lightpos.signal import (
 )
 from lightpos.sim import (
     PIPELINE_MULTI,
-    _point_rng,
     greedy_min_lamps,
-    locate,
-    measure,
+    locate_batch,
+    measure_batch,
     sensitivity_sweep,
 )
+from lightpos.streams import KeyedStreams
 from lightpos.solve import (
     STATUS_DEGENERATE,
     STATUS_UNIQUE,
     Reading,
-    mflp_closed_form,
+    mflp_closed_form_batch,
     mflp_least_squares,
     model_rss,
     trilaterate,
@@ -104,6 +109,14 @@ def readings_for(point, planes, k=1.0, profile=COS, lamp_id=0):
             for i in range(len(planes))]
 
 
+def closed_form(readings, k, profile):
+    """mflp_closed_form_batch on one problem of three readings: its
+    (point, unique)."""
+    point, unique, _ = mflp_closed_form_batch(
+        [[r.plane for r in readings]], [[r.s for r in readings]], k, profile)
+    return point[0], unique[0]
+
+
 def test_criterion_01_worked_example():
     with criterion(1, 1.0, "worked example: forward values, closed form, "
                    "degenerate ambiguity curve"):
@@ -116,14 +129,14 @@ def test_criterion_01_worked_example():
         target4 = 1 / (300 * math.sqrt(5))
         assert abs(s4 - target4) < 1e-12 * target4
 
-        res = mflp_closed_form(*readings_for(point, axes), 1.0, COS)
-        assert res.status == STATUS_UNIQUE
-        assert np.max(np.abs(res.point - point)) < 1e-9
+        got, unique = closed_form(readings_for(point, axes), 1.0, COS)
+        assert unique
+        assert np.max(np.abs(got - point)) < 1e-9
 
         # A linearly dependent triple is reported as degenerate ...
         dep = np.array([[1, 0, 0], [0, 1, 0], [1, 2, 0]], dtype=float)
-        res_dep = mflp_closed_form(*readings_for(point, dep), 1.0, COS)
-        assert res_dep.status == STATUS_DEGENERATE
+        _, unique_dep = closed_form(readings_for(point, dep), 1.0, COS)
+        assert not unique_dep
 
         # ... because a whole curve of positions reproduces the readings:
         # all three normals are horizontal, so x = y = a and only the
@@ -159,15 +172,15 @@ def test_criterion_02_closed_form_roundtrip():
                     break
             k = rng.uniform(1, 100)
             r = readings_for(point, planes, k, profile)
-            cf = mflp_closed_form(*r, k, profile)
-            assert cf.status == STATUS_UNIQUE
+            cf, unique = closed_form(r, k, profile)
+            assert unique
             scale = np.linalg.norm(point)
-            assert np.linalg.norm(cf.point - point) < 1e-9 * scale
+            assert np.linalg.norm(cf - point) < 1e-9 * scale
             # Three readings: the closed form is the fix; least squares
             # started there agrees.
-            ls = mflp_least_squares(r, k, profile, init=cf.point)
+            ls = mflp_least_squares(r, k, profile, init=cf)
             assert ls.status == STATUS_UNIQUE
-            assert np.linalg.norm(ls.point - cf.point) < 1e-6
+            assert np.linalg.norm(ls.point - cf) < 1e-6
 
 
 def test_criterion_03_signal_extraction():
@@ -236,14 +249,19 @@ def test_criterion_06_more_readings_help():
         scn = sf.scenario
         from dataclasses import replace
         scn = replace(scn, noise=replace(scn.noise, rss_epsilon=0.1))
-        errs = {3: [], 9: []}
-        for t in range(500):
-            for i, p in enumerate(sf.points):
-                mset = measure(scn, p, rng=_point_rng(42, t, i))
-                for m in (3, 9):
-                    res = locate(scn, mset, PIPELINE_MULTI, m=m)
-                    if res.status == STATUS_UNIQUE:
-                        errs[m].append(float(np.linalg.norm(res.point - p)))
+        # Trial t of point i draws the stream of default_rng((42, t, i)).
+        trials, points = 500, np.asarray(sf.points, dtype=float)
+        keys = np.stack(np.broadcast_arrays(
+            42, np.arange(trials)[:, None], np.arange(len(points))),
+            axis=-1).reshape(-1, 3)
+        truth = np.tile(points, (trials, 1))
+        batch = measure_batch(scn, truth, Attitude(0, 0, 0),
+                              KeyedStreams(keys))
+        errs = {}
+        for m in (3, 9):
+            est, status, *_ = locate_batch(scn, batch, PIPELINE_MULTI, m)
+            unique = status == STATUS_UNIQUE
+            errs[m] = np.linalg.norm(est[unique] - truth[unique], axis=1)
         mean3 = float(np.mean(errs[3]))
         mean9 = float(np.mean(errs[9]))
         assert len(errs[3]) > 4900 and len(errs[9]) > 4900
@@ -329,15 +347,18 @@ def test_criterion_09_deployment_cost():
 def test_criterion_10_deterministic_reports(tmp_path):
     with criterion(10, 60.0, "reporting: same seed gives byte-identical "
                    "CSV and sidecar output"):
-        blobs = []
-        for name in ("run_a", "run_b"):
-            out = tmp_path / f"{name}.csv"
-            rc = main(["simulate", "--scenario",
-                       fixture_path("office_single_lamp.json"),
-                       "--out", str(out), "--seed", "123"])
-            assert rc == EXIT_OK
-            blobs.append((out.read_bytes(),
-                          (tmp_path / f"{name}.csv.stats.json").read_bytes()))
-        assert blobs[0] == blobs[1]
-        side = json.loads(blobs[0][1])
-        assert side["seed"] == 123 and side["timestamp"] is None
+        for fixture, extra in (
+                ("office_single_lamp.json", []),
+                ("three_lamps.json", ["--pipeline", "multi", "--m", "9"]),
+                ("three_lamps.json", ["--pipeline", "trilateration"])):
+            blobs = []
+            for name in ("run_a", "run_b"):
+                out = tmp_path / f"{name}.csv"
+                rc = main(["simulate", "--scenario", fixture_path(fixture),
+                           "--out", str(out), "--seed", "123", *extra])
+                assert rc == EXIT_OK
+                blobs.append((out.read_bytes(), (
+                    tmp_path / f"{name}.csv.stats.json").read_bytes()))
+            assert blobs[0] == blobs[1]
+            side = json.loads(blobs[0][1])
+            assert side["seed"] == 123 and side["timestamp"] is None

@@ -1,7 +1,7 @@
 """Scenario simulation: measurement generation, pipelines, coverage."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import combinations
 
@@ -27,15 +27,16 @@ from lightpos.signal import (
     extract_amplitude,
     synthesize_trace,
 )
-from lightpos import sim
+from lightpos import sim, solve
 from lightpos.solve import (
-    LampSighting,
+    Reading,
     SolveResult,
+    _invert_distances,
+    _strongest_independent_triple,
+    levenberg_marquardt,
     mflp_least_squares,
-    select_readings,
-    solve_multi,
+    rss_model,
     to_world_position,
-    trilaterate,
 )
 from lightpos.sim import (
     MODE_END_TO_END,
@@ -43,7 +44,6 @@ from lightpos.sim import (
     ReceiverSpec,
     Scenario,
     _measured_attitude,
-    _point_rng,
     coverage_analysis,
     greedy_min_lamps,
     grid_cells,
@@ -58,6 +58,20 @@ from lightpos.sim import (
 )
 
 COS = make_profile("cosine_power", [1.0])
+
+
+def _point_rng(seed, *indices):
+    """The generator of one fix, as KeyedStreams keys it."""
+    return np.random.default_rng((int(seed),) + tuple(int(i) for i in indices))
+
+
+def _readings(mset):
+    """The fix's valid readings as Reading objects, in lamp then face
+    order: the measurement as the Reading pipelines saw it."""
+    b = mset.batch
+    return tuple(Reading(b.planes[0, li, fi], float(b.amps[0, li, fi]),
+                         int(li), int(fi))
+                 for li, fi in zip(*np.nonzero(b.valid[0])))
 
 
 def simple_scenario(**kw):
@@ -104,7 +118,7 @@ def test_fast_measurement_matches_forward_model():
     pos = np.array([5.0, 5.0, 0.0])
     mset = measure(scn, pos, rng=np.random.default_rng(0))
     lamp = scn.lamps[0]
-    by_face = {r.face_id: r for r in mset.readings}
+    by_face = {r.face_id: r for r in _readings(mset)}
     # Directly under the lamp every face is lit.
     assert set(by_face) == {0, 1, 2, 3, 4, 5}
     poly = scn.receiver.polyhedron
@@ -121,7 +135,7 @@ def test_fast_noise_is_fixed_magnitude_random_sign():
     lamp = scn.lamps[0]
     poly = scn.receiver.polyhedron
     ratios = set()
-    for r in mset.readings:
+    for r in _readings(mset):
         clean = OOK_FUNDAMENTAL * eval_rss(lamp, pos, poly.normals[r.face_id])
         ratios.add(round(r.s / clean, 9))
     assert ratios <= {0.9, 1.1}
@@ -133,16 +147,16 @@ def test_measurement_deterministic_per_rng_seed():
     pos = [4.0, 6.0, 0.0]
     a = measure(scn, pos, rng=np.random.default_rng(42))
     b = measure(scn, pos, rng=np.random.default_rng(42))
-    assert all(x.s == y.s for x, y in zip(a.readings, b.readings))
+    assert all(x.s == y.s for x, y in zip(_readings(a), _readings(b)))
 
 
 def test_occlusion_removes_readings():
     wall = Aabb([4.0, 0.0, 0.0], [4.2, 10.0, 3.0])
     scn = simple_scenario(obstacles=(wall,))
     blocked = measure(scn, [1.0, 5.0, 0.0], rng=np.random.default_rng(0))
-    assert not blocked.readings
+    assert not _readings(blocked)
     clear = measure(scn, [6.0, 5.0, 0.0], rng=np.random.default_rng(0))
-    assert clear.readings
+    assert _readings(clear)
 
 
 def test_back_face_and_forward_hemisphere_cuts():
@@ -150,7 +164,7 @@ def test_back_face_and_forward_hemisphere_cuts():
     lamp = LampModel([5.0, 5.0, 1.0], [1, 0, 0], 40.0, COS, 65.0)
     scn = simple_scenario(lamps=(lamp,))
     behind = measure(scn, [3.0, 5.0, 1.0], rng=np.random.default_rng(0))
-    assert not behind.readings
+    assert not _readings(behind)
 
 
 def test_saturated_face_excluded():
@@ -159,7 +173,7 @@ def test_saturated_face_excluded():
     scn = simple_scenario(saturation=900.0)
     mset = measure(scn, [5.0, 5.0, 2.5], rng=np.random.default_rng(0))
     assert 0 in mset.saturated_faces
-    assert all(r.face_id != 0 for r in mset.readings)
+    assert all(r.face_id != 0 for r in _readings(mset))
 
 
 def test_end_to_end_close_to_fast(caplog):
@@ -168,8 +182,8 @@ def test_end_to_end_close_to_fast(caplog):
     fast = measure(scn, pos, rng=np.random.default_rng(0))
     e2e = measure(scn, pos, mode=MODE_END_TO_END,
                   rng=np.random.default_rng(0))
-    fast_by = {(r.lamp_id, r.face_id): r.s for r in fast.readings}
-    for r in e2e.readings:
+    fast_by = {(r.lamp_id, r.face_id): r.s for r in _readings(fast)}
+    for r in _readings(e2e):
         assert r.s == pytest.approx(fast_by[(r.lamp_id, r.face_id)], rel=1e-6)
 
 
@@ -382,40 +396,192 @@ def test_lamp_geometry_one_pass_equals_per_lamp_loop(case):
                 getattr(want, name).tobytes(), (mode, name)
 
 
-# Reference pipelines: locate over Reading objects, grouped per lamp and
-# ranked by select_readings, as it ran before it chose readings from the
-# measurement arrays; kept here as the oracle of sim.locate.
+# Reference pipelines: locate over Reading objects, one fix at a time:
+# readings grouped per lamp and ranked by select_readings, multi-lamp
+# least squares seeded lamp by lamp, and scalar trilateration, as they ran
+# before locate_batch became the one locate core; kept here as the oracle
+# of sim.locate.  Trilateration here carries the core's two mends (each
+# lamp's own k and profile, degeneracy judged in plan view over all lamps)
+# and its pseudo-inverse lateration seed.
 
-def _ref_sightings_from(mset):
-    by_lamp = {}
-    for r in mset.readings:
-        by_lamp.setdefault(r.lamp_id, []).append(r)
-    return [LampSighting(i, tuple(rs)) for i, rs in sorted(by_lamp.items())]
+@dataclass(frozen=True)
+class _LampSighting:
+    """All readings of one lamp, strongest first."""
+
+    lamp_id: int
+    readings: tuple
+
+    def __post_init__(self):
+        readings = tuple(
+            sorted(self.readings, key=lambda r: r.s, reverse=True))
+        if any(r.lamp_id != self.lamp_id for r in readings):
+            raise ValueError("sighting mixes readings from several lamps")
+        object.__setattr__(self, "readings", readings)
 
 
-def _ref_locate(scn, mset, pipeline, m=3, z_receiver=None):
-    sightings = _ref_sightings_from(mset)
-    if pipeline == sim.PIPELINE_MFLP:
-        chosen = select_readings(sightings, 3)
-        lamp = scn.lamps[chosen[0].lamp_id]
-        res = mflp_least_squares(chosen, lamp.k * mset.k_scale, lamp.profile)
+def _ref_select_readings(sightings, m=3):
+    """Per lamp, readings below 1% of its strongest are dropped and a lamp
+    keeping three is kept.  With m = 3 the kept lamp with the greatest
+    top-three mean wins (the first on ties); with m > 3 the kept lamps'
+    top three are pooled and the m strongest returned."""
+    if m < 3:
+        raise ValueError("at least three readings are required to solve")
+    top = {}
+    for sg in sightings:
+        floor = solve.RSS_FLOOR_FRACTION * sg.readings[0].s if sg.readings \
+            else 0.0
+        above = [r for r in sg.readings if r.s >= floor]
+        if len(above) >= 3:
+            top[sg.lamp_id] = above[:3]
+    if not top:
+        raise ValueError("no lamp has three readings above the RSS floor")
+    if m == 3:
+        best = None
+        for li, rs in top.items():
+            mean = np.mean([r.s for r in rs])
+            if best is None or mean > best[0]:
+                best = (mean, li)
+        return top[best[1]]
+    pool = [r for rs in top.values() for r in rs]
+    pool.sort(key=lambda r: r.s, reverse=True)
+    return pool[:m]
+
+
+def _ref_lm_result(point, cost, status, iterations, n):
+    if status == solve.STATUS_INFEASIBLE:
+        return SolveResult(np.full(3, np.nan), math.inf, "no_converge")
+    return SolveResult(point, float(np.sqrt(cost / n)),
+                       "unique" if status == solve.STATUS_CONVERGED
+                       else "no_converge", int(iterations))
+
+
+def _ref_multi_residuals(readings, lamp_table, k_scale):
+    by_model = {}
+    for j, r in enumerate(readings):
+        lamp = lamp_table[r.lamp_id]
+        by_model.setdefault((lamp.k * k_scale, lamp.profile), []).append(j)
+    groups = [
+        (np.array(idx), k, profile,
+         np.array([[readings[j].plane] for j in idx]),
+         np.array([readings[j].s for j in idx]),
+         np.array([lamp_table[readings[j].lamp_id].position for j in idx]),
+         np.array([lamp_table[readings[j].lamp_id].solve_basis
+                   for j in idx]))
+        for (k, profile), idx in by_model.items()]
+
+    def residuals(p, rows):
+        r = np.empty((len(p), len(readings)))
+        jac = np.empty((len(p), len(readings), 3))
+        feasible = np.ones(len(p), dtype=bool)
+        for idx, k, profile, planes, s, position, basis in groups:
+            x = np.matvec(basis.transpose(0, 2, 1), position - p[:, None, :])
+            feasible &= np.all(x[:, :, 2] > 0, axis=1)
+            m, grad = rss_model(planes, k, profile, x)
+            r[:, idx] = (m[:, :, 0] - s) / s
+            jac[:, idx] = -np.matvec(basis, grad[:, :, 0]) / s[:, None]
+        return r, jac, feasible
+
+    return residuals
+
+
+def _ref_solve_multi(readings, lamp_table, k_scale):
+    lamp_ids = sorted({r.lamp_id for r in readings})
+    if len(lamp_ids) == 1:
+        lamp = lamp_table[lamp_ids[0]]
+        res = mflp_least_squares(readings, lamp.k * k_scale, lamp.profile)
         if res.status != "unique":
             return res
         return SolveResult(to_world_position(lamp, res.point),
                            res.residual_rms, res.status, res.iterations)
-    if pipeline == sim.PIPELINE_MULTI:
-        chosen = select_readings(sightings, m)
-        return solve_multi(chosen, {i: scn.lamps[i] for i in
-                                    {r.lamp_id for r in chosen}},
-                           k_scale=mset.k_scale)
-    top = {r.lamp_id: r.s for r in mset.readings if r.face_id == 0}
-    if len(top) < 3:
+    by_lamp = {i: [r for r in readings if r.lamp_id == i] for i in lamp_ids}
+    seed = None
+    for i in sorted(lamp_ids,
+                    key=lambda j: -np.mean([r.s for r in by_lamp[j][:3]])):
+        triple = _strongest_independent_triple(by_lamp[i])
+        if triple is None:
+            continue
+        lamp = lamp_table[i]
+        # Three readings: the closed form is the fix.
+        res = mflp_least_squares(triple, lamp.k * k_scale, lamp.profile)
+        if res.status == "unique":
+            seed = to_world_position(lamp, res.point)
+            break
+    if seed is None:
         return SolveResult(np.full(3, np.nan), math.inf, "degenerate")
-    ids = sorted(top, key=top.get, reverse=True)[:3]
-    lamp0 = scn.lamps[ids[0]]
-    return trilaterate([scn.lamps[i].position for i in ids],
-                       lamp0.k * mset.k_scale, lamp0.profile,
-                       [top[i] for i in ids], z_receiver=z_receiver)
+    p, cost, status, iters = levenberg_marquardt(
+        _ref_multi_residuals(readings, lamp_table, k_scale), seed[None],
+        max_iter=400, step_tol=1e-10, ftol=1e-8)
+    return _ref_lm_result(p[0], cost[0], status[0], iters[0], len(readings))
+
+
+def _ref_trilaterate(lamps, k_scale, s, z_receiver=None):
+    pos = np.array([lamp.position for lamp in lamps])
+    s = np.asarray(s, dtype=float)
+    z_fixed = z_receiver is not None
+    z0 = float(z_receiver) if z_fixed else 0.0
+    if not math.isfinite(z0):
+        raise ValueError("k and the receiver height must be finite, k > 0")
+    xy = pos[:, :2]
+    spread = max(np.sqrt(np.vecdot(xy - xy.mean(axis=0),
+                                   xy - xy.mean(axis=0))))
+    area = max(0.5 * abs((xy[j, 0] - xy[i, 0]) * (xy[m, 1] - xy[i, 1])
+                         - (xy[j, 1] - xy[i, 1]) * (xy[m, 0] - xy[i, 0]))
+               for i, j, m in combinations(range(len(pos)), 3))
+    if area < 1e-9 * max(spread, 1.0) ** 2:
+        return SolveResult(np.full(3, np.nan), math.inf, "degenerate")
+    dz0 = pos[:, 2] - z0
+    if np.any(dz0 <= 0):
+        raise ValueError("receiver must start below every lamp")
+    d_est = np.array([_invert_distances(lamp.k * k_scale, lamp.profile,
+                                        dz0[i:i + 1], s[i:i + 1])[0]
+                      for i, lamp in enumerate(lamps)])
+    rows = 2 * (pos[1:, :2] - pos[0, :2])
+    rhs = (d_est[0] ** 2 - d_est[1:] ** 2
+           + np.sum(pos[1:, :2] ** 2, axis=1)
+           - np.sum(pos[0, :2] ** 2)
+           + dz0[1:] ** 2 - dz0[0] ** 2)
+    xy0 = np.matvec(np.linalg.pinv(rows), rhs)
+    up = np.array([[[0.0, 0.0, 1.0]]])
+
+    def residuals(theta, rows):
+        q = theta if not z_fixed else np.column_stack(
+            [theta, np.full(len(theta), z0)])
+        x = pos - q[:, None, :]
+        r = np.empty(x.shape[:2])
+        jac = np.empty(x.shape[:2] + (theta.shape[1],))
+        for j, lamp in enumerate(lamps):
+            m, grad = rss_model(up, lamp.k * k_scale, lamp.profile,
+                                x[:, j:j + 1])
+            r[:, j] = (m[:, 0, 0] - s[j]) / s[j]
+            jac[:, j] = -grad[:, 0, 0, :theta.shape[1]] / s[j]
+        return r, jac, np.all(x[:, :, 2] > 0, axis=1)
+
+    theta, cost, status, iters = levenberg_marquardt(
+        residuals, [xy0 if z_fixed else [*xy0, z0]], max_iter=100,
+        step_tol=1e-10, ftol=1e-8)
+    point = np.array([*theta[0], z0]) if z_fixed else theta[0]
+    return _ref_lm_result(point, cost[0], status[0], iters[0], len(s))
+
+
+def _ref_locate(scn, mset, pipeline, m=3, z_receiver=None):
+    readings = _readings(mset)
+    if pipeline == sim.PIPELINE_TRILATERATION:
+        top = {r.lamp_id: r.s for r in readings if r.face_id == 0}
+        if len(top) < 3:
+            return SolveResult(np.full(3, np.nan), math.inf, "degenerate")
+        ids = sorted(top, key=top.get, reverse=True)[:3]
+        return _ref_trilaterate([scn.lamps[i] for i in ids], mset.k_scale,
+                                [top[i] for i in ids], z_receiver)
+    by_lamp = {}
+    for r in readings:
+        by_lamp.setdefault(r.lamp_id, []).append(r)
+    sightings = [_LampSighting(i, tuple(rs))
+                 for i, rs in sorted(by_lamp.items())]
+    chosen = _ref_select_readings(
+        sightings, 3 if pipeline == sim.PIPELINE_MFLP else m)
+    return _ref_solve_multi(chosen, {i: scn.lamps[i] for i in
+                                     {r.lamp_id for r in chosen}},
+                            mset.k_scale)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -440,14 +606,14 @@ def test_locate_equals_reading_pipelines(case):
     # locate chooses readings from the arrays; the Reading-based pipelines
     # must give the same points, byte for byte, statuses, iterations and
     # raised errors, and residuals equal up to round-off.  The batch's row n
-    # is locate on fix n, residual included; it is uncovered where mflp
+    # is locate on fix n, residual included; it reports an error where mflp
     # locate raises.
     scn, poses, att, seed = case
     for mode in (sim.MODE_FAST, MODE_END_TO_END):
         batch = measure_batch(scn, poses, att,
                               (_point_rng(seed, i) for i in range(len(poses))),
                               mode)
-        points, status, residual, covered = sim.locate_batch(scn, batch)
+        points, status, residual, _, error = sim.locate_batch(scn, batch)
         for n, pose in enumerate(poses):
             mset = batch.measurement_set(n)
             for pipeline, m in _PIPELINES:
@@ -464,13 +630,40 @@ def test_locate_equals_reading_pipelines(case):
                     assert got_rms == pytest.approx(want_rms, rel=1e-9,
                                                     abs=1e-13)
             mflp, _ = _outcome(locate, scn, mset)
-            assert (mflp[0] != "raised") == covered[n]
+            assert (mflp[0] != "raised") == (error[n] == 0)
             res = locate(scn, mset) if status[n] == "unique" else None
             if res is not None:
                 assert res.point.tobytes() == points[n].tobytes()
                 assert res.residual_rms == residual[n]
             else:
                 assert np.isnan(points[n]).all() and residual[n] == math.inf
+
+
+@settings(max_examples=30, deadline=None)
+@given(_multi_lamp_scenes())
+def test_locate_batch_equals_locate_per_fix(case):
+    # Every pipeline locates a batch's fixes together, grouped by their
+    # reading counts; fix n of the batch must be locate on fix n alone:
+    # point bytes, status, iterations, residual, and the ValueError locate
+    # raises.  Trilateration both at a free height and at each pose's own.
+    scn, poses, att, seed = case
+    runs = [(p, m, None) for p, m in _PIPELINES] + [
+        (sim.PIPELINE_TRILATERATION, 3, poses[:, 2])]
+    for mode in (sim.MODE_FAST, MODE_END_TO_END):
+        batch = measure_batch(scn, poses, att,
+                              (_point_rng(seed, i) for i in range(len(poses))),
+                              mode)
+        for pipeline, m, z in runs:
+            points, status, residual, iters, error = sim.locate_batch(
+                scn, batch, pipeline, m, z)
+            for n in range(len(poses)):
+                got = _outcome(locate, scn, batch.measurement_set(n),
+                               pipeline, m, None if z is None else z[n])
+                want = ((("raised", sim.LOCATE_ERRORS[error[n]]), None)
+                        if error[n] else
+                        ((points[n].tobytes(), status[n], iters[n]),
+                         residual[n]))
+                assert got == want, (pipeline, m, z is None, n)
 
 
 def test_locate_rejects_few_readings_like_reading_pipelines():
@@ -480,7 +673,7 @@ def test_locate_rejects_few_readings_like_reading_pipelines():
     wall = Aabb([4.0, 0.0, 0.0], [4.2, 10.0, 3.0])
     mset = measure(replace(scn, obstacles=(wall,)), [1.0, 5.0, 0.0],
                    rng=np.random.default_rng(0))
-    assert not mset.readings
+    assert not _readings(mset)
     for pipeline, m in _PIPELINES + [(sim.PIPELINE_MULTI, 2)]:
         got = _outcome(locate, scn, mset, pipeline, m)
         assert got == _outcome(_ref_locate, scn, mset, pipeline, m)
@@ -488,16 +681,18 @@ def test_locate_rejects_few_readings_like_reading_pipelines():
 
 
 def test_mflp_locate_builds_no_readings(monkeypatch):
-    # mflp, and multi at m = 3, solve from the measurement arrays alone.
-    scn = simple_scenario(noise=NoiseSpec(rss_epsilon=0.1))
-    mset = measure(scn, [4.5, 5.5, 0.0], rng=np.random.default_rng(2))
+    # Every pipeline solves from the measurement arrays alone.
+    three = load_scenario(resources.files("lightpos") / "fixtures"
+                          / "three_lamps.json").scenario
+    scn = replace(three, noise=NoiseSpec(rss_epsilon=0.1))
+    mset = measure(scn, [7.0, 5.0, 0.0], rng=np.random.default_rng(2))
 
     def no_reading(*args):
         raise AssertionError("a Reading was built")
 
-    monkeypatch.setattr(sim, "Reading", no_reading)
-    for pipeline in (sim.PIPELINE_MFLP, sim.PIPELINE_MULTI):
-        assert locate(scn, mset, pipeline).ok
+    monkeypatch.setattr(solve, "Reading", no_reading)
+    for pipeline, m in _PIPELINES:
+        assert locate(scn, mset, pipeline, m, z_receiver=0.0).ok
 
 
 def test_locate_breaks_ties_like_reading_pipelines():
@@ -608,6 +803,61 @@ def test_run_trajectory_noise_free():
                            interval_s=0.3, seed=0)
     assert all(f.status == "unique" for f in fixes)
     assert max(f.error for f in fixes) < 1e-9
+
+
+def test_runs_equal_fixes_measured_one_at_a_time():
+    # run_static and run_trajectory measure every pose in one batch, pose i
+    # with the stream keyed (seed, i), and locate them together: each fix
+    # must be measure + locate on its own with that stream's generator,
+    # byte for byte; a raised fix or a point outside the bounds is
+    # degenerate.
+    three = load_scenario(resources.files("lightpos") / "fixtures"
+                          / "three_lamps.json").scenario
+    scn = replace(three, noise=replace(three.noise, rss_epsilon=0.1,
+                                       heading_epsilon=0.1))
+    points = [[6.0, 5.0, 0.0], [8.0, 6.0, 0.5], [20.0, 5.0, 0.0],
+              [11.0, 4.0, 2.9], [1.0, 11.0, 0.0]]
+    att = Attitude(0.1, 0.0, 1.0)
+    for pipeline, m in _PIPELINES:
+        for mode in (sim.MODE_FAST, MODE_END_TO_END):
+            fixes, stats = run_static(scn, points, pipeline, m, mode, seed=5,
+                                      attitude=att)
+            traj = run_trajectory(scn, points[:2], 1.0, 0.5, pipeline, m,
+                                  mode, seed=5, attitude=att)
+            poses = [(fix.time_s, fix.true_position) for fix in traj]
+            for i, fix in enumerate(fixes + traj):
+                t, p = (float(i), points[i]) if i < len(fixes) else \
+                    poses[i - len(fixes)]
+                i = i if i < len(fixes) else i - len(fixes)
+                try:
+                    mset = measure(scn, p, att, mode, _point_rng(5, i))
+                    res = locate(scn, mset, pipeline, m, z_receiver=p[2])
+                    want = (res.point.tobytes(), res.status)
+                except ValueError:
+                    want = (np.full(3, np.nan).tobytes(), "degenerate")
+                assert fix.time_s == t
+                assert (fix.estimate.tobytes(), fix.status) == want, (
+                    pipeline, m, mode, i)
+            assert stats.failures >= 1
+            assert stats.count == sum(f.status == "unique" for f in fixes)
+
+
+def test_trilateration_uses_each_lamps_own_k_and_profile():
+    # Noise-free top-face readings of lamps with unequal k, and one with
+    # its own profile, give the exact receiver position.
+    three = load_scenario(resources.files("lightpos") / "fixtures"
+                          / "three_lamps.json").scenario
+    points = [[6.0, 5.0, 0.0], [8.0, 6.0, 0.0], [10.0, 7.0, 0.0]]
+    for ks, profiles in (((40.0, 80.0, 40.0), (COS,) * 3),
+                         ((40.0, 80.0, 25.0),
+                          (COS, make_profile("cosine_power", [2.0]), COS))):
+        lamps = tuple(LampModel(l.position, l.central_ray, k, profile,
+                                l.flash_hz)
+                      for l, k, profile in zip(three.lamps, ks, profiles))
+        scn = replace(three, lamps=lamps, noise=NoiseSpec())
+        fixes, stats = run_static(scn, points, sim.PIPELINE_TRILATERATION)
+        assert stats.failures == 0
+        assert stats.max < 1e-6
 
 
 @pytest.mark.parametrize("pipeline, m", [("bogus", 3),
@@ -783,6 +1033,19 @@ def test_sweep_with_no_point_in_bounds_fails_every_fix():
         empty = measure_batch(scn, np.empty((0, 3)), Attitude(0, 0, 0), [],
                               mode)
         assert empty.amps.shape == (0, 1, 6)
+
+
+def test_sweep_rejects_unknown_pipeline_before_any_cell(monkeypatch):
+    # Not a sweep of failed fixes: locate's error would count per fix.
+    scn = simple_scenario()
+
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(sim, "_measure_poses", no_cell)
+    with pytest.raises(ValueError, match="unknown pipeline 'trilat'"):
+        sensitivity_sweep(scn, [[4.0, 4.0, 0.0]], [0.0], [0.0], 1,
+                          pipeline="trilat")
 
 
 def test_coverage_analysis_full_and_blocked():
@@ -990,4 +1253,4 @@ def test_locate_rejects_unknown_pipeline():
     with pytest.raises(ValueError):
         locate(scn, mset, "nonsense")
     # Readings come in lamp then face order: the first is lamp 0's.
-    assert mset.readings[0].lamp_id == 0
+    assert _readings(mset)[0].lamp_id == 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lightpos.rss import LampModel, make_profile
+from lightpos.rss import LampModel, LampTable, ProfileTable, make_profile
 from lightpos.geom import (
     Attitude,
     half_dodecahedron,
@@ -16,14 +16,14 @@ from lightpos.geom import (
     unit,
 )
 from lightpos.solve import (
-    LampSighting,
     Reading,
     STATUS_DEGENERATE,
     STATUS_UNIQUE,
-    mflp_closed_form,
+    mflp_closed_form_batch,
     mflp_least_squares,
     model_rss,
-    select_readings,
+    select_pooled_readings,
+    select_top_readings,
     solve_multi,
     to_world_position,
     trilaterate,
@@ -46,6 +46,14 @@ def readings_for(point, planes, k=1.0, profile=COS, lamp_id=0):
     s = model_rss(planes, k, profile, point)
     return [Reading(planes[i], float(s[i]), lamp_id, i)
             for i in range(len(planes))]
+
+
+def closed_form(readings, k, profile):
+    """mflp_closed_form_batch on one problem of three readings: its
+    (point, unique, residual)."""
+    point, unique, residual = mflp_closed_form_batch(
+        [[r.plane for r in readings]], [[r.s for r in readings]], k, profile)
+    return point[0], unique[0], residual[0]
 
 
 def test_reading_validation():
@@ -74,17 +82,18 @@ def test_worked_example_forward_values():
 
 def test_worked_example_closed_form():
     r = readings_for([10, 10, 10], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    res = mflp_closed_form(*r, 1.0, COS)
-    assert res.status == STATUS_UNIQUE
-    assert np.allclose(res.point, [10, 10, 10], atol=1e-9)
-    assert res.residual_rms < 1e-12
+    point, unique, residual = closed_form(r, 1.0, COS)
+    assert unique
+    assert np.allclose(point, [10, 10, 10], atol=1e-9)
+    assert residual < 1e-12
 
 
 def test_worked_example_dependent_planes_degenerate():
     r = readings_for([10, 10, 10],
                      [[1, 0, 0], [0, 1, 0], [1, 2, 0]])
-    res = mflp_closed_form(*r, 1.0, COS)
-    assert res.status == STATUS_DEGENERATE
+    point, unique, residual = closed_form(r, 1.0, COS)
+    assert not unique and np.isnan(point).all() and residual == math.inf
+    assert mflp_least_squares(r, 1.0, COS).status == STATUS_DEGENERATE
 
 
 def test_closed_form_roundtrip_random():
@@ -102,9 +111,9 @@ def test_closed_form_roundtrip_random():
                 break
         k = rng.uniform(1, 100)
         r = readings_for(point, planes, k, profile)
-        res = mflp_closed_form(*r, k, profile)
-        assert res.status == STATUS_UNIQUE
-        assert np.linalg.norm(res.point - point) < 1e-9 * np.linalg.norm(point)
+        got, unique, _ = closed_form(r, k, profile)
+        assert unique
+        assert np.linalg.norm(got - point) < 1e-9 * np.linalg.norm(point)
 
 
 def test_least_squares_matches_closed_form():
@@ -119,10 +128,10 @@ def test_least_squares_matches_closed_form():
         if np.min(np.abs(planes @ point)) < 0.05:
             continue
         r = readings_for(point, planes, 7.0)
-        cf = mflp_closed_form(*r, 7.0, COS)
+        cf, _, _ = closed_form(r, 7.0, COS)
         ls = mflp_least_squares(r, 7.0, COS)
         assert ls.status == STATUS_UNIQUE
-        assert np.linalg.norm(ls.point - cf.point) < 1e-6
+        assert np.linalg.norm(ls.point - cf) < 1e-6
 
 
 _tilt = st.floats(-0.6, 0.6)
@@ -201,38 +210,45 @@ def test_least_squares_rejects_bad_init():
         mflp_least_squares(r, 1.0, COS, init=[0.0, 0.0, -1.0])
 
 
-def test_sighting_sorting_and_validation():
-    r = readings_for([1, 1, 2], [[0, 0, 1], [1, 0, 1], [0, 1, 1]])
-    sighting = LampSighting(0, tuple(r))
-    s_values = [x.s for x in sighting.readings]
-    assert s_values == sorted(s_values, reverse=True)
-    with pytest.raises(ValueError):
-        LampSighting(1, tuple(r))
+def _amplitudes(*lamps):
+    """(1, lamps, faces) amplitude and validity arrays of each lamp's
+    readings, in face order; missing faces are invalid."""
+    faces = max(len(r) for r in lamps)
+    s = np.zeros((1, len(lamps), faces))
+    for li, readings in enumerate(lamps):
+        s[0, li, :len(readings)] = [x.s for x in readings]
+    return s, s > 0
 
 
 def test_select_readings_floor_and_lamp_choice():
+    # The three- and m-reading rules, select_top_readings and
+    # select_pooled_readings, on one fix.
     strong = readings_for([0.5, 0.5, 2], [[0, 0, 1], [1, 0, 1], [0, 1, 1]],
                           k=50.0, lamp_id=0)
     weak = readings_for([3, 3, 2], [[0, 0, 1], [1, 0, 1], [0, 1, 1]],
                         k=50.0, lamp_id=1)
-    chosen = select_readings([LampSighting(0, tuple(strong)),
-                              LampSighting(1, tuple(weak))], 3)
-    assert {r.lamp_id for r in chosen} == {0}
+    s, valid = _amplitudes(strong, weak)
+    lamps, faces, count = select_top_readings(s, valid)
+    assert count[0] == 3 and list(lamps[0]) == [0, 0, 0]
+    assert sorted(faces[0]) == [0, 1, 2]
+    assert list(s[0, 0, faces[0]]) == sorted(s[0, 0], reverse=True)
 
-    pool = select_readings([LampSighting(0, tuple(strong)),
-                            LampSighting(1, tuple(weak))], 6)
-    assert len(pool) == 6
-    assert {r.lamp_id for r in pool} == {0, 1}
+    lamps, faces, count = select_pooled_readings(s, valid, 6)
+    assert count[0] == 6
+    assert set(lamps[0]) == {0, 1}
+    pooled = s[0, lamps[0], faces[0]]
+    assert list(pooled) == sorted(pooled, reverse=True)
 
 
 def test_select_readings_insufficient():
     r = readings_for([1, 1, 2], [[0, 0, 1], [1, 0, 1]])
+    s, valid = _amplitudes(r)
+    assert select_top_readings(s, valid)[2][0] == 0
+    assert select_pooled_readings(s, valid, 4)[2][0] < 3
     with pytest.raises(ValueError):
-        select_readings([LampSighting(0, tuple(r))], 3)
-    with pytest.raises(ValueError):
-        select_readings([LampSighting(0, tuple(r))], 2)
-    with pytest.raises(ValueError):
-        select_readings([LampSighting(0, ())], 3)
+        select_pooled_readings(s, valid, 2)
+    none = np.zeros((1, 1, 6))
+    assert select_top_readings(none, none > 0)[2][0] == 0
 
 
 def test_to_world_position_vertical_lamp():
@@ -241,30 +257,43 @@ def test_to_world_position_vertical_lamp():
     assert np.allclose(world, [4.0, 3.0, 0.0])
 
 
+def _multi_problem(readings):
+    """One solve_multi problem of Reading objects, as its arrays."""
+    return (np.array([[r.plane for r in readings]]),
+            np.array([[r.s for r in readings]]),
+            np.array([[r.lamp_id for r in readings]]))
+
+
 def test_solve_multi_single_lamp_matches_single_pipeline():
     lamp = LampModel([5.0, 5.0, 3.0], [0, 0, -1], 8.0, COS, 65.0)
     x_solve = np.array([1.0, 2.0, 3.0])
     r = readings_for(x_solve, [[0, 0, 1], [1, 0, 1], [0, 1, 1]], 8.0)
-    res = solve_multi(r, {0: lamp})
-    assert res.status == STATUS_UNIQUE
-    assert np.allclose(res.point, [4.0, 3.0, 0.0], atol=1e-8)
+    points, status, _, _ = solve_multi(*_multi_problem(r),
+                                       LampTable.of([lamp]))
+    assert status[0] == STATUS_UNIQUE
+    assert np.allclose(points[0], [4.0, 3.0, 0.0], atol=1e-8)
+    single = mflp_least_squares(r, 8.0, COS)
+    assert np.allclose(points[0], to_world_position(lamp, single.point),
+                       atol=1e-8)
 
 
 def test_solve_multi_two_lamps_noise_free():
-    lamps = {
-        0: LampModel([2.0, 2.0, 3.0], [0, 0, -1], 8.0, COS, 55.0),
-        1: LampModel([6.0, 2.0, 3.0], [0, 0, -1], 8.0, COS, 65.0),
-    }
+    lamps = [
+        LampModel([2.0, 2.0, 3.0], [0, 0, -1], 8.0, COS, 55.0),
+        LampModel([6.0, 2.0, 3.0], [0, 0, -1], 8.0, COS, 65.0),
+    ]
     receiver = np.array([4.0, 2.0, 0.0])
     readings = []
-    for lamp_id, lamp in lamps.items():
+    for lamp_id, lamp in enumerate(lamps):
         x_solve = lamp.position - receiver  # vertical ray: basis = identity
         r = readings_for(x_solve, [[0, 0, 1], [1, 0, 1], [0, 1, 1]],
                          8.0, lamp_id=lamp_id)
         readings.extend(r)
-    res = solve_multi(readings, lamps)
-    assert res.status == STATUS_UNIQUE
-    assert np.allclose(res.point, receiver, atol=1e-7)
+    readings.sort(key=lambda r: r.s, reverse=True)
+    points, status, _, _ = solve_multi(*_multi_problem(readings),
+                                       LampTable.of(lamps))
+    assert status[0] == STATUS_UNIQUE
+    assert np.allclose(points[0], receiver, atol=1e-7)
 
 
 def test_trilateration_noise_free_roundtrip():
@@ -303,6 +332,30 @@ def test_trilateration_free_height():
 def test_trilateration_collinear_is_degenerate():
     lamps = np.array([[0.0, 0.0, 3.0], [2.0, 0.0, 3.0], [4.0, 0.0, 3.0]])
     res = trilaterate(lamps, 40.0, COS, [1.0, 1.0, 1.0], z_receiver=0.0)
+    assert res.status == STATUS_DEGENERATE
+
+
+def test_trilateration_degeneracy_is_plan_view_and_order_free():
+    truth = np.array([1.5, 1.0, 0.0])
+
+    def forward(lamp):
+        dz = lamp[2] - truth[2]
+        d = np.linalg.norm(lamp - truth)
+        return 40.0 * dz * float(COS.value(math.acos(dz / d))) / d**3
+
+    # Lamps 0-2 are collinear; the fourth spans the plane, in any order.
+    lamps = np.array([[0.0, 0.0, 3.0], [2.0, 0.0, 3.0], [4.0, 0.0, 3.0],
+                      [2.0, 3.0, 3.0]])
+    s = np.array([forward(l) for l in lamps])
+    for order in ([0, 1, 2, 3], [0, 3, 1, 2], [3, 2, 1, 0]):
+        res = trilaterate(lamps[order], 40.0, COS, s[order], z_receiver=0.0)
+        assert res.status == STATUS_UNIQUE
+        assert np.linalg.norm(res.point - truth) < 1e-6
+    # Collinear in plan view, though not in 3-D: (1.5, 1, 0) and
+    # (1.5, -1, 0) read the same.
+    lamps = np.array([[0.0, 0.0, 3.0], [2.0, 0.0, 4.0], [4.0, 0.0, 3.0]])
+    res = trilaterate(lamps, 40.0, COS, [forward(l) for l in lamps],
+                      z_receiver=0.0)
     assert res.status == STATUS_DEGENERATE
 
 
@@ -351,27 +404,31 @@ def test_log_z_callback_jacobian():
 
 
 def test_multi_callback_residuals_and_jacobian():
-    # Lamps 0 and 1 share k and profile, so their readings are evaluated
-    # as one array; residuals must match the scalar model reading by
-    # reading, and the Jacobian central differences.
+    # Lamps 0 and 1 share k and profile, lamp 2 has its own; each
+    # reading's residual must match the scalar model in its own lamp's
+    # frame, and the Jacobian central differences.
     rng = np.random.default_rng(30)
     receivers = rng.uniform([1, 1, 0], [7, 7, 1], size=(5, 3))
     for trial in range(4):
         cos = make_profile("cosine_power", [rng.uniform(0.5, 2.5)])
         shared, other = (cos, POLY) if trial % 2 else (POLY, cos)
-        lamps = {}
+        lamps = []
         readings = []
         for i, (k, profile) in enumerate(((20.0, shared), (20.0, shared),
                                           (rng.uniform(5, 50), other))):
             position = rng.uniform([0, 0, 3], [8, 8, 4])
             ray = unit(receivers.mean(axis=0) - position
                        + rng.normal(scale=0.5, size=3))
-            lamps[i] = LampModel(position, ray, k, profile, 50.0 + 10 * i)
+            lamps.append(LampModel(position, ray, k, profile, 50.0 + 10 * i))
             for j in range(3):
                 readings.append(Reading(rng.normal(size=3),
                                         rng.uniform(0.1, 2.0), i, j))
         rng.shuffle(readings)
-        residuals = _multi_residuals(readings, lamps, 0.8)
+        # The same readings for every receiver.
+        planes, s, lamp_ids = (np.repeat(a, len(receivers), axis=0)
+                               for a in _multi_problem(readings))
+        residuals = _multi_residuals(planes, s, lamp_ids,
+                                     LampTable.of(lamps), 0.8)
         r, jac, feasible = residuals(receivers, np.arange(len(receivers)))
         assert feasible.all()
         for n, p in enumerate(receivers):
@@ -390,11 +447,18 @@ def test_trilateration_callback_residuals_and_jacobian():
     lamps = rng.uniform([0, 0, 2.5], [6, 6, 3.5], size=(4, 3))
     receivers = rng.uniform([1, 1, 0], [5, 5, 1], size=(5, 3))
     s = rng.uniform(0.5, 3.0, size=4)
+    # The same lamps and readings for every receiver.
+    rows = np.zeros(len(receivers), dtype=np.intp)
     for profile in (make_profile("cosine_power", [1.6]), POLY):
+        profiles = ProfileTable((profile,), np.zeros((len(rows), 4),
+                                                     dtype=np.intp))
         for z_receiver in (0.7, None):
             theta = receivers if z_receiver is None else receivers[:, :2]
-            residuals = _trilateration_residuals(lamps, 20.0, profile, s,
-                                                 z_receiver)
+            residuals = _trilateration_residuals(
+                lamps[None][rows], np.full((len(rows), 4), 20.0), profiles,
+                s[None][rows],
+                None if z_receiver is None else np.full(len(rows),
+                                                        z_receiver))
             r, jac, feasible = residuals(theta, np.arange(len(theta)))
             assert feasible.all()
             q = receivers if z_receiver is None else np.column_stack(
