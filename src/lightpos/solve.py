@@ -412,12 +412,12 @@ def select_pooled_readings(s, valid, m: int):
         raise ValueError("at least three readings are required to solve")
     order, s_sorted, kept, _ = _rank_readings(
         np.asarray(s, dtype=float), np.asarray(valid, dtype=bool))
-    n_fix = len(kept)
+    pooled = (len(kept), 3 * kept.shape[1])
     lamp_ids = np.repeat(np.arange(kept.shape[1]), 3)
     pool = np.where(np.repeat(kept, 3, axis=1),
-                    -s_sorted[..., :3].reshape(n_fix, -1), np.inf)
+                    -s_sorted[..., :3].reshape(pooled), np.inf)
     pick = np.argsort(pool, axis=1, kind="stable")[:, :m]
-    faces = np.take_along_axis(order[..., :3].reshape(n_fix, -1), pick, 1)
+    faces = np.take_along_axis(order[..., :3].reshape(pooled), pick, 1)
     return lamp_ids[pick], faces, np.minimum(m, 3 * kept.sum(axis=1))
 
 

@@ -840,6 +840,9 @@ def test_runs_equal_fixes_measured_one_at_a_time():
                     pipeline, m, mode, i)
             assert stats.failures >= 1
             assert stats.count == sum(f.status == "unique" for f in fixes)
+            # No pose inside the bounds: nothing to measure or locate.
+            fixes, stats = run_static(scn, points[2:3], pipeline, m, mode)
+            assert fixes[0].status == "degenerate" and stats.failures == 1
 
 
 def test_trilateration_uses_each_lamps_own_k_and_profile():
