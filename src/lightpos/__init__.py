@@ -34,10 +34,8 @@ from .geom import (
     attitude_to_rotation,
     half_dodecahedron,
     line_of_sight,
-    linearly_independent,
     receiver_rotation,
     solve_frame_basis,
-    solve_frame_plane,
     tri_face_min_distance,
     visible_faces,
 )
@@ -63,7 +61,7 @@ from .sim import (
     CoverageReport,
     ErrorStats,
     Fix,
-    MeasurementSet,
+    MeasurementBatch,
     NoiseSpec,
     ReceiverSpec,
     Scenario,
@@ -77,13 +75,12 @@ from .sim import (
     sensitivity_sweep,
 )
 from .solve import (
-    Reading,
     SolveResult,
     STATUS_DEGENERATE,
     STATUS_NO_CONVERGE,
     STATUS_UNIQUE,
     mflp_least_squares,
-    model_rss,
+    rss_model,
     solve_multi,
     to_world_position,
     trilaterate,

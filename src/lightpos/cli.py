@@ -44,12 +44,7 @@ from .signal import (
     identify_lamps,
     synthesize_trace,
 )
-from .solve import (
-    Reading,
-    STATUS_UNIQUE,
-    mflp_least_squares,
-    trilaterate,
-)
+from .solve import STATUS_UNIQUE, mflp_least_squares, trilaterate
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -146,14 +141,6 @@ def _cmd_simulate(args):
     return EXIT_OK
 
 
-def _readings_from_json(items):
-    return [
-        Reading(np.array(r["plane"], dtype=float), float(r["s"]),
-                int(r.get("lamp_id", 0)), int(r.get("face_id", i)))
-        for i, r in enumerate(items)
-    ]
-
-
 def _profile_from_json(data):
     p = data.get("profile", {"kind": "cosine_power", "params": [1.0]})
     return make_profile(p["kind"], p["params"])
@@ -162,10 +149,16 @@ def _profile_from_json(data):
 def _cmd_solve(args):
     data = _load_json(args.input)
     try:
-        readings = _readings_from_json(data["readings"])
+        planes, s = [], []
+        for r in data["readings"]:
+            planes.append(np.array(r["plane"], dtype=float))
+            s.append(float(r["s"]))
+            # The ids are not solved for; they must still be integers.
+            int(r.get("lamp_id", 0))
+            int(r.get("face_id", 0))
         profile = _profile_from_json(data)
-        res = mflp_least_squares(readings, float(data["k"]), profile)
-    except (KeyError, ValueError, TypeError) as exc:
+        res = mflp_least_squares(planes, s, float(data["k"]), profile)
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise _InputError(str(exc)) from None
     out = {
         "status": res.status,
@@ -187,7 +180,7 @@ def _cmd_trilaterate(args):
             np.array(data["s"], dtype=float),
             z_receiver=data.get("z_receiver"),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise _InputError(str(exc)) from None
     out = {
         "status": res.status,

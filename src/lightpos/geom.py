@@ -38,18 +38,14 @@ class DegenerateGeometryError(ValueError):
 
 def unit(v) -> np.ndarray:
     """Return v normalized to unit length; reject near-zero and
-    non-finite vectors."""
+    non-finite vectors, and those whose length overflows."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
     if not 1e-12 <= n < math.inf:
         raise DegenerateGeometryError(
             "zero-length or non-finite direction vector")
     return v / n
-
-
-def normalize_plane(coeffs) -> np.ndarray:
-    """Normalize plane coefficients (A, B, C) so A^2 + B^2 + C^2 = 1."""
-    return unit(coeffs)
 
 
 @dataclass(frozen=True)
@@ -180,12 +176,6 @@ def visible_faces(poly: Polyhedron, direction) -> list[int]:
     return [i for i in range(poly.n_faces) if dots[i] > 0.0]
 
 
-def linearly_independent(p1, p2, p3, tol: float = 1e-6) -> bool:
-    """Whether three normalized sensing planes span R^3 (|det| above tol)."""
-    m = np.array([normalize_plane(p1), normalize_plane(p2), normalize_plane(p3)])
-    return abs(np.linalg.det(m)) > tol
-
-
 @dataclass(frozen=True)
 class Aabb:
     """Axis-aligned box obstacle, min/max corners in meters."""
@@ -263,34 +253,3 @@ def solve_frame_basis(central_ray) -> np.ndarray:
     e1 = unit(ref - (ref @ e3) * e3)
     e2 = np.cross(e3, e1)
     return np.column_stack([e1, e2, e3])
-
-
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    for c in v:
-        if abs(c) > 1e-12:
-            return v if c > 0 else -v
-    return v
-
-
-def solve_frame_plane(face_normal_body, att: Attitude, central_ray,
-                      toward=None) -> np.ndarray:
-    """Express a body-frame face normal as normalized sensing-plane
-    coefficients in the lamp-aligned solve frame.
-
-    ``toward``, when given, is the world-frame direction from the face to
-    the lamp; the sign is then chosen so the coefficients dot positively
-    with the lamp position, matching the solver's convention.  Otherwise
-    the sign is canonicalized (first nonzero component of (C, A, B)
-    positive, preferring +z).
-    """
-    n_world = NED_TO_WORLD @ attitude_to_rotation(att) @ unit(face_normal_body)
-    basis = solve_frame_basis(central_ray)
-    n_solve = basis.T @ n_world
-    if toward is not None:
-        t_solve = basis.T @ unit(toward)
-        s = n_solve @ t_solve
-        if s < 0:
-            n_solve = -n_solve
-        return normalize_plane(n_solve)
-    v = _canonical_sign(np.array([n_solve[2], n_solve[0], n_solve[1]]))
-    return normalize_plane(np.array([v[1], v[2], v[0]]))

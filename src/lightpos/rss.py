@@ -50,6 +50,8 @@ class EmissionProfile:
         if self.kind == KIND_COSINE_POWER:
             if len(params) != 1 or params[0] <= 0:
                 raise ProfileError("cosine_power takes a single gamma > 0")
+        elif not params:
+            raise ProfileError("polynomial takes at least one coefficient")
         object.__setattr__(self, "params", params)
         vals = self.value(_GRID)
         if vals[0] <= 0:

@@ -7,13 +7,13 @@ seed pairs always reproduce bit-identical results regardless of evaluation
 order.  The sweep draws a whole noise cell's streams at once with
 ``streams.KeyedStreams``, whose values equal those generators' draws.
 
-Measurements are arrays over (fix, lamp, face) (``MeasurementBatch``); a
-``MeasurementSet`` is a one-fix view of them.  They are made in two
-parts.  The pose part depends only on the true pose and attitude: line
-of sight, model RSS, saturation and each face's direction toward each
-lamp.  The per-fix part depends on the fix's noise draws: the measured
-attitude, the sensing planes it gives, the noisy or extracted amplitudes
-and which readings are valid.  The sweep computes the pose part of each
+Measurements are arrays over (fix, lamp, face) (``MeasurementBatch``);
+``measure`` makes a batch of one fix.  They are made in two parts.  The
+pose part depends only on the true pose and attitude: line of sight,
+model RSS, saturation and each face's direction toward each lamp.  The
+per-fix part depends on the fix's noise draws: the measured attitude,
+the sensing planes it gives, the noisy or extracted amplitudes and
+which readings are valid.  The sweep computes the pose part of each
 point once and the per-fix part of every fix at it.
 
 Every pipeline runs on one array core, ``locate_batch``, which chooses
@@ -165,30 +165,6 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class MeasurementSet:
-    """One fix's measurements: a view of a one-fix ``MeasurementBatch``.
-
-    Amplitudes are flash-fundamental values, i.e. (2/pi) x model RSS;
-    ``k_scale`` carries that factor so solvers can use k_eff = k * k_scale.
-    ``locate`` reads the batch's arrays.
-    """
-
-    batch: MeasurementBatch
-
-    @property
-    def attitude(self) -> Attitude:
-        return Attitude(*self.batch.attitudes[0].tolist())
-
-    @property
-    def saturated_faces(self) -> tuple:
-        return tuple(int(fi) for fi in np.nonzero(self.batch.saturated[0])[0])
-
-    @property
-    def k_scale(self) -> float:
-        return self.batch.k_scale
-
-
-@dataclass(frozen=True)
 class ErrorStats:
     median: float
     mean: float
@@ -284,7 +260,9 @@ class MeasurementBatch:
     solve frame, signed to dot positively with the lamp but not yet
     normalized (``locate_batch`` normalizes the chosen ones).
     ``saturated`` flags saturated faces per fix, and ``attitudes`` holds
-    the measured attitudes as (pitch, roll, heading) rows.
+    the measured attitudes as (pitch, roll, heading) rows.  Amplitudes
+    are flash-fundamental values, (2/pi) x model RSS; ``k_scale`` carries
+    that factor, so solvers use k_eff = k * k_scale.
     """
 
     amps: np.ndarray       # (N, lamps, faces)
@@ -293,12 +271,6 @@ class MeasurementBatch:
     saturated: np.ndarray  # (N, faces)
     attitudes: np.ndarray  # (N, 3)
     k_scale: float = OOK_FUNDAMENTAL
-
-    def measurement_set(self, n: int) -> MeasurementSet:
-        """Fix n as a MeasurementSet: a one-fix view of these arrays."""
-        return MeasurementSet(MeasurementBatch(
-            self.amps[n][None], self.valid[n][None], self.planes[n][None],
-            self.saturated[n][None], self.attitudes[n][None], self.k_scale))
 
 
 class _Poses(NamedTuple):
@@ -337,8 +309,8 @@ def _pose_geometry(scn: Scenario, positions, attitude: Attitude) -> _Poses:
     normals_true = poly.normals @ rot_true.T
     # Lamp-major arrays, (L, N, ...): each lamp's constants broadcast over
     # one long run of (pose, face) rows.
-    lamps = scn.lamps
-    lamp_pos = np.array([lamp.position for lamp in lamps]).reshape(-1, 3)
+    lamps, table = scn.lamps, scn.lamp_table
+    lamp_pos = table.position
     delta = lamp_pos[:, None, :] - positions                     # (L, N, 3)
     d = np.sqrt(np.vecdot(delta, delta))
     rays = np.array([lamp.central_ray for lamp in lamps]).reshape(-1, 1, 3)
@@ -354,11 +326,10 @@ def _pose_geometry(scn: Scenario, positions, attitude: Attitude) -> _Poses:
     omega = np.arccos(np.where(front, np.minimum(1.0, cos_w), 1.0))
     f = np.array([lamp.profile.value(w) for lamp, w in zip(lamps, omega)]
                  ).reshape(cos_w.shape)
-    k = np.array([lamp.k for lamp in lamps])[:, None]
+    k = table.k[:, None]
     rss = np.where(lit, (k / d**3)[..., None] * incidence * f[..., None], 0.0)
     rss = np.ascontiguousarray(rss.transpose(1, 0, 2))
-    basis = np.array([lamp.solve_basis for lamp in lamps]).reshape(-1, 3, 3)
-    toward = np.matvec(basis.transpose(0, 2, 1)[:, None, None],
+    toward = np.matvec(table.basis.transpose(0, 2, 1)[:, None, None],
                        lamp_pos[:, None, None, :] - centers)
     saturated = scn.ambient_dc + rss.sum(axis=1) > scn.saturation
     return _Poses(attitude, rot_true, rss, saturated, toward)
@@ -370,9 +341,7 @@ def _fix_planes(scn: Scenario, normals_meas, toward) -> np.ndarray:
     fix's measured attitude, ``normals_meas`` (N, faces, 3), signed to dot
     positively with the pose's direction from the face toward the lamp,
     ``toward`` (lamps, N, faces, 3)."""
-    basis = np.array([lamp.solve_basis for lamp in scn.lamps]
-                     ).reshape(-1, 3, 3)
-    planes = np.matmul(normals_meas, basis[:, None])
+    planes = np.matmul(normals_meas, scn.lamp_table.basis[:, None])
     planes *= np.where(np.vecdot(planes, toward) < 0, -1.0, 1.0)[..., None]
     return np.ascontiguousarray(planes.transpose(1, 0, 2, 3))
 
@@ -500,21 +469,24 @@ def _measure_poses(scn: Scenario, poses: _Poses, rngs,
 
 
 def measure(scn: Scenario, position, attitude: Attitude = Attitude(0, 0, 0),
-            mode: str = MODE_FAST, rng=None) -> MeasurementSet:
-    """Simulate one measurement epoch at a receiver pose: the batch of one
-    of ``measure_batch``."""
+            mode: str = MODE_FAST, rng=None) -> MeasurementBatch:
+    """Simulate one measurement epoch at a receiver pose: the one-fix
+    batch of ``measure_batch``."""
     if rng is None:
         rng = np.random.default_rng(scn.noise.seed)
-    return measure_batch(scn, [position], attitude, [rng],
-                         mode).measurement_set(0)
+    return measure_batch(scn, [position], attitude, [rng], mode)
 
 
-def locate(scn: Scenario, mset: MeasurementSet, pipeline: str = PIPELINE_MFLP,
-           m: int = 3, z_receiver=None) -> SolveResult:
-    """The world-frame fix of one measurement set by the selected
-    pipeline: the batch of one of ``locate_batch``, raising its error."""
+def locate(scn: Scenario, batch: MeasurementBatch,
+           pipeline: str = PIPELINE_MFLP, m: int = 3,
+           z_receiver=None) -> SolveResult:
+    """The world-frame fix of a one-fix batch by the selected pipeline:
+    ``locate_batch`` on it, raising its error.  A batch of any other
+    number of fixes raises ValueError."""
+    if len(batch.amps) != 1:
+        raise ValueError(f"locate takes one fix, got {len(batch.amps)}")
     points, status, residual, iterations, error = locate_batch(
-        scn, mset.batch, pipeline, m, z_receiver)
+        scn, batch, pipeline, m, z_receiver)
     if error[0]:
         raise ValueError(LOCATE_ERRORS[error[0]])
     return SolveResult(points[0], float(residual[0]), str(status[0]),

@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geom import normalize_plane
+from .geom import unit
 from .rss import EmissionProfile, LampModel, LampTable, ProfileTable
 
 STATUS_UNIQUE = "unique"
@@ -209,25 +209,6 @@ def degenerate_fixes(n_fix: int):
 
 
 @dataclass(frozen=True)
-class Reading:
-    """One extracted RSS amplitude with its sensing plane in the solve
-    frame of the lamp that produced it."""
-
-    plane: np.ndarray
-    s: float
-    lamp_id: int = 0
-    face_id: int = 0
-
-    def __post_init__(self):
-        if np.shape(self.plane) != (3,):
-            raise ValueError("a reading's plane needs three coefficients, "
-                             f"got shape {np.shape(self.plane)}")
-        object.__setattr__(self, "plane", normalize_plane(self.plane))
-        if not 0 < self.s < math.inf:
-            raise ValueError("reading amplitude must be positive and finite")
-
-
-@dataclass(frozen=True)
 class SolveResult:
     point: np.ndarray
     residual_rms: float
@@ -237,15 +218,6 @@ class SolveResult:
     @property
     def ok(self) -> bool:
         return self.status == STATUS_UNIQUE
-
-
-def model_rss(planes: np.ndarray, k: float, profile: EmissionProfile,
-              point: np.ndarray) -> np.ndarray:
-    """Forward model values for a lamp at ``point`` in the solve frame."""
-    d = np.linalg.norm(point)
-    cos_w = point[2] / d
-    f = float(profile.value(math.acos(max(-1.0, min(1.0, cos_w)))))
-    return k * (planes @ point) * f / d**3
 
 
 def mflp_closed_form_batch(planes, s, k, profile):
@@ -265,18 +237,21 @@ def mflp_closed_form_batch(planes, s, k, profile):
     """
     planes = np.asarray(planes, dtype=float)
     s = np.asarray(s, dtype=float)
-    unique = np.abs(np.linalg.det(planes)) > INDEPENDENCE_TOL
-    rows = planes / s[:, :, None]
-    # The cross product a x b written out: the arithmetic of np.cross in
-    # its order, without its overhead on (N, 3) rows.
-    a0, a1, a2 = (rows[:, 0] - rows[:, 1]).T
-    b0, b1, b2 = (rows[:, 0] - rows[:, 2]).T
-    direction = np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
-                                 a0 * b1 - a1 * b0])
-    unique &= ((np.sqrt(np.vecdot(direction, direction)) >= 1e-12)
-               & (np.abs(direction[:, 2]) >= 1e-12))
-    direction = np.where(direction[:, 2:] < 0, -direction, direction)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A subnormal amplitude overflows its row to inf, and a subnormal
+    # plane coefficient can overflow the determinant; the NaN or inf that
+    # gives fails the checks below, so the problem is degenerate.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        unique = np.abs(np.linalg.det(planes)) > INDEPENDENCE_TOL
+        rows = planes / s[:, :, None]
+        # The cross product a x b written out: the arithmetic of np.cross
+        # in its order, without its overhead on (N, 3) rows.
+        a0, a1, a2 = (rows[:, 0] - rows[:, 1]).T
+        b0, b1, b2 = (rows[:, 0] - rows[:, 2]).T
+        direction = np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                                     a0 * b1 - a1 * b0])
+        unique &= ((np.sqrt(np.vecdot(direction, direction)) >= 1e-12)
+                   & (np.abs(direction[:, 2]) >= 1e-12))
+        direction = np.where(direction[:, 2:] < 0, -direction, direction)
         c1 = direction[:, 0] / direction[:, 2]
         c2 = direction[:, 1] / direction[:, 2]
         norm2 = 1.0 + c1 * c1 + c2 * c2
@@ -302,51 +277,55 @@ def mflp_closed_form_batch(planes, s, k, profile):
     return points, unique, residual
 
 
-def _strongest_independent_triple(readings):
-    ordered = sorted(readings, key=lambda r: r.s, reverse=True)
-    for triple in combinations(ordered, 3):
-        planes = np.array([r.plane for r in triple])
-        if abs(np.linalg.det(planes)) > INDEPENDENCE_TOL:
-            return triple
-    return None
-
-
-def mflp_least_squares(readings, k: float, profile: EmissionProfile,
+def mflp_least_squares(planes, s, k: float, profile: EmissionProfile,
                        init=None, max_iter: int = 100,
                        step_tol: float = 1e-10) -> SolveResult:
-    """Single-lamp solve over all readings of one lamp.
+    """Single-lamp solve over n >= 3 readings of one lamp: sensing planes
+    (n, 3) in its solve frame, each normalized here as ``geom.unit`` does,
+    and amplitudes ``s`` (n,), each positive and finite.
 
     Without an initial point, the closed form on the strongest independent
-    plane triple is the start; with exactly three readings that triple is
-    the whole square system, so the closed form is returned as the fix
-    (0 iterations).  More readings, or a supplied ``init``, are refined by
-    damped Gauss-Newton least squares from there.
+    plane triple is the start: the first triple, in ``combinations``
+    order over the readings sorted stably by s descending, whose |det|
+    exceeds INDEPENDENCE_TOL.  With exactly three readings that triple is
+    the whole square system, so ``mflp_closed_form_batch``'s point and
+    residual are the fix (0 iterations).  More readings, or a supplied
+    ``init``, are refined by damped Gauss-Newton least squares from there.
     """
-    readings = list(readings)
-    if len(readings) < 3:
+    shapes = [np.shape(p) for p in planes if np.shape(p) != (3,)]
+    if shapes:
+        raise ValueError("a reading's plane needs three coefficients, "
+                         f"got shape {shapes[0]}")
+    planes = np.array([unit(p) for p in planes]).reshape(-1, 3)
+    s = np.asarray(s, dtype=float)
+    if s.shape != planes.shape[:1]:
+        raise ValueError(f"need one amplitude per plane, got {s.shape} "
+                         f"for {len(planes)} planes")
+    if not np.all((0 < s) & (s < math.inf)):
+        raise ValueError("reading amplitude must be positive and finite")
+    if len(s) < 3:
         raise ValueError("least squares needs at least three readings")
     if not 0 < k < math.inf:
         raise ValueError("lamp intensity constant must be positive and finite")
-    planes = np.array([r.plane for r in readings])
-    s = np.array([r.s for r in readings])
 
     closed_form = init is None
     if closed_form:
-        triple = _strongest_independent_triple(readings)
-        if triple is None:
-            return SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
-        seeds, unique, _ = mflp_closed_form_batch(
-            [[r.plane for r in triple]], [[r.s for r in triple]], k, profile)
+        triples = np.array(list(combinations(
+            np.argsort(-s, kind="stable"), 3)))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            det = np.linalg.det(planes[triples])
+        # With no independent triple, the first one is degenerate.
+        triple = triples[np.argmax(np.abs(det) > INDEPENDENCE_TOL)]
+        seeds, unique, residual = mflp_closed_form_batch(
+            planes[triple][None], s[triple][None], k, profile)
         if not unique[0]:
             return SolveResult(np.full(3, np.nan), math.inf, STATUS_DEGENERATE)
         init = seeds[0]
     init = np.asarray(init, dtype=float)
     if init[2] <= 0:
         raise ValueError("initial point must have z > 0 in the solve frame")
-    if closed_form and len(readings) == 3:
-        r = (model_rss(planes, k, profile, init) - s) / s
-        return SolveResult(init, float(np.sqrt(np.mean(r * r))),
-                           STATUS_UNIQUE)
+    if closed_form and len(s) == 3:
+        return SolveResult(init, float(residual[0]), STATUS_UNIQUE)
 
     x0 = init[None]
     theta, cost, status, iters = levenberg_marquardt(
@@ -543,6 +522,9 @@ def _trilateration_residuals(lamps, k, profiles, s, z_receiver=None):
     return residuals
 
 
+# Huge finite inputs may overflow the geometry and the range seed; such
+# problems end degenerate or unconverged, without warnings.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def trilaterate_batch(lamps, k, profiles: ProfileTable, s, z_receiver=None,
                       max_iter: int = 100, step_tol: float = 1e-10,
                       ftol: float = 1e-8):

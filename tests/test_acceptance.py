@@ -48,10 +48,9 @@ from lightpos.streams import KeyedStreams
 from lightpos.solve import (
     STATUS_DEGENERATE,
     STATUS_UNIQUE,
-    Reading,
     mflp_closed_form_batch,
     mflp_least_squares,
-    model_rss,
+    rss_model,
     trilaterate,
 )
 
@@ -99,21 +98,22 @@ def criterion(num, budget_s, desc):
     _announce(f"criterion {num:02d} PASS {desc} ({elapsed:.1f}s)")
 
 
-def readings_for(point, planes, k=1.0, profile=COS, lamp_id=0):
+def readings_for(point, planes, k=1.0, profile=COS):
+    """Unit planes signed to dot positively with a lamp at ``point``, and
+    their model amplitudes: (planes (n, 3), s (n,))."""
     planes = np.asarray(planes, dtype=float)
     planes = planes / np.linalg.norm(planes, axis=1)[:, None]
     point = np.asarray(point, dtype=float)
     planes = np.where((planes @ point)[:, None] > 0, planes, -planes)
-    s = model_rss(planes, k, profile, point)
-    return [Reading(planes[i], float(s[i]), lamp_id, i)
-            for i in range(len(planes))]
+    return planes, rss_model(planes, k, profile, point)[0]
 
 
 def closed_form(readings, k, profile):
     """mflp_closed_form_batch on one problem of three readings: its
     (point, unique)."""
-    point, unique, _ = mflp_closed_form_batch(
-        [[r.plane for r in readings]], [[r.s for r in readings]], k, profile)
+    planes, s = readings
+    point, unique, _ = mflp_closed_form_batch(planes[None], s[None], k,
+                                              profile)
     return point[0], unique[0]
 
 
@@ -122,10 +122,10 @@ def test_criterion_01_worked_example():
                    "degenerate ambiguity curve"):
         point = np.array([10.0, 10.0, 10.0])
         axes = np.eye(3)
-        s = model_rss(axes, 1.0, COS, point)
+        s = rss_model(axes, 1.0, COS, point)[0]
         assert np.max(np.abs(s - 1 / 900)) < 1e-12 / 900
         tilted = np.array([[1.0, 2.0, 0.0]]) / math.sqrt(5)
-        s4 = float(model_rss(tilted, 1.0, COS, point)[0])
+        s4 = float(rss_model(tilted, 1.0, COS, point)[0][0])
         target4 = 1 / (300 * math.sqrt(5))
         assert abs(s4 - target4) < 1e-12 * target4
 
@@ -142,7 +142,7 @@ def test_criterion_01_worked_example():
         # all three normals are horizontal, so x = y = a and only the
         # combination a*z/d^4 is pinned down.
         dep_n = dep / np.linalg.norm(dep, axis=1)[:, None]
-        s_dep = model_rss(dep_n, 1.0, COS, point)
+        s_dep = rss_model(dep_n, 1.0, COS, point)[0]
         curve = []
         for z in np.linspace(6.0, 14.0, 11):
             a = brentq(
@@ -151,7 +151,7 @@ def test_criterion_01_worked_example():
             curve.append(np.array([a, a, z]))
         assert len({tuple(np.round(p, 6)) for p in curve}) >= 10
         for p in curve:
-            resid = model_rss(dep_n, 1.0, COS, p) - s_dep
+            resid = rss_model(dep_n, 1.0, COS, p)[0] - s_dep
             assert np.linalg.norm(resid) / np.linalg.norm(s_dep) < 1e-9
 
 
@@ -178,7 +178,7 @@ def test_criterion_02_closed_form_roundtrip():
             assert np.linalg.norm(cf - point) < 1e-9 * scale
             # Three readings: the closed form is the fix; least squares
             # started there agrees.
-            ls = mflp_least_squares(r, k, profile, init=cf)
+            ls = mflp_least_squares(*r, k, profile, init=cf)
             assert ls.status == STATUS_UNIQUE
             assert np.linalg.norm(ls.point - cf) < 1e-6
 

@@ -18,13 +18,10 @@ from lightpos.geom import (
     half_dodecahedron,
     line_of_sight,
     segments_blocked,
-    linearly_independent,
-    normalize_plane,
     receiver_rotation,
     receiver_rotations,
     rotation_to_attitude,
     solve_frame_basis,
-    solve_frame_plane,
     tri_face_min_distance,
     unit,
     visible_faces,
@@ -34,11 +31,6 @@ from lightpos.geom import (
 def test_unit_rejects_zero_vector():
     with pytest.raises(DegenerateGeometryError):
         unit([0.0, 0.0, 0.0])
-
-
-def test_normalize_plane():
-    p = normalize_plane([3.0, 0.0, 4.0])
-    assert np.allclose(p, [0.6, 0.0, 0.8])
 
 
 def test_attitude_validation():
@@ -154,11 +146,6 @@ def test_visible_faces_any_upward_direction_sees_three():
         d = rng.normal(size=3)
         d[2] = abs(d[2]) + 1e-9
         assert len(visible_faces(poly, d)) >= 3
-
-
-def test_linear_independence():
-    assert linearly_independent([1, 0, 0], [0, 1, 0], [0, 0, 1])
-    assert not linearly_independent([1, 0, 0], [0, 1, 0], [1, 2, 0])
 
 
 def test_aabb_contains_and_validation():
@@ -297,15 +284,3 @@ def test_solve_frame_basis_orthonormal_for_any_ray():
         assert np.allclose(basis.T @ basis, np.eye(3), atol=1e-12)
         assert np.allclose(basis[:, 2], -ray / np.linalg.norm(ray))
         assert np.linalg.det(basis) == pytest.approx(1.0)
-
-
-def test_solve_frame_plane_top_face_level_receiver():
-    plane = solve_frame_plane([0, 0, 1], Attitude(0, 0, 0), [0, 0, -1])
-    assert np.allclose(plane, [0, 0, 1], atol=1e-12)
-
-
-def test_solve_frame_plane_sign_follows_lamp_direction():
-    # Tilted face with the lamp on the opposite side of its plane.
-    plane = solve_frame_plane([1, 0, 0], Attitude(0, 0, 0), [0, 0, -1],
-                              toward=[-2.0, 0.0, 5.0])
-    assert plane @ np.array([-2.0, 0.0, 5.0]) > 0

@@ -5,7 +5,7 @@ import numpy as np
 
 from lightpos import solve
 from lightpos.rss import make_profile
-from lightpos.solve import Reading, mflp_closed_form_batch, mflp_least_squares
+from lightpos.solve import mflp_closed_form_batch, mflp_least_squares
 
 
 def kind_profile(kind, coeffs):
@@ -42,8 +42,8 @@ def test_reference_solver_recovers_position():
     for _ in range(100):
         planes, s, k, kind, coeffs, point = random_problem(rng)
         res = mflp_least_squares(
-            [Reading(p, v) for p, v in zip(planes, s)], k,
-            kind_profile(kind, coeffs), init=[0.0, 0.0, 1.0], max_iter=400)
+            planes, s, k, kind_profile(kind, coeffs), init=[0.0, 0.0, 1.0],
+            max_iter=400)
         assert res.status == solve.STATUS_UNIQUE
         assert np.allclose(res.point, point, atol=1e-7)
         assert res.residual_rms < 1e-8
@@ -76,9 +76,8 @@ def test_closed_form_seed_ends_after_one_iteration():
         assert np.all(iters == 1)
         assert np.allclose(x, seeds[keep], rtol=0, atol=1e-12)
         for i in np.nonzero(keep)[0][:10]:
-            single = mflp_least_squares(
-                [Reading(p, v) for p, v in zip(planes[i], s[i])], 7.0,
-                profile, init=seeds[i])
+            single = mflp_least_squares(planes[i], s[i], 7.0, profile,
+                                        init=seeds[i])
             assert (single.status, single.iterations) == (
                 solve.STATUS_UNIQUE, 1)
 

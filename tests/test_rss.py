@@ -36,6 +36,9 @@ def test_profile_validation():
     with pytest.raises(ProfileError):
         # Goes negative before pi/2.
         make_profile("polynomial", [1.0, -2.0])
+    for kind in ("polynomial", "cosine_power"):
+        with pytest.raises(ProfileError):
+            make_profile(kind, [])
 
 
 def test_profile_values():

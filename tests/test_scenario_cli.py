@@ -1,11 +1,15 @@
 """Scenario file parsing and command-line interface behaviour."""
 
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lightpos.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVE, main
 from lightpos.scenario import (
@@ -159,10 +163,13 @@ def test_cli_solve_roundtrip(tmp_path, capsys):
     assert out["status"] == "unique" and out["iterations"] >= 1
     assert np.allclose([float(v) for v in out["point"]], [10, 10, 10],
                        atol=1e-6)
-    # A non-finite amplitude, plane or k is bad input, not a failed solve.
+    # A non-finite amplitude, plane or k, an id that is no integer or
+    # overflows one, or an empty polynomial profile is bad input, not a
+    # failed solve.
     good = doc["readings"][1]
     for key, bad in (("s", math.nan), ("s", math.inf),
-                     ("plane", [math.nan, 0, 0])):
+                     ("plane", [math.nan, 0, 0]), ("lamp_id", math.inf),
+                     ("face_id", "x")):
         readings = doc["readings"][:1] + [dict(good, **{key: bad})] \
             + doc["readings"][2:]
         p.write_text(json.dumps(dict(doc, readings=readings)))
@@ -170,7 +177,11 @@ def test_cli_solve_roundtrip(tmp_path, capsys):
     for k in (math.nan, -1.0):
         p.write_text(json.dumps(dict(doc, k=k)))
         assert main(["solve", "--input", str(p)]) == EXIT_INPUT
-    capsys.readouterr()
+    p.write_text(json.dumps(dict(doc, profile={"kind": "polynomial",
+                                               "params": []})))
+    assert main(["solve", "--input", str(p)]) == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("error:") for line in err)
 
 
 @pytest.mark.parametrize("plane", [[1, 0], [1, 0, 0, 0], [[1, 0, 0]]])
@@ -218,6 +229,12 @@ def test_cli_solve_degenerate_exit_code(tmp_path, capsys):
     rc = main(["solve", "--input", str(p)])
     capsys.readouterr()
     assert rc == EXIT_SOLVE
+    # A subnormal amplitude overflows the closed form: degenerate, with
+    # no warning.
+    doc["readings"][2] = {"plane": [0, 0, 1], "s": 1e-320}
+    p.write_text(json.dumps(doc))
+    assert main(["solve", "--input", str(p)]) == EXIT_SOLVE
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_trilaterate(tmp_path, capsys):
@@ -241,10 +258,129 @@ def test_cli_trilaterate(tmp_path, capsys):
                      ("s", [s[0], math.inf, s[2]]),
                      ("lamps", [lamps[0].tolist(), [4.0, math.nan, 3.0],
                                 lamps[2].tolist()]),
-                     ("k", math.nan), ("z_receiver", math.inf)):
+                     ("k", math.nan), ("z_receiver", math.inf),
+                     ("profile", {"kind": "polynomial", "params": []})):
         p.write_text(json.dumps(dict(doc, **{key: bad})))
         assert main(["trilaterate", "--input", str(p)]) == EXIT_INPUT
     capsys.readouterr()
+
+
+# Fuzzed solve and trilaterate inputs: a well-formed document of
+# plausible values, with up to two values replaced by edge cases:
+# non-finite, subnormal, huge or zero numbers, or values of the wrong type
+# or shape.
+_edge = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1e-320, 1e-300, 1e300, 1e308,
+                     math.nan, math.inf, -math.inf, 10**400, None, True, "",
+                     "x", [], {}]),
+    st.floats(), st.lists(st.floats(), max_size=4))
+_profiles = st.one_of(
+    st.floats(0.5, 3.0).map(lambda g: {"kind": "cosine_power",
+                                       "params": [g]}),
+    st.floats(-0.6, 0.0).map(lambda a: {"kind": "polynomial",
+                                        "params": [1.0, a]}))
+
+
+def _slots(node):
+    """Every (container, key) of a JSON document, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def _fuzzed(draw, doc):
+    doc = draw(doc)
+    if draw(st.booleans()):
+        doc["profile"] = draw(_profiles)
+    for _ in range(draw(st.integers(0, 2))):
+        node, key = draw(st.sampled_from(list(_slots(doc))))
+        node[key] = draw(_edge)
+    return json.dumps(doc)
+
+
+_coords = st.floats(-5.0, 5.0)
+_solve_docs = _fuzzed(st.fixed_dictionaries({
+    "k": st.floats(0.1, 100.0),
+    "readings": st.lists(st.fixed_dictionaries(
+        {"plane": st.lists(_coords, min_size=3, max_size=3),
+         "s": st.floats(1e-3, 10.0)},
+        optional={"lamp_id": st.integers(0, 3),
+                  "face_id": st.integers(0, 5)}), min_size=3, max_size=6)}))
+_trilaterate_docs = _fuzzed(st.integers(3, 5).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {"k": st.floats(1.0, 100.0),
+         "lamps": st.lists(st.tuples(_coords, _coords, st.floats(2.0, 4.0))
+                           .map(list), min_size=n, max_size=n),
+         "s": st.lists(st.floats(0.01, 5.0), min_size=n, max_size=n)},
+        optional={"z_receiver": st.floats(-1.0, 1.0)})))
+
+_WORKED = {"k": 1.0, "readings": [{"plane": [1, 0, 0], "s": 1 / 900},
+                                  {"plane": [0, 1, 0], "s": 1 / 900},
+                                  {"plane": [0, 0, 1], "s": 1 / 900}]}
+_TRIANGLE = {"k": 40.0, "lamps": [[0, 0, 3], [4, 0, 3], [2, 3, 3]],
+             "s": [0.5, 0.6, 0.7], "z_receiver": 0.0}
+_EMPTY_POLYNOMIAL = {"kind": "polynomial", "params": []}
+
+
+def _worked_with(key, value):
+    """The worked example's readings, the second one's ``key`` set to
+    ``value``, as JSON text."""
+    readings = [dict(r) for r in _WORKED["readings"]]
+    readings[1][key] = value
+    return json.dumps(dict(_WORKED, readings=readings))
+
+
+@pytest.fixture(scope="module")
+def _input_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(
+    st.tuples(st.just("solve"), _solve_docs),
+    st.tuples(st.just("trilaterate"), _trilaterate_docs)))
+@example(case=("solve", json.dumps(dict(_WORKED,
+                                        profile=_EMPTY_POLYNOMIAL))))
+@example(case=("trilaterate", json.dumps(dict(_TRIANGLE,
+                                              profile=_EMPTY_POLYNOMIAL))))
+@example(case=("solve", _worked_with("s", 1e-320)))
+@example(case=("solve", _worked_with("lamp_id", 1).replace(
+    '"lamp_id": 1', '"lamp_id": 1e400')))
+@example(case=("solve", _worked_with("face_id", 1).replace(
+    '"face_id": 1', '"face_id": 1e400')))
+@example(case=("solve", json.dumps(dict(_WORKED, readings=[
+    {"plane": plane, "s": 1.0} for plane in (
+        [1, 0, 0], [0, 0, 1], [0, 0, 1], [0, 2.225073858507e-311, 1])]))))
+@example(case=("trilaterate", json.dumps(dict(
+    _TRIANGLE, lamps=[[1e300, 0, 3], [4, 0, 3], [2, 3, 3]]))))
+@example(case=("trilaterate", json.dumps(dict(_TRIANGLE, k=1e308))))
+@example(case=("solve", _worked_with("plane", [1, 0])))
+@example(case=("solve", _worked_with("plane", [1, 0, 0, 0])))
+@example(case=("solve", _worked_with("plane", [0, 0, 0])))
+@example(case=("solve", _worked_with("plane", [math.nan, 0, 1])))
+@example(case=("solve", _worked_with("plane", [math.inf, 0, 1])))
+@example(case=("solve", _worked_with("s", 0.0)))
+@example(case=("solve", _worked_with("s", -1.0)))
+@example(case=("solve", _worked_with("s", math.nan)))
+@example(case=("solve", _worked_with("s", math.inf)))
+def test_cli_solvers_fail_only_at_the_boundary(_input_path, case):
+    # Whatever the JSON, solve and trilaterate exit 0, 1 (stderr opens
+    # with "error:") or 2, and nothing escapes as a traceback; a leaked
+    # RuntimeWarning is an error under the test configuration.
+    command, text = case
+    _input_path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main([command, "--input", str(_input_path)])
+    assert rc in (EXIT_OK, EXIT_INPUT, EXIT_SOLVE)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if rc == EXIT_INPUT:
+        assert err.getvalue().startswith("error:")
+    else:
+        assert err.getvalue() == ""
 
 
 def test_cli_calibrate(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from lightpos.geom import (
     receiver_rotation,
     segments_blocked,
     solve_frame_basis,
+    unit,
 )
 from lightpos.rss import LampModel, eval_rss, make_profile
 from lightpos.scenario import load_scenario
@@ -29,10 +31,8 @@ from lightpos.signal import (
 )
 from lightpos import sim, solve
 from lightpos.solve import (
-    Reading,
     SolveResult,
     _invert_distances,
-    _strongest_independent_triple,
     levenberg_marquardt,
     mflp_least_squares,
     rss_model,
@@ -65,13 +65,30 @@ def _point_rng(seed, *indices):
     return np.random.default_rng((int(seed),) + tuple(int(i) for i in indices))
 
 
-def _readings(mset):
-    """The fix's valid readings as Reading objects, in lamp then face
-    order: the measurement as the Reading pipelines saw it."""
-    b = mset.batch
-    return tuple(Reading(b.planes[0, li, fi], float(b.amps[0, li, fi]),
-                         int(li), int(fi))
+class _Reading(NamedTuple):
+    """One valid reading of a fix, its plane as measured (not yet
+    normalized)."""
+
+    plane: np.ndarray
+    s: float
+    lamp_id: int
+    face_id: int
+
+
+def _readings(b):
+    """The valid readings of a one-fix batch, in lamp then face order: the
+    measurement as the reading pipelines saw it."""
+    return tuple(_Reading(b.planes[0, li, fi], float(b.amps[0, li, fi]),
+                          int(li), int(fi))
                  for li, fi in zip(*np.nonzero(b.valid[0])))
+
+
+def _one_fix(batch, n):
+    """Fix n of a batch as the one-fix batch ``measure`` would make."""
+    return replace(batch, amps=batch.amps[n:n + 1],
+                   valid=batch.valid[n:n + 1], planes=batch.planes[n:n + 1],
+                   saturated=batch.saturated[n:n + 1],
+                   attitudes=batch.attitudes[n:n + 1])
 
 
 def simple_scenario(**kw):
@@ -172,7 +189,7 @@ def test_saturated_face_excluded():
     # past full scale on the top face.
     scn = simple_scenario(saturation=900.0)
     mset = measure(scn, [5.0, 5.0, 2.5], rng=np.random.default_rng(0))
-    assert 0 in mset.saturated_faces
+    assert mset.saturated[0, 0]
     assert all(r.face_id != 0 for r in _readings(mset))
 
 
@@ -185,6 +202,20 @@ def test_end_to_end_close_to_fast(caplog):
     fast_by = {(r.lamp_id, r.face_id): r.s for r in _readings(fast)}
     for r in _readings(e2e):
         assert r.s == pytest.approx(fast_by[(r.lamp_id, r.face_id)], rel=1e-6)
+
+
+def test_fix_planes_sign_follows_lamp_direction():
+    # Under a vertical lamp the solve frame is the world frame: a level
+    # top face reads through plane (0, 0, 1), and a face whose normal
+    # points away from the lamp gets the sign that dots positively with
+    # the direction toward it.
+    scn = simple_scenario()
+    normals = np.array([[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]])
+    toward = np.array([[[[0.0, 0.0, 3.0], [-2.0, 0.0, 5.0]]]])
+    planes = sim._fix_planes(scn, normals, toward)
+    assert planes.shape == (1, 1, 2, 3)
+    assert np.array_equal(planes[0, 0], [[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])
+    assert planes[0, 0, 1] @ toward[0, 0, 1] > 0
 
 
 def _ref_pose_geometry(scn, positions, attitude):
@@ -396,7 +427,7 @@ def test_lamp_geometry_one_pass_equals_per_lamp_loop(case):
                 getattr(want, name).tobytes(), (mode, name)
 
 
-# Reference pipelines: locate over Reading objects, one fix at a time:
+# Reference pipelines: locate over reading tuples, one fix at a time:
 # readings grouped per lamp and ranked by select_readings, multi-lamp
 # least squares seeded lamp by lamp, and scalar trilateration, as they ran
 # before locate_batch became the one locate core; kept here as the oracle
@@ -462,7 +493,7 @@ def _ref_multi_residuals(readings, lamp_table, k_scale):
         by_model.setdefault((lamp.k * k_scale, lamp.profile), []).append(j)
     groups = [
         (np.array(idx), k, profile,
-         np.array([[readings[j].plane] for j in idx]),
+         np.array([[unit(readings[j].plane)] for j in idx]),
          np.array([readings[j].s for j in idx]),
          np.array([lamp_table[readings[j].lamp_id].position for j in idx]),
          np.array([lamp_table[readings[j].lamp_id].solve_basis
@@ -488,7 +519,9 @@ def _ref_solve_multi(readings, lamp_table, k_scale):
     lamp_ids = sorted({r.lamp_id for r in readings})
     if len(lamp_ids) == 1:
         lamp = lamp_table[lamp_ids[0]]
-        res = mflp_least_squares(readings, lamp.k * k_scale, lamp.profile)
+        res = mflp_least_squares([r.plane for r in readings],
+                                 [r.s for r in readings], lamp.k * k_scale,
+                                 lamp.profile)
         if res.status != "unique":
             return res
         return SolveResult(to_world_position(lamp, res.point),
@@ -497,12 +530,14 @@ def _ref_solve_multi(readings, lamp_table, k_scale):
     seed = None
     for i in sorted(lamp_ids,
                     key=lambda j: -np.mean([r.s for r in by_lamp[j][:3]])):
-        triple = _strongest_independent_triple(by_lamp[i])
-        if triple is None:
+        triple = by_lamp[i]
+        if len(triple) < 3:
             continue
         lamp = lamp_table[i]
         # Three readings: the closed form is the fix.
-        res = mflp_least_squares(triple, lamp.k * k_scale, lamp.profile)
+        res = mflp_least_squares([r.plane for r in triple],
+                                 [r.s for r in triple], lamp.k * k_scale,
+                                 lamp.profile)
         if res.status == "unique":
             seed = to_world_position(lamp, res.point)
             break
@@ -603,7 +638,7 @@ _PIPELINES = [(sim.PIPELINE_MFLP, 3), (sim.PIPELINE_MULTI, 3),
 @settings(max_examples=40, deadline=None)
 @given(_multi_lamp_scenes())
 def test_locate_equals_reading_pipelines(case):
-    # locate chooses readings from the arrays; the Reading-based pipelines
+    # locate chooses readings from the arrays; the reading pipelines
     # must give the same points, byte for byte, statuses, iterations and
     # raised errors, and residuals equal up to round-off.  The batch's row n
     # is locate on fix n, residual included; it reports an error where mflp
@@ -615,7 +650,7 @@ def test_locate_equals_reading_pipelines(case):
                               mode)
         points, status, residual, _, error = sim.locate_batch(scn, batch)
         for n, pose in enumerate(poses):
-            mset = batch.measurement_set(n)
+            mset = _one_fix(batch, n)
             for pipeline, m in _PIPELINES:
                 z = pose[2] if pipeline == sim.PIPELINE_TRILATERATION else None
                 got, got_rms = _outcome(locate, scn, mset, pipeline, m, z)
@@ -623,10 +658,9 @@ def test_locate_equals_reading_pipelines(case):
                                           z)
                 assert got == want, (pipeline, m)
                 if got_rms is not None:
-                    # The closed form takes its residual from its own
-                    # terms, the Reading pipeline from the forward model
-                    # at the point: equal up to round-off, which is the
-                    # whole residual of a noise-free fix.
+                    # Each side takes its residual from its own closed
+                    # form or least-squares cost: equal up to round-off,
+                    # which is the whole residual of a noise-free fix.
                     assert got_rms == pytest.approx(want_rms, rel=1e-9,
                                                     abs=1e-13)
             mflp, _ = _outcome(locate, scn, mset)
@@ -657,7 +691,7 @@ def test_locate_batch_equals_locate_per_fix(case):
             points, status, residual, iters, error = sim.locate_batch(
                 scn, batch, pipeline, m, z)
             for n in range(len(poses)):
-                got = _outcome(locate, scn, batch.measurement_set(n),
+                got = _outcome(locate, scn, _one_fix(batch, n),
                                pipeline, m, None if z is None else z[n])
                 want = ((("raised", sim.LOCATE_ERRORS[error[n]]), None)
                         if error[n] else
@@ -680,24 +714,26 @@ def test_locate_rejects_few_readings_like_reading_pipelines():
         assert (got[0][0] == "raised") == (pipeline != "trilateration")
 
 
-def test_mflp_locate_builds_no_readings(monkeypatch):
-    # Every pipeline solves from the measurement arrays alone.
+def test_locate_calls_no_scalar_solver(monkeypatch):
+    # Every pipeline solves from the measurement arrays on the batched
+    # core alone, never through the scalar solvers.
     three = load_scenario(resources.files("lightpos") / "fixtures"
                           / "three_lamps.json").scenario
     scn = replace(three, noise=NoiseSpec(rss_epsilon=0.1))
     mset = measure(scn, [7.0, 5.0, 0.0], rng=np.random.default_rng(2))
 
-    def no_reading(*args):
-        raise AssertionError("a Reading was built")
+    def scalar(*args, **kwargs):
+        raise AssertionError("a scalar solver was called")
 
-    monkeypatch.setattr(solve, "Reading", no_reading)
+    for name in ("mflp_least_squares", "trilaterate", "to_world_position"):
+        monkeypatch.setattr(solve, name, scalar)
     for pipeline, m in _PIPELINES:
         assert locate(scn, mset, pipeline, m, z_receiver=0.0).ok
 
 
 def test_locate_breaks_ties_like_reading_pipelines():
     # Amplitudes drawn from a few values tie often, within a lamp and
-    # across lamps: the array selection must order them as the Reading
+    # across lamps: the array selection must order them as the reading
     # pipelines do (lamp, then face order among equal amplitudes).
     three = load_scenario(resources.files("lightpos") / "fixtures"
                           / "three_lamps.json").scenario
@@ -711,7 +747,7 @@ def test_locate_breaks_ties_like_reading_pipelines():
         valid = rng.random(base.amps.shape) < 0.8
         batch = replace(base, amps=amps, valid=valid)
         for n, pose in enumerate(poses):
-            mset = batch.measurement_set(n)
+            mset = _one_fix(batch, n)
             for pipeline, m in _PIPELINES:
                 got = _outcome(locate, three, mset, pipeline, m, pose[2])
                 assert got[0] == _outcome(_ref_locate, three, mset, pipeline,
@@ -759,7 +795,7 @@ def test_measured_attitude_perturbed_within_bounds():
     for t in range(50):
         mset = measure(scn, [5, 5, 0], Attitude(0, 0, 0),
                        rng=np.random.default_rng(t))
-        h = mset.attitude.heading
+        h = mset.attitudes[0, 2]
         h = h - 2 * math.pi if h > math.pi else h
         assert abs(h) <= eps_h
         seen.append(h)
@@ -1255,5 +1291,11 @@ def test_locate_rejects_unknown_pipeline():
     mset = measure(scn, [5, 5, 0], rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         locate(scn, mset, "nonsense")
+    # locate takes a batch of one fix.
+    two = measure_batch(scn, [[5, 5, 0], [4, 4, 0]], Attitude(0, 0, 0),
+                        [np.random.default_rng(i) for i in range(2)])
+    for batch in (two, replace(two, amps=two.amps[:0])):
+        with pytest.raises(ValueError, match="one fix"):
+            locate(scn, batch)
     # Readings come in lamp then face order: the first is lamp 0's.
     assert _readings(mset)[0].lamp_id == 0

@@ -15,13 +15,13 @@ from lightpos.geom import (
     solve_frame_basis,
     unit,
 )
+from lightpos import solve
 from lightpos.solve import (
-    Reading,
     STATUS_DEGENERATE,
     STATUS_UNIQUE,
     mflp_closed_form_batch,
     mflp_least_squares,
-    model_rss,
+    rss_model,
     select_pooled_readings,
     select_top_readings,
     solve_multi,
@@ -38,34 +38,88 @@ from lightpos.solve import (
 COS = make_profile("cosine_power", [1.0])
 
 
-def readings_for(point, planes, k=1.0, profile=COS, lamp_id=0):
+def readings_for(point, planes, k=1.0, profile=COS):
+    """Unit planes signed to dot positively with a lamp at ``point``, and
+    their model amplitudes: (planes (n, 3), s (n,))."""
     planes = np.asarray(planes, dtype=float)
     planes = planes / np.linalg.norm(planes, axis=1)[:, None]
     point = np.asarray(point, dtype=float)
     planes = np.where((planes @ point)[:, None] > 0, planes, -planes)
-    s = model_rss(planes, k, profile, point)
-    return [Reading(planes[i], float(s[i]), lamp_id, i)
-            for i in range(len(planes))]
+    return planes, rss_model(planes, k, profile, point)[0]
 
 
 def closed_form(readings, k, profile):
     """mflp_closed_form_batch on one problem of three readings: its
     (point, unique, residual)."""
+    planes, s = readings
     point, unique, residual = mflp_closed_form_batch(
-        [[r.plane for r in readings]], [[r.s for r in readings]], k, profile)
+        planes[None], s[None], k, profile)
     return point[0], unique[0], residual[0]
 
 
-def test_reading_validation():
+def test_least_squares_input_validation():
+    # The readings' boundary: amplitudes in (0, inf), and planes of three
+    # coefficients, neither zero nor non-finite, rejected without a
+    # warning.
+    planes = np.eye(3)
     for s in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="amplitude"):
+            mflp_least_squares(planes, [1.0, s, 1.0], 1.0, COS)
+    for plane in ([math.nan, 0, 1], [math.inf, 0, 1], [0, 0, 0],
+                  [1e300, 1e300, 0]):  # its length overflows
         with pytest.raises(ValueError):
-            Reading(np.array([1.0, 0, 0]), s)
-    for plane in ([math.nan, 0, 1], [math.inf, 0, 1], [0, 0, 0]):
-        with pytest.raises(ValueError):
-            Reading(np.array(plane), 1.0)
+            mflp_least_squares([planes[0], plane, planes[2]], np.ones(3),
+                               1.0, COS)
     for plane in ([1, 0], [1, 0, 0, 0], [[1, 0, 0]], 1.0):
         with pytest.raises(ValueError, match="three coefficients"):
-            Reading(np.array(plane, dtype=float), 1.0)
+            mflp_least_squares([planes[0], np.array(plane, dtype=float),
+                                planes[2]], np.ones(3), 1.0, COS)
+    with pytest.raises(ValueError, match="one amplitude per plane"):
+        mflp_least_squares(planes, np.ones(4), 1.0, COS)
+    with pytest.raises(ValueError, match="three readings"):
+        mflp_least_squares(planes[:2], np.ones(2), 1.0, COS)
+    for k in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="intensity"):
+            mflp_least_squares(planes, np.ones(3), k, COS)
+
+
+def test_least_squares_normalizes_each_plane_like_unit():
+    # (3, 0, 4) is normalized to (0.6, 0, 0.8) as geom.unit normalizes
+    # it: the three-reading fix of scaled planes is the closed form of
+    # their unit rows, strongest reading first, byte for byte.
+    point = np.array([1.0, -0.5, 2.0])
+    scaled = np.array([[3.0, 0.0, 4.0], [0.0, 2.0, 2.0], [0.0, 0.0, 5.0]])
+    rows = np.array([unit(p) for p in scaled])
+    assert np.allclose(rows[0], [0.6, 0.0, 0.8])
+    s = rss_model(rows, 2.0, COS, point)[0]
+    got = mflp_least_squares(scaled, s, 2.0, COS)
+    order = np.argsort(-s, kind="stable")
+    want, unique, residual = mflp_closed_form_batch(
+        rows[order][None], s[order][None], 2.0, COS)
+    assert got.status == STATUS_UNIQUE and unique[0]
+    assert got.point.tobytes() == want[0].tobytes()
+    assert got.residual_rms == residual[0] and got.iterations == 0
+
+
+def test_least_squares_seeds_from_strongest_independent_triple(monkeypatch):
+    # Readings ranked by s descending, ties in reading order; the first
+    # triple in combinations order whose planes are independent seeds the
+    # fix.
+    planes = np.array([[1.0, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1],
+                       [0, 1, 1]])
+    s = np.array([0.8, 0.9, 0.9, 0.2, 0.7])
+    seen = []
+    closed = solve.mflp_closed_form_batch
+
+    def spy(p, s3, k, profile):
+        seen.append((p[0].tolist(), s3[0].tolist()))
+        return closed(p, s3, k, profile)
+
+    monkeypatch.setattr(solve, "mflp_closed_form_batch", spy)
+    mflp_least_squares(planes, s, 1.0, COS)
+    # Ranked 1, 2, 0, 4, 3: the horizontal planes 1, 2, 0 are dependent.
+    want = [unit(planes[i]).tolist() for i in (1, 2, 4)]
+    assert seen == [(want, [0.9, 0.9, 0.7])]
 
 
 def test_worked_example_forward_values():
@@ -73,10 +127,10 @@ def test_worked_example_forward_values():
     # each read 1/900 and the plane x + 2y = 0 reads 1/(300*sqrt(5)).
     point = np.array([10.0, 10.0, 10.0])
     planes = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
-    s = model_rss(planes, 1.0, COS, point)
+    s = rss_model(planes, 1.0, COS, point)[0]
     assert np.allclose(s, 1 / 900, rtol=1e-12)
     tilted = np.array([[1.0, 2.0, 0.0]]) / math.sqrt(5)
-    s4 = model_rss(tilted, 1.0, COS, point)
+    s4 = rss_model(tilted, 1.0, COS, point)[0]
     assert s4[0] == pytest.approx(1 / (300 * math.sqrt(5)), rel=1e-12)
 
 
@@ -93,7 +147,7 @@ def test_worked_example_dependent_planes_degenerate():
                      [[1, 0, 0], [0, 1, 0], [1, 2, 0]])
     point, unique, residual = closed_form(r, 1.0, COS)
     assert not unique and np.isnan(point).all() and residual == math.inf
-    assert mflp_least_squares(r, 1.0, COS).status == STATUS_DEGENERATE
+    assert mflp_least_squares(*r, 1.0, COS).status == STATUS_DEGENERATE
 
 
 def test_closed_form_roundtrip_random():
@@ -129,7 +183,7 @@ def test_least_squares_matches_closed_form():
             continue
         r = readings_for(point, planes, 7.0)
         cf, _, _ = closed_form(r, 7.0, COS)
-        ls = mflp_least_squares(r, 7.0, COS)
+        ls = mflp_least_squares(*r, 7.0, COS)
         assert ls.status == STATUS_UNIQUE
         assert np.linalg.norm(ls.point - cf) < 1e-6
 
@@ -165,8 +219,8 @@ def test_three_reading_closed_form_is_the_least_squares_fix(
     assume(abs(np.linalg.det(planes)) > 0.05)
     r = readings_for(x, planes, k, profile)
 
-    closed = mflp_least_squares(r, k, profile)
-    polished = mflp_least_squares(r, k, profile, init=closed.point)
+    closed = mflp_least_squares(*r, k, profile)
+    polished = mflp_least_squares(*r, k, profile, init=closed.point)
     assert closed.status == polished.status == STATUS_UNIQUE
     assert closed.iterations == 0 and polished.iterations >= 1
     # A polynomial profile is a function of omega = arccos(cos omega),
@@ -185,11 +239,10 @@ def test_least_squares_uses_extra_readings():
     planes = np.array([
         [0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1], [-1, 0.5, 1],
     ], dtype=float)
-    r = readings_for(point, planes, 5.0)
+    planes, s = readings_for(point, planes, 5.0)
     # Perturb one reading; the five-reading fit averages the error down.
-    noisy = [Reading(x.plane, x.s * (1.02 if i == 0 else 1.0), 0, i)
-             for i, x in enumerate(r)]
-    res = mflp_least_squares(noisy, 5.0, COS)
+    s[0] *= 1.02
+    res = mflp_least_squares(planes, s, 5.0, COS)
     assert res.status == STATUS_UNIQUE
     assert np.linalg.norm(res.point - point) < 0.1
 
@@ -199,7 +252,7 @@ def test_least_squares_polynomial_profile():
     point = np.array([0.5, 1.0, 2.5])
     planes = [[0, 0, 1], [1, 0, 1], [0, 1, 1]]
     r = readings_for(point, planes, 3.0, profile)
-    res = mflp_least_squares(r, 3.0, profile)
+    res = mflp_least_squares(*r, 3.0, profile)
     assert res.status == STATUS_UNIQUE
     assert np.linalg.norm(res.point - point) < 1e-8
 
@@ -207,26 +260,26 @@ def test_least_squares_polynomial_profile():
 def test_least_squares_rejects_bad_init():
     r = readings_for([1, 1, 2], [[0, 0, 1], [1, 0, 1], [0, 1, 1]])
     with pytest.raises(ValueError):
-        mflp_least_squares(r, 1.0, COS, init=[0.0, 0.0, -1.0])
+        mflp_least_squares(*r, 1.0, COS, init=[0.0, 0.0, -1.0])
 
 
 def _amplitudes(*lamps):
     """(1, lamps, faces) amplitude and validity arrays of each lamp's
     readings, in face order; missing faces are invalid."""
-    faces = max(len(r) for r in lamps)
-    s = np.zeros((1, len(lamps), faces))
-    for li, readings in enumerate(lamps):
-        s[0, li, :len(readings)] = [x.s for x in readings]
-    return s, s > 0
+    faces = max(len(s) for _, s in lamps)
+    amps = np.zeros((1, len(lamps), faces))
+    for li, (_, s) in enumerate(lamps):
+        amps[0, li, :len(s)] = s
+    return amps, amps > 0
 
 
 def test_select_readings_floor_and_lamp_choice():
     # The three- and m-reading rules, select_top_readings and
     # select_pooled_readings, on one fix.
     strong = readings_for([0.5, 0.5, 2], [[0, 0, 1], [1, 0, 1], [0, 1, 1]],
-                          k=50.0, lamp_id=0)
+                          k=50.0)
     weak = readings_for([3, 3, 2], [[0, 0, 1], [1, 0, 1], [0, 1, 1]],
-                        k=50.0, lamp_id=1)
+                        k=50.0)
     s, valid = _amplitudes(strong, weak)
     lamps, faces, count = select_top_readings(s, valid)
     assert count[0] == 3 and list(lamps[0]) == [0, 0, 0]
@@ -257,22 +310,21 @@ def test_to_world_position_vertical_lamp():
     assert np.allclose(world, [4.0, 3.0, 0.0])
 
 
-def _multi_problem(readings):
-    """One solve_multi problem of Reading objects, as its arrays."""
-    return (np.array([[r.plane for r in readings]]),
-            np.array([[r.s for r in readings]]),
-            np.array([[r.lamp_id for r in readings]]))
+def _multi_problem(planes, s, lamp_ids):
+    """One solve_multi problem of n readings: (1, n, ...) arrays."""
+    return (np.array(planes, dtype=float)[None], np.array(s)[None],
+            np.array(lamp_ids)[None])
 
 
 def test_solve_multi_single_lamp_matches_single_pipeline():
     lamp = LampModel([5.0, 5.0, 3.0], [0, 0, -1], 8.0, COS, 65.0)
     x_solve = np.array([1.0, 2.0, 3.0])
     r = readings_for(x_solve, [[0, 0, 1], [1, 0, 1], [0, 1, 1]], 8.0)
-    points, status, _, _ = solve_multi(*_multi_problem(r),
+    points, status, _, _ = solve_multi(*_multi_problem(*r, [0, 0, 0]),
                                        LampTable.of([lamp]))
     assert status[0] == STATUS_UNIQUE
     assert np.allclose(points[0], [4.0, 3.0, 0.0], atol=1e-8)
-    single = mflp_least_squares(r, 8.0, COS)
+    single = mflp_least_squares(*r, 8.0, COS)
     assert np.allclose(points[0], to_world_position(lamp, single.point),
                        atol=1e-8)
 
@@ -283,15 +335,17 @@ def test_solve_multi_two_lamps_noise_free():
         LampModel([6.0, 2.0, 3.0], [0, 0, -1], 8.0, COS, 65.0),
     ]
     receiver = np.array([4.0, 2.0, 0.0])
-    readings = []
-    for lamp_id, lamp in enumerate(lamps):
+    planes, s = [], []
+    for lamp in lamps:
         x_solve = lamp.position - receiver  # vertical ray: basis = identity
-        r = readings_for(x_solve, [[0, 0, 1], [1, 0, 1], [0, 1, 1]],
-                         8.0, lamp_id=lamp_id)
-        readings.extend(r)
-    readings.sort(key=lambda r: r.s, reverse=True)
-    points, status, _, _ = solve_multi(*_multi_problem(readings),
-                                       LampTable.of(lamps))
+        p, v = readings_for(x_solve, [[0, 0, 1], [1, 0, 1], [0, 1, 1]], 8.0)
+        planes.extend(p)
+        s.extend(v)
+    # All six readings, strongest first.
+    order = np.argsort(-np.array(s), kind="stable")
+    points, status, _, _ = solve_multi(
+        *_multi_problem(np.array(planes)[order], np.array(s)[order],
+                        order // 3), LampTable.of(lamps))
     assert status[0] == STATUS_UNIQUE
     assert np.allclose(points[0], receiver, atol=1e-7)
 
@@ -421,22 +475,22 @@ def test_multi_callback_residuals_and_jacobian():
                        + rng.normal(scale=0.5, size=3))
             lamps.append(LampModel(position, ray, k, profile, 50.0 + 10 * i))
             for j in range(3):
-                readings.append(Reading(rng.normal(size=3),
-                                        rng.uniform(0.1, 2.0), i, j))
+                readings.append((unit(rng.normal(size=3)),
+                                 rng.uniform(0.1, 2.0), i))
         rng.shuffle(readings)
         # The same readings for every receiver.
         planes, s, lamp_ids = (np.repeat(a, len(receivers), axis=0)
-                               for a in _multi_problem(readings))
+                               for a in _multi_problem(*zip(*readings)))
         residuals = _multi_residuals(planes, s, lamp_ids,
                                      LampTable.of(lamps), 0.8)
         r, jac, feasible = residuals(receivers, np.arange(len(receivers)))
         assert feasible.all()
         for n, p in enumerate(receivers):
-            for i, rd in enumerate(readings):
-                lamp = lamps[rd.lamp_id]
+            for i, (plane, si, lamp_id) in enumerate(readings):
+                lamp = lamps[lamp_id]
                 x = solve_frame_basis(lamp.central_ray).T @ (lamp.position - p)
-                m = model_rss(rd.plane[None], 0.8 * lamp.k, lamp.profile, x)
-                assert r[n, i] == pytest.approx((m[0] - rd.s) / rd.s,
+                m = rss_model(plane[None], 0.8 * lamp.k, lamp.profile, x)[0]
+                assert r[n, i] == pytest.approx((m[0] - si) / si,
                                                 rel=1e-12, abs=1e-12)
         assert np.allclose(jac, central_difference_jacobian(
             residuals, receivers), rtol=1e-6, atol=1e-7)
