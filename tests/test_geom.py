@@ -26,6 +26,8 @@ from lightpos.geom import (
     unit,
     visible_faces,
 )
+from lightpos import sim
+from lightpos.rss import LampModel, make_profile
 
 
 def test_unit_rejects_zero_vector():
@@ -284,3 +286,31 @@ def test_solve_frame_basis_orthonormal_for_any_ray():
         assert np.allclose(basis.T @ basis, np.eye(3), atol=1e-12)
         assert np.allclose(basis[:, 2], -ray / np.linalg.norm(ray))
         assert np.linalg.det(basis) == pytest.approx(1.0)
+
+
+def _fix_plane(face_normal_body, att, toward):
+    """One face's sensing plane, as ``sim._fix_planes`` signs it, under a
+    single vertical lamp, whose solve frame is the world frame: the plane
+    rule's one owner, fed the world normal of a body-frame face."""
+    scn = sim.Scenario(
+        bounds=Aabb([0, 0, 0], [10, 10, 3]), obstacles=(),
+        lamps=(LampModel([5.0, 5.0, 3.0], [0, 0, -1], 40.0,
+                         make_profile("cosine_power", [1.0]), 65.0),),
+        receiver=sim.ReceiverSpec.default(0.05), noise=sim.NoiseSpec())
+    n_world = NED_TO_WORLD @ attitude_to_rotation(att) @ unit(
+        face_normal_body)
+    return sim._fix_planes(scn, n_world[None, None],
+                           np.asarray(toward, float)[None, None, None])[0, 0, 0]
+
+
+def test_solve_frame_plane_top_face_level_receiver():
+    plane = _fix_plane([0, 0, 1], Attitude(0, 0, 0), [0.0, 0.0, 3.0])
+    assert np.allclose(plane, [0, 0, 1], atol=1e-12)
+    assert np.array_equal(plane, [0.0, 0.0, 1.0])
+
+
+def test_solve_frame_plane_sign_follows_lamp_direction():
+    # Tilted face with the lamp on the opposite side of its plane.
+    plane = _fix_plane([1, 0, 0], Attitude(0, 0, 0), [-2.0, 0.0, 5.0])
+    assert plane @ np.array([-2.0, 0.0, 5.0]) > 0
+    assert np.array_equal(plane, [-1.0, 0.0, 0.0])

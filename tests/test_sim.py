@@ -204,20 +204,6 @@ def test_end_to_end_close_to_fast(caplog):
         assert r.s == pytest.approx(fast_by[(r.lamp_id, r.face_id)], rel=1e-6)
 
 
-def test_fix_planes_sign_follows_lamp_direction():
-    # Under a vertical lamp the solve frame is the world frame: a level
-    # top face reads through plane (0, 0, 1), and a face whose normal
-    # points away from the lamp gets the sign that dots positively with
-    # the direction toward it.
-    scn = simple_scenario()
-    normals = np.array([[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]])
-    toward = np.array([[[[0.0, 0.0, 3.0], [-2.0, 0.0, 5.0]]]])
-    planes = sim._fix_planes(scn, normals, toward)
-    assert planes.shape == (1, 1, 2, 3)
-    assert np.array_equal(planes[0, 0], [[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])
-    assert planes[0, 0, 1] @ toward[0, 0, 1] > 0
-
-
 def _ref_pose_geometry(scn, positions, attitude):
     # The per-lamp loop that the one (pose, lamp, face) pass of
     # sim._pose_geometry replaced, kept as its oracle, with each lamp's
