@@ -25,7 +25,6 @@ from .report import (
     render_csv,
     render_json,
     stats_row,
-    write_csv,
     write_json,
 )
 from .rss import make_profile
@@ -153,9 +152,12 @@ def _cmd_solve(args):
         for r in data["readings"]:
             planes.append(np.array(r["plane"], dtype=float))
             s.append(float(r["s"]))
-            # The ids are not solved for; they must still be integers.
-            int(r.get("lamp_id", 0))
-            int(r.get("face_id", 0))
+            # The ids are not solved for; they must still be JSON
+            # integers (bool is an int in Python, but not in JSON).
+            for name in ("lamp_id", "face_id"):
+                if type(r.get(name, 0)) is not int:
+                    raise ValueError(f"{name} must be an integer, "
+                                     f"got {r[name]!r}")
         profile = _profile_from_json(data)
         res = mflp_least_squares(planes, s, float(data["k"]), profile)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:

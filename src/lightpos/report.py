@@ -9,16 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from importlib import metadata
+
+from . import __version__
 
 STATS_COLUMNS = ("median", "mean", "max", "stdev")
-
-
-def _version() -> str:
-    try:
-        return metadata.version("lightpos")
-    except metadata.PackageNotFoundError:
-        return "0.0.0"
 
 
 def fmt(value) -> str:
@@ -36,11 +30,6 @@ def render_csv(header, rows) -> str:
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_csv(header, rows))
 
 
 def stats_row(stats):
@@ -64,7 +53,7 @@ def envelope(scenario_path=None, seed=None, timestamp=None, extra=None) -> dict:
     repeated runs byte-identical.
     """
     env = {
-        "version": _version(),
+        "version": __version__,
         "scenario_sha256": digest_file(scenario_path) if scenario_path else None,
         "seed": seed,
         "timestamp": timestamp,

@@ -4,17 +4,21 @@ squares, the m-reading multi-lamp generalization, and trilateration.
 ``levenberg_marquardt`` is the one least-squares driver: it iterates many
 problems at once over a residual-and-Jacobian callback, and
 ``mflp_least_squares``, ``solve_multi`` and ``trilaterate_batch`` each
-build their callback over ``rss_model`` and run it once.  There is no
-compiled counterpart.
+build their callback over ``rss_model`` and run it once.  Its damping
+start and convergence tolerances are module constants; only the iteration
+cap differs between callers: 400 for ``solve_multi``, 100 otherwise.
+There is no compiled counterpart.
 
 All single-lamp solving happens in the lamp-aligned solve frame (+z
 anti-parallel to the central ray, receiver at the origin); the lamp
 position in that frame is the unknown.  Three readings make a square
-system, so a three-reading single-lamp fix is the closed form itself;
-least squares refines only fixes of more readings, or a caller-supplied
-starting point.  Residuals are relative, (model - measured) / measured,
-matching the sensor's multiplicative error structure.  Face planes are
-oriented so their coefficients dot positively with the lamp position.
+system, so a three-reading single-lamp fix is the closed form itself.
+More readings, or a caller-supplied starting point, are refined by the
+multi-lamp world model (``_multi_residuals``) on one lamp, at the
+solve-frame origin with an identity basis, capped at 100 iterations.
+Residuals are relative, (model - measured) / measured, matching the
+sensor's multiplicative error structure.  Face planes are oriented so
+their coefficients dot positively with the lamp position.
 """
 
 from __future__ import annotations
@@ -42,6 +46,13 @@ INDEPENDENCE_TOL = 1e-6
 STATUS_CONVERGED = 0
 STATUS_MAX_ITER = 1
 STATUS_INFEASIBLE = 2
+
+# ``levenberg_marquardt``'s starting damping, and its convergence tests: a
+# step shorter than LM_STEP_TOL, or a relative cost reduction of at most
+# LM_FTOL.
+LM_LAMBDA0 = 1e-3
+LM_STEP_TOL = 1e-10
+LM_FTOL = 1e-8
 
 _EZ = np.array([0.0, 0.0, 1.0])
 
@@ -88,8 +99,7 @@ def _steps(a, b):
         return out, singular
 
 
-def levenberg_marquardt(residuals, theta0, max_iter=100, lam0=1e-3,
-                        step_tol=1e-10, ftol=1e-8):
+def levenberg_marquardt(residuals, theta0, max_iter: int = 100):
     """Damped Gauss-Newton solves of N least-squares problems at once.
 
     ``residuals(theta, rows)`` evaluates the problems ``rows`` at
@@ -97,13 +107,14 @@ def levenberg_marquardt(residuals, theta0, max_iter=100, lam0=1e-3,
     Jacobians (M, n, p) and a feasibility mask (M,); ``rows`` is an index
     array (M,), or a whole slice while every problem is iterating.  Each
     problem minimizes the sum of its squared residuals and keeps its own
-    damping lambda: a feasible trial step that lowers the cost is taken
-    and divides lambda by ten; any other step is rejected and multiplies
-    it by ten.  A singular damped system is a rejected zero step.
+    damping lambda, LM_LAMBDA0 at the start: a feasible trial step that
+    lowers the cost is taken and divides lambda by ten; any other step is
+    rejected and multiplies it by ten.  A singular damped system is a
+    rejected zero step.
 
     A problem stops as converged on an accepted step shorter than
-    ``step_tol`` or with a relative cost reduction at most ``ftol``, and
-    on a rejected step shorter than ``step_tol`` that was not singular:
+    LM_STEP_TOL or with a relative cost reduction at most LM_FTOL, and
+    on a rejected step shorter than LM_STEP_TOL that was not singular:
     while the point stays put the damped step only shrinks as lambda
     grows, so more rejections could only end at this point too.  It
     stops unconverged when a rejected, non-singular step takes lambda
@@ -130,7 +141,7 @@ def levenberg_marquardt(residuals, theta0, max_iter=100, lam0=1e-3,
         # Working arrays of the problems still iterating; ``act`` maps
         # them back to their rows in the outputs.
         th, f = theta[act], np.vecdot(r, r)
-        lam = np.full(act.size, float(lam0))
+        lam = np.full(act.size, LM_LAMBDA0)
         for it in range(1, max_iter + 1):
             if not act.size:
                 break
@@ -144,13 +155,13 @@ def levenberg_marquardt(residuals, theta0, max_iter=100, lam0=1e-3,
             f_t = np.vecdot(r_t, r_t)
             better = feasible & (f_t < f)
             improved = f - f_t
-            step_small = np.sqrt(np.vecdot(step, step)) < step_tol
+            step_small = np.sqrt(np.vecdot(step, step)) < LM_STEP_TOL
             th = np.where(better[:, None], trial, th)
             r = np.where(better[:, None], r_t, r)
             jac = np.where(better[:, None, None], jac_trial, jac)
             f = np.where(better, f_t, f)
             lam = np.where(better, np.maximum(lam * 0.1, 1e-15), lam * 10.0)
-            small_gain = improved <= ftol * np.maximum(f, 1e-300)
+            small_gain = improved <= LM_FTOL * np.maximum(f, 1e-300)
             converged = np.where(better, step_small | small_gain,
                                  step_small & ~singular)
             done = converged | (~better & ~singular & (lam > 1e14))
@@ -163,28 +174,6 @@ def levenberg_marquardt(residuals, theta0, max_iter=100, lam0=1e-3,
                                            jac[keep], f[keep], lam[keep])
         theta[act], cost[act] = th, f
     return theta, cost, status, iters
-
-
-def _position(theta):
-    """Solve-frame positions from (x, y, log z) rows."""
-    x = theta.copy()
-    x[:, 2] = np.exp(theta[:, 2])
-    return x
-
-
-def _log_z_residuals(planes, s, k, profile):
-    """``levenberg_marquardt`` callback of ``mflp_least_squares`` over
-    (x, y, log z) rows: relative residuals of problem ``rows`` against
-    its readings, every position feasible."""
-    def residuals(theta, rows):
-        pl, sa = planes[rows], s[rows]
-        x = _position(theta)
-        m, grad = rss_model(pl, k, profile, x)
-        jac = grad / sa[:, :, None]
-        jac[:, :, 2] *= x[:, 2:]  # d/d(log z)
-        return (m - sa) / sa, jac, np.ones(len(theta), dtype=bool)
-
-    return residuals
 
 
 def _lm_fixes(n_fix, rows, points, cost, status, iterations, n):
@@ -278,8 +267,7 @@ def mflp_closed_form_batch(planes, s, k, profile):
 
 
 def mflp_least_squares(planes, s, k: float, profile: EmissionProfile,
-                       init=None, max_iter: int = 100,
-                       step_tol: float = 1e-10) -> SolveResult:
+                       init=None) -> SolveResult:
     """Single-lamp solve over n >= 3 readings of one lamp: sensing planes
     (n, 3) in its solve frame, each normalized here as ``geom.unit`` does,
     and amplitudes ``s`` (n,), each positive and finite.
@@ -290,7 +278,10 @@ def mflp_least_squares(planes, s, k: float, profile: EmissionProfile,
     exceeds INDEPENDENCE_TOL.  With exactly three readings that triple is
     the whole square system, so ``mflp_closed_form_batch``'s point and
     residual are the fix (0 iterations).  More readings, or a supplied
-    ``init``, are refined by damped Gauss-Newton least squares from there.
+    ``init``, are refined by ``levenberg_marquardt`` from there, over
+    ``_multi_residuals`` of one lamp at the solve-frame origin with an
+    identity basis: the receiver is at -x there, so the start is -init
+    and the fix the negated solution.
     """
     shapes = [np.shape(p) for p in planes if np.shape(p) != (3,)]
     if shapes:
@@ -327,13 +318,14 @@ def mflp_least_squares(planes, s, k: float, profile: EmissionProfile,
     if closed_form and len(s) == 3:
         return SolveResult(init, float(residual[0]), STATUS_UNIQUE)
 
-    x0 = init[None]
-    theta, cost, status, iters = levenberg_marquardt(
-        _log_z_residuals(planes[None], s[None], k, profile),
-        np.column_stack([x0[:, 0], x0[:, 1], np.log(x0[:, 2])]),
-        max_iter=max_iter, step_tol=step_tol)
-    points, status, residual, iters = _lm_fixes(1, [0], _position(theta), cost,
-                                                status, iters, len(s))
+    lamp = LampTable(np.zeros((1, 3)), np.eye(3)[None], np.array([float(k)]),
+                     ProfileTable((profile,), np.zeros(1, dtype=np.intp)))
+    p, cost, status, iters = levenberg_marquardt(
+        _multi_residuals(planes[None], s[None],
+                         np.zeros((1, len(s)), dtype=np.intp), lamp, 1.0),
+        -init[None])
+    points, status, residual, iters = _lm_fixes(1, [0], -p, cost, status,
+                                                iters, len(s))
     return SolveResult(points[0], float(residual[0]), status[0],
                        int(iters[0]))
 
@@ -425,9 +417,10 @@ def closed_form_fixes(planes, s, lamp_ids, lamps: LampTable, k_scale: float):
 
 
 def _multi_residuals(planes, s, lamp_ids, lamps, k_scale):
-    """``levenberg_marquardt`` callback of ``solve_multi`` over world
-    positions (M, 3): each reading's relative residual in its own lamp's
-    solve frame, feasible when every lamp is above (solve-frame z > 0)."""
+    """``levenberg_marquardt`` callback of ``solve_multi`` and
+    ``mflp_least_squares`` over world positions (M, 3): each reading's
+    relative residual in its own lamp's solve frame, feasible when every
+    lamp is above (solve-frame z > 0)."""
     position, basis = lamps.position[lamp_ids], lamps.basis[lamp_ids]
     k = (lamps.k * k_scale)[lamp_ids]
     planes = planes[:, :, None, :]
@@ -444,9 +437,7 @@ def _multi_residuals(planes, s, lamp_ids, lamps, k_scale):
     return residuals
 
 
-def solve_multi(planes, s, lamp_ids, lamps: LampTable, k_scale: float = 1.0,
-                max_iter: int = 400, step_tol: float = 1e-10,
-                ftol: float = 1e-8):
+def solve_multi(planes, s, lamp_ids, lamps: LampTable, k_scale: float):
     """Joint least squares over the world positions of N receivers.
 
     ``planes`` (N, n, 3) are unit sensing planes in the solve frames of
@@ -454,8 +445,9 @@ def solve_multi(planes, s, lamp_ids, lamps: LampTable, k_scale: float = 1.0,
     ``s`` (N, n) their amplitudes; k is scaled by ``k_scale``.  The seed
     is the unique closed form (``closed_form_fixes``) of the lamp with
     three readings of the greatest mean amplitude, the first on ties; a
-    problem with none is degenerate.  Returns (points (N, 3), status,
-    residual, iterations), the fields of a ``SolveResult`` per problem.
+    problem with none is degenerate.  The refine is capped at 400
+    iterations.  Returns (points (N, 3), status, residual, iterations),
+    the fields of a ``SolveResult`` per problem.
     """
     # Each problem's readings grouped by lamp, in their order: a lamp's
     # three readings are the runs of three equal lamp indices.
@@ -478,8 +470,7 @@ def solve_multi(planes, s, lamp_ids, lamps: LampTable, k_scale: float = 1.0,
     seeded = fix[best]
     p, cost, status, iters = levenberg_marquardt(
         _multi_residuals(planes[seeded], s[seeded], lamp_ids[seeded], lamps,
-                         k_scale), seeds[best],
-        max_iter=max_iter, step_tol=step_tol, ftol=ftol)
+                         k_scale), seeds[best], max_iter=400)
     return _lm_fixes(len(s), seeded, p, cost, status, iters, s.shape[1])
 
 
@@ -525,9 +516,7 @@ def _trilateration_residuals(lamps, k, profiles, s, z_receiver=None):
 # Huge finite inputs may overflow the geometry and the range seed; such
 # problems end degenerate or unconverged, without warnings.
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def trilaterate_batch(lamps, k, profiles: ProfileTable, s, z_receiver=None,
-                      max_iter: int = 100, step_tol: float = 1e-10,
-                      ftol: float = 1e-8):
+def trilaterate_batch(lamps, k, profiles: ProfileTable, s, z_receiver=None):
     """Horizontal-face receiver positions of N problems, each from n >= 3
     vertically hung lamps: the classic three-sphere geometry.
 
@@ -573,15 +562,13 @@ def trilaterate_batch(lamps, k, profiles: ProfileTable, s, z_receiver=None,
     theta, cost, status, iters = levenberg_marquardt(
         _trilateration_residuals(lamps, k, profiles, s,
                                  z0 if z_fixed else None),
-        xy if z_fixed else np.column_stack([xy, z0]),
-        max_iter=max_iter, step_tol=step_tol, ftol=ftol)
+        xy if z_fixed else np.column_stack([xy, z0]))
     points = np.column_stack([theta, z0]) if z_fixed else theta
     return (*_lm_fixes(n_fix, rows, points, cost, status, iters, n), below)
 
 
 def trilaterate(lamp_positions, k: float, profile: EmissionProfile,
-                s, z_receiver=None, max_iter: int = 100,
-                step_tol: float = 1e-10, ftol: float = 1e-8) -> SolveResult:
+                s, z_receiver=None) -> SolveResult:
     """Solve a horizontal-face receiver position from three or more
     vertically hung lamps sharing one intensity model: the batch of one
     of ``trilaterate_batch`` on checked inputs.  A start not below every
@@ -602,7 +589,7 @@ def trilaterate(lamp_positions, k: float, profile: EmissionProfile,
     point, status, residual, iters, below = trilaterate_batch(
         lamps[None], np.full((1, n), k),
         ProfileTable((profile,), np.zeros((1, n), dtype=np.intp)), s[None],
-        z, max_iter, step_tol, ftol)
+        z)
     if not below[0]:
         raise ValueError("receiver must start below every lamp")
     return SolveResult(point[0], float(residual[0]), status[0],

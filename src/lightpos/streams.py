@@ -65,33 +65,22 @@ def _column_words(col: np.ndarray):
             1 + (high != 0))
 
 
-def _entropy_groups(keys):
-    """The keys' entropy words grouped by length, as a list of
+def _entropy_groups(keys: np.ndarray):
+    """The entropy words of (N, K) keys grouped by length, as a list of
     (row indices, (rows, words) uint32 array)."""
-    if isinstance(keys, np.ndarray) and keys.ndim == 2 \
-            and keys.dtype.kind in "iuO":
-        columns = [_column_words(keys[:, j]) for j in range(keys.shape[1])]
-        words = np.zeros((len(keys), sum(w.shape[1] for w, _ in columns)),
-                         dtype=np.uint32)
-        # Each value's words go after the words of the values before it.
-        # Its unused trailing words are zeros, which the next values'
-        # words overwrite, or which lie past the row's length.
-        length = np.zeros(len(keys), dtype=np.intp)
-        for w, n in columns:
-            words[np.arange(len(keys))[:, None],
-                  length[:, None] + np.arange(w.shape[1])] = w
-            length += n
-        return [(rows, words[rows, :n]) for n in np.unique(length)
-                for rows in [np.flatnonzero(length == n)]]
-    by_length = {}
-    for n, key in enumerate(keys):
-        words = [w for v in np.ravel(np.asarray(key, dtype=object))
-                 for w in _int_words(v)]
-        rows, group = by_length.setdefault(len(words), ([], []))
-        rows.append(n)
-        group.append(words)
-    return [(np.array(rows), np.array(words, dtype=np.uint32))
-            for rows, words in by_length.values()]
+    columns = [_column_words(keys[:, j]) for j in range(keys.shape[1])]
+    words = np.zeros((len(keys), sum(w.shape[1] for w, _ in columns)),
+                     dtype=np.uint32)
+    # Each value's words go after the words of the values before it.  Its
+    # unused trailing words are zeros, which the next values' words
+    # overwrite, or which lie past the row's length.
+    length = np.zeros(len(keys), dtype=np.intp)
+    for w, n in columns:
+        words[np.arange(len(keys))[:, None],
+              length[:, None] + np.arange(w.shape[1])] = w
+        length += n
+    return [(rows, words[rows, :n]) for n in np.unique(length)
+            for rows in [np.flatnonzero(length == n)]]
 
 
 def _seed_state(words: np.ndarray):
@@ -157,15 +146,15 @@ class KeyedStreams:
     """N random streams; stream n draws what
     ``np.random.default_rng(keys[n])`` draws for the same calls.
 
-    ``keys`` is an (N, K) integer or object array of integers, or a
-    sequence of N keys, each a non-negative integer or a sequence of them.
-    A negative value raises ValueError, as numpy does.  Values of 2**32 and
-    above take more entropy words; keys are seeded in groups of equal
-    entropy length.  Each draw method returns one row per stream and
-    advances every stream alike.
+    ``keys`` is an (N, K) integer array, or an object array of Python
+    integers, which values of 2**64 and above need.  A negative value
+    raises ValueError, as numpy does.  Values
+    of 2**32 and above take more entropy words; keys are seeded in groups
+    of equal entropy length.  Each draw method returns one row per stream
+    and advances every stream alike.
     """
 
-    def __init__(self, keys):
+    def __init__(self, keys: np.ndarray):
         self._keys = keys
         n = len(keys)
         self._hi, self._lo = np.zeros(n, np.uint64), np.zeros(n, np.uint64)
@@ -187,9 +176,7 @@ class KeyedStreams:
     def generators(self):
         """One numpy Generator per key, in order, each at the start of its
         stream."""
-        keys = self._keys.tolist() if isinstance(self._keys, np.ndarray) \
-            else self._keys
-        return (np.random.default_rng(key) for key in keys)
+        return (np.random.default_rng(key) for key in self._keys.tolist())
 
     def _next64(self) -> np.ndarray:
         self._hi, self._lo = _lcg_step(self._hi, self._lo, self._inc_hi,

@@ -4,7 +4,7 @@ runs it."""
 import numpy as np
 
 from lightpos import solve
-from lightpos.rss import make_profile
+from lightpos.rss import LampTable, ProfileTable, make_profile
 from lightpos.solve import mflp_closed_form_batch, mflp_least_squares
 
 
@@ -42,8 +42,7 @@ def test_reference_solver_recovers_position():
     for _ in range(100):
         planes, s, k, kind, coeffs, point = random_problem(rng)
         res = mflp_least_squares(
-            planes, s, k, kind_profile(kind, coeffs), init=[0.0, 0.0, 1.0],
-            max_iter=400)
+            planes, s, k, kind_profile(kind, coeffs), init=[0.0, 0.0, 1.0])
         assert res.status == solve.STATUS_UNIQUE
         assert np.allclose(res.point, point, atol=1e-7)
         assert res.residual_rms < 1e-8
@@ -66,12 +65,16 @@ def test_closed_form_seed_ends_after_one_iteration():
         seeds, unique, _ = mflp_closed_form_batch(planes, s, 7.0, profile)
         keep = unique & (seeds[:, 2] > 0)
         assert keep.sum() > 50
-        x0 = seeds[keep]
-        theta, _, status, iters = solve.levenberg_marquardt(
-            solve._log_z_residuals(np.array(planes)[keep],
-                                   np.array(s)[keep], 7.0, profile),
-            np.column_stack([x0[:, 0], x0[:, 1], np.log(x0[:, 2])]))
-        x = solve._position(theta)
+        # mflp_least_squares' refine: one lamp at the solve-frame origin
+        # with an identity basis, the receiver at -x.
+        lamp = LampTable(np.zeros((1, 3)), np.eye(3)[None], np.array([7.0]),
+                         ProfileTable((profile,), np.zeros(1, dtype=np.intp)))
+        p, _, status, iters = solve.levenberg_marquardt(
+            solve._multi_residuals(
+                np.array(planes)[keep], np.array(s)[keep],
+                np.zeros((keep.sum(), 3), dtype=np.intp), lamp, 1.0),
+            -seeds[keep])
+        x = -p
         assert np.all(status == solve.STATUS_CONVERGED)
         assert np.all(iters == 1)
         assert np.allclose(x, seeds[keep], rtol=0, atol=1e-12)
@@ -95,3 +98,22 @@ def test_singular_damped_system_raises_damping():
     assert status[0] == solve.STATUS_CONVERGED
     assert iters[0] > 1
     assert abs(theta[0].sum() - 1.0) < 1e-9
+
+
+def test_refine_does_not_stop_at_a_far_flat_start():
+    # Five noisy readings whose strongest independent triple seeds the
+    # refine at a poor point.  Far up the z axis every model value is ~0
+    # and each residual -1, so a refine that steps out there stops on a
+    # small relative gain, unique with an RMS residual of 1.0; the fix
+    # must instead explain the readings.
+    planes = [[0.300609, 0.729101, 0.614854],
+              [-0.232787, -0.536107, 0.811418],
+              [-0.773973, 0.478816, 0.414367],
+              [-0.897205, 0.110298, 0.427619],
+              [-0.233211, 0.452107, 0.860936]]
+    s = [2.206646, 1.158414, 1.499704, 1.618892, 1.981836]
+    res = mflp_least_squares(planes, s, 46.1992,
+                             make_profile("polynomial", [1.0, -0.4]))
+    assert res.status == solve.STATUS_UNIQUE
+    assert np.allclose(res.point, [-0.769, 1.819, 3.498], atol=1e-3)
+    assert abs(res.residual_rms - 0.132) < 1e-3

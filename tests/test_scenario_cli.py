@@ -156,20 +156,22 @@ def test_cli_solve_roundtrip(tmp_path, capsys):
     plane = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
     d = math.sqrt(300.0)
     four = doc["readings"] + [{"plane": plane.tolist(),
-                               "s": 20 / math.sqrt(2) * (10 / d) / d**3}]
+                               "s": 20 / math.sqrt(2) * (10 / d) / d**3,
+                               "lamp_id": 0, "face_id": 2**70}]
     p.write_text(json.dumps(dict(doc, readings=four)))
     assert main(["solve", "--input", str(p)]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "unique" and out["iterations"] >= 1
     assert np.allclose([float(v) for v in out["point"]], [10, 10, 10],
                        atol=1e-6)
-    # A non-finite amplitude, plane or k, an id that is no integer or
-    # overflows one, or an empty polynomial profile is bad input, not a
-    # failed solve.
+    # A non-finite amplitude, plane or k, an id that is not a JSON
+    # integer, or an empty polynomial profile is bad input, not a failed
+    # solve.
     good = doc["readings"][1]
     for key, bad in (("s", math.nan), ("s", math.inf),
                      ("plane", [math.nan, 0, 0]), ("lamp_id", math.inf),
-                     ("face_id", "x")):
+                     ("face_id", "x"), ("lamp_id", 1.5), ("lamp_id", True),
+                     ("face_id", "2"), ("face_id", 2.0), ("lamp_id", None)):
         readings = doc["readings"][:1] + [dict(good, **{key: bad})] \
             + doc["readings"][2:]
         p.write_text(json.dumps(dict(doc, readings=readings)))

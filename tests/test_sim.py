@@ -531,7 +531,7 @@ def _ref_solve_multi(readings, lamp_table, k_scale):
         return SolveResult(np.full(3, np.nan), math.inf, "degenerate")
     p, cost, status, iters = levenberg_marquardt(
         _ref_multi_residuals(readings, lamp_table, k_scale), seed[None],
-        max_iter=400, step_tol=1e-10, ftol=1e-8)
+        max_iter=400)
     return _ref_lm_result(p[0], cost[0], status[0], iters[0], len(readings))
 
 
@@ -578,8 +578,7 @@ def _ref_trilaterate(lamps, k_scale, s, z_receiver=None):
         return r, jac, np.all(x[:, :, 2] > 0, axis=1)
 
     theta, cost, status, iters = levenberg_marquardt(
-        residuals, [xy0 if z_fixed else [*xy0, z0]], max_iter=100,
-        step_tol=1e-10, ftol=1e-8)
+        residuals, [xy0 if z_fixed else [*xy0, z0]], max_iter=100)
     point = np.array([*theta[0], z0]) if z_fixed else theta[0]
     return _ref_lm_result(point, cost[0], status[0], iters[0], len(s))
 

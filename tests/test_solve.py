@@ -30,7 +30,6 @@ from lightpos.solve import (
 )
 from lightpos.solve import (
     _invert_distances,
-    _log_z_residuals,
     _multi_residuals,
     _trilateration_residuals,
 )
@@ -321,7 +320,7 @@ def test_solve_multi_single_lamp_matches_single_pipeline():
     x_solve = np.array([1.0, 2.0, 3.0])
     r = readings_for(x_solve, [[0, 0, 1], [1, 0, 1], [0, 1, 1]], 8.0)
     points, status, _, _ = solve_multi(*_multi_problem(*r, [0, 0, 0]),
-                                       LampTable.of([lamp]))
+                                       LampTable.of([lamp]), 1.0)
     assert status[0] == STATUS_UNIQUE
     assert np.allclose(points[0], [4.0, 3.0, 0.0], atol=1e-8)
     single = mflp_least_squares(*r, 8.0, COS)
@@ -345,7 +344,7 @@ def test_solve_multi_two_lamps_noise_free():
     order = np.argsort(-np.array(s), kind="stable")
     points, status, _, _ = solve_multi(
         *_multi_problem(np.array(planes)[order], np.array(s)[order],
-                        order // 3), LampTable.of(lamps))
+                        order // 3), LampTable.of(lamps), 1.0)
     assert status[0] == STATUS_UNIQUE
     assert np.allclose(points[0], receiver, atol=1e-7)
 
@@ -430,8 +429,8 @@ def test_trilateration_input_validation():
 POLY = make_profile("polynomial", [1.0, -0.3, -0.05])
 
 
-def central_difference_jacobian(residuals, theta, rows=None, h=1e-6):
-    rows = np.arange(len(theta)) if rows is None else rows
+def central_difference_jacobian(residuals, theta, h=1e-6):
+    rows = np.arange(len(theta))
     cols = []
     for j in range(theta.shape[1]):
         dq = np.zeros_like(theta)
@@ -439,22 +438,6 @@ def central_difference_jacobian(residuals, theta, rows=None, h=1e-6):
         cols.append((residuals(theta + dq, rows)[0]
                      - residuals(theta - dq, rows)[0]) / (2 * h))
     return np.stack(cols, axis=-1)
-
-
-def test_log_z_callback_jacobian():
-    rng = np.random.default_rng(24)
-    points = rng.uniform([-2, -2, 0.5], [2, 2, 4], size=(6, 3))
-    planes = rng.normal(size=(6, 4, 3))
-    planes /= np.linalg.norm(planes, axis=2)[..., None]
-    s = rng.uniform(0.1, 2.0, size=(6, 4))
-    rows = np.array([4, 0, 2, 5])
-    theta = np.column_stack([points[rows, :2], np.log(points[rows, 2])])
-    for profile in (make_profile("cosine_power", [1.7]), POLY):
-        residuals = _log_z_residuals(planes, s, 9.0, profile)
-        _, jac, feasible = residuals(theta, rows)
-        assert feasible.all()
-        assert np.allclose(jac, central_difference_jacobian(
-            residuals, theta, rows), rtol=1e-6, atol=1e-7)
 
 
 def test_multi_callback_residuals_and_jacobian():
