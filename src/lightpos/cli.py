@@ -27,22 +27,15 @@ from .report import (
     stats_row,
     write_json,
 )
-from .rss import make_profile
-from .scenario import ScenarioFormatError, load_scenario
+from .scenario import ScenarioFormatError, load_scenario, profile_from_json
 from .sim import (
-    ErrorStats,
     coverage_analysis,
     greedy_min_lamps,
     run_static,
     run_trajectory,
     sensitivity_sweep,
 )
-from .signal import (
-    ResolutionError,
-    WaveComponent,
-    identify_lamps,
-    synthesize_trace,
-)
+from .signal import WaveComponent, identify_lamps, synthesize_trace
 from .solve import STATUS_UNIQUE, mflp_least_squares, trilaterate
 
 EXIT_OK = 0
@@ -104,14 +97,11 @@ def _cmd_simulate(args):
         raise _InputError("scenario has neither points nor a trajectory")
     try:
         if sf.trajectory is not None:
-            fixes = run_trajectory(
+            fixes, stats = run_trajectory(
                 sf.scenario, sf.trajectory.waypoints, sf.trajectory.speed_mps,
                 sf.trajectory.interval_s, pipeline=args.pipeline, m=args.m,
                 mode=args.mode, seed=seed,
             )
-            errors = [f.error for f in fixes if f.status == STATUS_UNIQUE]
-            failures = sum(1 for f in fixes if f.status != STATUS_UNIQUE)
-            stats = ErrorStats.from_errors(errors, failures)
         else:
             fixes, stats = run_static(
                 sf.scenario, sf.points, pipeline=args.pipeline, m=args.m,
@@ -140,9 +130,15 @@ def _cmd_simulate(args):
     return EXIT_OK
 
 
-def _profile_from_json(data):
-    p = data.get("profile", {"kind": "cosine_power", "params": [1.0]})
-    return make_profile(p["kind"], p["params"])
+def _emit_solve_result(res, out_path):
+    """Write a solver's fix as JSON; exit 0 if it is unique, else 2."""
+    _emit(render_json({
+        "status": res.status,
+        "point": [fmt(float(v)) for v in res.point],
+        "residual_rms": fmt(res.residual_rms),
+        "iterations": res.iterations,
+    }), out_path)
+    return EXIT_OK if res.status == STATUS_UNIQUE else EXIT_SOLVE
 
 
 def _cmd_solve(args):
@@ -158,47 +154,30 @@ def _cmd_solve(args):
                 if type(r.get(name, 0)) is not int:
                     raise ValueError(f"{name} must be an integer, "
                                      f"got {r[name]!r}")
-        profile = _profile_from_json(data)
+        profile = profile_from_json(data)
         res = mflp_least_squares(planes, s, float(data["k"]), profile)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise _InputError(str(exc)) from None
-    out = {
-        "status": res.status,
-        "point": [fmt(float(v)) for v in res.point],
-        "residual_rms": fmt(res.residual_rms),
-        "iterations": res.iterations,
-    }
-    _emit(render_json(out), args.out)
-    return EXIT_OK if res.status == STATUS_UNIQUE else EXIT_SOLVE
+    return _emit_solve_result(res, args.out)
 
 
 def _cmd_trilaterate(args):
     data = _load_json(args.input)
     try:
-        res = trilaterate(
-            np.array(data["lamps"], dtype=float),
-            float(data["k"]),
-            _profile_from_json(data),
-            np.array(data["s"], dtype=float),
-            z_receiver=data.get("z_receiver"),
-        )
+        res = trilaterate(data["lamps"], float(data["k"]),
+                          profile_from_json(data), data["s"],
+                          z_receiver=data.get("z_receiver"))
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise _InputError(str(exc)) from None
-    out = {
-        "status": res.status,
-        "point": [fmt(float(v)) for v in res.point],
-        "residual_rms": fmt(res.residual_rms),
-        "iterations": res.iterations,
-    }
-    _emit(render_json(out), args.out)
-    return EXIT_OK if res.status == STATUS_UNIQUE else EXIT_SOLVE
+    return _emit_solve_result(res, args.out)
 
 
+# A fit or heading that overflows floats is an input error.
+@np.errstate(over="raise", invalid="raise")
 def _cmd_calibrate(args):
     data = _load_json(args.input)
     try:
-        points = np.array(data["points"], dtype=float)
-        fit = fit_ellipse(points)
+        fit = fit_ellipse(data["points"])
         out = {
             "ellipse": {
                 "cx": fmt(fit.cx), "cy": fmt(fit.cy),
@@ -217,7 +196,8 @@ def _cmd_calibrate(args):
                 roll=math.radians(data.get("roll_deg", 0.0)),
             )
             out["heading_deg"] = fmt(math.degrees(heading))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError,
+            FloatingPointError) as exc:
         raise _InputError(str(exc)) from None
     _emit(render_json(out), args.out)
     return EXIT_OK
@@ -299,21 +279,28 @@ def _cmd_sensitivity(args):
     return EXIT_OK
 
 
+# A trace that overflows floats is an input error.
+@np.errstate(over="raise", invalid="raise")
 def _cmd_signal(args):
     data = _load_json(args.input)
     try:
-        components = [
-            WaveComponent(c.get("freq_hz", 0.0), c["peak"],
-                          c.get("shape", "square_ook"))
-            for c in data["components"]
-        ]
+        components = []
+        for c in data["components"]:
+            if type(c) is not dict:
+                raise ValueError(f"a component must be an object, got {c!r}")
+            shape = {"shape": c["shape"]} if "shape" in c else {}
+            components.append(
+                WaveComponent(c.get("freq_hz", 0.0), c["peak"], **shape))
+        seed = data.get("seed", 0)
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         trace = synthesize_trace(
             components, data["rate_hz"], data["duration_s"],
-            gaussian_noise_sd=data.get("noise_sd", 0.0),
-            seed=data.get("seed", 0),
+            gaussian_noise_sd=data.get("noise_sd", 0.0), seed=seed,
         )
         readings = identify_lamps(trace, data["candidates"])
-    except (KeyError, ValueError, TypeError, ResolutionError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError,
+            FloatingPointError) as exc:
         raise _InputError(str(exc)) from None
     rows = [[r.freq_hz, r.amplitude] for r in readings]
     _emit(render_csv(["freq_hz", "amplitude"], rows), args.out)

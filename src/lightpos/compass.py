@@ -47,8 +47,10 @@ class MagSample:
     sensor: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.sensor < N_SENSORS:
-            raise ValueError(f"sensor index {self.sensor} outside 0..5")
+        if not (math.isfinite(self.mx) and math.isfinite(self.my)):
+            raise ValueError("field components must be finite")
+        if type(self.sensor) is not int or not 0 <= self.sensor < N_SENSORS:
+            raise ValueError(f"sensor {self.sensor!r} is not an int in 0..5")
 
 
 @dataclass(frozen=True)
@@ -117,8 +119,10 @@ def fit_ellipse(points) -> EllipseParams:
     """Direct algebraic least-squares ellipse fit (constraint
     4AC - B^2 = 1), non-iterative and guaranteed ellipse-specific."""
     pts = np.asarray(points, dtype=float)
-    if len(pts) < 6:
-        raise EllipseFitError("need at least six points")
+    if not (pts.ndim == 2 and pts.shape[1] == 2 and len(pts) >= 6
+            and np.all(np.isfinite(pts))):
+        raise EllipseFitError("need six or more finite points (n, 2), got "
+                              f"shape {pts.shape}")
     x, y = pts[:, 0], pts[:, 1]
     d1 = np.column_stack([x * x, x * y, y * y])
     d2 = np.column_stack([x, y, np.ones_like(x)])
@@ -197,6 +201,8 @@ def calibrate_heading(raw, fit: EllipseParams, pitch: float = 0.0,
     north).  Tilt is compensated by rescaling the board-plane components
     by the pitch/roll projection.
     """
+    if not (math.isfinite(pitch) and math.isfinite(roll)):
+        raise ValueError("pitch and roll must be finite")
     pts = np.array([[s.mx, s.my] for s in raw])
     if gains is not None:
         pts = pts / np.asarray(gains, dtype=float)[:, None]

@@ -15,7 +15,7 @@ import jsonschema
 import numpy as np
 
 from .geom import Aabb
-from .rss import LampModel, make_profile
+from .rss import KIND_COSINE_POWER, EmissionProfile, LampModel, make_profile
 from .sim import NoiseSpec, ReceiverSpec, Scenario
 
 _VEC3 = {
@@ -67,7 +67,6 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "edge_length_m": {"type": "number", "exclusiveMinimum": 0},
-                "base_height_m": {"type": "number"},
             },
             "additionalProperties": False,
         },
@@ -134,15 +133,25 @@ class ScenarioFile:
     receiver_height_m: float = 0.0
 
 
+def _given(obj, *keys) -> dict:
+    """The members among ``keys`` that a file object sets."""
+    return {key: obj[key] for key in keys if key in obj}
+
+
+def profile_from_json(obj) -> EmissionProfile:
+    """A lamp or solver input's profile, cos(omega) when it sets none."""
+    profile = obj.get("profile", {"kind": KIND_COSINE_POWER, "params": [1.0]})
+    return make_profile(profile["kind"], profile["params"])
+
+
 def _lamp_from_json(obj) -> LampModel:
-    profile_obj = obj.get("profile", {"kind": "cosine_power", "params": [1.0]})
     return LampModel(
         position=np.array(obj["position"], dtype=float),
         central_ray=np.array(obj.get("central_ray", [0.0, 0.0, -1.0])),
         k=obj["k"],
-        profile=make_profile(profile_obj["kind"], profile_obj["params"]),
+        profile=profile_from_json(obj),
         flash_hz=obj["flash_hz"],
-        range_m=obj.get("range_m", math.inf),
+        **_given(obj, "range_m"),
     )
 
 
@@ -176,27 +185,20 @@ def parse_scenario(data) -> ScenarioFile:
         lamps = tuple(_lamp_from_json(l) for l in data["lamps"])
         candidates = tuple(_lamp_from_json(l) for l in data.get("candidates", []))
         rx = data.get("receiver", {})
-        receiver = ReceiverSpec.default(
-            rx.get("edge_length_m", 0.05), rx.get("base_height_m", 0.0)
-        )
-        nz = data.get("noise", {})
-        noise = NoiseSpec(
-            rss_epsilon=nz.get("rss_epsilon", 0.0),
-            heading_epsilon=math.radians(nz.get("heading_epsilon_deg", 0.0)),
-            accel_sd=nz.get("accel_sd", 0.0),
-            trace_noise_sd=nz.get("trace_noise_sd", 0.0),
-            seed=nz.get("seed", 0),
-        )
+        receiver = (ReceiverSpec.default(rx["edge_length_m"])
+                    if "edge_length_m" in rx else ReceiverSpec.default())
+        noise = dict(data.get("noise", {}))
+        if "heading_epsilon_deg" in noise:
+            noise["heading_epsilon"] = math.radians(
+                noise.pop("heading_epsilon_deg"))
         scn = Scenario(
             bounds=bounds,
             obstacles=obstacles,
             lamps=lamps,
             receiver=receiver,
-            noise=noise,
-            saturation=data.get("saturation", 1000.0),
-            ambient_dc=data.get("ambient_dc", 850.0),
-            sample_rate_hz=data.get("sample_rate_hz", 640.0),
-            window_s=data.get("window_s", 0.3),
+            noise=NoiseSpec(**noise),
+            **_given(data, "saturation", "ambient_dc", "sample_rate_hz",
+                     "window_s"),
         )
     except ValueError as exc:
         raise ScenarioFormatError(str(exc)) from None
@@ -213,14 +215,13 @@ def parse_scenario(data) -> ScenarioFile:
             t["speed_mps"],
             t["interval_s"],
         )
-    cov = data.get("coverage", {})
     return ScenarioFile(
         scenario=scn,
         points=tuple(np.array(p, dtype=float) for p in data.get("points", [])),
         trajectory=traj,
         candidates=candidates,
-        cell_size_m=cov.get("cell_size_m", 0.3),
-        receiver_height_m=cov.get("receiver_height_m", 0.0),
+        **_given(data.get("coverage", {}), "cell_size_m",
+                 "receiver_height_m"),
     )
 
 

@@ -52,8 +52,8 @@ class WaveComponent:
             raise ValueError(f"unknown shape {self.shape!r}")
         if (self.freq_hz == 0) != (self.shape == SHAPE_DC):
             raise ValueError("freq_hz must be 0 exactly for dc components")
-        if self.freq_hz < 0 or self.peak < 0:
-            raise ValueError("frequency and peak must be nonnegative")
+        if not (0 <= self.freq_hz < math.inf and 0 <= self.peak < math.inf):
+            raise ValueError("frequency and peak must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,13 @@ def synthesize_traces(components, peaks, rate_hz: float, duration_s: float,
     own peaks are not used.  Each trace sums its components in list order
     at rate_hz over duration_s, then adds Gaussian noise from its own
     seed, ``seeds[f]``, so row f equals the trace ``synthesize_trace``
-    makes from the same components, peaks and seed (``seeds`` None draws
-    fresh entropy for every trace).
+    makes from the same components, peaks and seed.  Noise without seeds
+    raises ValueError.
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
+    if not 0 <= gaussian_noise_sd < math.inf:
+        raise ValueError("noise sd must be nonnegative and finite")
     fmax = max((c.freq_hz for c in components), default=0.0)
     if rate_hz <= 2 * fmax:
         raise NyquistError(f"rate {rate_hz} Hz <= 2 x {fmax} Hz component")
@@ -133,9 +135,9 @@ def synthesize_traces(components, peaks, rate_hz: float, duration_s: float,
                     n, rate_hz, 2 * math.pi * c.freq_hz * h)
                 h += 2
     if gaussian_noise_sd > 0:
+        if seeds is None or None in seeds:
+            raise ValueError("trace noise needs a seed per trace")
         noise = np.empty_like(x)
-        if seeds is None:
-            seeds = [None] * len(x)
         for row, seed in zip(noise, seeds, strict=True):
             row[:] = np.random.default_rng(seed).normal(
                 0.0, gaussian_noise_sd, size=n)
@@ -146,8 +148,8 @@ def synthesize_traces(components, peaks, rate_hz: float, duration_s: float,
 def synthesize_trace(components, rate_hz: float, duration_s: float,
                      gaussian_noise_sd: float = 0.0, seed=None) -> SampleTrace:
     """Sum the components at rate_hz over duration_s, plus seeded
-    Gaussian noise.  Deterministic per seed.  The batch of one of
-    ``synthesize_traces``."""
+    Gaussian noise.  Deterministic per seed; noise without a seed raises
+    ValueError.  The batch of one of ``synthesize_traces``."""
     x = synthesize_traces(components, [[c.peak for c in components]],
                           rate_hz, duration_s, gaussian_noise_sd, [seed])
     return SampleTrace(rate_hz, x[0])

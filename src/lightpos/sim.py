@@ -17,8 +17,10 @@ which readings are valid.  The sweep computes the pose part of each
 point once and the per-fix part of every fix at it.
 
 Every pipeline runs on one array core, ``locate_batch``, which chooses
-readings from the measurement arrays; scalar ``locate`` is its batch of
-one.  The runs and the sweep measure and locate all their fixes at once.
+readings from the measurement arrays and gives the solvers each lamp's k
+times 2/pi (amplitudes are flash fundamentals); scalar ``locate`` is its
+batch of one.  The runs and the sweep measure and locate all their fixes
+at once.
 """
 
 from __future__ import annotations
@@ -109,11 +111,10 @@ class NoiseSpec:
 @dataclass(frozen=True)
 class ReceiverSpec:
     polyhedron: Polyhedron
-    base_height: float = 0.0
 
     @classmethod
-    def default(cls, edge_length: float = 0.05, base_height: float = 0.0):
-        return cls(half_dodecahedron(edge_length), base_height)
+    def default(cls, edge_length: float = 0.05):
+        return cls(half_dodecahedron(edge_length))
 
 
 @dataclass(frozen=True)
@@ -261,8 +262,8 @@ class MeasurementBatch:
     normalized (``locate_batch`` normalizes the chosen ones).
     ``saturated`` flags saturated faces per fix, and ``attitudes`` holds
     the measured attitudes as (pitch, roll, heading) rows.  Amplitudes
-    are flash-fundamental values, (2/pi) x model RSS; ``k_scale`` carries
-    that factor, so solvers use k_eff = k * k_scale.
+    are flash-fundamental values, (2/pi) x model RSS; ``locate_batch``
+    applies that factor to the lamps' k before it solves.
     """
 
     amps: np.ndarray       # (N, lamps, faces)
@@ -270,7 +271,6 @@ class MeasurementBatch:
     planes: np.ndarray     # (N, lamps, faces, 3)
     saturated: np.ndarray  # (N, faces)
     attitudes: np.ndarray  # (N, 3)
-    k_scale: float = OOK_FUNDAMENTAL
 
 
 class _Poses(NamedTuple):
@@ -513,8 +513,9 @@ def locate_batch(scn: Scenario, batch: MeasurementBatch,
     pipeline or multi with m < 3.
     """
     _check_pipeline(pipeline, m)
+    lamps = scn.lamp_table._replace(k=scn.lamp_table.k * OOK_FUNDAMENTAL)
     if pipeline == PIPELINE_TRILATERATION:
-        return _trilaterate_fixes(scn, batch, z_receiver)
+        return _trilaterate_fixes(lamps, batch, z_receiver)
     if pipeline == PIPELINE_MULTI and m > 3:
         lamp_ids, faces, count = select_pooled_readings(batch.amps,
                                                         batch.valid, m)
@@ -526,7 +527,7 @@ def locate_batch(scn: Scenario, batch: MeasurementBatch,
         idx = (rows[:, None], lamp_ids[rows, :n], faces[rows, :n])
         planes = batch.planes[idx]
         planes = planes / np.sqrt(np.vecdot(planes, planes))[..., None]
-        args = planes, batch.amps[idx], idx[1], scn.lamp_table, batch.k_scale
+        args = planes, batch.amps[idx], idx[1], lamps
         if n == 3:  # one lamp's three readings: the closed form is the fix
             points[rows], unique, residual[rows] = closed_form_fixes(*args)
             status[rows[unique]] = STATUS_UNIQUE
@@ -536,8 +537,8 @@ def locate_batch(scn: Scenario, batch: MeasurementBatch,
     return points, status, residual, iterations, np.where(count < 3, 1, 0)
 
 
-def _trilaterate_fixes(scn: Scenario, batch: MeasurementBatch, z_receiver):
-    """The trilateration pipeline of ``locate_batch``."""
+def _trilaterate_fixes(lamps: LampTable, batch, z_receiver):
+    """The trilateration pipeline of ``locate_batch``, over its lamps."""
     s, valid = batch.amps[:, :, 0], batch.valid[:, :, 0]
     points, status, residual, iterations = degenerate_fixes(len(s))
     z = None if z_receiver is None else np.broadcast_to(
@@ -550,10 +551,9 @@ def _trilaterate_fixes(scn: Scenario, batch: MeasurementBatch, z_receiver):
         # The three lamps reading strongest, ties in lamp order.
         ids = np.argsort(np.where(valid[rows], -s[rows], np.inf), axis=1,
                          kind="stable")[:, :3]
-        lamps = scn.lamp_table
         (points[rows], status[rows], residual[rows], iterations[rows],
          below) = trilaterate_batch(
-            lamps.position[ids], lamps.k[ids] * batch.k_scale,
+            lamps.position[ids], lamps.k[ids],
             lamps.profiles.take(ids), s[rows[:, None], ids],
             None if z is None else z[rows])
         error[rows[~below]] = 3
@@ -569,11 +569,15 @@ def _check_pipeline(pipeline: str, m: int):
 
 
 def _fixes(scn: Scenario, times, poses, pipeline: str, m: int, mode: str,
-           seed, attitude: Attitude) -> list:
+           seed, attitude: Attitude):
     """Measure every pose, pose i with the stream keyed (seed, i), and
     locate them all (trilateration at the pose's height); a pose outside
-    the bounds, or one ``locate`` raises for, is a degenerate fix."""
+    the bounds, or one ``locate`` raises for, is a degenerate fix.  The
+    seed defaults to the scenario's.  Returns (fixes, ErrorStats of the
+    unique ones, the others counted as failures)."""
     _check_pipeline(pipeline, m)
+    if seed is None:
+        seed = scn.noise.seed
     poses = np.asarray(poses, dtype=float).reshape(-1, 3)
     inside = np.flatnonzero(scn.bounds.contains(poses))
     keys = np.empty((len(inside), 2), dtype=np.array(int(seed)).dtype)
@@ -583,8 +587,10 @@ def _fixes(scn: Scenario, times, poses, pipeline: str, m: int, mode: str,
     points, status, *_ = degenerate_fixes(len(poses))
     points[inside], status[inside], *_ = locate_batch(
         scn, batch, pipeline, m, poses[inside, 2])
-    return [Fix(t, p, e, str(s)) for t, p, e, s in zip(times, poses, points,
-                                                        status)]
+    fixes = [Fix(t, p, e, str(s)) for t, p, e, s in zip(times, poses, points,
+                                                         status)]
+    errors = [f.error for f in fixes if f.status == STATUS_UNIQUE]
+    return fixes, ErrorStats.from_errors(errors, len(fixes) - len(errors))
 
 
 def run_static(scn: Scenario, points, pipeline: str = PIPELINE_MFLP,
@@ -595,12 +601,8 @@ def run_static(scn: Scenario, points, pipeline: str = PIPELINE_MFLP,
     Per-point failures (no coverage, degenerate, no convergence) are
     reported in the fix list and excluded from the statistics.
     """
-    if seed is None:
-        seed = scn.noise.seed
-    fixes = _fixes(scn, [float(i) for i in range(len(points))], points,
-                   pipeline, m, mode, seed, attitude)
-    errors = [f.error for f in fixes if f.status == STATUS_UNIQUE]
-    return fixes, ErrorStats.from_errors(errors, len(fixes) - len(errors))
+    return _fixes(scn, [float(i) for i in range(len(points))], points,
+                  pipeline, m, mode, seed, attitude)
 
 
 def sample_trajectory(waypoints, speed: float, interval_s: float):
@@ -632,12 +634,11 @@ def run_trajectory(scn: Scenario, waypoints, speed: float, interval_s: float,
                    pipeline: str = PIPELINE_MFLP, m: int = 3,
                    mode: str = MODE_FAST, seed=None,
                    attitude: Attitude = Attitude(0, 0, 0)):
-    """Static pipeline at every sampled pose of a piecewise-linear path."""
+    """Static pipeline at every sampled pose of a piecewise-linear path;
+    returns (fixes, ErrorStats) as ``run_static`` does."""
     times, poses = zip(*sample_trajectory(waypoints, speed, interval_s))
     if not scn.bounds.contains(np.array(poses)).all():
         raise ValueError("trajectory leaves scenario bounds")
-    if seed is None:
-        seed = scn.noise.seed
     return _fixes(scn, times, poses, pipeline, m, mode, seed, attitude)
 
 

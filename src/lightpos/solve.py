@@ -17,8 +17,9 @@ More readings, or a caller-supplied starting point, are refined by the
 multi-lamp world model (``_multi_residuals``) on one lamp, at the
 solve-frame origin with an identity basis, capped at 100 iterations.
 Residuals are relative, (model - measured) / measured, matching the
-sensor's multiplicative error structure.  Face planes are oriented so
-their coefficients dot positively with the lamp position.
+sensor's multiplicative error structure; ``sim.locate_batch`` passes k
+times 2/pi, the flash fundamental.  Face planes are oriented so their
+coefficients dot positively with the lamp position.
 """
 
 from __future__ import annotations
@@ -322,7 +323,7 @@ def mflp_least_squares(planes, s, k: float, profile: EmissionProfile,
                      ProfileTable((profile,), np.zeros(1, dtype=np.intp)))
     p, cost, status, iters = levenberg_marquardt(
         _multi_residuals(planes[None], s[None],
-                         np.zeros((1, len(s)), dtype=np.intp), lamp, 1.0),
+                         np.zeros((1, len(s)), dtype=np.intp), lamp),
         -init[None])
     points, status, residual, iters = _lm_fixes(1, [0], -p, cost, status,
                                                 iters, len(s))
@@ -399,7 +400,7 @@ def to_world_position(lamp: LampModel, x_solve) -> np.ndarray:
                                      np.asarray(x_solve, dtype=float))
 
 
-def closed_form_fixes(planes, s, lamp_ids, lamps: LampTable, k_scale: float):
+def closed_form_fixes(planes, s, lamp_ids, lamps: LampTable):
     """World fixes of N problems in closed form, each three readings of
     one lamp, ``lamp_ids[:, 0]``: ``mflp_closed_form_batch`` with each
     lamp's k and profile.  A fix must also put the lamp above the
@@ -408,7 +409,7 @@ def closed_form_fixes(planes, s, lamp_ids, lamps: LampTable, k_scale: float):
     infinite residual."""
     lamp_of = lamp_ids[:, 0]
     x, unique, rms = mflp_closed_form_batch(
-        planes, s, lamps.k[lamp_of] * k_scale, lamps.profiles.take(lamp_of))
+        planes, s, lamps.k[lamp_of], lamps.profiles.take(lamp_of))
     unique &= x[:, 2] > 0
     # to_world_position, each fix with its own lamp.
     world = lamps.position[lamp_of] - np.matvec(lamps.basis[lamp_of], x)
@@ -416,13 +417,13 @@ def closed_form_fixes(planes, s, lamp_ids, lamps: LampTable, k_scale: float):
             np.where(unique, rms, np.inf))
 
 
-def _multi_residuals(planes, s, lamp_ids, lamps, k_scale):
+def _multi_residuals(planes, s, lamp_ids, lamps):
     """``levenberg_marquardt`` callback of ``solve_multi`` and
     ``mflp_least_squares`` over world positions (M, 3): each reading's
     relative residual in its own lamp's solve frame, feasible when every
     lamp is above (solve-frame z > 0)."""
     position, basis = lamps.position[lamp_ids], lamps.basis[lamp_ids]
-    k = (lamps.k * k_scale)[lamp_ids]
+    k = lamps.k[lamp_ids]
     planes = planes[:, :, None, :]
 
     def residuals(p, rows):
@@ -437,13 +438,13 @@ def _multi_residuals(planes, s, lamp_ids, lamps, k_scale):
     return residuals
 
 
-def solve_multi(planes, s, lamp_ids, lamps: LampTable, k_scale: float):
+def solve_multi(planes, s, lamp_ids, lamps: LampTable):
     """Joint least squares over the world positions of N receivers.
 
     ``planes`` (N, n, 3) are unit sensing planes in the solve frames of
     the readings' lamps ``lamp_ids`` (N, n), at most three per lamp, and
-    ``s`` (N, n) their amplitudes; k is scaled by ``k_scale``.  The seed
-    is the unique closed form (``closed_form_fixes``) of the lamp with
+    ``s`` (N, n) their amplitudes, modeled with the k of ``lamps``.  The
+    seed is the unique closed form (``closed_form_fixes``) of the lamp with
     three readings of the greatest mean amplitude, the first on ties; a
     problem with none is degenerate.  The refine is capped at 400
     iterations.  Returns (points (N, 3), status, residual, iterations),
@@ -458,7 +459,7 @@ def solve_multi(planes, s, lamp_ids, lamps: LampTable, k_scale: float):
     fix, first = np.nonzero(grouped[:, 2:] == grouped[:, :-2])
     chosen = (fix[:, None], order[fix[:, None], first[:, None] + np.arange(3)])
     seeds, unique, _ = closed_form_fixes(
-        planes[chosen], s[chosen], grouped[fix, first, None], lamps, k_scale)
+        planes[chosen], s[chosen], grouped[fix, first, None], lamps)
     s3 = s[chosen]
     # np.mean's sum, in reading order.
     mean = np.where(unique, (s3[:, 0] + s3[:, 1] + s3[:, 2]) / 3, -np.inf)
@@ -469,8 +470,8 @@ def solve_multi(planes, s, lamp_ids, lamps: LampTable, k_scale: float):
 
     seeded = fix[best]
     p, cost, status, iters = levenberg_marquardt(
-        _multi_residuals(planes[seeded], s[seeded], lamp_ids[seeded], lamps,
-                         k_scale), seeds[best], max_iter=400)
+        _multi_residuals(planes[seeded], s[seeded], lamp_ids[seeded], lamps),
+        seeds[best], max_iter=400)
     return _lm_fixes(len(s), seeded, p, cost, status, iters, s.shape[1])
 
 

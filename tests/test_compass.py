@@ -42,8 +42,12 @@ def test_accel_gate():
 
 
 def test_mag_sample_sensor_range():
-    with pytest.raises(ValueError):
-        MagSample(1.0, 0.0, 6)
+    for sensor in (6, -1, 1.5, True):
+        with pytest.raises(ValueError):
+            MagSample(1.0, 0.0, sensor)
+    for mx, my in ((math.nan, 0.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            MagSample(mx, my, 0)
 
 
 def test_ellipse_params_validation_and_inverse():
@@ -77,6 +81,11 @@ def test_fit_ellipse_exact_recovery():
 def test_fit_ellipse_rejects_degenerate_inputs():
     with pytest.raises(EllipseFitError):
         fit_ellipse(np.zeros((4, 2)))  # too few points
+    circle = [[math.cos(a), math.sin(a)] for a in range(8)]
+    for bad in ([1, 2, 3, 4, 5, 6], np.ones((8, 3)),
+                circle[:7] + [[1.0, math.inf]]):
+        with pytest.raises(EllipseFitError, match=r"\(n, 2\)"):
+            fit_ellipse(bad)
     line = np.column_stack([np.linspace(0, 1, 10), np.linspace(0, 2, 10)])
     with pytest.raises(EllipseFitError):
         fit_ellipse(line)
@@ -113,6 +122,9 @@ def test_heading_with_tilt_compensation():
     tilted = [MagSample(redist[i, 0], redist[i, 1], i) for i in range(6)]
     got = calibrate_heading(tilted, fit, pitch=pitch, roll=roll)
     assert wrap_err(got, heading) < 1e-9
+    for bad in ({"pitch": math.nan}, {"roll": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            calibrate_heading(tilted, fit, **bad)
 
 
 def test_heading_noisy_median_below_two_degrees():

@@ -72,7 +72,7 @@ def test_closed_form_seed_ends_after_one_iteration():
         p, _, status, iters = solve.levenberg_marquardt(
             solve._multi_residuals(
                 np.array(planes)[keep], np.array(s)[keep],
-                np.zeros((keep.sum(), 3), dtype=np.intp), lamp, 1.0),
+                np.zeros((keep.sum(), 3), dtype=np.intp), lamp),
             -seeds[keep])
         x = -p
         assert np.all(status == solve.STATUS_CONVERGED)

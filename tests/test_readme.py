@@ -1,5 +1,6 @@
 """The README's examples: its python blocks run and print what their
-comments say, and its `lightpos solve` input solves."""
+comments say, its `lightpos solve` input solves and its `lightpos
+signal` input prints the CSV shown."""
 
 import io
 import json
@@ -31,10 +32,23 @@ def test_readme_python_blocks_print_what_they_say():
         assert out.getvalue().splitlines() == said
 
 
+def _json_input(key):
+    """The README's JSON input block that has the member ``key``."""
+    (text,) = [b for b in _blocks("json") if f'"{key}"' in b]
+    return text
+
+
 def test_readme_solve_input_solves(tmp_path, capsys):
-    (text,) = _blocks("json")
     path = tmp_path / "readings.json"
-    path.write_text(text)
+    path.write_text(_json_input("readings"))
     assert main(["solve", "--input", str(path)]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "unique" and out["iterations"] == 0
+
+
+def test_readme_signal_input_prints_its_csv(tmp_path, capsys):
+    path = tmp_path / "components.json"
+    path.write_text(_json_input("components"))
+    assert main(["signal", "--input", str(path)]) == EXIT_OK
+    (csv,) = _blocks("csv")
+    assert capsys.readouterr().out == csv

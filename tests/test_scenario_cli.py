@@ -4,6 +4,7 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import MISSING, fields
 from importlib import resources
 
 import numpy as np
@@ -12,11 +13,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightpos.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVE, main
+from lightpos.compass import EllipseParams, synth_distorted_samples
+from lightpos.rss import LampModel, make_profile
 from lightpos.scenario import (
+    ScenarioFile,
     ScenarioFormatError,
     load_scenario,
     parse_scenario,
 )
+from lightpos.sim import NoiseSpec, ReceiverSpec, Scenario
 
 FIXTURES = resources.files("lightpos") / "fixtures"
 
@@ -31,13 +36,24 @@ MINIMAL = {
 }
 
 
+def _defaults(cls):
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
 def test_parse_minimal_defaults():
+    # A file of only bounds and lamps takes every default of the models.
     sf = parse_scenario(MINIMAL)
     lamp = sf.scenario.lamps[0]
     assert np.allclose(lamp.central_ray, [0, 0, -1])
-    assert lamp.profile.kind == "cosine_power"
-    assert sf.scenario.sample_rate_hz == 640.0
-    assert sf.scenario.noise.rss_epsilon == 0.0
+    assert lamp.profile == make_profile("cosine_power", [1.0])
+    assert _defaults(LampModel) == {"range_m": math.inf}
+    assert lamp.range_m == math.inf
+    assert sf.scenario.receiver.polyhedron.edge_length == \
+        ReceiverSpec.default().polyhedron.edge_length
+    for obj, cls in ((sf.scenario, Scenario), (sf, ScenarioFile)):
+        for name, value in _defaults(cls).items():
+            assert getattr(obj, name) == value, name
+    assert sf.scenario.noise == NoiseSpec()
 
 
 def test_parse_converts_heading_noise_to_radians():
@@ -57,6 +73,14 @@ def test_schema_error_reports_json_path():
 def test_schema_rejects_unknown_field():
     with pytest.raises(ScenarioFormatError):
         parse_scenario(dict(MINIMAL, bogus=1))
+
+
+def test_cli_rejects_receiver_base_height(tmp_path, capsys):
+    # The receiver model has no base height, so the schema has none.
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps(dict(MINIMAL, receiver={"base_height_m": 1.0})))
+    rc = main(["coverage", "--scenario", str(p)])
+    assert_input_error(capsys, rc, "base_height_m")
 
 
 def test_model_validation_wrapped_as_format_error():
@@ -267,15 +291,21 @@ def test_cli_trilaterate(tmp_path, capsys):
     capsys.readouterr()
 
 
-# Fuzzed solve and trilaterate inputs: a well-formed document of
-# plausible values, with up to two values replaced by edge cases:
-# non-finite, subnormal, huge or zero numbers, or values of the wrong type
-# or shape.
-_edge = st.one_of(
-    st.sampled_from([0.0, -0.0, -1.0, 1e-320, 1e-300, 1e300, 1e308,
-                     math.nan, math.inf, -math.inf, 10**400, None, True, "",
-                     "x", [], {}]),
-    st.floats(), st.lists(st.floats(), max_size=4))
+# Fuzzed solve, trilaterate, signal and calibrate inputs: a well-formed
+# document of plausible values, with up to two values replaced by edge
+# cases: non-finite, subnormal, huge or zero numbers, or values of the
+# wrong type or shape.
+_EDGE_VALUES = [0.0, -0.0, -1.0, 1e-320, 1e-300, 1e300, 1e308, math.nan,
+                math.inf, -math.inf, 10**400, None, True, "", "x", [], {}]
+_edge = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(),
+                  st.lists(st.floats(), max_size=4))
+# The numbers that size a signal trace (rate, duration, flash frequency)
+# take only edge values that make no longer trace and no more harmonics:
+# a trace is allocated whole (1e7 s at 640 Hz is about 51 GB), and a
+# square flash of f Hz sums rate / 2f harmonics.
+_SIZES = ("rate_hz", "duration_s", "freq_hz")
+_size_edge = st.sampled_from([v for v in _EDGE_VALUES
+                              if v not in (1e-320, 1e-300)])
 _profiles = st.one_of(
     st.floats(0.5, 3.0).map(lambda g: {"kind": "cosine_power",
                                        "params": [g]}),
@@ -295,11 +325,9 @@ def _slots(node):
 @st.composite
 def _fuzzed(draw, doc):
     doc = draw(doc)
-    if draw(st.booleans()):
-        doc["profile"] = draw(_profiles)
     for _ in range(draw(st.integers(0, 2))):
         node, key = draw(st.sampled_from(list(_slots(doc))))
-        node[key] = draw(_edge)
+        node[key] = draw(_size_edge if key in _SIZES else _edge)
     return json.dumps(doc)
 
 
@@ -310,14 +338,50 @@ _solve_docs = _fuzzed(st.fixed_dictionaries({
         {"plane": st.lists(_coords, min_size=3, max_size=3),
          "s": st.floats(1e-3, 10.0)},
         optional={"lamp_id": st.integers(0, 3),
-                  "face_id": st.integers(0, 5)}), min_size=3, max_size=6)}))
+                  "face_id": st.integers(0, 5)}), min_size=3, max_size=6)},
+    optional={"profile": _profiles}))
 _trilaterate_docs = _fuzzed(st.integers(3, 5).flatmap(
     lambda n: st.fixed_dictionaries(
         {"k": st.floats(1.0, 100.0),
          "lamps": st.lists(st.tuples(_coords, _coords, st.floats(2.0, 4.0))
                            .map(list), min_size=n, max_size=n),
          "s": st.lists(st.floats(0.01, 5.0), min_size=n, max_size=n)},
-        optional={"z_receiver": st.floats(-1.0, 1.0)})))
+        optional={"z_receiver": st.floats(-1.0, 1.0),
+                  "profile": _profiles})))
+_signal_docs = _fuzzed(st.fixed_dictionaries(
+    {"components": st.lists(st.fixed_dictionaries(
+        {"freq_hz": st.floats(40.0, 150.0), "peak": st.floats(0.0, 1e3)},
+        optional={"shape": st.sampled_from(["sine", "square_ook"])}),
+        min_size=1, max_size=3),
+     "rate_hz": st.floats(320.0, 1000.0),
+     "duration_s": st.floats(0.2, 2.0),
+     "candidates": st.lists(st.floats(40.0, 150.0), min_size=1, max_size=3)},
+    optional={"noise_sd": st.floats(0.0, 5.0),
+              "seed": st.integers(0, 2**64)}))
+
+
+@st.composite
+def _calibration(draw):
+    """A distorted circle's points, and maybe one heading's samples."""
+    q = draw(st.floats(0.5, 1.0))
+    dist = EllipseParams(draw(_coords), draw(_coords),
+                         q * draw(st.floats(1.0, 2.0)), q,
+                         draw(st.floats(-1.5, 1.5)))
+    ang = np.linspace(0, 2 * math.pi, draw(st.integers(6, 12)),
+                      endpoint=False)
+    doc = {"points": dist.apply(np.column_stack([np.cos(ang), np.sin(ang)])
+                                ).tolist()}
+    if draw(st.booleans()):
+        doc["samples"] = [
+            {"mx": s.mx, "my": s.my, "sensor": s.sensor}
+            for s in synth_distorted_samples(draw(st.floats(0.0, 6.0)), dist)]
+        doc.update(draw(st.fixed_dictionaries({}, optional={
+            "pitch_deg": st.floats(-30.0, 30.0),
+            "roll_deg": st.floats(-30.0, 30.0)})))
+    return doc
+
+
+_calibrate_docs = _fuzzed(_calibration())
 
 _WORKED = {"k": 1.0, "readings": [{"plane": [1, 0, 0], "s": 1 / 900},
                                   {"plane": [0, 1, 0], "s": 1 / 900},
@@ -325,6 +389,9 @@ _WORKED = {"k": 1.0, "readings": [{"plane": [1, 0, 0], "s": 1 / 900},
 _TRIANGLE = {"k": 40.0, "lamps": [[0, 0, 3], [4, 0, 3], [2, 3, 3]],
              "s": [0.5, 0.6, 0.7], "z_receiver": 0.0}
 _EMPTY_POLYNOMIAL = {"kind": "polynomial", "params": []}
+_TONE = {"components": [{"freq_hz": 65.0, "peak": 100.0}], "rate_hz": 640.0,
+         "duration_s": 1.0, "candidates": [65.0], "noise_sd": 1.0}
+_CIRCLE = [[math.cos(a), math.sin(a)] for a in np.arange(6) * math.pi / 3]
 
 
 def _worked_with(key, value):
@@ -340,10 +407,22 @@ def _input_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input.json"
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(case=st.one_of(
     st.tuples(st.just("solve"), _solve_docs),
-    st.tuples(st.just("trilaterate"), _trilaterate_docs)))
+    st.tuples(st.just("trilaterate"), _trilaterate_docs),
+    st.tuples(st.just("signal"), _signal_docs),
+    st.tuples(st.just("calibrate"), _calibrate_docs)))
+@example(case=("signal", json.dumps(dict(_TONE, components=[1]))))
+@example(case=("signal", json.dumps(dict(_TONE, components={"a": 1}))))
+@example(case=("signal", json.dumps(dict(_TONE, duration_s=1e308))))
+@example(case=("signal", json.dumps(dict(_TONE, seed=None))))
+@example(case=("signal", json.dumps(dict(_TONE, noise_sd=1e308))))
+@example(case=("calibrate", json.dumps({"points": [1, 2, 3, 4, 5, 6]})))
+@example(case=("calibrate", json.dumps({"points": _CIRCLE, "samples": [
+    {"mx": x, "my": y, "sensor": 1.5} for x, y in _CIRCLE]})))
+@example(case=("calibrate", json.dumps({"points": _CIRCLE, "samples": [
+    {"mx": x, "my": y} for x, y in _CIRCLE], "pitch_deg": math.nan})))
 @example(case=("solve", json.dumps(dict(_WORKED,
                                         profile=_EMPTY_POLYNOMIAL))))
 @example(case=("trilaterate", json.dumps(dict(_TRIANGLE,
@@ -369,8 +448,8 @@ def _input_path(tmp_path_factory):
 @example(case=("solve", _worked_with("s", math.nan)))
 @example(case=("solve", _worked_with("s", math.inf)))
 def test_cli_solvers_fail_only_at_the_boundary(_input_path, case):
-    # Whatever the JSON, solve and trilaterate exit 0, 1 (stderr opens
-    # with "error:") or 2, and nothing escapes as a traceback; a leaked
+    # Whatever the JSON, each command exits 0, 1 (stderr opens with
+    # "error:") or 2, and nothing escapes as a traceback; a leaked
     # RuntimeWarning is an error under the test configuration.
     command, text = case
     _input_path.write_text(text)
@@ -386,8 +465,6 @@ def test_cli_solvers_fail_only_at_the_boundary(_input_path, case):
 
 
 def test_cli_calibrate(tmp_path, capsys):
-    from lightpos.compass import EllipseParams, synth_distorted_samples
-
     dist = EllipseParams(0.2, -0.1, 1.3, 0.9, 0.4)
     ang = np.linspace(0, 2 * math.pi, 60, endpoint=False)
     pts = dist.apply(np.column_stack([np.cos(ang), np.sin(ang)]))
@@ -616,3 +693,35 @@ def test_cli_signal_bad_input_exit_code(tmp_path, capsys):
     rc = main(["signal", "--input", str(p)])
     capsys.readouterr()
     assert rc == EXIT_INPUT
+
+
+def test_cli_signal_noise_is_reproducible(tmp_path, capsys):
+    p = tmp_path / "sig.json"
+    outs = []
+    for seed in (0, 0, 1):
+        p.write_text(json.dumps(dict(_TONE, seed=seed)))
+        assert main(["signal", "--input", str(p)]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != outs[2]
+    p.write_text(json.dumps(_TONE))  # the seed defaults to 0
+    assert main(["signal", "--input", str(p)]) == EXIT_OK
+    assert capsys.readouterr().out == outs[0]
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("signal", dict(_TONE, seed=None), "seed"),
+    ("signal", dict(_TONE, seed=-1), "seed"),
+    ("signal", dict(_TONE, seed=1.0), "seed"),
+    ("signal", dict(_TONE, seed=True), "seed"),
+    ("signal", dict(_TONE, components=[1]), "component"),
+    ("signal", dict(_TONE, duration_s=1e308), "infinity"),
+    ("calibrate", {"points": [1, 2, 3, 4, 5, 6]}, "(n, 2)"),
+    ("calibrate", {"points": _CIRCLE, "samples": [
+        {"mx": x, "my": y, "sensor": 1.5} for x, y in _CIRCLE]}, "sensor"),
+], ids=["seed-null", "seed-negative", "seed-float", "seed-bool",
+        "component-number", "duration-huge", "points-flat", "sensor-float"])
+def test_cli_signal_and_calibrate_reject_bad_values(tmp_path, capsys,
+                                                    command, doc, message):
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(doc))
+    assert_input_error(capsys, main([command, "--input", str(p)]), message)

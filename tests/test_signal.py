@@ -29,6 +29,9 @@ def test_component_validation():
         WaveComponent(10.0, 1.0, "dc")
     with pytest.raises(ValueError):
         WaveComponent(10.0, 1.0, "triangle")
+    for freq, peak in ((math.nan, 1.0), (10.0, math.inf), (10.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            WaveComponent(freq, peak, "sine")
 
 
 def test_synthesis_rejects_nyquist_violation():
@@ -150,6 +153,15 @@ def test_batched_synthesis_validates_inputs():
                           640.0, 1.0)
     with pytest.raises(ValueError):
         extract_amplitudes(np.zeros((2, 64)), 640.0, [65.0, 5.0])
+    # Noise needs a seed per trace, and a finite, nonnegative sd.
+    for seeds in (None, [1, None]):
+        with pytest.raises(ValueError, match="seed"):
+            synthesize_traces(comps, [[1.0], [2.0]], 640.0, 1.0, 0.5, seeds)
+    with pytest.raises(ValueError, match="seed"):
+        synthesize_trace(comps, 640.0, 1.0, gaussian_noise_sd=0.5)
+    for sd in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise sd"):
+            synthesize_traces(comps, [[1.0]], 640.0, 1.0, sd, [0])
 
 
 # Reference signal layer: one trace at a time, as synthesis and extraction

@@ -142,7 +142,6 @@ def test_fast_measurement_matches_forward_model():
     for fid, r in by_face.items():
         expected = OOK_FUNDAMENTAL * eval_rss(lamp, pos, poly.normals[fid])
         assert r.s == pytest.approx(expected, rel=1e-12)
-    assert mset.k_scale == OOK_FUNDAMENTAL
 
 
 def test_fast_noise_is_fixed_magnitude_random_sign():
@@ -590,7 +589,7 @@ def _ref_locate(scn, mset, pipeline, m=3, z_receiver=None):
         if len(top) < 3:
             return SolveResult(np.full(3, np.nan), math.inf, "degenerate")
         ids = sorted(top, key=top.get, reverse=True)[:3]
-        return _ref_trilaterate([scn.lamps[i] for i in ids], mset.k_scale,
+        return _ref_trilaterate([scn.lamps[i] for i in ids], OOK_FUNDAMENTAL,
                                 [top[i] for i in ids], z_receiver)
     by_lamp = {}
     for r in readings:
@@ -601,7 +600,7 @@ def _ref_locate(scn, mset, pipeline, m=3, z_receiver=None):
         sightings, 3 if pipeline == sim.PIPELINE_MFLP else m)
     return _ref_solve_multi(chosen, {i: scn.lamps[i] for i in
                                      {r.lamp_id for r in chosen}},
-                            mset.k_scale)
+                            OOK_FUNDAMENTAL)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -820,10 +819,12 @@ def test_sample_trajectory_spacing():
 
 def test_run_trajectory_noise_free():
     scn = simple_scenario()
-    fixes = run_trajectory(scn, [[4, 4, 0], [6, 6, 0]], speed=1.0,
-                           interval_s=0.3, seed=0)
+    fixes, stats = run_trajectory(scn, [[4, 4, 0], [6, 6, 0]], speed=1.0,
+                                  interval_s=0.3, seed=0)
     assert all(f.status == "unique" for f in fixes)
     assert max(f.error for f in fixes) < 1e-9
+    assert (stats.count, stats.failures) == (len(fixes), 0)
+    assert stats.max == max(f.error for f in fixes)
 
 
 def test_runs_equal_fixes_measured_one_at_a_time():
@@ -843,8 +844,8 @@ def test_runs_equal_fixes_measured_one_at_a_time():
         for mode in (sim.MODE_FAST, MODE_END_TO_END):
             fixes, stats = run_static(scn, points, pipeline, m, mode, seed=5,
                                       attitude=att)
-            traj = run_trajectory(scn, points[:2], 1.0, 0.5, pipeline, m,
-                                  mode, seed=5, attitude=att)
+            traj, _ = run_trajectory(scn, points[:2], 1.0, 0.5, pipeline,
+                                     m, mode, seed=5, attitude=att)
             poses = [(fix.time_s, fix.true_position) for fix in traj]
             for i, fix in enumerate(fixes + traj):
                 t, p = (float(i), points[i]) if i < len(fixes) else \

@@ -320,7 +320,7 @@ def test_solve_multi_single_lamp_matches_single_pipeline():
     x_solve = np.array([1.0, 2.0, 3.0])
     r = readings_for(x_solve, [[0, 0, 1], [1, 0, 1], [0, 1, 1]], 8.0)
     points, status, _, _ = solve_multi(*_multi_problem(*r, [0, 0, 0]),
-                                       LampTable.of([lamp]), 1.0)
+                                       LampTable.of([lamp]))
     assert status[0] == STATUS_UNIQUE
     assert np.allclose(points[0], [4.0, 3.0, 0.0], atol=1e-8)
     single = mflp_least_squares(*r, 8.0, COS)
@@ -344,7 +344,7 @@ def test_solve_multi_two_lamps_noise_free():
     order = np.argsort(-np.array(s), kind="stable")
     points, status, _, _ = solve_multi(
         *_multi_problem(np.array(planes)[order], np.array(s)[order],
-                        order // 3), LampTable.of(lamps), 1.0)
+                        order // 3), LampTable.of(lamps))
     assert status[0] == STATUS_UNIQUE
     assert np.allclose(points[0], receiver, atol=1e-7)
 
@@ -464,8 +464,9 @@ def test_multi_callback_residuals_and_jacobian():
         # The same readings for every receiver.
         planes, s, lamp_ids = (np.repeat(a, len(receivers), axis=0)
                                for a in _multi_problem(*zip(*readings)))
+        table = LampTable.of(lamps)
         residuals = _multi_residuals(planes, s, lamp_ids,
-                                     LampTable.of(lamps), 0.8)
+                                     table._replace(k=table.k * 0.8))
         r, jac, feasible = residuals(receivers, np.arange(len(receivers)))
         assert feasible.all()
         for n, p in enumerate(receivers):
