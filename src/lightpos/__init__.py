@@ -44,7 +44,6 @@ from .rss import (
     LampModel,
     ProfileError,
     eval_rss,
-    fit_lamp_model,
     make_profile,
 )
 from .scenario import ScenarioFile, ScenarioFormatError, load_scenario, parse_scenario
@@ -79,6 +78,7 @@ from .solve import (
     STATUS_DEGENERATE,
     STATUS_NO_CONVERGE,
     STATUS_UNIQUE,
+    fit_lamp_model,
     mflp_least_squares,
     rss_model,
     solve_multi,

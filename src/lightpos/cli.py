@@ -284,6 +284,9 @@ def _cmd_sensitivity(args):
 def _cmd_signal(args):
     data = _load_json(args.input)
     try:
+        for key in ("components", "candidates"):
+            if type(data[key]) is not list:
+                raise ValueError(f"{key} must be a list, got {data[key]!r}")
         components = []
         for c in data["components"]:
             if type(c) is not dict:

@@ -1,5 +1,4 @@
-"""Parametric forward model of received signal strength and calibration
-of its free parameters from labeled samples.
+"""Parametric forward model of received signal strength.
 
 The model multiplies three factors: inverse-square distance decay k/d^2,
 incidence factor sin(mu) = d'/d (d' the lamp's distance to the sensing
@@ -14,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .geom import solve_frame_basis, unit
 
@@ -200,73 +198,3 @@ def eval_rss(lamp: LampModel, face_center, face_normal) -> float:
     omega = math.acos(min(1.0, cos_omega))
     n = unit(face_normal)
     return lamp.k / d**3 * abs(n @ delta) * float(lamp.profile.value(omega))
-
-
-class InsufficientSamplesError(ValueError):
-    """Raised when a fit is requested with too few or degenerate samples."""
-
-
-def fit_lamp_model(samples, profile_kind: str, degree: int,
-                   lamp_position, central_ray):
-    """Fit the intensity constant and emission profile from labeled
-    samples.
-
-    ``samples`` is a sequence of (face_center, face_normal, s) with the
-    lamp at a known pose.  The fit minimizes the squared log-residuals
-    sum((log s_meas - log s_model)^2), matching the multiplicative error
-    structure of the sensor.  Polynomial profiles are normalized to
-    f(0) = 1, the overall scale living in k.
-
-    Returns (k, EmissionProfile, rms log-residual).
-    """
-    lamp_position = np.asarray(lamp_position, dtype=float)
-    ray = unit(central_ray)
-    n_params = 1 if profile_kind == KIND_COSINE_POWER else degree
-    if len(samples) < n_params + 2:
-        raise InsufficientSamplesError(
-            f"need at least {n_params + 2} samples, got {len(samples)}"
-        )
-
-    omegas, geoms, logs = [], [], []
-    for center, normal, s in samples:
-        center = np.asarray(center, dtype=float)
-        delta = lamp_position - center
-        d = np.linalg.norm(delta)
-        cos_omega = (-delta / d) @ ray
-        if cos_omega <= 0 or s <= 0:
-            raise ValueError("samples must lie in the lamp's forward hemisphere with s > 0")
-        omegas.append(math.acos(min(1.0, cos_omega)))
-        geoms.append(abs(unit(normal) @ delta) / d**3)
-        logs.append(math.log(s))
-    omegas = np.array(omegas)
-    if np.ptp(omegas) < 1e-9:
-        raise InsufficientSamplesError("samples must span at least two distinct omega values")
-    y = np.array(logs) - np.log(geoms)  # log(k * f(omega))
-
-    if profile_kind == KIND_COSINE_POWER:
-        # log y = log k + gamma * log cos(omega): plain linear regression.
-        a = np.column_stack([np.ones_like(omegas), np.log(np.cos(omegas))])
-        coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
-        if rank < 2:
-            raise InsufficientSamplesError("rank-deficient sample geometry")
-        k = math.exp(coef[0])
-        profile = make_profile(KIND_COSINE_POWER, [coef[1]])
-    else:
-        if degree < 1:
-            raise ValueError("polynomial degree must be at least 1")
-
-        def resid(theta):
-            logk, tail = theta[0], theta[1:]
-            f = np.polynomial.polynomial.polyval(omegas, np.concatenate([[1.0], tail]))
-            return np.where(f > 0, logk + np.log(np.maximum(f, 1e-12)), 1e6) - y
-
-        theta0 = np.concatenate([[np.mean(y)], np.full(degree, -0.1)])
-        sol = least_squares(resid, theta0, method="lm")
-        k = math.exp(sol.x[0])
-        profile = make_profile(
-            KIND_POLYNOMIAL, np.concatenate([[1.0], sol.x[1:]])
-        )
-
-    pred = np.log(k) + np.log(profile.value(omegas))
-    rms = float(np.sqrt(np.mean((pred - y) ** 2)))
-    return k, profile, rms

@@ -23,6 +23,14 @@ SHAPE_SQUARE_OOK = "square_ook"
 # Fundamental amplitude of a 0-to-peak 50%-duty square wave, per unit peak.
 OOK_FUNDAMENTAL = 2.0 / math.pi
 
+# Bounds on the work one synthesis may ask for: samples per trace (a
+# trace is allocated whole, and each cached sine row is one trace long),
+# and odd harmonics summed per square component (a square flash of f Hz
+# sums about rate / 4f of them).  Real sensor windows are a few hundred
+# samples with a few harmonics.
+MAX_TRACE_SAMPLES = 50_000
+MAX_SQUARE_HARMONICS = 1000
+
 
 class NyquistError(ValueError):
     """Raised when a component frequency violates the sampling rate."""
@@ -106,7 +114,9 @@ def synthesize_traces(components, peaks, rate_hz: float, duration_s: float,
     at rate_hz over duration_s, then adds Gaussian noise from its own
     seed, ``seeds[f]``, so row f equals the trace ``synthesize_trace``
     makes from the same components, peaks and seed.  Noise without seeds
-    raises ValueError.
+    raises ValueError, and so does a trace of more than MAX_TRACE_SAMPLES
+    samples or a square component of more than MAX_SQUARE_HARMONICS odd
+    harmonics below Nyquist.
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
@@ -115,10 +125,21 @@ def synthesize_traces(components, peaks, rate_hz: float, duration_s: float,
     fmax = max((c.freq_hz for c in components), default=0.0)
     if rate_hz <= 2 * fmax:
         raise NyquistError(f"rate {rate_hz} Hz <= 2 x {fmax} Hz component")
+    n = int(round(rate_hz * duration_s))
+    if n > MAX_TRACE_SAMPLES:
+        raise ValueError(f"{rate_hz} Hz over {duration_s} s makes {n} "
+                         f"samples, more than {MAX_TRACE_SAMPLES}")
+    for c in components:
+        # The harmonic loop below sums h = 2 * MAX_SQUARE_HARMONICS + 1
+        # exactly when this holds.
+        if (c.shape == SHAPE_SQUARE_OOK and c.freq_hz
+                * (2 * MAX_SQUARE_HARMONICS + 1) < rate_hz / 2):
+            raise ValueError(
+                f"a {c.freq_hz} Hz square flash at {rate_hz} Hz sums more "
+                f"than {MAX_SQUARE_HARMONICS} odd harmonics")
     peaks = np.asarray(peaks, dtype=float).reshape(-1, len(components))
     if np.any(peaks < 0):
         raise ValueError("peaks must be nonnegative")
-    n = int(round(rate_hz * duration_s))
     x = np.zeros((len(peaks), n))
     for c, peak in zip(components, peaks.T):
         if c.shape == SHAPE_DC:

@@ -4,9 +4,11 @@ squares, the m-reading multi-lamp generalization, and trilateration.
 ``levenberg_marquardt`` is the one least-squares driver: it iterates many
 problems at once over a residual-and-Jacobian callback, and
 ``mflp_least_squares``, ``solve_multi`` and ``trilaterate_batch`` each
-build their callback over ``rss_model`` and run it once.  Its damping
-start and convergence tolerances are module constants; only the iteration
-cap differs between callers: 400 for ``solve_multi``, 100 otherwise.
+build their callback over ``rss_model`` and run it once;
+``fit_lamp_model`` runs it on one problem to fit a polynomial emission
+profile from labeled samples.  Its damping start and convergence
+tolerances are module constants; only the iteration cap differs between
+callers: 400 for ``solve_multi`` and ``fit_lamp_model``, 100 otherwise.
 There is no compiled counterpart.
 
 All single-lamp solving happens in the lamp-aligned solve frame (+z
@@ -31,7 +33,16 @@ from itertools import combinations
 import numpy as np
 
 from .geom import unit
-from .rss import EmissionProfile, LampModel, LampTable, ProfileTable
+from .rss import (
+    KIND_COSINE_POWER,
+    KIND_POLYNOMIAL,
+    EmissionProfile,
+    LampModel,
+    LampTable,
+    ProfileError,
+    ProfileTable,
+    make_profile,
+)
 
 STATUS_UNIQUE = "unique"
 STATUS_DEGENERATE = "degenerate"
@@ -595,3 +606,96 @@ def trilaterate(lamp_positions, k: float, profile: EmissionProfile,
         raise ValueError("receiver must start below every lamp")
     return SolveResult(point[0], float(residual[0]), status[0],
                        int(iters[0]))
+
+
+class InsufficientSamplesError(ValueError):
+    """Raised when a fit is requested with too few or degenerate samples."""
+
+
+def fit_lamp_model(samples, profile_kind: str, degree: int,
+                   lamp_position, central_ray):
+    """Fit the intensity constant and emission profile from labeled
+    samples.
+
+    ``samples`` is a sequence of (face_center, face_normal, s) with the
+    lamp at a known pose; every s must be finite and > 0, and every face
+    in the lamp's forward hemisphere, away from the lamp and not edge-on
+    to it.  The fit minimizes the squared log-residuals
+    sum((log s_meas - log s_model)^2), matching the multiplicative error
+    structure of the sensor.  A cosine-power profile is a linear
+    regression.  A polynomial profile of integer ``degree`` >= 1 is
+    normalized to f(0) = 1, the overall scale living in k, and fitted by
+    ``levenberg_marquardt`` from f = 1, keeping f > 0 at every sample; a
+    fit that does not converge raises ValueError.  An unknown
+    ``profile_kind`` raises ProfileError.
+
+    Returns (k, EmissionProfile, rms log-residual).
+    """
+    if profile_kind not in (KIND_COSINE_POWER, KIND_POLYNOMIAL):
+        raise ProfileError(f"unknown profile kind {profile_kind!r}")
+    if profile_kind == KIND_POLYNOMIAL and not (
+            isinstance(degree, (int, np.integer)) and degree >= 1):
+        raise ValueError(
+            f"polynomial degree must be an integer >= 1, got {degree!r}")
+    lamp_position = np.asarray(lamp_position, dtype=float)
+    ray = unit(central_ray)
+    n_params = 1 if profile_kind == KIND_COSINE_POWER else degree
+    if len(samples) < n_params + 2:
+        raise InsufficientSamplesError(
+            f"need at least {n_params + 2} samples, got {len(samples)}"
+        )
+
+    omegas, geoms, logs = [], [], []
+    for center, normal, s in samples:
+        if not 0 < s < math.inf:
+            raise ValueError(
+                f"sample readings must be finite and > 0, got {s!r}")
+        delta = lamp_position - np.asarray(center, dtype=float)
+        d = np.linalg.norm(delta)
+        if not d >= 1e-12:
+            raise ValueError("sample face centres must be finite and away "
+                             "from the lamp position")
+        cos_omega = (-delta / d) @ ray
+        if cos_omega <= 0:
+            raise ValueError("samples must lie in the lamp's forward hemisphere")
+        geom = abs(unit(normal) @ delta) / d**3
+        if not geom > 0:
+            raise ValueError("sample faces must not be edge-on to the lamp")
+        omegas.append(math.acos(min(1.0, cos_omega)))
+        geoms.append(geom)
+        logs.append(math.log(s))
+    omegas = np.array(omegas)
+    if np.ptp(omegas) < 1e-9:
+        raise InsufficientSamplesError("samples must span at least two distinct omega values")
+    y = np.array(logs) - np.log(geoms)  # log(k * f(omega))
+
+    if profile_kind == KIND_COSINE_POWER:
+        # log y = log k + gamma * log cos(omega): plain linear regression.
+        a = np.column_stack([np.ones_like(omegas), np.log(np.cos(omegas))])
+        coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
+        if rank < 2:
+            raise InsufficientSamplesError("rank-deficient sample geometry")
+        k = math.exp(coef[0])
+        profile = make_profile(KIND_COSINE_POWER, [coef[1]])
+    else:
+        # Unknowns (log k, c_1 .. c_degree) of f = 1 + sum c_j omega^j.
+        powers = omegas[:, None] ** np.arange(1, degree + 1)
+
+        def residuals(theta, rows):
+            f = 1.0 + theta[:, 1:] @ powers.T
+            jac = np.concatenate(
+                [np.ones(f.shape + (1,)), powers / f[..., None]], axis=-1)
+            return theta[:, :1] + np.log(f) - y, jac, np.all(f > 0, axis=1)
+
+        theta0 = np.concatenate([[np.mean(y)], np.zeros(degree)])
+        theta, _, status, _ = levenberg_marquardt(residuals, theta0[None],
+                                                  max_iter=400)
+        if status[0] != STATUS_CONVERGED:
+            raise ValueError("polynomial profile fit did not converge")
+        k = math.exp(theta[0, 0])
+        profile = make_profile(KIND_POLYNOMIAL,
+                               np.concatenate([[1.0], theta[0, 1:]]))
+
+    pred = np.log(k) + np.log(profile.value(omegas))
+    rms = float(np.sqrt(np.mean((pred - y) ** 2)))
+    return k, profile, rms

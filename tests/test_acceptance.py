@@ -14,7 +14,6 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from lightpos.cli import EXIT_OK, main
 from lightpos.compass import (
@@ -145,9 +144,11 @@ def test_criterion_01_worked_example():
         s_dep = rss_model(dep_n, 1.0, COS, point)[0]
         curve = []
         for z in np.linspace(6.0, 14.0, 11):
-            a = brentq(
-                lambda a: a * z / (2 * a * a + z * z) ** 2 - 1 / 900,
-                1e-6, z / math.sqrt(6.0), xtol=1e-15)
+            # a z / (2 a^2 + z^2)^2 = 1/900 is a quartic in a; the branch
+            # through the point is its one real root in (0, z / sqrt 6).
+            roots = np.roots([4.0, 0.0, 4 * z * z, -900.0 * z, z ** 4])
+            (a,) = [r.real for r in roots if abs(r.imag) < 1e-9
+                    and 0 < r.real < z / math.sqrt(6.0)]
             curve.append(np.array([a, a, z]))
         assert len({tuple(np.round(p, 6)) for p in curve}) >= 10
         for p in curve:

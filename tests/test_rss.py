@@ -9,13 +9,12 @@ import pytest
 from lightpos.geom import solve_frame_basis
 from lightpos.rss import (
     EmissionProfile,
-    InsufficientSamplesError,
     LampModel,
     ProfileError,
     eval_rss,
-    fit_lamp_model,
     make_profile,
 )
+from lightpos.solve import InsufficientSamplesError, fit_lamp_model
 
 COS = make_profile("cosine_power", [1.0])
 
@@ -111,10 +110,11 @@ def test_eval_rss_inverse_square_decay():
     assert near == pytest.approx(4 * far)
 
 
-def _synth_samples(lamp, rng, n=24):
+def _synth_samples(lamp, rng, n=24, span=3.0):
     samples = []
     while len(samples) < n:
-        center = np.array([rng.uniform(-3, 3), rng.uniform(-3, 3), 0.0])
+        center = np.array([rng.uniform(-span, span), rng.uniform(-span, span),
+                           0.0])
         normal = rng.normal(size=3)
         normal[2] = abs(normal[2]) + 0.5
         s = eval_rss(lamp, center, normal)
@@ -162,3 +162,59 @@ def test_fit_lamp_model_rejects_single_angle():
     with pytest.raises(InsufficientSamplesError):
         fit_lamp_model(samples, "cosine_power", 0, lamp.position,
                        lamp.central_ray)
+
+
+def test_fit_lamp_model_polynomial_starts_feasible():
+    # Samples out to omega ~ 1.3: a start with negative tail coefficients
+    # would make f <= 0 there for degree 5; f = 1 is feasible everywhere.
+    rng = np.random.default_rng(18)
+    truth = make_profile("polynomial", [1.0, -0.4])
+    lamp = LampModel([0.0, 0.0, 3.0], [0, 0, -1], 10.0, truth, 65.0)
+    samples = _synth_samples(lamp, rng, span=8.0)
+    k, profile, rms = fit_lamp_model(samples, "polynomial", 5,
+                                     lamp.position, lamp.central_ray)
+    assert k == pytest.approx(10.0, rel=1e-6)
+    assert profile.params == pytest.approx([1.0, -0.4, 0, 0, 0, 0],
+                                           abs=1e-6)
+    assert rms < 1e-8
+
+
+def test_fit_lamp_model_raises_when_not_converged():
+    # One reading 1e-200 of the model wants f ~ 0 at the widest sample:
+    # the fit stalls against f > 0 instead of returning its last step.
+    lamp = vertical_lamp([0, 0, 3], k=10.0,
+                         profile=make_profile("polynomial", [1.0, -0.4]))
+    samples = [([x, 0, 0], [0, 0, 1], eval_rss(lamp, [x, 0, 0], [0, 0, 1]))
+               for x in (0.0, 1.0, 2.0, 3.0, 4.0)]
+    samples[-1] = (*samples[-1][:2], samples[-1][2] * 1e-200)
+    with pytest.raises(ValueError, match="converge"):
+        fit_lamp_model(samples, "polynomial", 1, lamp.position,
+                       lamp.central_ray)
+
+
+def test_fit_lamp_model_rejects_bad_input():
+    lamp = vertical_lamp([0, 0, 3])
+    good = _synth_samples(lamp, np.random.default_rng(19), n=6)
+
+    def fit(samples=good, kind="polynomial", degree=1):
+        return fit_lamp_model(samples, kind, degree, lamp.position,
+                              lamp.central_ray)
+
+    for kind in ("bogus", "cosine"):
+        with pytest.raises(ProfileError, match="kind"):
+            fit(kind=kind)
+    for degree in (1.5, 0, -1, "2", None):
+        with pytest.raises(ValueError, match="degree"):
+            fit(degree=degree)
+    for kind in ("polynomial", "cosine_power"):
+        for s in (math.nan, math.inf, 0.0, -1.0):
+            bad = [*good[:-1], (*good[-1][:2], s)]
+            with pytest.raises(ValueError, match="finite and > 0"):
+                fit(bad, kind)
+        # A face at the lamp, or at a non-finite point.
+        for center in (lamp.position, [math.nan, 0.0, 0.0]):
+            bad = [*good[:-1], (center, [0, 0, 1], 1.0)]
+            with pytest.raises(ValueError, match="away from the lamp"):
+                fit(bad, kind)
+        with pytest.raises(ValueError, match="edge-on"):
+            fit([*good[:-1], ([0.0, 0.0, 0.0], [1, 0, 0], 1.0)], kind)

@@ -301,8 +301,8 @@ _edge = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(),
                   st.lists(st.floats(), max_size=4))
 # The numbers that size a signal trace (rate, duration, flash frequency)
 # take only edge values that make no longer trace and no more harmonics:
-# a trace is allocated whole (1e7 s at 640 Hz is about 51 GB), and a
-# square flash of f Hz sums rate / 2f harmonics.
+# a trace of up to 50,000 samples, with up to 1,000 harmonics per square
+# flash, is too slow for a fuzz example.
 _SIZES = ("rate_hz", "duration_s", "freq_hz")
 _size_edge = st.sampled_from([v for v in _EDGE_VALUES
                               if v not in (1e-320, 1e-300)])
@@ -715,11 +715,18 @@ def test_cli_signal_noise_is_reproducible(tmp_path, capsys):
     ("signal", dict(_TONE, seed=True), "seed"),
     ("signal", dict(_TONE, components=[1]), "component"),
     ("signal", dict(_TONE, duration_s=1e308), "infinity"),
+    ("signal", dict(_TONE, candidates="7"), "candidates must be a list"),
+    ("signal", dict(_TONE, components={}), "components must be a list"),
+    ("signal", dict(_TONE, duration_s=100.0), "samples"),
+    ("signal", dict(_TONE, components=[{"freq_hz": 0.15, "peak": 1.0}]),
+     "harmonics"),
     ("calibrate", {"points": [1, 2, 3, 4, 5, 6]}, "(n, 2)"),
     ("calibrate", {"points": _CIRCLE, "samples": [
         {"mx": x, "my": y, "sensor": 1.5} for x, y in _CIRCLE]}, "sensor"),
 ], ids=["seed-null", "seed-negative", "seed-float", "seed-bool",
-        "component-number", "duration-huge", "points-flat", "sensor-float"])
+        "component-number", "duration-huge", "candidates-string",
+        "components-object", "samples-over-cap", "harmonics-over-cap",
+        "points-flat", "sensor-float"])
 def test_cli_signal_and_calibrate_reject_bad_values(tmp_path, capsys,
                                                     command, doc, message):
     p = tmp_path / "input.json"

@@ -164,6 +164,23 @@ def test_batched_synthesis_validates_inputs():
             synthesize_traces(comps, [[1.0]], 640.0, 1.0, sd, [0])
 
 
+def test_synthesis_bounds_its_work():
+    # One sample or one harmonic over each cap is refused before any
+    # trace is allocated; at the cap, synthesis runs.
+    dc = [WaveComponent(0.0, 1.0, "dc")]
+    cap = signal.MAX_TRACE_SAMPLES
+    assert synthesize_traces(dc, [[1.0]], 1000.0, cap / 1000).shape == (1, cap)
+    with pytest.raises(ValueError, match="samples"):
+        synthesize_traces(dc, [[1.0]], 1000.0, (cap + 1) / 1000)
+    # A square flash at f Hz sums the odd harmonics h with f h < rate / 2.
+    h = 2 * signal.MAX_SQUARE_HARMONICS + 1
+    at_cap = [WaveComponent(500.0 / (h - 1), 1.0)]
+    assert synthesize_traces(at_cap, [[1.0]], 1000.0, 1.0).shape == (1, 1000)
+    with pytest.raises(ValueError, match="harmonics"):
+        synthesize_traces([WaveComponent(500.0 / (h + 1), 1.0)], [[1.0]],
+                          1000.0, 1.0)
+
+
 # Reference signal layer: one trace at a time, as synthesis and extraction
 # were written before they were batched; the oracle for both.
 
