@@ -66,6 +66,11 @@ class EmissionProfile:
                 f"profile not strictly decreasing at omega = {_GRID[i + 1]:.6f}"
             )
 
+    @property
+    def gamma(self) -> float:
+        """cos^gamma's exponent; NaN for a polynomial profile."""
+        return self.params[0] if self.kind == KIND_COSINE_POWER else math.nan
+
     def value(self, omega):
         """f(omega), vectorized over omega in [0, pi/2]."""
         omega = np.asarray(omega, dtype=float)
@@ -140,6 +145,10 @@ class ProfileTable(NamedTuple):
 
     def take(self, idx) -> ProfileTable:
         return ProfileTable(self.profiles, self.index[idx])
+
+    @property
+    def gamma(self):
+        return np.array([p.gamma for p in self.profiles])[self.index]
 
     def value(self, omega):
         if len(self.profiles) == 1:

@@ -488,18 +488,25 @@ def solve_multi(planes, s, lamp_ids, lamps: LampTable):
 
 def _invert_distances(k, profile, dz, s):
     """Per lamp, the distance d >= dz at which an upward face reads s:
-    s(d) = k dz f(dz / d) / d^3 decreases in d.  Bisects all lamps at
-    once until no interval shrinks any more."""
-    kdz = k * dz
+    s(d) = k dz f(dz / d) / d^3 decreases in d.  d is clamped to
+    [dz (1 + 1e-9), dz + 1 doubled until >= dz + 1e6].  Cosine-power lamps
+    invert in closed form, d^(3 + gamma) = k dz^(1 + gamma) / s, in logs;
+    polynomial lamps bisect together until no interval shrinks any more."""
+    gamma, top, lo = profile.gamma, dz + 1e6, dz * (1 + 1e-9)
+    cap = np.ldexp(dz + 1.0, np.frexp(top / (dz + 1.0))[1])
+    cap = np.where(cap / 2 >= top, cap / 2, cap)
+    d = np.clip(np.exp(((1 + gamma) * np.log(dz) + np.log(k) - np.log(s))
+                       / (3 + gamma)), lo, cap)
+    if not np.any(bisect := np.isnan(gamma)):
+        return d
 
     def val(d):
-        return kdz * profile.value_and_slope(dz / d)[0] / d**3
+        return k * dz * profile.value_and_slope(dz / d)[0] / d**3
 
-    lo, hi = dz * (1 + 1e-9), dz + 1.0
-    grow = (val(hi) > s) & (hi < dz + 1e6)
-    while grow.any():
+    # Closed-form lamps hold a bracket of width 0 at d.
+    lo, hi = np.where(bisect, lo, d), np.where(bisect, dz + 1.0, d)
+    while (grow := bisect & (val(hi) > s) & (hi < top)).any():
         hi = np.where(grow, hi * 2.0, hi)
-        grow = (val(hi) > s) & (hi < dz + 1e6)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         above = val(mid) > s
@@ -538,11 +545,12 @@ def trilaterate_batch(lamps, k, profiles: ProfileTable, s, z_receiver=None):
     receivers' heights, or None for free ones starting at 0.  Lamps
     collinear in plan view (no plan-view triangle of them spans 1e-9 of
     their squared plan-view spread, at least 1) are degenerate.  Ranges
-    inverted at the starting height seed a linear lateration, refined by
-    least squares.  Returns the fields of a ``SolveResult`` per problem,
-    (points (N, 3), status, residual, iterations), and below (N,), False
-    where a problem that is not degenerate does not start below every
-    lamp; it too has a NaN point.
+    inverted at the starting height (in closed form for cosine-power
+    lamps, by bisection for polynomial ones) seed a linear lateration,
+    refined by least squares.  Returns the fields of a ``SolveResult``
+    per problem, (points (N, 3), status, residual, iterations), and
+    below (N,), False where a problem that is not degenerate does not
+    start below every lamp; it too has a NaN point.
     """
     n_fix, n = s.shape
     z_fixed = z_receiver is not None

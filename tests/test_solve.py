@@ -526,3 +526,68 @@ def test_invert_distances_matches_scalar_bisection():
                 mid = 0.5 * (lo + hi)
                 lo, hi = (mid, hi) if val(mid) > s[i] else (lo, mid)
             assert d[i] == pytest.approx(0.5 * (lo + hi), rel=1e-12)
+
+
+def test_invert_distances_closed_form_across_extremes():
+    # Cosine-power ranges come in closed form, evaluated in logs: a
+    # scalar bisection of the same bracket agrees on random lamps, at the
+    # floor (s > k / dz^2) and at the cap (subnormal s, huge k), and no
+    # input overflows.
+    rng = np.random.default_rng(33)
+    n = 400
+    gamma = np.append(rng.uniform(0.2, 8.0, n), [1.0, 0.2, 8.0, 1.0])
+    dz = np.append(10 ** rng.uniform(-3, 3, n), [0.5, 1e3, 1e-3, 2.0])
+    k = np.append(10 ** rng.uniform(-2, 3, n), [1.0, 1e300, 1e-2, 30.0])
+    s = np.append(10 ** rng.uniform(-12, 4, n), [5e-324, 1e-300, 1e-12,
+                                                  1e300])
+    table = ProfileTable(tuple(make_profile("cosine_power", [g])
+                               for g in gamma), np.arange(len(gamma)))
+    with np.errstate(all="raise"):
+        d = _invert_distances(k, table, dz, s)
+    assert np.sum(s > k / dz**2) > 50
+    assert np.sum(d == dz * (1 + 1e-9)) > 50
+    assert np.sum(d > dz + 1e6) == 2
+    for i in range(len(d)):
+        def val(x):
+            return k[i] * dz[i] * (dz[i] / x) ** gamma[i] / x**3
+        lo, hi = dz[i] * (1 + 1e-9), dz[i] + 1.0
+        while val(hi) > s[i] and hi < dz[i] + 1e6:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if val(mid) > s[i] else (lo, mid)
+        assert d[i] == pytest.approx(0.5 * (lo + hi), rel=1e-12)
+
+
+def test_invert_distances_mixed_profile_table(monkeypatch):
+    # One polynomial and two cosine-power lamps in one table: each
+    # element is the inversion of its own profile alone, so the
+    # polynomial one still bisects, in _invert_distances and as the range
+    # seed of trilaterate_batch.
+    rng = np.random.default_rng(34)
+    profiles = (POLY, make_profile("cosine_power", [1.0]),
+                make_profile("cosine_power", [2.5]))
+    table = ProfileTable(profiles, np.array([rng.permutation(3)
+                                             for _ in range(8)]))
+    lamps = rng.uniform([0, 0, 2.5], [6, 6, 3.5], size=(8, 3, 3))
+    k = rng.uniform(20.0, 50.0, size=(8, 3))
+    s = rng.uniform(0.05, 1.5, size=(8, 3))  # below k / dz^2: no floor
+    z = rng.uniform(0.0, 1.0, size=8)
+    dz = lamps[..., 2] - z[:, None]
+    alone = np.array([[_invert_distances(
+        k[i, j], profiles[table.index[i, j]], dz[i, j:j + 1],
+        s[i, j:j + 1])[0] for j in range(3)] for i in range(8)])
+    d = _invert_distances(k, table, dz, s)
+    assert np.array_equal(d, alone)
+    f = table.value(np.arccos(dz / d))
+    assert np.allclose(k * dz * f / d**3, s, rtol=1e-9, atol=0)
+
+    seeds = []
+
+    def recording(*args):
+        seeds.append(_invert_distances(*args))
+        return seeds[-1]
+
+    monkeypatch.setattr(solve, "_invert_distances", recording)
+    solve.trilaterate_batch(lamps, k, table, s, z)
+    assert len(seeds) == 1 and np.array_equal(seeds[0], alone)
