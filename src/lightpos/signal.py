@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,14 +157,23 @@ def synthesize_traces(components, peaks, rate_hz: float, duration_s: float,
                     n, rate_hz, 2 * math.pi * c.freq_hz * h)
                 h += 2
     if gaussian_noise_sd > 0:
-        if seeds is None or None in seeds:
-            raise ValueError("trace noise needs a seed per trace")
-        noise = np.empty_like(x)
-        for row, seed in zip(noise, seeds, strict=True):
-            row[:] = np.random.default_rng(seed).normal(
-                0.0, gaussian_noise_sd, size=n)
+        noise = trace_noise(seeds, gaussian_noise_sd, n)
+        if len(noise) != len(x):
+            raise ValueError(f"{len(noise)} noise seeds for {len(x)} traces")
         x = x + noise
     return x
+
+
+def trace_noise(seeds, sd: float, n: int) -> np.ndarray:
+    """Gaussian sensor noise of n samples per trace, one row per seed:
+    row f is ``np.random.default_rng(seeds[f]).normal(0, sd, n)``.  A
+    missing seed raises ValueError."""
+    if seeds is None or None in seeds:
+        raise ValueError("trace noise needs a seed per trace")
+    noise = np.empty((len(seeds), n))
+    for row, seed in zip(noise, seeds):
+        row[:] = np.random.default_rng(seed).normal(0.0, sd, size=n)
+    return noise
 
 
 def synthesize_trace(components, rate_hz: float, duration_s: float,
@@ -177,7 +187,10 @@ def synthesize_trace(components, rate_hz: float, duration_s: float,
 
 
 def _trim_window(n: int, rate_hz: float, freq_hz: float) -> int:
-    """Window length in samples covering a whole number of periods."""
+    """Window length in samples covering a whole number of periods of a
+    frequency in (0, rate/2)."""
+    if not 0 < freq_hz < rate_hz / 2:
+        raise ValueError(f"frequency {freq_hz} Hz outside (0, rate/2)")
     periods = math.floor(n * freq_hz / rate_hz)
     if periods < 1:
         raise ValueError(
@@ -198,8 +211,6 @@ def extract_amplitudes(samples, rate_hz: float, freqs) -> np.ndarray:
     n = samples.shape[-1]
     out = np.empty((len(samples), len(freqs)))
     for j, freq_hz in enumerate(freqs):
-        if not 0 < freq_hz < rate_hz / 2:
-            raise ValueError(f"frequency {freq_hz} Hz outside (0, rate/2)")
         m = _trim_window(n, rate_hz, freq_hz)
         w = samples[:, :m] - np.mean(samples[:, :m], axis=-1, keepdims=True)
         z = np.sum(w * _phasor_row(m, rate_hz, freq_hz), axis=-1)
@@ -214,6 +225,87 @@ def extract_amplitude(trace: SampleTrace, freq_hz: float) -> float:
     of ``extract_amplitudes``."""
     return float(extract_amplitudes(trace.samples[None], trace.rate_hz,
                                     [freq_hz])[0, 0])
+
+
+class AmplitudeMap(NamedTuple):
+    """Synthesis followed by extraction, as the one linear map it is.
+
+    For F traces of C components (peaks (F, C)) and sensor noise (F, n),
+    the amplitudes at L frequencies are 2/m * |peaks @ P + noise @ Q|.
+    P (C, 2L) holds each unit-peak component projected on the
+    window-trimmed, mean-removed phasors; Q (n, 2L) holds those phasors,
+    zero past each frequency's window; m (L,) holds the window lengths.
+    P and Q store the real parts of the projections in their first L
+    columns and the imaginary parts in the last L, so the map is real
+    matrix products.
+    """
+
+    P: np.ndarray
+    Q: np.ndarray
+    m: np.ndarray
+
+    def amplitudes(self, peaks, noise=None) -> np.ndarray:
+        """The (F, L) amplitudes of the traces of ``peaks`` (F, C) plus,
+        when given, ``noise`` (F, n)."""
+        peaks = np.asarray(peaks, dtype=float)
+        z = (np.zeros((len(peaks), self.P.shape[1])) if noise is None
+             else noise @ self.Q)
+        # Component by component, as synthesis sums them, so that a
+        # component at peak 0 adds exactly nothing.
+        for peak, row in zip(peaks.T, self.P):
+            z += peak[:, None] * row
+        half = len(self.m)
+        return 2.0 * np.hypot(z[:, :half], z[:, half:]) / self.m
+
+
+def amplitude_map(components, rate_hz: float, duration_s: float,
+                  freqs) -> AmplitudeMap:
+    """The map from peaks and noise to amplitudes of traces that
+    ``synthesize_traces`` makes from ``components`` (their frequencies
+    and shapes; their peaks are not used) at rate_hz over duration_s,
+    read at ``freqs`` as ``extract_amplitudes`` reads them.
+
+    Its amplitudes equal that synthesis and extraction up to round-off:
+    the map sums the same terms in another order.  Maps are cached per
+    sampling grid, component frequencies and shapes, and extraction
+    frequencies.  Inputs that synthesis or extraction refuse raise the
+    same errors here.
+    """
+    return _amplitude_map(tuple((c.freq_hz, c.shape) for c in components),
+                          float(rate_hz), float(duration_s),
+                          tuple(float(f) for f in freqs))
+
+
+# A scenario reads one grid and one set of frequencies, and each map's Q
+# holds a whole trace per frequency, so few maps are kept.
+_MAP_CACHE = 16
+
+
+@lru_cache(maxsize=_MAP_CACHE)
+def _amplitude_map(shapes, rate_hz, duration_s, freqs) -> AmplitudeMap:
+    components = [WaveComponent(freq_hz, 1.0, shape)
+                  for freq_hz, shape in shapes]
+    unit = synthesize_traces(components, np.eye(len(components)), rate_hz,
+                             duration_s)
+    n = unit.shape[1]
+    q = np.zeros((n, len(freqs)), dtype=complex)
+    m = np.empty(len(freqs))
+    for j, freq_hz in enumerate(freqs):
+        window = _trim_window(n, rate_hz, freq_hz)
+        phasor = _phasor_row(window, rate_hz, freq_hz)
+        q[:window, j] = phasor - np.mean(phasor)
+        m[j] = window
+    # Row by row, so each component's row is the same in every map.  The
+    # mean-removed projection rejects DC exactly; the computed one leaves
+    # round-off.
+    p = np.array([np.zeros(len(freqs), complex) if shape == SHAPE_DC
+                  else row @ q
+                  for row, (_, shape) in zip(unit, shapes)])
+    amap = AmplitudeMap(np.hstack([p.real, p.imag]),
+                        np.hstack([q.real, q.imag]), m)
+    for a in amap:
+        a.flags.writeable = False
+    return amap
 
 
 def identify_lamps(trace: SampleTrace, candidates) -> list[PeakReading]:

@@ -14,7 +14,11 @@ model RSS, saturation and each face's direction toward each lamp.  The
 per-fix part depends on the fix's noise draws: the measured attitude,
 the sensing planes it gives, the noisy or extracted amplitudes and
 which readings are valid.  The sweep computes the pose part of each
-point once and the per-fix part of every fix at it.
+point once and the per-fix part of every fix at it.  End-to-end
+amplitudes are what synthesizing each face's trace and extracting each
+lamp's flash from it would give; they come from ``signal.amplitude_map``,
+the linear map from peaks and sensor noise to amplitudes, so no trace is
+built.
 
 Every pipeline runs on one array core, ``locate_batch``, which chooses
 readings from the measurement arrays and gives the solvers each lamp's k
@@ -48,8 +52,8 @@ from .signal import (
     SHAPE_DC,
     SHAPE_SQUARE_OOK,
     WaveComponent,
-    extract_amplitudes,
-    synthesize_traces,
+    amplitude_map,
+    trace_noise,
 )
 from .streams import KeyedStreams
 from .solve import (
@@ -78,8 +82,8 @@ LOCATE_ERRORS = ("", "no lamp has three readings above the RSS floor",
 METHOD_MFLP = "mflp"
 METHOD_TRILATERATION = "trilateration"
 
-# End-to-end measurement synthesizes and extracts at most this many traces
-# per call.
+# End-to-end measurement draws the sensor noise of at most this many
+# traces at a time, which bounds its memory on long runs.
 TRACE_BATCH = 4096
 
 # Trilateration geometry guards: lamps closer than this or spanning less
@@ -374,11 +378,13 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
     solve-frame planes of its faces (``_fix_planes``), signed by the
     pose's directions toward the lamps, and either the direct
     flash-fundamental amplitude with multiplicative noise (fast) or
-    waveform synthesis plus single-bin extraction (end_to_end: one trace
-    per fix and face, synthesized by ``synthesize_traces`` and extracted
-    by ``extract_amplitudes`` in batches of up to TRACE_BATCH traces) and
-    the valid readings.  Saturated faces are flagged and excluded.  A
-    pose outside the scenario bounds raises ValueError.
+    the single-bin amplitudes of a synthesized trace (end_to_end: one
+    trace per fix and face, ambient DC plus every lamp's flash plus
+    sensor noise, mapped to amplitudes by ``signal.amplitude_map``
+    without building the trace; the noise of at most TRACE_BATCH traces
+    is drawn at a time) and the valid readings.  Saturated faces are
+    flagged and excluded.  A pose outside the scenario bounds raises
+    ValueError.
     """
     _check_mode(mode)
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
@@ -441,7 +447,7 @@ def _measure_poses(scn: Scenario, poses: _Poses, rngs,
             1.0 + noise.rss_epsilon * (draws * 2 - 1))
     else:
         # One trace per (fix, face): ambient DC, then every lamp in order,
-        # an unlit one at peak 0 (adding it changes no sample).
+        # an unlit one at peak 0 (adding it changes no amplitude).
         components = [WaveComponent(0.0, scn.ambient_dc, SHAPE_DC)] + [
             WaveComponent(lamp.flash_hz, 0.0, SHAPE_SQUARE_OOK)
             for lamp in scn.lamps]
@@ -449,17 +455,18 @@ def _measure_poses(scn: Scenario, poses: _Poses, rngs,
         peaks[..., 0] = scn.ambient_dc
         peaks[..., 1:] = np.where(rss > 0, rss, 0.0).transpose(0, 2, 1)
         peaks = peaks.reshape(-1, len(components))
-        seeds = draws.ravel().tolist()
-        extracted = np.empty((len(peaks), n_lamps))
-        # Traces are independent rows; bounded batches bound their memory.
-        for lo in range(0, len(peaks), TRACE_BATCH):
-            traces = synthesize_traces(
-                components, peaks[lo:lo + TRACE_BATCH], scn.sample_rate_hz,
-                scn.window_s, noise.trace_noise_sd,
-                seeds=seeds[lo:lo + TRACE_BATCH])
-            extracted[lo:lo + TRACE_BATCH] = extract_amplitudes(
-                traces, scn.sample_rate_hz,
-                [lamp.flash_hz for lamp in scn.lamps])
+        amap = amplitude_map(components, scn.sample_rate_hz, scn.window_s,
+                             [lamp.flash_hz for lamp in scn.lamps])
+        if noise.trace_noise_sd == 0:
+            extracted = amap.amplitudes(peaks)
+        else:
+            seeds = draws.ravel().tolist()
+            extracted = np.empty((len(peaks), n_lamps))
+            for lo in range(0, len(peaks), TRACE_BATCH):
+                extracted[lo:lo + TRACE_BATCH] = amap.amplitudes(
+                    peaks[lo:lo + TRACE_BATCH],
+                    trace_noise(seeds[lo:lo + TRACE_BATCH],
+                                noise.trace_noise_sd, len(amap.Q)))
         amps = np.where(rss > 0, extracted.reshape(n_fix, n_faces, n_lamps)
                         .transpose(0, 2, 1), 0.0)
 

@@ -153,8 +153,14 @@ def test_batched_synthesis_validates_inputs():
                           640.0, 1.0)
     with pytest.raises(ValueError):
         extract_amplitudes(np.zeros((2, 64)), 640.0, [65.0, 5.0])
-    # Noise needs a seed per trace, and a finite, nonnegative sd.
-    for seeds in (None, [1, None]):
+    # The amplitude map refuses what synthesis and extraction refuse.
+    with pytest.raises(NyquistError):
+        signal.amplitude_map([WaveComponent(320.0, 1.0, "sine")], 640.0, 1.0,
+                             [65.0])
+    with pytest.raises(ValueError, match="period"):
+        signal.amplitude_map(comps, 640.0, 0.1, [65.0, 5.0])
+    # Noise needs one seed per trace, and a finite, nonnegative sd.
+    for seeds in (None, [1, None], [1, 2, 3]):
         with pytest.raises(ValueError, match="seed"):
             synthesize_traces(comps, [[1.0], [2.0]], 640.0, 1.0, 0.5, seeds)
     with pytest.raises(ValueError, match="seed"):
@@ -332,3 +338,69 @@ def test_cached_basis_rows_are_read_only():
     x[:] = 0.0
     assert synthesize_traces([WaveComponent(65.0, 1.0, "sine")], [[2.0]],
                              640.0, 0.3).any()
+
+
+# Synthesis then extraction, and the amplitude map, sum the same terms
+# in different orders, so their amplitudes agree to round-off.  A trace
+# sample sums T terms (ambient DC, each flash's half-peak and odd
+# harmonics, the noise) whose magnitudes add up to L; the phasors and
+# sine rows are the same cached rows on both sides.  A recursive sum of
+# k terms is off by at most about k u times the sum of their magnitudes,
+# u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., sec. 4.2).  So a sample is off by at most T u L, its window
+# mean of m <= n samples by (T + m) u L, and a mean-removed sample (at
+# most 2L) by (2T + m + 2) u L; projecting m of them on unit phasors
+# adds (m + 1) u 2L each.  An amplitude, 2/m times the projection, is
+# then off by at most 2 u L (2T + 3m + 4) <= 8 (n + T) u L.  The map's
+# sums (each unit component and the noise projected on n phasor
+# samples, then summed over components) have the same form, so the two
+# sides differ by at most 16 (n + T) u L.
+
+def _roundoff_bound(components, rate_hz, n, noise_max):
+    """16 (n + T) u L for one trace of ``components`` at their peaks."""
+    level, terms = noise_max, 1
+    for c in components:
+        coefs = [1.0]
+        if c.shape == "square_ook":
+            coefs = [0.5] + [2 / (math.pi * h)
+                             for h in range(1, int(rate_hz / c.freq_hz) + 2, 2)
+                             if c.freq_hz * h < rate_hz / 2]
+        level += c.peak * sum(coefs)
+        terms += len(coefs)
+    return 16 * (n + terms) * 2.0**-53 * level
+
+
+# The bound grows with the samples per trace, and the oracle synthesizes
+# every harmonic of every trace, so the traces stay at most 800 samples
+# long (1333 Hz over 0.6 s), a few sensor windows.
+@settings(max_examples=100, deadline=None)
+@given(_trace_batches())
+def test_amplitude_map_equals_synthesis_then_extraction(batch):
+    components, peaks, rate, duration, noise_sd, seeds, freqs = batch
+    n = int(round(rate * duration))
+    amap = signal.amplitude_map(components, rate, duration, freqs)
+    assert signal.amplitude_map(components, rate, duration, freqs) is amap
+    assert not any(a.flags.writeable for a in amap)
+    noise = signal.trace_noise(seeds, noise_sd, n) if noise_sd else None
+    got = amap.amplitudes(peaks, noise)
+    want = extract_amplitudes(
+        synthesize_traces(components, peaks, rate, duration, noise_sd, seeds),
+        rate, freqs)
+    for f, row_peaks in enumerate(peaks):
+        own = [WaveComponent(c.freq_hz, p, c.shape)
+               for c, p in zip(components, row_peaks)]
+        noise_max = 0.0 if noise is None else np.max(np.abs(noise[f]))
+        assert np.all(np.abs(got[f] - want[f])
+                      <= _roundoff_bound(own, rate, n, noise_max))
+    # A lamp at peak 0 adds exactly nothing, with or without noise.
+    lamp = WaveComponent(freqs[0], 1.0, "square_ook")
+    with_lamp = signal.amplitude_map(components + [lamp], rate, duration,
+                                     freqs)
+    zero = np.column_stack([peaks, np.zeros(len(peaks))])
+    assert with_lamp.amplitudes(zero, noise).tobytes() == got.tobytes()
+    # Without noise, a DC-only trace extracts exactly 0.
+    dc_only = np.zeros((len(peaks), len(components) + 1))
+    dc_only[:, 0] = 1000.0
+    dc_map = signal.amplitude_map([WaveComponent(0.0, 1.0, "dc")]
+                                  + components, rate, duration, freqs)
+    assert not dc_map.amplitudes(dc_only).any()
