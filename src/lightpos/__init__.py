@@ -43,8 +43,8 @@ from .rss import (
     EmissionProfile,
     LampModel,
     ProfileError,
-    eval_rss,
     make_profile,
+    rss_model,
 )
 from .scenario import ScenarioFile, ScenarioFormatError, load_scenario, parse_scenario
 from .signal import (
@@ -80,7 +80,6 @@ from .solve import (
     STATUS_UNIQUE,
     fit_lamp_model,
     mflp_least_squares,
-    rss_model,
     solve_multi,
     to_world_position,
     trilaterate,

@@ -1,9 +1,14 @@
-"""Parametric forward model of received signal strength.
+"""The forward model of received signal strength, the only module that
+evaluates it or an emission profile.
 
-The model multiplies three factors: inverse-square distance decay k/d^2,
-incidence factor sin(mu) = d'/d (d' the lamp's distance to the sensing
-plane), and an emission profile f(omega) that decays with the angle
-omega off the lamp's central ray.
+A face of unit normal n reads a lamp at lamp-relative vector x (the lamp
+in its solve frame: +z against the central ray, the face at the origin)
+as s = k (n . x) f / |x|^3: inverse-square decay k/|x|^2, incidence
+n . x / |x| and the emission profile f of the angle omega off the
+central ray.  ``rss_model`` evaluates it, and its gradient.  Profiles
+are evaluated on x's off-axis distance rho and on-axis component z, a
+polynomial one at omega = arctan2(rho, z): near the central ray that
+keeps full relative precision, where arccos(z / |x|) loses up to 2e-8.
 """
 
 from __future__ import annotations
@@ -16,7 +21,11 @@ import numpy as np
 
 from .geom import solve_frame_basis, unit
 
+# The validation grid of omega on [0, pi/2], and as unit vectors.
 _GRID = np.linspace(0.0, math.pi / 2, 1024)
+_GRID_X = np.column_stack([np.sin(_GRID), np.zeros_like(_GRID), np.cos(_GRID)])
+
+_EZ = np.array([0.0, 0.0, 1.0])
 
 KIND_COSINE_POWER = "cosine_power"
 KIND_POLYNOMIAL = "polynomial"
@@ -24,6 +33,11 @@ KIND_POLYNOMIAL = "polynomial"
 
 class ProfileError(ValueError):
     """Raised for emission profiles violating monotonicity/positivity."""
+
+
+def off_axis_angle(rho, z):
+    """omega = arctan2(rho, z), the angle off the central ray."""
+    return np.arctan2(rho, z)
 
 
 @dataclass(frozen=True)
@@ -51,14 +65,12 @@ class EmissionProfile:
         elif not params:
             raise ProfileError("polynomial takes at least one coefficient")
         object.__setattr__(self, "params", params)
-        vals = self.value(_GRID)
+        vals, _ = self.evaluate(_GRID_X)
         if vals[0] <= 0:
             raise ProfileError("profile must be positive at omega = 0")
         if np.any(vals < 0):
             i = int(np.argmax(vals < 0))
-            raise ProfileError(
-                f"profile negative at omega = {_GRID[i]:.6f}"
-            )
+            raise ProfileError(f"profile negative at omega = {_GRID[i]:.6f}")
         diffs = np.diff(vals)
         if np.any(diffs >= 0):
             i = int(np.argmax(diffs >= 0))
@@ -71,33 +83,69 @@ class EmissionProfile:
         """cos^gamma's exponent; NaN for a polynomial profile."""
         return self.params[0] if self.kind == KIND_COSINE_POWER else math.nan
 
-    def value(self, omega):
-        """f(omega), vectorized over omega in [0, pi/2]."""
-        omega = np.asarray(omega, dtype=float)
-        if self.kind == KIND_COSINE_POWER:
-            return np.cos(omega) ** self.params[0]
-        return np.polynomial.polynomial.polyval(omega, self.params)
+    def evaluate(self, x):
+        """f at lamp-relative vectors x (..., 3) in the lamp's solve frame,
+        from their on-axis component z and off-axis distance rho, and
+        df/d(cos omega), the slope ``rss_model``'s gradient takes.
 
-    def value_and_slope(self, cos_w):
-        """f and df/d(cos omega) as functions of cos omega, vectorized;
-        cos omega is clamped to [1e-12, 1] first."""
-        c = np.minimum(np.maximum(cos_w, 1e-12), 1.0)
+        Cosine-power: (z/|x|)**gamma, z/|x| clamped to [1e-12, 1].
+        Polynomial: f at omega = ``off_axis_angle(rho, z)``; its slope
+        -f'(omega)/sin(omega) floors sin(omega) at 1e-9, finite on the
+        central ray, where f with params[1] != 0 has a cone and no
+        gradient.  Values are computed as arrays of at least one element,
+        as numpy's scalar ``**`` may differ from its array loop.
+        """
+        x = np.asarray(x, dtype=float)
+        z = np.atleast_1d(x[..., 2])
+        d = np.atleast_1d(np.sqrt(np.vecdot(x, x)))
         if self.kind == KIND_COSINE_POWER:
             gamma = self.params[0]
-            return c ** gamma, gamma * c ** (gamma - 1.0)
-        w = np.arccos(c)
-        g = np.zeros_like(c)
-        dgdw = np.zeros_like(c)
-        for j in range(len(self.params) - 1, 0, -1):
-            g = g * w + self.params[j]
-            dgdw = dgdw * w + j * self.params[j]
-        g = g * w + self.params[0]
-        return g, -dgdw / np.sqrt(np.maximum(1.0 - c * c, 1e-18))
+            c = np.minimum(np.maximum(z / d, 1e-12), 1.0)
+            f, df = c ** gamma, gamma * c ** (gamma - 1.0)
+        else:
+            rho = np.hypot(x[..., 0], x[..., 1])
+            w = off_axis_angle(rho, z)
+            f = np.zeros_like(w)
+            dfdw = np.zeros_like(w)
+            for j in range(len(self.params) - 1, 0, -1):
+                f = f * w + self.params[j]
+                dfdw = dfdw * w + j * self.params[j]
+            f = f * w + self.params[0]
+            df = -dfdw / np.maximum(rho / d, 1e-9)
+        shape = x.shape[:-1]
+        return f.reshape(shape), df.reshape(shape)
 
 
 def make_profile(kind: str, params) -> EmissionProfile:
     """Construct an emission profile, rejecting non-monotone shapes."""
     return EmissionProfile(kind, tuple(np.atleast_1d(params)))
+
+
+def rss_model(planes, k, profile, x, gradient: bool = True):
+    """Model values k (plane . x) f / |x|^3 of a lamp at lamp-relative
+    solve-frame vectors x, f its profile's ``evaluate`` at x, and their
+    gradient wrt x, or None for it when ``gradient`` is False.
+
+    ``x`` is (..., 3), ``planes`` (..., n, 3) and ``k`` and ``profile``
+    one or a ``ProfileTable`` over (...); returns values (..., n) and
+    gradient (..., n, 3).
+    """
+    x = np.asarray(x, dtype=float)
+    k = np.asarray(k)[..., None]
+    d = np.sqrt(np.vecdot(x, x))
+    p = np.matvec(planes, x)
+    f, df = profile.evaluate(x)
+    d3 = d ** 3
+    m = k / d3[..., None] * p * f[..., None]
+    if not gradient:
+        return m, None
+    dc_dx = _EZ / d[..., None] - x[..., 2:] * x / d3[..., None]
+    return m, k[..., None] * (
+        planes * (f / d3)[..., None, None]
+        + p[..., None] * dc_dx[..., None, :] * (df / d3)[..., None, None]
+        - (p * f[..., None] * 3.0 / d3[..., None] / d[..., None] ** 2)
+        [..., None] * x[..., None, :]
+    )
 
 
 @dataclass(frozen=True)
@@ -138,7 +186,7 @@ class LampModel:
 class ProfileTable(NamedTuple):
     """Emission profiles element by element, the distinct ``profiles``
     and each element's ``index`` into them: it evaluates like one profile
-    over arrays shaped like ``index``."""
+    over arrays that ``index`` broadcasts to."""
 
     profiles: tuple
     index: np.ndarray
@@ -150,22 +198,16 @@ class ProfileTable(NamedTuple):
     def gamma(self):
         return np.array([p.gamma for p in self.profiles])[self.index]
 
-    def value(self, omega):
+    def evaluate(self, x):
+        """Each element's ``EmissionProfile.evaluate``."""
         if len(self.profiles) == 1:
-            return self.profiles[0].value(omega)
-        return self._each("value", omega)
-
-    def value_and_slope(self, cos_w):
-        if len(self.profiles) == 1:
-            return self.profiles[0].value_and_slope(cos_w)
-        return self._each("value_and_slope", cos_w)
-
-    def _each(self, method, x):
-        out = np.empty((2,) + np.shape(x))
+            return self.profiles[0].evaluate(x)
+        index = np.broadcast_to(self.index, np.shape(x)[:-1])
+        out = np.empty((2,) + index.shape)
         for i, profile in enumerate(self.profiles):
-            own = self.index == i
-            out[:, own] = getattr(profile, method)(x[own])
-        return out[0] if method == "value" else tuple(out)
+            own = index == i
+            out[:, own] = profile.evaluate(x[own])
+        return out[0], out[1]
 
 
 class LampTable(NamedTuple):
@@ -186,24 +228,3 @@ class LampTable(NamedTuple):
             np.array([lamp.solve_basis for lamp in lamps]).reshape(-1, 3, 3),
             np.array([lamp.k for lamp in lamps], dtype=float),
             ProfileTable(profiles, np.array(index, dtype=np.intp)))
-
-
-def eval_rss(lamp: LampModel, face_center, face_normal) -> float:
-    """Model RSS on a face: k/d^3 * |n . (lamp - face)| * f(omega).
-
-    Zero when the face is outside the lamp's forward hemisphere
-    (omega >= pi/2).  The absolute value makes the result independent of
-    the normal's sign; occlusion and back-face lighting are handled by
-    the simulator, not here.
-    """
-    face_center = np.asarray(face_center, dtype=float)
-    delta = lamp.position - face_center
-    d = np.linalg.norm(delta)
-    if d < 1e-12:
-        raise ValueError("face coincides with the lamp position")
-    cos_omega = (-delta / d) @ lamp.central_ray
-    if cos_omega <= 0.0:
-        return 0.0
-    omega = math.acos(min(1.0, cos_omega))
-    n = unit(face_normal)
-    return lamp.k / d**3 * abs(n @ delta) * float(lamp.profile.value(omega))

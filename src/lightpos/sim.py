@@ -46,7 +46,7 @@ from .geom import (
     receiver_rotations,
     segments_blocked,
 )
-from .rss import LampTable
+from .rss import LampTable, rss_model
 from .signal import (
     OOK_FUNDAMENTAL,
     SHAPE_DC,
@@ -246,15 +246,6 @@ def _measured_attitudes(att: Attitude, offsets) -> np.ndarray:
     return meas
 
 
-def _measured_attitude(att: Attitude, noise: NoiseSpec, rng) -> Attitude:
-    """One pose's measured attitude drawn from rng: the batch of one of
-    ``_measured_attitudes``."""
-    if noise.heading_epsilon == 0 and noise.accel_sd == 0:
-        return att
-    offsets = np.array([_attitude_noise(noise, rng)])
-    return Attitude(*_measured_attitudes(att, offsets)[0].tolist())
-
-
 @dataclass(frozen=True)
 class MeasurementBatch:
     """Measurements of N receiver poses as arrays over (fix, lamp, face).
@@ -312,28 +303,24 @@ def _pose_geometry(scn: Scenario, positions, attitude: Attitude) -> _Poses:
     centers = positions[:, None, :] + poly.centroids @ rot_true.T
     normals_true = poly.normals @ rot_true.T
     # Lamp-major arrays, (L, N, ...): each lamp's constants broadcast over
-    # one long run of (pose, face) rows.
-    lamps, table = scn.lamps, scn.lamp_table
-    lamp_pos = table.position
-    delta = lamp_pos[:, None, :] - positions                     # (L, N, 3)
-    d = np.sqrt(np.vecdot(delta, delta))
-    rays = np.array([lamp.central_ray for lamp in lamps]).reshape(-1, 1, 3)
-    cos_w = np.vecdot(-delta / d[..., None], rays)
-    front = cos_w > 0
-    incidence = np.matvec(normals_true, delta)                  # (L, N, F)
-    lit = front[..., None] & (incidence > 0)
+    # one long run of (pose, face) rows.  x is each lamp relative to each
+    # pose, and the planes the face normals, in the lamp's solve frame.
+    table = scn.lamp_table
+    lamp_pos, basis_t = table.position, table.basis.transpose(0, 2, 1)
+    x = np.matvec(basis_t[:, None], lamp_pos[:, None, :] - positions)
+    rss, _ = rss_model(np.matmul(normals_true, table.basis)[:, None],
+                       table.k[:, None],
+                       table.profiles.take(np.arange(len(lamp_pos))[:, None]),
+                       x, gradient=False)                         # (L, N, F)
+    # Lit: the pose in the lamp's forward hemisphere, the face toward it.
+    lit = (x[..., 2] > 0)[..., None] & (rss > 0)
     if scn.obstacles:
         # Only lit segments are tested; with no boxes none is blocked.
         li, pose, face = np.nonzero(lit)
         lit[li, pose, face] = ~segments_blocked(
             lamp_pos[li], centers[pose, face], scn.obstacles)
-    omega = np.arccos(np.where(front, np.minimum(1.0, cos_w), 1.0))
-    f = np.array([lamp.profile.value(w) for lamp, w in zip(lamps, omega)]
-                 ).reshape(cos_w.shape)
-    k = table.k[:, None]
-    rss = np.where(lit, (k / d**3)[..., None] * incidence * f[..., None], 0.0)
-    rss = np.ascontiguousarray(rss.transpose(1, 0, 2))
-    toward = np.matvec(table.basis.transpose(0, 2, 1)[:, None, None],
+    rss = np.ascontiguousarray(np.where(lit, rss, 0.0).transpose(1, 0, 2))
+    toward = np.matvec(basis_t[:, None, None],
                        lamp_pos[:, None, None, :] - centers)
     saturated = scn.ambient_dc + rss.sum(axis=1) > scn.saturation
     return _Poses(attitude, rot_true, rss, saturated, toward)
@@ -427,7 +414,7 @@ def _measure_poses(scn: Scenario, poses: _Poses, rngs,
             if mode == MODE_FAST:
                 draws[n] = rng.integers(0, 2, size=shape[1:])
             else:
-                draws[n] = [rng.integers(2**63) for _ in range(n_faces)]
+                draws[n] = rng.integers(2**63, size=n_faces)
 
     if noise.heading_epsilon == 0 and noise.accel_sd == 0:
         att_meas = np.full((n_fix, 3), [attitude.pitch, attitude.roll,

@@ -1,6 +1,12 @@
 """Position solvers: single-lamp multi-face closed form and least
 squares, the m-reading multi-lamp generalization, and trilateration.
 
+Every solver reads the forward model through ``rss.rss_model``, the one
+module that evaluates it: the closed form at the lamp direction it
+solves for, the range inversion behind trilateration's seed, the
+least-squares callbacks with its gradient and the lamp fit at its
+samples.
+
 ``levenberg_marquardt`` is the one least-squares driver: it iterates many
 problems at once over a residual-and-Jacobian callback, and
 ``mflp_least_squares``, ``solve_multi`` and ``trilaterate_batch`` each
@@ -32,7 +38,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geom import unit
+from .geom import solve_frame_basis, unit
 from .rss import (
     KIND_COSINE_POWER,
     KIND_POLYNOMIAL,
@@ -42,6 +48,8 @@ from .rss import (
     ProfileError,
     ProfileTable,
     make_profile,
+    off_axis_angle,
+    rss_model,
 )
 
 STATUS_UNIQUE = "unique"
@@ -67,31 +75,6 @@ LM_STEP_TOL = 1e-10
 LM_FTOL = 1e-8
 
 _EZ = np.array([0.0, 0.0, 1.0])
-
-
-def rss_model(planes, k, profile, x):
-    """Model values k (plane . x) f(cos omega) / |x|^3 of a lamp at x,
-    cos omega = x_z / |x|, and their gradient wrt x.
-
-    ``x`` is (..., 3), ``planes`` (..., n, 3) and ``k`` and ``profile``
-    one or a ``ProfileTable`` over (...); returns values (..., n) and
-    gradient (..., n, 3).
-    """
-    k = np.asarray(k)[..., None]
-    d = np.sqrt(np.vecdot(x, x))
-    c = x[..., 2] / d
-    p = np.matvec(planes, x)
-    g, dg = profile.value_and_slope(c)
-    d3 = d ** 3
-    m = k * p * g[..., None] / d3[..., None]
-    dc_dx = _EZ / d[..., None] - x[..., 2:] * x / d3[..., None]
-    gradient = k[..., None] * (
-        planes * (g / d3)[..., None, None]
-        + p[..., None] * dc_dx[..., None, :] * (dg / d3)[..., None, None]
-        - (p * g[..., None] * 3.0 / d3[..., None] / d[..., None] ** 2)
-        [..., None] * x[..., None, :]
-    )
-    return m, gradient
 
 
 def _steps(a, b):
@@ -252,18 +235,14 @@ def mflp_closed_form_batch(planes, s, k, profile):
                                      a0 * b1 - a1 * b0])
         unique &= ((np.sqrt(np.vecdot(direction, direction)) >= 1e-12)
                    & (np.abs(direction[:, 2]) >= 1e-12))
-        direction = np.where(direction[:, 2:] < 0, -direction, direction)
-        c1 = direction[:, 0] / direction[:, 2]
-        c2 = direction[:, 1] / direction[:, 2]
-        norm2 = 1.0 + c1 * c1 + c2 * c2
-        cos_w = 1.0 / np.sqrt(norm2)
-        f = profile.value(np.arccos(np.where(unique, cos_w, 1.0)))
-        dots = np.matvec(planes, np.column_stack([c1, c2, np.ones_like(c1)]))
-        # Sign assumptions violated: the data is inconsistent with a lamp
-        # in the solver's domain.
-        unique &= np.all(dots > 0, axis=1) & (f > 0)
-        z_sq = np.asarray(k)[..., None] * dots * f[:, None] / (
-            s * (norm2 ** 1.5)[:, None])
+        # The lamp direction scaled to z = 1, u = (c1, c2, 1): the lamp at
+        # z u reads z^-2 times the model at u, so z^2 = model(u) / s.
+        u = direction / direction[:, 2:]
+        model, _ = rss_model(planes, k, profile, u, gradient=False)
+        # Sign assumptions violated (a plane facing away, or f = 0): the
+        # data is inconsistent with a lamp in the solver's domain.
+        unique &= np.all(model > 0, axis=1)
+        z_sq = model / s
         # Means over the three readings written out: np.mean's sum in its
         # order, without a reduction loop per row.
         mean_z_sq = (z_sq[:, 0] + z_sq[:, 1] + z_sq[:, 2]) / 3
@@ -272,7 +251,7 @@ def mflp_closed_form_batch(planes, s, k, profile):
         # its z_sq over z**2.
         r0, r1, r2 = (z_sq / mean_z_sq[:, None] - 1.0).T
         residual = np.sqrt((r0 * r0 + r1 * r1 + r2 * r2) / 3)
-    points = np.column_stack([c1 * z, c2 * z, z])
+    points = u * z[:, None]
     points[~unique] = np.nan
     residual[~unique] = np.inf
     return points, unique, residual
@@ -487,8 +466,9 @@ def solve_multi(planes, s, lamp_ids, lamps: LampTable):
 
 
 def _invert_distances(k, profile, dz, s):
-    """Per lamp, the distance d >= dz at which an upward face reads s:
-    s(d) = k dz f(dz / d) / d^3 decreases in d.  d is clamped to
+    """Per lamp, the distance d >= dz at which an upward face reads s: its
+    model reading (``rss_model``) of a lamp at distance d and height dz,
+    k dz f / d^3, decreases in d.  d is clamped to
     [dz (1 + 1e-9), dz + 1 doubled until >= dz + 1e6].  Cosine-power lamps
     invert in closed form, d^(3 + gamma) = k dz^(1 + gamma) / s, in logs;
     polynomial lamps bisect together until no interval shrinks any more."""
@@ -501,7 +481,11 @@ def _invert_distances(k, profile, dz, s):
         return d
 
     def val(d):
-        return k * dz * profile.value_and_slope(dz / d)[0] / d**3
+        # The lamp at distance d and height dz: off axis by
+        # sqrt(d^2 - dz^2), formed without cancellation near the axis.
+        rho = np.sqrt((d - dz) * (d + dz))
+        x = np.stack(np.broadcast_arrays(rho, 0.0, dz), axis=-1)
+        return rss_model(_EZ[None], k, profile, x, gradient=False)[0][..., 0]
 
     # Closed-form lamps hold a bracket of width 0 at d.
     lo, hi = np.where(bisect, lo, d), np.where(bisect, dz + 1.0, d)
@@ -646,40 +630,42 @@ def fit_lamp_model(samples, profile_kind: str, degree: int,
         raise ValueError(
             f"polynomial degree must be an integer >= 1, got {degree!r}")
     lamp_position = np.asarray(lamp_position, dtype=float)
-    ray = unit(central_ray)
+    basis = solve_frame_basis(central_ray)
     n_params = 1 if profile_kind == KIND_COSINE_POWER else degree
     if len(samples) < n_params + 2:
         raise InsufficientSamplesError(
             f"need at least {n_params + 2} samples, got {len(samples)}"
         )
 
-    omegas, geoms, logs = [], [], []
-    for center, normal, s in samples:
-        if not 0 < s < math.inf:
-            raise ValueError(
-                f"sample readings must be finite and > 0, got {s!r}")
-        delta = lamp_position - np.asarray(center, dtype=float)
-        d = np.linalg.norm(delta)
-        if not d >= 1e-12:
-            raise ValueError("sample face centres must be finite and away "
-                             "from the lamp position")
-        cos_omega = (-delta / d) @ ray
-        if cos_omega <= 0:
-            raise ValueError("samples must lie in the lamp's forward hemisphere")
-        geom = abs(unit(normal) @ delta) / d**3
-        if not geom > 0:
-            raise ValueError("sample faces must not be edge-on to the lamp")
-        omegas.append(math.acos(min(1.0, cos_omega)))
-        geoms.append(geom)
-        logs.append(math.log(s))
-    omegas = np.array(omegas)
+    centers, normals, s = zip(*samples, strict=True)
+    s = np.array(s, dtype=float)
+    bad = s[~((0 < s) & (s < math.inf))]
+    if bad.size:
+        raise ValueError(
+            f"sample readings must be finite and > 0, got {float(bad[0])!r}")
+    # Each sample's lamp-relative vector and face normal in the lamp's
+    # solve frame, the normal then signed toward the lamp.
+    x = np.matvec(basis.T, lamp_position - np.array(centers, dtype=float))
+    d = np.sqrt(np.vecdot(x, x))
+    if not np.all(d >= 1e-12):
+        raise ValueError("sample face centres must be finite and away "
+                         "from the lamp position")
+    if not np.all(x[:, 2] > 0):
+        raise ValueError("samples must lie in the lamp's forward hemisphere")
+    planes = np.array([unit(n) for n in normals]) @ basis
+    incidence = np.vecdot(planes, x)
+    geom = np.abs(incidence) / d**3
+    if not np.all(geom > 0):
+        raise ValueError("sample faces must not be edge-on to the lamp")
+    planes *= np.sign(incidence)[:, None]
+    omegas = off_axis_angle(np.hypot(x[:, 0], x[:, 1]), x[:, 2])
     if np.ptp(omegas) < 1e-9:
         raise InsufficientSamplesError("samples must span at least two distinct omega values")
-    y = np.array(logs) - np.log(geoms)  # log(k * f(omega))
+    y = np.log(s) - np.log(geom)  # log(k * f(omega))
 
     if profile_kind == KIND_COSINE_POWER:
         # log y = log k + gamma * log cos(omega): plain linear regression.
-        a = np.column_stack([np.ones_like(omegas), np.log(np.cos(omegas))])
+        a = np.column_stack([np.ones_like(omegas), np.log(x[:, 2] / d)])
         coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
         if rank < 2:
             raise InsufficientSamplesError("rank-deficient sample geometry")
@@ -704,6 +690,6 @@ def fit_lamp_model(samples, profile_kind: str, degree: int,
         profile = make_profile(KIND_POLYNOMIAL,
                                np.concatenate([[1.0], theta[0, 1:]]))
 
-    pred = np.log(k) + np.log(profile.value(omegas))
-    rms = float(np.sqrt(np.mean((pred - y) ** 2)))
+    model, _ = rss_model(planes[:, None], k, profile, x, gradient=False)
+    rms = float(np.sqrt(np.mean((np.log(model[:, 0]) - np.log(s)) ** 2)))
     return k, profile, rms

@@ -28,7 +28,7 @@ from lightpos.geom import (
     tri_face_min_distance,
     visible_faces,
 )
-from lightpos.rss import make_profile
+from lightpos.rss import make_profile, rss_model
 from lightpos.scenario import load_scenario
 from lightpos.signal import (
     OOK_FUNDAMENTAL,
@@ -49,9 +49,9 @@ from lightpos.solve import (
     STATUS_UNIQUE,
     mflp_closed_form_batch,
     mflp_least_squares,
-    rss_model,
     trilaterate,
 )
+from rss_oracle import profile_at
 
 COS = make_profile("cosine_power", [1.0])
 FIXTURES = resources.files("lightpos") / "fixtures"
@@ -279,7 +279,7 @@ def test_criterion_07_trilateration():
         for lamp in lamps:
             dz = lamp[2] - truth[2]
             d = np.linalg.norm(lamp - truth)
-            s.append(k * dz * float(COS.value(math.acos(dz / d))) / d**3)
+            s.append(k * dz * float(profile_at(COS, math.acos(dz / d))) / d**3)
         res = trilaterate(lamps, k, COS, s, z_receiver=0.0)
         assert res.status == STATUS_UNIQUE
         assert np.linalg.norm(res.point - truth) < 1e-6

@@ -59,7 +59,7 @@ def test_closed_form_seed_ends_after_one_iteration():
         while len(planes) < 100:
             p, *_, point = random_problem(rng)
             d = np.linalg.norm(point)
-            g = profile.value_and_slope(point[2] / d)[0]
+            g = profile.evaluate(point)[0]
             planes.append(p)
             s.append(7.0 * (p @ point) * g / d**3 * rng.uniform(0.9, 1.1, 3))
         seeds, unique, _ = mflp_closed_form_batch(planes, s, 7.0, profile)

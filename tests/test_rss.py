@@ -1,20 +1,26 @@
 """Forward RSS model and lamp parameter fitting."""
 
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import lightpos
 from lightpos.geom import solve_frame_basis
 from lightpos.rss import (
     EmissionProfile,
     LampModel,
     ProfileError,
-    eval_rss,
     make_profile,
+    rss_model,
 )
 from lightpos.solve import InsufficientSamplesError, fit_lamp_model
+from rss_oracle import eval_rss
 
 COS = make_profile("cosine_power", [1.0])
 
@@ -41,10 +47,93 @@ def test_profile_validation():
 
 
 def test_profile_values():
-    assert COS.value(0.0) == pytest.approx(1.0)
-    assert COS.value(math.pi / 3) == pytest.approx(0.5)
+    # f at lamp-relative vectors omega = 0, pi/3 and 0.5 off the axis.
+    assert COS.evaluate([0.0, 0.0, 2.0])[0] == pytest.approx(1.0)
+    assert COS.evaluate([0.0, math.sqrt(3), 1.0])[0] == pytest.approx(0.5)
     poly = make_profile("polynomial", [1.0, -0.5])
-    assert poly.value(0.5) == pytest.approx(0.75)
+    x = [math.sin(0.5), 0.0, math.cos(0.5)]
+    assert poly.evaluate(x)[0] == pytest.approx(0.75)
+
+
+# Cosine-power profiles, and polynomials 1 + c1 omega + c2 omega^2 that
+# stay positive and decreasing on [0, pi/2].
+_profiles = st.one_of(
+    st.floats(0.3, 4.0).map(lambda g: make_profile("cosine_power", [g])),
+    st.tuples(st.floats(-0.45, -0.05), st.floats(-0.08, 0.0)).map(
+        lambda c: make_profile("polynomial", [1.0, *c])))
+_unit = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(lambda v: np.array(v) / np.linalg.norm(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile=_profiles, k=st.floats(1.0, 50.0), z=st.floats(0.5, 4.0),
+       log_tan=st.floats(-4.0, 0.5), azimuth=st.floats(0.0, 2 * math.pi),
+       planes=st.lists(_unit, min_size=1, max_size=3))
+def test_rss_model_gradient_matches_central_differences(
+        profile, k, z, log_tan, azimuth, planes):
+    # The lamp off axis by rho = z tan(omega), from 1e-4 z out to omega
+    # ~ 72 degrees.  rho = 0 is excluded: a polynomial f with c1 != 0
+    # has a cone on the central ray, so no gradient there, and central
+    # differences are only meaningful on steps well inside rho.
+    rho = z * 10.0**log_tan
+    x = np.array([rho * math.cos(azimuth), rho * math.sin(azimuth), z])
+    planes = np.array(planes)
+    m, grad = rss_model(planes, k, profile, x)
+    h = 1e-4 * rho
+    fd = np.stack([(rss_model(planes, k, profile, x + dx)[0]
+                    - rss_model(planes, k, profile, x - dx)[0]) / (2 * h)
+                   for dx in np.eye(3) * h], axis=-1)
+    # The scale of a reading's gradient: k f / |x|^3 times a unit plane.
+    scale = k * profile.evaluate(x)[0] / np.linalg.norm(x) ** 3
+    assert np.all(np.abs(grad - fd) <= 1e-6 * max(scale, np.abs(grad).max()))
+    values, none = rss_model(planes, k, profile, x, gradient=False)
+    assert none is None and np.array_equal(values, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile=_profiles, k=st.floats(1.0, 50.0),
+       lamp=st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(1, 4)),
+       ray=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+       center=st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-1, 0.5)),
+       normal=_unit)
+def test_rss_model_agrees_with_scalar_oracle(profile, k, lamp, ray, center,
+                                             normal):
+    # rss_model in the lamp's solve frame against eval_rss on the same
+    # face in the world frame, for faces in the lamp's forward hemisphere
+    # up to omega = 1.3 rad: within 1e-12 relative to the reading of a
+    # face turned to the lamp, since n . x cancels on a face near edge-on.
+    lamp = LampModel(lamp, [*ray, -1.0], k, profile, 65.0)
+    x = lamp.solve_basis.T @ (lamp.position - np.array(center))
+    assume(math.atan2(math.hypot(x[0], x[1]), x[2]) <= 1.3)
+    plane = lamp.solve_basis.T @ normal
+    plane = plane if plane @ x >= 0 else -plane
+    got = rss_model(plane[None], k, profile, x)[0][0]
+    want = eval_rss(lamp, center, normal)
+    facing = eval_rss(lamp, center, lamp.position - np.array(center))
+    assert abs(got - want) <= 1e-12 * facing
+
+
+# The functions that take an angle off a lamp's central ray, and the
+# methods that evaluate an emission profile, the old ones included.
+_ANGLES = {"arccos", "acos", "arctan2"}
+_PROFILE_METHODS = {"evaluate", "value", "value_and_slope"}
+
+
+def test_only_rss_evaluates_the_model():
+    # The forward model and its profiles have one owner, lightpos.rss: no
+    # other module takes an arc cosine or arc tangent, or calls a
+    # profile's evaluation entry.
+    package = Path(lightpos.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "rss.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            attr = getattr(node, "attr", None)
+            name = getattr(node, "id", attr)
+            if name in _ANGLES or attr in _PROFILE_METHODS:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
 
 
 def test_lamp_model_validation():

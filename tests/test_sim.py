@@ -20,7 +20,7 @@ from lightpos.geom import (
     solve_frame_basis,
     unit,
 )
-from lightpos.rss import LampModel, eval_rss, make_profile
+from lightpos.rss import LampModel, make_profile, rss_model
 from lightpos.scenario import load_scenario
 from lightpos.streams import KeyedStreams
 from lightpos.signal import (
@@ -35,7 +35,6 @@ from lightpos.solve import (
     _invert_distances,
     levenberg_marquardt,
     mflp_least_squares,
-    rss_model,
     to_world_position,
 )
 from lightpos.sim import (
@@ -43,7 +42,6 @@ from lightpos.sim import (
     NoiseSpec,
     ReceiverSpec,
     Scenario,
-    _measured_attitude,
     coverage_analysis,
     greedy_min_lamps,
     grid_cells,
@@ -56,6 +54,7 @@ from lightpos.sim import (
     sample_trajectory,
     sensitivity_sweep,
 )
+from rss_oracle import eval_rss
 
 COS = make_profile("cosine_power", [1.0])
 
@@ -206,7 +205,8 @@ def test_end_to_end_close_to_fast(caplog):
 def _ref_pose_geometry(scn, positions, attitude):
     # The per-lamp loop that the one (pose, lamp, face) pass of
     # sim._pose_geometry replaced, kept as its oracle, with each lamp's
-    # solve-frame basis built per call.
+    # solve-frame basis built per call and its profile evaluated alone.
+    # The model is written out in rss_model's arithmetic, in its order.
     poly = scn.receiver.polyhedron
     rot_true = receiver_rotation(attitude)
     centers = positions[:, None, :] + poly.centroids @ rot_true.T
@@ -215,19 +215,16 @@ def _ref_pose_geometry(scn, positions, attitude):
     rss = np.zeros(shape)
     toward = np.empty((len(scn.lamps), len(positions), len(normals_true), 3))
     for li, lamp in enumerate(scn.lamps):
-        delta = lamp.position - positions
-        d = np.sqrt(np.vecdot(delta, delta))
-        cos_w = np.vecdot(-delta / d[:, None], lamp.central_ray)
-        front = cos_w > 0
-        incidence = np.matvec(normals_true, delta)
-        lit = front[:, None] & (incidence > 0)
+        basis = solve_frame_basis(lamp.central_ray)
+        x = np.matvec(basis.T, lamp.position - positions)
+        d = np.sqrt(np.vecdot(x, x))
+        f = lamp.profile.evaluate(x)[0]
+        m = (lamp.k / d**3)[:, None] * np.matvec(normals_true @ basis, x) \
+            * f[:, None]
+        lit = (x[:, 2] > 0)[:, None] & (m > 0)
         lit[lit] = ~segments_blocked(lamp.position, centers[lit],
                                      scn.obstacles)
-        f = lamp.profile.value(np.arccos(np.where(front, np.minimum(
-            1.0, cos_w), 1.0)))
-        rss[:, li] = np.where(
-            lit, (lamp.k / d**3)[:, None] * incidence * f[:, None], 0.0)
-        basis = solve_frame_basis(lamp.central_ray)
+        rss[:, li] = np.where(lit, m, 0.0)
         toward[li] = np.matvec(basis.T, lamp.position - centers)
     saturated = scn.ambient_dc + rss.sum(axis=1) > scn.saturation
     return sim._Poses(attitude, rot_true, rss, saturated, toward)
@@ -272,8 +269,8 @@ def _ref_measure_end_to_end(scn, positions, attitude, rngs):
     shape = (len(positions), len(scn.lamps), poly.n_faces)
     rot_meas, trace_seeds = [], []
     for rng in rngs:
-        rot_meas.append(receiver_rotation(
-            _measured_attitude(attitude, scn.noise, rng)))
+        rot_meas.append(receiver_rotation(_ref_measured_attitude(
+            attitude, *sim._attitude_noise(scn.noise, rng))))
         trace_seeds.append([rng.integers(2**63)
                             for _ in range(poly.n_faces)])
     normals_meas = np.matmul(poly.normals,

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lightpos.rss import LampModel, LampTable, ProfileTable, make_profile
+from lightpos.rss import (
+    LampModel,
+    LampTable,
+    ProfileTable,
+    make_profile,
+    rss_model,
+)
 from lightpos.geom import (
     Attitude,
     half_dodecahedron,
@@ -21,7 +27,6 @@ from lightpos.solve import (
     STATUS_UNIQUE,
     mflp_closed_form_batch,
     mflp_least_squares,
-    rss_model,
     select_pooled_readings,
     select_top_readings,
     solve_multi,
@@ -33,6 +38,7 @@ from lightpos.solve import (
     _multi_residuals,
     _trilateration_residuals,
 )
+from rss_oracle import profile_at
 
 COS = make_profile("cosine_power", [1.0])
 
@@ -222,14 +228,33 @@ def test_three_reading_closed_form_is_the_least_squares_fix(
     polished = mflp_least_squares(*r, k, profile, init=closed.point)
     assert closed.status == polished.status == STATUS_UNIQUE
     assert closed.iterations == 0 and polished.iterations >= 1
-    # A polynomial profile is a function of omega = arccos(cos omega),
-    # which near the central ray carries rounding up to sqrt(2 eps) rad,
-    # once in the readings and once in the closed form: their f values
-    # then differ by up to ~1e-8 relative, the positions by about half.
-    tol = 1e-9 if profile.kind == "cosine_power" else 1e-8
+    tol = 1e-9
     scale = np.linalg.norm(closed.point)
     assert np.linalg.norm(polished.point - closed.point) <= tol * scale
     assert np.linalg.norm(closed.point - x) <= tol * np.linalg.norm(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(height=st.floats(1.5, 4.0), log_off=st.floats(-9.0, -2.0),
+       azimuth=st.floats(0.0, 2 * math.pi), k=st.floats(1.0, 100.0),
+       c=st.tuples(st.floats(-0.45, -0.05), st.floats(-0.08, 0.0)))
+def test_polynomial_closed_form_is_exact_near_the_central_ray(
+        height, log_off, azimuth, k, c):
+    # Faces tilted 0.6 rad at azimuths 0, 120 and 240 degrees read a lamp
+    # 1e-9 to 1e-2 m off the central ray.  The profile is evaluated at
+    # omega = arctan2(rho, z) in the readings and in the closed form
+    # alike, so the fix recovers the lamp to rounding; evaluated at
+    # arccos(z / |x|) it lay up to ~4e-9 relative off.
+    profile = make_profile("polynomial", [1.0, *c])
+    planes = np.array([[math.sin(0.6) * math.cos(a),
+                        math.sin(0.6) * math.sin(a), math.cos(0.6)]
+                       for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)])
+    off = 10.0**log_off
+    x = np.array([off * math.cos(azimuth), off * math.sin(azimuth), height])
+    point, unique, _ = closed_form(readings_for(x, planes, k, profile), k,
+                                   profile)
+    assert unique
+    assert np.linalg.norm(point - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_least_squares_uses_extra_readings():
@@ -357,7 +382,7 @@ def test_trilateration_noise_free_roundtrip():
     def forward(lamp):
         dz = lamp[2] - truth[2]
         d = np.linalg.norm(lamp - truth)
-        return k * dz * float(COS.value(math.acos(dz / d))) / d**3
+        return k * dz * float(profile_at(COS, math.acos(dz / d))) / d**3
 
     s = [forward(l) for l in lamps]
     res = trilaterate(lamps, k, COS, s, z_receiver=0.0)
@@ -374,7 +399,7 @@ def test_trilateration_free_height():
     def forward(lamp):
         dz = lamp[2] - truth[2]
         d = np.linalg.norm(lamp - truth)
-        return k * dz * float(COS.value(math.acos(dz / d))) / d**3
+        return k * dz * float(profile_at(COS, math.acos(dz / d))) / d**3
 
     s = [forward(l) for l in lamps]
     res = trilaterate(lamps, k, COS, s)
@@ -394,7 +419,7 @@ def test_trilateration_degeneracy_is_plan_view_and_order_free():
     def forward(lamp):
         dz = lamp[2] - truth[2]
         d = np.linalg.norm(lamp - truth)
-        return 40.0 * dz * float(COS.value(math.acos(dz / d))) / d**3
+        return 40.0 * dz * float(profile_at(COS, math.acos(dz / d))) / d**3
 
     # Lamps 0-2 are collinear; the fourth spans the plane, in any order.
     lamps = np.array([[0.0, 0.0, 3.0], [2.0, 0.0, 3.0], [4.0, 0.0, 3.0],
@@ -503,7 +528,7 @@ def test_trilateration_callback_residuals_and_jacobian():
                 [theta, np.full(len(theta), z_receiver)])
             dz = lamps[:, 2] - q[:, None, 2]
             d = np.linalg.norm(lamps - q[:, None, :], axis=2)
-            m = 20.0 * dz * profile.value(np.arccos(dz / d)) / d**3
+            m = 20.0 * dz * profile_at(profile, np.arccos(dz / d)) / d**3
             assert np.allclose(r, (m - s) / s, rtol=1e-12, atol=1e-12)
             assert np.allclose(jac, central_difference_jacobian(
                 residuals, theta), rtol=1e-6, atol=1e-7)
@@ -518,7 +543,7 @@ def test_invert_distances_matches_scalar_bisection():
         for i in range(6):
             def val(x):
                 return 30.0 * dz[i] * float(
-                    profile.value(math.acos(dz[i] / x))) / x**3
+                    profile_at(profile, math.acos(dz[i] / x))) / x**3
             lo, hi = dz[i] * (1 + 1e-9), dz[i] + 1.0
             while val(hi) > s[i] and hi < dz[i] + 1e6:
                 hi *= 2.0
@@ -579,7 +604,8 @@ def test_invert_distances_mixed_profile_table(monkeypatch):
         s[i, j:j + 1])[0] for j in range(3)] for i in range(8)])
     d = _invert_distances(k, table, dz, s)
     assert np.array_equal(d, alone)
-    f = table.value(np.arccos(dz / d))
+    f = np.vectorize(lambda i, w: profile_at(profiles[i], w))(
+        table.index, np.arccos(dz / d))
     assert np.allclose(k * dz * f / d**3, s, rtol=1e-9, atol=0)
 
     seeds = []
