@@ -96,8 +96,12 @@ class EmissionProfile:
         as numpy's scalar ``**`` may differ from its array loop.
         """
         x = np.asarray(x, dtype=float)
+        return self._evaluate(x, np.sqrt(np.vecdot(x, x)))
+
+    def _evaluate(self, x, d):
+        """``evaluate`` at float vectors x whose norms |x| are d."""
         z = np.atleast_1d(x[..., 2])
-        d = np.atleast_1d(np.sqrt(np.vecdot(x, x)))
+        d = np.atleast_1d(d)
         if self.kind == KIND_COSINE_POWER:
             gamma = self.params[0]
             c = np.minimum(np.maximum(z / d, 1e-12), 1.0)
@@ -134,7 +138,7 @@ def rss_model(planes, k, profile, x, gradient: bool = True):
     k = np.asarray(k)[..., None]
     d = np.sqrt(np.vecdot(x, x))
     p = np.matvec(planes, x)
-    f, df = profile.evaluate(x)
+    f, df = profile._evaluate(x, d)
     d3 = d ** 3
     m = k / d3[..., None] * p * f[..., None]
     if not gradient:
@@ -198,15 +202,15 @@ class ProfileTable(NamedTuple):
     def gamma(self):
         return np.array([p.gamma for p in self.profiles])[self.index]
 
-    def evaluate(self, x):
-        """Each element's ``EmissionProfile.evaluate``."""
+    def _evaluate(self, x, d):
+        """Each element's ``EmissionProfile.evaluate``, |x| being d."""
         if len(self.profiles) == 1:
-            return self.profiles[0].evaluate(x)
+            return self.profiles[0]._evaluate(x, d)
         index = np.broadcast_to(self.index, np.shape(x)[:-1])
         out = np.empty((2,) + index.shape)
         for i, profile in enumerate(self.profiles):
             own = index == i
-            out[:, own] = profile.evaluate(x[own])
+            out[:, own] = profile._evaluate(x[own], d[own])
         return out[0], out[1]
 
 

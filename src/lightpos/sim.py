@@ -14,7 +14,9 @@ model RSS, saturation and each face's direction toward each lamp.  The
 per-fix part depends on the fix's noise draws: the measured attitude,
 the sensing planes it gives, the noisy or extracted amplitudes and
 which readings are valid.  The sweep computes the pose part of each
-point once and the per-fix part of every fix at it.  End-to-end
+point once, with the planes of fixes without attitude noise, and the
+per-fix part of every fix at it, or of each point once in a noise-free
+cell.  End-to-end
 amplitudes are what synthesizing each face's trace and extracting each
 lamp's flash from it would give; they come from ``signal.amplitude_map``,
 the linear map from peaks and sensor noise to amplitudes, so no trace is
@@ -51,6 +53,7 @@ from .signal import (
     OOK_FUNDAMENTAL,
     SHAPE_DC,
     SHAPE_SQUARE_OOK,
+    AmplitudeMap,
     WaveComponent,
     amplitude_map,
     trace_noise,
@@ -168,6 +171,15 @@ class Scenario:
         """The lamps as arrays, for the solvers."""
         return LampTable.of(self.lamps)
 
+    @cached_property
+    def amplitude_map(self) -> AmplitudeMap:
+        """The map from a face's trace (DC, then each lamp) to amplitudes."""
+        components = [WaveComponent(0.0, self.ambient_dc, SHAPE_DC)] + [
+            WaveComponent(lamp.flash_hz, 0.0, SHAPE_SQUARE_OOK)
+            for lamp in self.lamps]
+        return amplitude_map(components, self.sample_rate_hz, self.window_s,
+                             [lamp.flash_hz for lamp in self.lamps])
+
 
 @dataclass(frozen=True)
 class ErrorStats:
@@ -278,11 +290,21 @@ class _Poses(NamedTuple):
     rss: np.ndarray        # (N, lamps, faces) model RSS
     saturated: np.ndarray  # (N, faces)
     toward: np.ndarray     # (lamps, N, faces, 3) face to lamp, solve frame
+    planes: np.ndarray = None  # (N, lamps, faces, 3) at the true attitude
 
     def take(self, idx) -> _Poses:
-        """The poses at the indices ``idx``, in that order."""
+        """The poses at the indices ``idx``, in that order, without planes."""
         return self._replace(rss=self.rss[idx], saturated=self.saturated[idx],
-                             toward=self.toward[:, idx])
+                             toward=self.toward[:, idx], planes=None)
+
+    def with_planes(self, scn: Scenario) -> _Poses:
+        """These poses with planes: ``_fix_planes`` at the true attitude."""
+        if self.planes is not None:
+            return self
+        rot = np.repeat(self.rot[None], len(self.rss), axis=0)
+        normals = np.matmul(scn.receiver.polyhedron.normals,
+                            rot.transpose(0, 2, 1))
+        return self._replace(planes=_fix_planes(scn, normals, self.toward))
 
 
 def _pose_geometry(scn: Scenario, positions, attitude: Attitude) -> _Poses:
@@ -386,7 +408,8 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
 def _measure_poses(scn: Scenario, poses: _Poses, rngs,
                    mode: str) -> MeasurementBatch:
     """The per-fix part of ``measure_batch``: one fix at each of the poses,
-    each with the noise of its own generator or stream in ``rngs``."""
+    each with the noise of its own generator or stream in ``rngs`` (None:
+    noise-free, nothing drawn); without attitude noise, the poses' planes."""
     n_fix, n_lamps, n_faces = shape = poses.rss.shape
     attitude = poses.attitude
     noise = scn.noise
@@ -398,7 +421,11 @@ def _measure_poses(scn: Scenario, poses: _Poses, rngs,
     keyed = isinstance(rngs, KeyedStreams)
     if keyed and len(rngs) != n_fix:
         raise ValueError(f"{len(rngs)} keyed streams for {n_fix} poses")
-    if keyed and noise.accel_sd == 0:
+    if rngs is None:
+        # Noise-free fixes: no draw changes a value (1 + 0 * (+-1) is 1).
+        draws = np.zeros(shape if mode == MODE_FAST else (n_fix, n_faces),
+                         dtype=np.int64)
+    elif keyed and noise.accel_sd == 0:
         if noise.heading_epsilon != 0:
             offsets[:, 2] = rngs.uniform(-noise.heading_epsilon,
                                          noise.heading_epsilon)
@@ -419,14 +446,13 @@ def _measure_poses(scn: Scenario, poses: _Poses, rngs,
     if noise.heading_epsilon == 0 and noise.accel_sd == 0:
         att_meas = np.full((n_fix, 3), [attitude.pitch, attitude.roll,
                                         attitude.heading], dtype=float)
-        rot_meas = np.repeat(poses.rot[None], n_fix, axis=0)
+        planes = poses.with_planes(scn).planes
     else:
         att_meas = _measured_attitudes(attitude, offsets)
         rot_meas = receiver_rotations(att_meas)
-
-    normals_meas = np.matmul(scn.receiver.polyhedron.normals,
-                             rot_meas.transpose(0, 2, 1))
-    planes = _fix_planes(scn, normals_meas, poses.toward)
+        normals_meas = np.matmul(scn.receiver.polyhedron.normals,
+                                 rot_meas.transpose(0, 2, 1))
+        planes = _fix_planes(scn, normals_meas, poses.toward)
 
     rss = poses.rss
     if mode == MODE_FAST:
@@ -435,15 +461,11 @@ def _measure_poses(scn: Scenario, poses: _Poses, rngs,
     else:
         # One trace per (fix, face): ambient DC, then every lamp in order,
         # an unlit one at peak 0 (adding it changes no amplitude).
-        components = [WaveComponent(0.0, scn.ambient_dc, SHAPE_DC)] + [
-            WaveComponent(lamp.flash_hz, 0.0, SHAPE_SQUARE_OOK)
-            for lamp in scn.lamps]
-        peaks = np.empty((n_fix, n_faces, len(components)))
+        amap = scn.amplitude_map
+        peaks = np.empty((n_fix, n_faces, 1 + n_lamps))
         peaks[..., 0] = scn.ambient_dc
         peaks[..., 1:] = np.where(rss > 0, rss, 0.0).transpose(0, 2, 1)
-        peaks = peaks.reshape(-1, len(components))
-        amap = amplitude_map(components, scn.sample_rate_hz, scn.window_s,
-                             [lamp.flash_hz for lamp in scn.lamps])
+        peaks = peaks.reshape(-1, 1 + n_lamps)
         if noise.trace_noise_sd == 0:
             extracted = amap.amplitudes(peaks)
         else:
@@ -653,19 +675,23 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
 
     The sweep measures each in-bounds point's true-pose geometry once per
     call (``_pose_geometry``: line of sight, model RSS, saturation and the
-    directions that sign the planes); noise changes none of it.  Each
-    cell then runs only the per-fix part of ``measure_batch`` on its
-    trials x points fixes, gathered by point: attitude noise, the planes,
-    the fast-mode noise or the end-to-end traces and the valid readings.
-    One ``locate_batch`` call locates the cell (multi at m = 3,
-    trilateration at a free height).  Every fix still draws the stream of
-    its own generator seeded with (seed, cell indices, trial, point): the
-    cell's (N, 5) keys go to the per-fix part as one ``KeyedStreams``,
-    which draws all of them as arrays.  So a cell's statistics equal
+    directions that sign the planes, and the planes themselves when a
+    cell has no attitude noise); noise changes none of it.  Each cell
+    then runs only the per-fix part of ``measure_batch`` on its trials x
+    points fixes, gathered by point: attitude noise, the planes, the
+    fast-mode noise or the end-to-end traces and the valid readings.  One
+    ``locate_batch`` call locates the cell (multi at m = 3, trilateration
+    at a free height).  Every fix still draws the stream of its own
+    generator seeded with (seed, cell indices, trial, point): the cell's
+    (N, 5) keys go to the per-fix part as one ``KeyedStreams``, which
+    draws all of them as arrays.  A noise-free cell (no attitude noise,
+    nor ``rss_epsilon`` in fast mode or ``trace_noise_sd`` end to end)
+    draws nothing: it measures and locates each point once and counts the
+    fix once per trial, in the same order.  So a cell's statistics equal
     those of the same fixes run one at a time through ``measure`` and
-    ``locate``.  A fix that raises there (a point outside
-    the bounds, no lamp with three readings above the floor) or is not
-    unique counts as a failure.
+    ``locate``.  A fix that raises there (a point outside the bounds, no
+    lamp with three readings above the floor) or is not unique counts as
+    a failure.
 
     Returns (rows, mean_monotone) where rows are
     (eps, eps_h, ErrorStats) and mean_monotone reports whether the mean
@@ -691,17 +717,31 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
     fix_keys = np.empty((trials * len(inside), 2), dtype=np.int64)
     fix_keys[:, 0] = np.repeat(np.arange(trials), len(inside))
     fix_keys[:, 1] = np.tile(inside, trials)
-    fix_poses = poses.take(np.tile(np.arange(len(inside)), trials))
+    at = np.tile(np.arange(len(inside)), trials)
+    fix_poses = poses.take(at)
     truth = points[fix_keys[:, 1]]
+    if 0 in eps_h_grid and not scn.noise.accel_sd:
+        poses = poses.with_planes(scn)
     rows = []
     for ci, eps_h in enumerate(eps_h_grid):
+        # A row of cells without attitude noise gathers the planes of its
+        # fixes, and holds them only while it runs.
+        row_poses = (fix_poses if eps_h or scn.noise.accel_sd
+                     else fix_poses._replace(planes=poses.planes[at]))
         for cj, eps in enumerate(eps_grid):
             noisy = replace(scn, noise=noises[ci][cj])
-            cell = np.array((int(seed), ci, cj))
-            keys = np.empty((len(fix_keys), 5), dtype=cell.dtype)
-            keys[:, :3], keys[:, 3:] = cell, fix_keys
-            batch = _measure_poses(noisy, fix_poses, KeyedStreams(keys), mode)
+            amp_noise = eps if mode == MODE_FAST else scn.noise.trace_noise_sd
+            if not (eps_h or scn.noise.accel_sd or amp_noise):
+                # Noise-free: each point's trials all give one fix.
+                batch, reps = _measure_poses(noisy, poses, None, mode), trials
+            else:
+                cell = np.array((int(seed), ci, cj))
+                keys = np.empty((len(fix_keys), 5), dtype=cell.dtype)
+                keys[:, :3], keys[:, 3:] = cell, fix_keys
+                batch, reps = _measure_poses(
+                    noisy, row_poses, KeyedStreams(keys), mode), 1
             est, status, *_ = locate_batch(noisy, batch, pipeline)
+            est, status = np.tile(est, (reps, 1)), np.tile(status, reps)
             unique = status == STATUS_UNIQUE
             miss = est[unique] - truth[unique]
             errors = np.sqrt(np.vecdot(miss, miss))

@@ -4,9 +4,10 @@ Row n of a ``KeyedStreams`` yields exactly the values that
 ``np.random.default_rng(keys[n])`` yields for the same calls: the key is
 seeded through numpy's SeedSequence into a PCG64 state, and the draws follow
 ``Generator``'s algorithms.  Everything is uint32/uint64 array arithmetic
-over the N keys: seeding and a few draws cost about 1 us per key, against
-20-35 us to build one Generator (2-core x86-64, numpy 2.4).  This module
-is the only place that knows numpy's seeding algorithm.
+over the N keys: seeding keys below 2**32, as a sweep's are, costs about
+0.3 us per key and wider ones about 1 us, against 20-35 us to build one
+Generator (2-core x86-64, numpy 2.4).  This module is the only place
+that knows numpy's seeding algorithm.
 
 PCG64 is the XSL-RR 128/64 generator of O'Neill, "PCG: A Family of Simple
 Fast Space-Efficient Statistically Good Algorithms for Random Number
@@ -67,7 +68,11 @@ def _column_words(col: np.ndarray):
 
 def _entropy_groups(keys: np.ndarray):
     """The entropy words of (N, K) keys grouped by length, as a list of
-    (row indices, (rows, words) uint32 array)."""
+    (row indices, (rows, words) uint32 array).  Integer keys all below
+    2**32 are one word per value, so they are their own words."""
+    if keys.dtype.kind in "iu" and keys.size and 0 <= keys.min() \
+            and keys.max() <= _MASK32:
+        return [(slice(None), keys.astype(np.uint32))]
     columns = [_column_words(keys[:, j]) for j in range(keys.shape[1])]
     words = np.zeros((len(keys), sum(w.shape[1] for w, _ in columns)),
                      dtype=np.uint32)
@@ -150,16 +155,28 @@ class KeyedStreams:
     integers, which values of 2**64 and above need.  A negative value
     raises ValueError, as numpy does.  Values
     of 2**32 and above take more entropy words; keys are seeded in groups
-    of equal entropy length.  Each draw method returns one row per stream
-    and advances every stream alike.
+    of equal entropy length.  The states are seeded at the first array
+    draw, so streams read only through ``generators`` seed none.  Each
+    draw method returns one row per stream and advances every stream
+    alike.
     """
 
     def __init__(self, keys: np.ndarray):
         self._keys = keys
-        n = len(keys)
+        # Words now, which checks the keys; states at the first array draw.
+        self._groups = _entropy_groups(keys)
+        # _half: the buffered upper half of a 64-bit draw.
+        self._hi = self._half = None
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def _seed(self):
+        """Every stream's PCG64 state, as numpy seeds it from the key."""
+        n = len(self)
         self._hi, self._lo = np.zeros(n, np.uint64), np.zeros(n, np.uint64)
         self._inc_hi, self._inc_lo = self._hi.copy(), self._lo.copy()
-        for rows, words in _entropy_groups(keys):
+        for rows, words in self._groups:
             s_hi, s_lo, q_hi, q_lo = _seed_state(words)
             # PCG64 srandom: inc = seq << 1 | 1, step from 0, add, step.
             inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
@@ -167,11 +184,6 @@ class KeyedStreams:
             hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
             self._hi[rows], self._lo[rows] = hi, lo
             self._inc_hi[rows], self._inc_lo[rows] = inc_hi, inc_lo
-        # The bit generator's buffered upper half of a 64-bit draw.
-        self._half = None
-
-    def __len__(self) -> int:
-        return len(self._hi)
 
     def generators(self):
         """One numpy Generator per key, in order, each at the start of its
@@ -179,6 +191,8 @@ class KeyedStreams:
         return (np.random.default_rng(key) for key in self._keys.tolist())
 
     def _next64(self) -> np.ndarray:
+        if self._hi is None:
+            self._seed()
         self._hi, self._lo = _lcg_step(self._hi, self._lo, self._inc_hi,
                                        self._inc_lo)
         # XSL-RR: xor the halves, rotate right by the top six bits.

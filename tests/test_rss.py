@@ -116,7 +116,7 @@ def test_rss_model_agrees_with_scalar_oracle(profile, k, lamp, ray, center,
 # The functions that take an angle off a lamp's central ray, and the
 # methods that evaluate an emission profile, the old ones included.
 _ANGLES = {"arccos", "acos", "arctan2"}
-_PROFILE_METHODS = {"evaluate", "value", "value_and_slope"}
+_PROFILE_METHODS = {"evaluate", "_evaluate", "value", "value_and_slope"}
 
 
 def test_only_rss_evaluates_the_model():

@@ -202,6 +202,19 @@ def test_end_to_end_close_to_fast(caplog):
         assert r.s == pytest.approx(fast_by[(r.lamp_id, r.face_id)], rel=1e-6)
 
 
+def test_end_to_end_measure_builds_no_components_per_call(monkeypatch):
+    # The scenario keeps its amplitude map: only the first end-to-end
+    # measure builds the trace components that key it.
+    scn = simple_scenario()
+    built = []
+    monkeypatch.setattr(sim, "WaveComponent",
+                        lambda *a: built.append(a) or WaveComponent(*a))
+    for seed in range(3):
+        measure(scn, [4.0, 4.0, 0.0], mode=MODE_END_TO_END,
+                rng=np.random.default_rng(seed))
+    assert len(built) == 1 + len(scn.lamps)
+
+
 def _ref_pose_geometry(scn, positions, attitude):
     # The per-lamp loop that the one (pose, lamp, face) pass of
     # sim._pose_geometry replaced, kept as its oracle, with each lamp's
@@ -995,6 +1008,63 @@ def test_sensitivity_sweep_equals_scalar_fixes():
                 rel=1e-9)
 
 
+def _ref_sweep_rows(scn, points, eps_grid, eps_h_grid, trials, pipeline,
+                    mode, seed):
+    # Every cell as one measure_batch + locate_batch over all its (trial,
+    # point) fixes in trial-major order, each keyed (seed, cell, trial,
+    # point): the sweep without its noise-free and plane shortcuts, kept
+    # as their oracle.
+    inside = [i for i, p in enumerate(points) if scn.bounds.contains(p)]
+    fixes = [(t, i) for t in range(trials) for i in inside]
+    truth = points[[i for _, i in fixes]]
+    rows = []
+    for ci, eps_h in enumerate(eps_h_grid):
+        for cj, eps in enumerate(eps_grid):
+            noisy = replace(scn, noise=replace(
+                scn.noise, rss_epsilon=eps, heading_epsilon=eps_h))
+            keys = np.array([(seed, ci, cj, t, i) for t, i in fixes])
+            batch = measure_batch(noisy, truth, Attitude(0, 0, 0),
+                                  KeyedStreams(keys), mode)
+            est, status, *_ = sim.locate_batch(noisy, batch, pipeline)
+            unique = status == "unique"
+            miss = est[unique] - truth[unique]
+            rows.append((eps, eps_h, sim.ErrorStats.from_errors(
+                np.sqrt(np.vecdot(miss, miss)),
+                trials * len(points) - int(unique.sum()))))
+    return rows
+
+
+@pytest.mark.parametrize("pipeline", [sim.PIPELINE_MFLP, sim.PIPELINE_MULTI,
+                                      sim.PIPELINE_TRILATERATION])
+@pytest.mark.parametrize("mode", [sim.MODE_FAST, MODE_END_TO_END])
+def test_sweep_rows_equal_every_fix_measured(monkeypatch, pipeline, mode):
+    # Noise-free cells measure and locate each point once, and cells
+    # without attitude noise gather their planes per point; the rows must
+    # still equal, exactly, those of every fix measured and located.  End
+    # to end without trace noise, every cell without heading noise is
+    # noise-free, whatever its rss_epsilon.
+    sf = load_scenario(str(resources.files("lightpos") / "fixtures"
+                           / "three_lamps.json"))
+    scn = replace(sf.scenario, noise=replace(sf.scenario.noise,
+                                             trace_noise_sd=0.0))
+    points = np.array(list(sf.points[::3]) + [[20.0, 5.0, 0.0],
+                                              [8.0, 6.0, 2.5]])
+    eps_grid, eps_h_grid, trials, seed = [0.0, 0.1], [0.0, 0.2], 3, 23
+    measured = []
+    measure_poses = sim._measure_poses
+    monkeypatch.setattr(sim, "_measure_poses", lambda s, poses, *a: (
+        measured.append(len(poses.rss)) or measure_poses(s, poses, *a)))
+    rows, _ = sensitivity_sweep(scn, points, eps_grid, eps_h_grid, trials,
+                                pipeline, mode, seed)
+    monkeypatch.undo()
+    assert rows == _ref_sweep_rows(scn, points, eps_grid, eps_h_grid,
+                                   trials, pipeline, mode, seed)
+    free = 1 if mode == sim.MODE_FAST else len(eps_grid)
+    n = len(points) - 1
+    assert sorted(measured) == [n] * free + [trials * n] * (4 - free)
+    assert sum(st.count for _, _, st in rows) > 0
+
+
 def _office_sweep_points():
     """office_single_lamp, with two walls, and a few of its points plus
     one inside a wall, one outside the bounds and one near the lamp."""
@@ -1015,7 +1085,9 @@ def test_sweep_cell_arrays_equal_measure_batch(monkeypatch, mode,
     # The sweep gathers each fix's pose geometry from one pass over the
     # points; every cell's arrays must equal measure_batch on the same
     # fixes, (trial, point) in trial-major order over the in-bounds
-    # points, each with its own generator, byte for byte.
+    # points, each with its own generator, byte for byte.  The noise-free
+    # cell (fast mode, (0, 0), no accelerometer noise) builds no batch of
+    # every trial: its one batch is measure_batch of the in-bounds points.
     scn, points = _office_sweep_points()
     # A full scale just above the ambient level saturates the most lit
     # faces.
@@ -1037,7 +1109,10 @@ def test_sweep_cell_arrays_equal_measure_batch(monkeypatch, mode,
         got = cells[ci * len(eps_grid) + cj]
         noisy = replace(scn, noise=replace(scn.noise, rss_epsilon=eps,
                                            heading_epsilon=eps_h))
-        fixes = [(t, i) for t in range(trials) for i in inside]
+        free = (mode == sim.MODE_FAST and eps == eps_h == 0
+                and not extra_noise)
+        fixes = [(t, i) for t in range(1 if free else trials) for i in inside]
+        assert len(got.amps) == len(fixes)
         want = measure_batch(
             noisy, points[[i for _, i in fixes]], Attitude(0, 0, 0),
             [np.random.default_rng((seed, ci, cj, t, i)) for t, i in fixes],
@@ -1052,24 +1127,31 @@ def test_sweep_cell_arrays_equal_measure_batch(monkeypatch, mode,
 def test_sweep_measures_pose_geometry_once_per_call(monkeypatch):
     # The pose part, line of sight included, runs once per sweep over the
     # in-bounds points, not once per cell; the point outside the bounds
-    # never reaches it.
+    # never reaches it.  So do the planes of the cells without attitude
+    # noise; each cell with it builds the planes of its every fix.
     scn, points = _office_sweep_points()
-    seen, blocked_calls = [], []
+    seen, blocked_calls, plane_rows = [], [], []
     pose_geometry, blocked = sim._pose_geometry, sim.segments_blocked
+    fix_planes = sim._fix_planes
     monkeypatch.setattr(sim, "_pose_geometry",
                         lambda s, pos, att: seen.append(pos.copy())
                         or pose_geometry(s, pos, att))
     monkeypatch.setattr(sim, "segments_blocked",
                         lambda *a: blocked_calls.append(1) or blocked(*a))
+    monkeypatch.setattr(sim, "_fix_planes",
+                        lambda s, normals, toward: plane_rows.append(
+                            len(normals)) or fix_planes(s, normals, toward))
     for mode in (sim.MODE_FAST, MODE_END_TO_END):
         seen.clear()
         blocked_calls.clear()
+        plane_rows.clear()
         rows, _ = sensitivity_sweep(scn, points, [0.0, 0.1, 0.2],
                                     [0.0, 0.2], 2, mode=mode, seed=3)
         assert len(rows) == 6
         assert len(seen) == 1 and len(blocked_calls) == 1
         assert np.array_equal(seen[0], np.delete(points, -2, axis=0))
         assert all(st.failures >= 2 * 2 for _, _, st in rows)
+        assert plane_rows == [len(points) - 1] + [2 * (len(points) - 1)] * 3
 
 
 def test_sweep_with_no_point_in_bounds_fails_every_fix():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lightpos import streams
 from lightpos.streams import KeyedStreams
 
 # Word-count edges of SeedSequence's coercion, and values of every size.
@@ -96,6 +97,40 @@ def test_sweep_keys_with_wide_seed_draw_numpy_streams():
     keys[:, 3:] = [(t, i) for t in range(4) for i in range(10)]
     _check_draws(keys, [("uniform", -0.5, 0.5), ("binary", 3, 5),
                         ("integers63", 2)])
+
+
+@pytest.mark.parametrize("top", [2**32 - 1, 2**32])
+def test_narrow_keys_seed_like_object_keys(top):
+    # Integer keys all below 2**32 are their own entropy words, seeded as
+    # one group; one value of 2**32 sends them through the per-column
+    # split.  Either way their streams are those of the same values as
+    # Python integers, which always take the split, and numpy's.
+    rows = [[0, top, 5], [top, 0, 0], [1, 2, 3], [7, 2**31, top - 1]]
+    ints = np.array(rows, dtype=np.int64)
+    objs = np.empty(ints.shape, dtype=object)
+    objs[:] = rows
+    groups = streams._entropy_groups(ints)
+    assert isinstance(groups[0][0], slice) == (top < 2**32)
+    draws = [("uniform", -0.5, 0.5), ("binary", 3, 5), ("integers63", 2)]
+    for keys in (ints, objs):
+        _check_draws(keys, draws)
+    a, b = KeyedStreams(ints), KeyedStreams(objs)
+    assert a.binary((1, 7)).tobytes() == b.binary((1, 7)).tobytes()
+    assert a.integers63(3).tobytes() == b.integers63(3).tobytes()
+
+
+def test_generators_alone_seed_no_arrays(monkeypatch):
+    # Streams drawn only through generators() never seed the array state.
+    def no_seed(words):
+        raise AssertionError("array state seeded")
+
+    monkeypatch.setattr(streams, "_seed_state", no_seed)
+    keys = np.array([[1, 2], [3, 2**40]])
+    gens = list(KeyedStreams(keys).generators())
+    assert [g.integers(2**63) for g in gens] == [
+        np.random.default_rng(k).integers(2**63) for k in keys.tolist()]
+    with pytest.raises(AssertionError, match="seeded"):
+        KeyedStreams(keys).uniform(0.0, 1.0)
 
 
 @settings(max_examples=50, deadline=None)
