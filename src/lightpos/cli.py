@@ -216,7 +216,7 @@ def _cmd_coverage(args):
         else:
             rep = coverage_analysis(
                 scn.bounds, scn.obstacles, scn.lamps, args.method, **grid)
-    except ValueError as exc:  # a lamp on a cell center
+    except ValueError as exc:  # a lamp on a cell center, a grid over the cap
         raise _InputError(str(exc)) from None
     if args.plan:
         out = {"plan": {

@@ -203,32 +203,39 @@ def segments_blocked(p, q, obstacles) -> np.ndarray:
     array; p and q are (..., 3) and broadcast against each other.
 
     The slab method on the open segment: endpoints touching a box face do
-    not count as occlusion, an axis with |q - p| below 1e-15 is parallel
-    to the slab and missed when p lies outside it, and a hit needs an
-    overlap longer than 1e-12 of the segment.
+    not count as occlusion, and a hit needs an overlap longer than 1e-12
+    of the segment.  The steps q - p, and where an axis step is below
+    1e-15 (parallel to the slab), are found once for all boxes.  p stays
+    unbroadcast, so (L, 1, 3) lamp rows against (K, 3) cells offset each
+    box corner by L values, not L*K.  A tiny step overflows a slab bound
+    to +-inf, the right bound.  A parallel axis takes the bounds
+    (-inf, +inf) where p lies in the slab and the empty (+inf, -inf)
+    where it does not, set by index at those segments only: the other
+    axes then decide as if the axis were skipped or the box missed.
     """
-    p, q = np.broadcast_arrays(np.asarray(p, dtype=float),
-                               np.asarray(q, dtype=float))
-    d = q - p
-    blocked = np.zeros(p.shape[:-1], dtype=bool)
-    for box in obstacles:
-        tmin = np.zeros(blocked.shape)
-        tmax = np.ones(blocked.shape)
-        missed = np.zeros(blocked.shape, dtype=bool)
-        for i in range(3):
-            pi, di = p[..., i], d[..., i]
-            parallel = np.abs(di) < 1e-15
-            missed |= parallel & ((pi < box.lo[i]) | (pi > box.hi[i]))
-            # A tiny step overflows the division to +-inf: a parallel axis
-            # is masked below, and otherwise +-inf is the right slab bound.
-            with np.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                t1 = (box.lo[i] - pi) / di
-                t2 = (box.hi[i] - pi) / di
-            tmin = np.where(parallel, tmin, np.maximum(tmin, np.minimum(t1, t2)))
-            tmax = np.where(parallel, tmax, np.minimum(tmax, np.maximum(t1, t2)))
-        blocked |= ~missed & (tmax - tmin > 1e-12)
-    return blocked
+    shape = np.broadcast_shapes(np.shape(p), np.shape(q))[:-1]
+    p, q = np.atleast_2d(np.asarray(p, float)), np.asarray(q, float)
+    axes = []
+    for i in range(3):
+        pi, di = p[..., i], q[..., i] - p[..., i]
+        par = np.nonzero(np.abs(di) < 1e-15)
+        pin = np.broadcast_to(pi, di.shape)[par] if par[0].size else None
+        axes.append((pi, di, par, pin))
+    blocked = np.zeros(shape or (1,), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for box in obstacles:
+            tmin, tmax = 0.0, 1.0
+            for i, (pi, di, par, pin) in enumerate(axes):
+                t1, t2 = (box.lo[i] - pi) / di, (box.hi[i] - pi) / di
+                near, far = np.minimum(t1, t2), np.maximum(t1, t2, out=t1)
+                if pin is not None:
+                    out = np.where((pin < box.lo[i]) | (pin > box.hi[i]),
+                                   np.inf, -np.inf)
+                    near[par], far[par] = out, -out
+                tmin = np.maximum(tmin, near, out=near)
+                tmax = np.minimum(tmax, far, out=far)
+            blocked |= np.subtract(tmax, tmin, out=tmax) > 1e-12
+    return blocked.reshape(shape)
 
 
 def line_of_sight(p, q, obstacles) -> bool:

@@ -155,10 +155,18 @@ def _lamp_from_json(obj) -> LampModel:
     )
 
 
+def _is_finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
 def _non_finite_paths(node, path=""):
-    # JSON paths of the NaN and infinite numbers in a decoded document
-    # (Python's json module reads NaN, Infinity and 1e999).
-    if isinstance(node, float) and not math.isfinite(node):
+    # JSON paths of the numbers no finite float holds in a decoded
+    # document: Python's json module reads NaN, Infinity and 1e999 as
+    # floats, and 10**400 written out as an int.
+    if isinstance(node, (int, float)) and not _is_finite(node):
         yield path
     elif isinstance(node, (dict, list)):
         items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -175,7 +183,8 @@ def parse_scenario(data) -> ScenarioFile:
         path = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
         raise ScenarioFormatError(f"at {path}: {exc.message}") from None
     for path in _non_finite_paths(data):
-        raise ScenarioFormatError(f"at {path[1:]}: number is not finite")
+        if path != "/noise/seed":  # an integer, of any size
+            raise ScenarioFormatError(f"at {path[1:]}: number is not finite")
 
     try:
         bounds = Aabb(data["bounds"]["min"], data["bounds"]["max"])

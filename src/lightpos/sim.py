@@ -94,6 +94,11 @@ TRACE_BATCH = 4096
 MIN_LAMP_SEPARATION = 1.0
 MIN_TRIANGLE_AREA = 0.5
 
+# Coverage and planning grids hold at most this many cells.  The planner
+# keeps a few (lamps, cells) and (lamp groups, cells) arrays at once, so
+# its memory grows with this cap times the candidate count.
+MAX_GRID_CELLS = 100_000
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -757,12 +762,25 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
 
 def grid_cells(bounds: Aabb, cell_size: float, height: float) -> np.ndarray:
     """Cell-center grid over the floorplan at the receiver height, as a
-    (K, 3) array in x-major order."""
+    (K, 3) array in x-major order.  A grid of more than MAX_GRID_CELLS
+    cells raises ValueError before anything is allocated."""
     if not (0 < cell_size < math.inf and math.isfinite(height)):
         raise ValueError("cell size must be positive and finite, and the "
                          "receiver height finite")
-    xs = np.arange(bounds.lo[0] + cell_size / 2, bounds.hi[0], cell_size)
-    ys = np.arange(bounds.lo[1] + cell_size / 2, bounds.hi[1], cell_size)
+    starts = bounds.lo[:2] + cell_size / 2
+    # np.arange's own lengths, ceil((stop - start) / step), in Python
+    # floats: a span over a tiny cell counts inf.  Each axis is capped
+    # too, as its arange is allocated even when the other is empty.
+    counts = [max(float(stop - start) / cell_size, 0.0)
+              for start, stop in zip(starts, bounds.hi[:2])]
+    if max(counts) > MAX_GRID_CELLS or \
+            math.ceil(counts[0]) * math.ceil(counts[1]) > MAX_GRID_CELLS:
+        raise ValueError(
+            f"cell size {cell_size} m gives a {counts[0]:.0f} x "
+            f"{counts[1]:.0f} cell grid, over the cap of {MAX_GRID_CELLS} "
+            "cells")
+    xs = np.arange(starts[0], bounds.hi[0], cell_size)
+    ys = np.arange(starts[1], bounds.hi[1], cell_size)
     x, y = np.meshgrid(xs, ys, indexing="ij")
     return np.column_stack([x.ravel(), y.ravel(), np.full(x.size, height)])
 
@@ -773,7 +791,7 @@ def _visibility(bounds: Aabb, obstacles, lamps, cell_size: float,
     (lamps, K): the cell center lies within the lamp's ``range_m`` and no
     box blocks the segment between them.  A lamp in range of a cell
     center it coincides with (``np.allclose``) raises ValueError, as
-    ``line_of_sight`` does."""
+    ``line_of_sight`` does, and so does a grid over MAX_GRID_CELLS."""
     cells = grid_cells(bounds, cell_size, height)
     for box in obstacles:
         cells = cells[~box.contains(cells)]
@@ -851,7 +869,9 @@ def greedy_min_lamps(bounds: Aabb, obstacles, candidates, method: str,
     groups = _anchor_groups(candidates, method)
     cells, vis = _visibility(bounds, obstacles, candidates, cell_size,
                              receiver_height)
-    group_vis = vis[groups].all(axis=1)
+    # Counted by a float32 (BLAS) matmul, far faster than a boolean one:
+    # at any precision a sum of 0/1 terms is > 0 exactly when one term is.
+    group_vis = vis[groups].all(axis=1).astype(np.float32)
     need = groups.shape[1]
     n = len(candidates)
     # with_candidate[ci, ci2]: lamp ci2 is in the plan once ci is added.
@@ -859,7 +879,7 @@ def greedy_min_lamps(bounds: Aabb, obstacles, candidates, method: str,
     chosen: list[int] = []
     covered = np.zeros(len(cells), dtype=bool)
     while not covered.all() and len(chosen) < n:
-        covered_with = with_candidate[:, groups].all(axis=2) @ group_vis
+        covered_with = with_candidate[:, groups].all(axis=2) @ group_vis > 0
         gain = (covered_with & ~covered).sum(axis=1)
         short = ~covered & (vis[chosen].sum(axis=0) < need)
         progress = (vis & short).sum(axis=1)

@@ -256,6 +256,43 @@ def test_segments_blocked_batch_equals_single_and_axis_order(segs, boxes,
         blocked.tolist()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_point, min_size=1, max_size=4),
+       st.lists(_point, min_size=1, max_size=6), _boxes())
+def test_segments_blocked_lamp_rows_against_cells(lamps, cells, boxes):
+    # The planner's call shape: lamp rows (L, 1, 3) against cells (K, 3),
+    # and one (3,) point against all cells.
+    p = np.array(lamps, dtype=float)
+    q = np.array(cells, dtype=float)
+    expected = [[any(_reference_hits_box(a, b, box) for box in boxes)
+                 for b in q] for a in p]
+    assert segments_blocked(p[:, None, :], q, boxes).tolist() == expected
+    assert segments_blocked(p[0], q, boxes).tolist() == expected[0]
+
+
+@pytest.mark.parametrize("toward", [None, math.inf, -math.inf],
+                         ids=["zero-step", "tiny-up", "tiny-down"])
+def test_segments_blocked_parallel_axis_inside_and_outside_slab(toward):
+    # Segments cross the box along x; along y they step by zero or by one
+    # ulp (below 1e-15), parallel to the y slab, with p inside it, on its
+    # faces or outside it.
+    box = Aabb([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    ys = np.array([0.5, 0.0, 1.0, -0.5, 1.5, 2.0])
+    p = np.column_stack([np.full(6, -1.0), ys, np.full(6, 0.5)])
+    q = p + [3.0, 0.0, 0.0]
+    if toward is not None:
+        q[:, 1] = np.nextafter(ys, toward)
+    step = np.abs(q[:, 1] - p[:, 1])
+    assert np.all(step < 1e-15) and (toward is None) == np.all(step == 0)
+    expected = [True, True, True, False, False, False]
+    assert [_reference_hits_box(a, b, box) for a, b in zip(p, q)] == \
+        expected
+    assert segments_blocked(p, q, [box]).tolist() == expected
+    # The same pairs, and every cross pair, in the planner's shape.
+    assert segments_blocked(p[:, None, :], q, [box]).tolist() == [
+        [_reference_hits_box(a, b, box) for b in q] for a in p]
+
+
 def test_segments_blocked_overflow_reaches_no_caller():
     # A tiny step along an axis (parallel to its slab) or a slab 1e294 away
     # overflows the slab division to +-inf, which gives the right answer;

@@ -407,6 +407,21 @@ def _input_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input.json"
 
 
+def _assert_fails_only_at_the_boundary(argv):
+    # Whatever the JSON, each command exits 0, 1 (stderr opens with
+    # "error:") or 2, and nothing escapes as a traceback; a leaked
+    # RuntimeWarning is an error under the test configuration.
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (EXIT_OK, EXIT_INPUT, EXIT_SOLVE)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if rc == EXIT_INPUT:
+        assert err.getvalue().startswith("error:")
+    else:
+        assert err.getvalue() == ""
+
+
 @settings(max_examples=600, deadline=None)
 @given(case=st.one_of(
     st.tuples(st.just("solve"), _solve_docs),
@@ -448,20 +463,48 @@ def _input_path(tmp_path_factory):
 @example(case=("solve", _worked_with("s", math.nan)))
 @example(case=("solve", _worked_with("s", math.inf)))
 def test_cli_solvers_fail_only_at_the_boundary(_input_path, case):
-    # Whatever the JSON, each command exits 0, 1 (stderr opens with
-    # "error:") or 2, and nothing escapes as a traceback; a leaked
-    # RuntimeWarning is an error under the test configuration.
     command, text = case
     _input_path.write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        rc = main([command, "--input", str(_input_path)])
-    assert rc in (EXIT_OK, EXIT_INPUT, EXIT_SOLVE)
-    assert "Traceback" not in out.getvalue() + err.getvalue()
-    if rc == EXIT_INPUT:
-        assert err.getvalue().startswith("error:")
-    else:
-        assert err.getvalue() == ""
+    _assert_fails_only_at_the_boundary([command, "--input", str(_input_path)])
+
+
+# Fuzzed coverage scenarios: a floor plan fixture at a coarse grid, with up
+# to two values replaced by edge cases.  The base grids have cells of
+# 0.5 m or more on floors of at most 12 x 12 m, at most 576 cells, so an
+# example plans in milliseconds; an edge value can refine the grid only up
+# to sim.MAX_GRID_CELLS, past which grid_cells rejects it unallocated.
+_FLOORS = [(FIXTURES / f"{name}.json").read_text(encoding="utf-8")
+           for name in ("two_room", "four_room")]
+
+
+def _floor(text, cell_size, height):
+    return dict(json.loads(text), coverage={"cell_size_m": cell_size,
+                                            "receiver_height_m": height})
+
+
+_coverage_docs = _fuzzed(st.builds(_floor, st.sampled_from(_FLOORS),
+                                   st.floats(0.5, 3.0), st.floats(0.0, 2.5)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_coverage_docs, method=st.sampled_from(["mflp", "trilateration"]),
+       plan=st.booleans())
+# Grids of 7.2e13 and 7.2e7 cells: before the cell cap, the first failed
+# with MemoryError and the second was killed while allocating.
+@example(text=json.dumps(_floor(_FLOORS[0], 1e-6, 1.0)), method="mflp",
+         plan=False)
+@example(text=json.dumps(_floor(_FLOORS[0], 1e-6, 1.0)), method="mflp",
+         plan=True)
+@example(text=json.dumps(_floor(_FLOORS[0], 1e-3, 1.0)), method="mflp",
+         plan=False)
+@example(text=json.dumps(_floor(_FLOORS[0], 1e-3, 1.0)), method="mflp",
+         plan=True)
+def test_cli_coverage_fails_only_at_the_boundary(_input_path, text, method,
+                                                 plan):
+    _input_path.write_text(text)
+    _assert_fails_only_at_the_boundary(
+        ["coverage", "--scenario", str(_input_path), "--method", method,
+         *(["--plan"] if plan else [])])
 
 
 def test_cli_calibrate(tmp_path, capsys):
@@ -518,8 +561,10 @@ def _edited_two_room(tmp_path, edit):
     lambda d: d["candidates"][0].__setitem__("range_m", math.nan),
     lambda d: d["coverage"].__setitem__("cell_size_m", math.nan),
     lambda d: d["coverage"].__setitem__("receiver_height_m", math.inf),
+    lambda d: d["bounds"]["max"].__setitem__(0, 10**400),
 ], ids=["obstacle-corner", "bounds-corner", "lamp-k", "candidate-position",
-        "candidate-flash", "candidate-range", "cell-size", "height"])
+        "candidate-flash", "candidate-range", "cell-size", "height",
+        "bounds-huge-int"])
 def test_cli_coverage_rejects_non_finite_scenario(tmp_path, capsys, edit):
     path = _edited_two_room(tmp_path, edit)
     with pytest.raises(ScenarioFormatError, match="not finite"):
@@ -529,6 +574,12 @@ def test_cli_coverage_rejects_non_finite_scenario(tmp_path, capsys, edit):
                    *extra])
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: at ")
+
+
+def test_huge_integer_seed_is_finite():
+    # 10**400 is past the float range, yet a seed is an integer.
+    sf = parse_scenario(dict(MINIMAL, noise={"seed": 10**400}))
+    assert sf.scenario.noise.seed == 10**400
 
 
 def test_non_finite_number_reports_json_path():
