@@ -339,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--out")
     slv.set_defaults(func=_cmd_solve)
 
-    tri = sub.add_parser("trilaterate",
-                         help="three-lamp range solve from a JSON input")
+    tri = sub.add_parser("trilaterate", help="three-lamp range solve from a "
+                         "JSON input of vertical lamps (no central rays)")
     tri.add_argument("--input", required=True)
     tri.add_argument("--out")
     tri.set_defaults(func=_cmd_trilaterate)

@@ -99,6 +99,10 @@ MIN_TRIANGLE_AREA = 0.5
 # its memory grows with this cap times the candidate count.
 MAX_GRID_CELLS = 100_000
 
+# A trajectory run samples at most this many epochs, so a tiny interval
+# or speed is an input error instead of a run without end.
+MAX_TRAJECTORY_EPOCHS = 100_000
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -574,9 +578,8 @@ def _trilaterate_fixes(lamps: LampTable, batch, z_receiver):
                          kind="stable")[:, :3]
         (points[rows], status[rows], residual[rows], iterations[rows],
          below) = trilaterate_batch(
-            lamps.position[ids], lamps.k[ids],
-            lamps.profiles.take(ids), s[rows[:, None], ids],
-            None if z is None else z[rows])
+            batch.planes[rows[:, None], ids, 0], s[rows[:, None], ids], ids,
+            lamps, None if z is None else z[rows])
         error[rows[~below]] = 3
     return points, status, residual, iterations, error
 
@@ -626,22 +629,28 @@ def run_static(scn: Scenario, points, pipeline: str = PIPELINE_MFLP,
                   pipeline, m, mode, seed, attitude)
 
 
+# Huge coordinates overflow the path's length to inf, which the cap
+# rejects.
+@np.errstate(over="ignore")
 def sample_trajectory(waypoints, speed: float, interval_s: float):
-    """Positions every interval_s seconds along a piecewise-linear path."""
+    """Positions every interval_s seconds along a piecewise-linear path.
+    A path of more than MAX_TRAJECTORY_EPOCHS intervals raises ValueError
+    before any is sampled."""
     waypoints = [np.asarray(w, dtype=float) for w in waypoints]
     if interval_s <= 0 or speed <= 0:
         raise ValueError("speed and interval must be positive")
     if len(waypoints) == 1:
         return [(0.0, waypoints[0])]
-    legs = list(zip(waypoints[:-1], waypoints[1:]))
-    total = sum(np.linalg.norm(b - a) for a, b in legs)
-    out = []
-    t = 0.0
+    legs = [(a, b, np.linalg.norm(b - a))
+            for a, b in zip(waypoints[:-1], waypoints[1:])]
+    total = sum(leg for *_, leg in legs)
+    if not total + 1e-12 <= MAX_TRAJECTORY_EPOCHS * speed * interval_s:
+        raise ValueError(f"{total:g} m at {speed:g} m/s every {interval_s:g} "
+                         f"s makes more than {MAX_TRAJECTORY_EPOCHS} epochs")
+    out, t = [], 0.0
     while t * speed <= total + 1e-12:
-        dist = t * speed
-        acc = 0.0
-        for li, (a, b) in enumerate(legs):
-            leg = np.linalg.norm(b - a)
+        dist, acc = t * speed, 0.0
+        for li, (a, b, leg) in enumerate(legs):
             if dist <= acc + leg or li == len(legs) - 1:
                 frac = 0.0 if leg == 0 else min((dist - acc) / leg, 1.0)
                 out.append((t, a + frac * (b - a)))

@@ -4,14 +4,15 @@ squares, the m-reading multi-lamp generalization, and trilateration.
 Every solver reads the forward model through ``rss.rss_model``, the one
 module that evaluates it: the closed form at the lamp direction it
 solves for, the range inversion behind trilateration's seed, the
-least-squares callbacks with its gradient and the lamp fit at its
+least-squares callback with its gradient and the lamp fit at its
 samples.
 
 ``levenberg_marquardt`` is the one least-squares driver: it iterates many
-problems at once over a residual-and-Jacobian callback, and
-``mflp_least_squares``, ``solve_multi`` and ``trilaterate_batch`` each
-build their callback over ``rss_model`` and run it once;
-``fit_lamp_model`` runs it on one problem to fit a polynomial emission
+problems at once over a residual-and-Jacobian callback.  All three
+position solvers, ``mflp_least_squares``, ``solve_multi`` and
+``trilaterate_batch``, refine on one callback, ``_multi_residuals``, the
+only caller of ``rss_model``'s gradient; ``fit_lamp_model`` runs
+``levenberg_marquardt`` on one problem to fit a polynomial emission
 profile from labeled samples.  Its damping start and convergence
 tolerances are module constants; only the iteration cap differs between
 callers: 400 for ``solve_multi`` and ``fit_lamp_model``, 100 otherwise.
@@ -408,10 +409,10 @@ def closed_form_fixes(planes, s, lamp_ids, lamps: LampTable):
 
 
 def _multi_residuals(planes, s, lamp_ids, lamps):
-    """``levenberg_marquardt`` callback of ``solve_multi`` and
-    ``mflp_least_squares`` over world positions (M, 3): each reading's
-    relative residual in its own lamp's solve frame, feasible when every
-    lamp is above (solve-frame z > 0)."""
+    """``levenberg_marquardt`` callback of ``mflp_least_squares``,
+    ``solve_multi`` and ``trilaterate_batch`` over world positions
+    (M, 3): each reading's relative residual in its own lamp's solve
+    frame, feasible when every lamp is above (solve-frame z > 0)."""
     position, basis = lamps.position[lamp_ids], lamps.basis[lamp_ids]
     k = lamps.k[lamp_ids]
     planes = planes[:, :, None, :]
@@ -500,46 +501,48 @@ def _invert_distances(k, profile, dz, s):
     return 0.5 * (lo + hi)
 
 
-def _trilateration_residuals(lamps, k, profiles, s, z_receiver=None):
-    """``levenberg_marquardt`` callback of ``trilaterate_batch`` over
-    positions (M, 3), or (M, 2) at heights ``z_receiver``: each reading an
-    upward face's model of its lamp, feasible below every lamp."""
-    def residuals(theta, rows):
-        q = theta if z_receiver is None else np.column_stack(
-            [theta, z_receiver[rows]])
-        x = lamps[rows] - q[:, None, :]
-        sa = s[rows]
-        m, grad = rss_model(_EZ[None, None], k[rows], profiles.take(rows), x)
-        jac = -grad[:, :, 0, :theta.shape[1]] / sa[..., None]
-        return (m[:, :, 0] - sa) / sa, jac, np.all(x[:, :, 2] > 0, axis=1)
+def _at_heights(residuals, z):
+    """A callback over positions (M, 3), such as ``_multi_residuals``, as
+    one over plan-view positions (M, 2) at the problems' heights ``z``
+    (N,): each z appended, the Jacobian's z column dropped."""
+    def at_heights(xy, rows):
+        r, jac, feasible = residuals(np.column_stack([xy, z[rows]]), rows)
+        return r, jac[..., :2], feasible
 
-    return residuals
+    return at_heights
 
 
 # Huge finite inputs may overflow the geometry and the range seed; such
 # problems end degenerate or unconverged, without warnings.
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def trilaterate_batch(lamps, k, profiles: ProfileTable, s, z_receiver=None):
-    """Horizontal-face receiver positions of N problems, each from n >= 3
-    vertically hung lamps: the classic three-sphere geometry.
+def trilaterate_batch(planes, s, lamp_ids, lamps: LampTable,
+                      z_receiver=None):
+    """Receiver positions of N problems, each from one reading of each of
+    n >= 3 lamps: the classic three-sphere geometry.
 
-    ``lamps`` (N, n, 3) are the lamp positions, ``k`` (N, n) and
-    ``profiles`` their intensity constants and emission profiles, ``s``
-    (N, n) the upward face's readings, and ``z_receiver`` (N,) the
-    receivers' heights, or None for free ones starting at 0.  Lamps
-    collinear in plan view (no plan-view triangle of them spans 1e-9 of
-    their squared plan-view spread, at least 1) are degenerate.  Ranges
-    inverted at the starting height (in closed form for cosine-power
-    lamps, by bisection for polynomial ones) seed a linear lateration,
-    refined by least squares.  Returns the fields of a ``SolveResult``
-    per problem, (points (N, 3), status, residual, iterations), and
-    below (N,), False where a problem that is not degenerate does not
-    start below every lamp; it too has a NaN point.
+    ``planes`` (N, n, 3) are unit sensing planes in the solve frames of
+    the readings' lamps ``lamp_ids`` (N, n), and ``s`` (N, n) their
+    amplitudes, modeled with the k and profiles of ``lamps``;
+    ``z_receiver`` (N,) holds the receivers' heights, or is None for free
+    ones starting at 0.  Lamps collinear in plan view (no plan-view
+    triangle of them spans 1e-9 of their squared plan-view spread, at
+    least 1) are degenerate.  Ranges inverted at the starting height (in
+    closed form for cosine-power lamps, by bisection for polynomial ones)
+    seed a linear lateration; only this seed takes the lamps as hung
+    vertically over upward faces.  ``solve_multi``'s least squares
+    (``_multi_residuals``) refines it, over plan-view positions at a fixed
+    height, capped at 100 iterations.  Returns the fields of a
+    ``SolveResult`` per problem, (points (N, 3), status, residual,
+    iterations), and below (N,), False where a problem that is not
+    degenerate does not start below every lamp; it too has a NaN point.
+    A start that has a lamp at solve-frame z <= 0 is infeasible: its fix
+    is NaN and no_converge.
     """
     n_fix, n = s.shape
     z_fixed = z_receiver is not None
     z0 = np.asarray(z_receiver, dtype=float) if z_fixed else np.zeros(n_fix)
-    xy = lamps[..., :2]
+    position = lamps.position[lamp_ids]
+    xy = position[..., :2]
     centered = xy - xy.mean(axis=1)[:, None]
     spread = np.sqrt(np.vecdot(centered, centered)).max(axis=1)
     a, b, c = (xy[:, i] for i in np.array(list(combinations(range(n), 3))).T)
@@ -547,25 +550,24 @@ def trilaterate_batch(lamps, k, profiles: ProfileTable, s, z_receiver=None):
     area = 0.5 * np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
                         ).max(axis=1)
     spanned = ~(area < 1e-9 * np.maximum(spread, 1.0) ** 2)
-    dz0 = lamps[..., 2] - z0[:, None]
+    dz0 = position[..., 2] - z0[:, None]
     below = ~spanned | np.all(dz0 > 0, axis=1)
     rows = np.flatnonzero(spanned & below)
 
     # Linear lateration seed from inverted ranges at the initial height.
-    lamps, s, k, dz0 = lamps[rows], s[rows], k[rows], dz0[rows]
-    profiles = profiles.take(rows)
-    d_est = _invert_distances(k, profiles, dz0, s)
-    lhs = 2 * (lamps[:, 1:, :2] - lamps[:, :1, :2])
+    position, s, ids, dz0 = position[rows], s[rows], lamp_ids[rows], dz0[rows]
+    d_est = _invert_distances(lamps.k[ids], lamps.profiles.take(ids), dz0, s)
+    lhs = 2 * (position[:, 1:, :2] - position[:, :1, :2])
     rhs = (d_est[:, :1] ** 2 - d_est[:, 1:] ** 2
-           + np.sum(lamps[:, 1:, :2] ** 2, axis=2)
-           - np.sum(lamps[:, :1, :2] ** 2, axis=2)
+           + np.sum(position[:, 1:, :2] ** 2, axis=2)
+           - np.sum(position[:, :1, :2] ** 2, axis=2)
            + dz0[:, 1:] ** 2 - dz0[:, :1] ** 2)
     xy = np.matvec(np.linalg.pinv(lhs), rhs)
 
     z0 = z0[rows]
+    residuals = _multi_residuals(planes[rows], s, ids, lamps)
     theta, cost, status, iters = levenberg_marquardt(
-        _trilateration_residuals(lamps, k, profiles, s,
-                                 z0 if z_fixed else None),
+        _at_heights(residuals, z0) if z_fixed else residuals,
         xy if z_fixed else np.column_stack([xy, z0]))
     points = np.column_stack([theta, z0]) if z_fixed else theta
     return (*_lm_fixes(n_fix, rows, points, cost, status, iters, n), below)
@@ -573,10 +575,12 @@ def trilaterate_batch(lamps, k, profiles: ProfileTable, s, z_receiver=None):
 
 def trilaterate(lamp_positions, k: float, profile: EmissionProfile,
                 s, z_receiver=None) -> SolveResult:
-    """Solve a horizontal-face receiver position from three or more
-    vertically hung lamps sharing one intensity model: the batch of one
-    of ``trilaterate_batch`` on checked inputs.  A start not below every
-    lamp raises ValueError."""
+    """Solve a horizontal-face receiver position from three or more lamps
+    sharing one intensity model: the batch of one of
+    ``trilaterate_batch`` on checked inputs.  The lamps are given by
+    position alone, so they hang vertically (identity solve-frame bases)
+    and the face reads along +z.  A start not below every lamp raises
+    ValueError."""
     lamps = np.asarray(lamp_positions, dtype=float)
     s = np.asarray(s, dtype=float)
     if lamps.ndim != 2 or lamps.shape[1] != 3 or s.shape != lamps.shape[:1]:
@@ -590,9 +594,11 @@ def trilaterate(lamp_positions, k: float, profile: EmissionProfile,
     if not ((z is None or math.isfinite(z[0])) and 0 < k < math.inf):
         raise ValueError("k and the receiver height must be finite, k > 0")
     n = len(lamps)
+    profiles = ProfileTable((profile,), np.zeros(n, dtype=np.intp))
+    table = LampTable(lamps, np.broadcast_to(np.eye(3), (n, 3, 3)),
+                      np.full(n, k), profiles)
     point, status, residual, iters, below = trilaterate_batch(
-        lamps[None], np.full((1, n), k),
-        ProfileTable((profile,), np.zeros((1, n), dtype=np.intp)), s[None],
+        np.broadcast_to(_EZ, (1, n, 3)), s[None], np.arange(n)[None], table,
         z)
     if not below[0]:
         raise ValueError("receiver must start below every lamp")

@@ -136,6 +136,39 @@ def test_only_rss_evaluates_the_model():
     assert found == []
 
 
+def _model_gradient_calls(node, scope=()):
+    """(enclosing function names, line) of each call of ``rss_model``
+    under ``node`` that does not pass ``gradient=False``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+        elif isinstance(child, ast.Call):
+            func = child.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name == "rss_model" and not any(
+                    kw.arg == "gradient" and isinstance(kw.value, ast.Constant)
+                    and kw.value.value is False for kw in child.keywords):
+                yield scope, child.lineno
+        yield from _model_gradient_calls(child, inner)
+
+
+def test_only_multi_residuals_takes_the_model_gradient():
+    # Every least-squares position refine runs on one residual model:
+    # outside solve._multi_residuals, the package calls rss_model only
+    # with gradient=False.
+    package = Path(lightpos.__file__).resolve().parent
+    owner, found = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, line in _model_gradient_calls(tree):
+            mine = (path.name, *scope[:1]) == ("solve.py", "_multi_residuals")
+            (owner if mine else found).append(
+                f"{path.name}:{line} {'.'.join(scope)}")
+    assert found == []
+    assert len(owner) == 1
+
+
 def test_lamp_model_validation():
     with pytest.raises(ValueError):
         vertical_lamp([0, 0, 3], k=-1.0)

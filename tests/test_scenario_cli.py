@@ -507,6 +507,75 @@ def test_cli_coverage_fails_only_at_the_boundary(_input_path, text, method,
          *(["--plan"] if plan else [])])
 
 
+# Fuzzed simulate and sensitivity scenarios: a fixture with points, cut
+# to one to three of them or to a trajectory through two or three of them,
+# with lamps that may lean up to 0.3 off vertical and optional noise, and
+# up to two values replaced by edge cases.  The counts stay small so an
+# example runs in milliseconds in either mode: a trajectory at 1-2 m/s
+# every 0.5-1 s through fixture points samples at most ~50 epochs, and
+# the sweep is 2 x 2 cells of two trials per point, at most 24 fixes.  An
+# edge value can lengthen a trajectory only up to
+# sim.MAX_TRAJECTORY_EPOCHS, past which it raises unsampled, and a trace
+# only up to signal.MAX_TRACE_SAMPLES.
+_RUN_FLOORS = [(FIXTURES / f"{name}.json").read_text(encoding="utf-8")
+               for name in ("empty_room", "office_single_lamp",
+                            "three_lamps")]
+_lean = st.floats(-0.3, 0.3)
+
+
+@st.composite
+def _run_floor(draw):
+    doc = json.loads(draw(st.sampled_from(_RUN_FLOORS)))
+    for lamp in doc["lamps"]:
+        if draw(st.booleans()):
+            lamp["central_ray"] = [draw(_lean), draw(_lean), -1.0]
+    doc["noise"] = draw(st.fixed_dictionaries({}, optional={
+        "rss_epsilon": st.sampled_from([0.0, 0.1]),
+        "heading_epsilon_deg": st.sampled_from([0.0, 5.0]),
+        "accel_sd": st.sampled_from([0.0, 0.05]),
+        "trace_noise_sd": st.sampled_from([0.0, 0.5])}))
+    points = draw(st.lists(st.sampled_from(doc["points"]), min_size=1,
+                           max_size=3))
+    if len(points) > 1 and draw(st.booleans()):
+        del doc["points"]
+        doc["trajectory"] = {"waypoints": points,
+                             "speed_mps": draw(st.floats(1.0, 2.0)),
+                             "interval_s": draw(st.floats(0.5, 1.0))}
+    else:
+        doc["points"] = points
+    return doc
+
+
+_WALK = dict(json.loads(_RUN_FLOORS[2]), trajectory={
+    "waypoints": [[6, 5, 0], [10, 6.5, 0]], "speed_mps": 1.0,
+    "interval_s": 1e-320})
+del _WALK["points"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_fuzzed(_run_floor()),
+       command=st.sampled_from(["simulate", "sensitivity"]),
+       pipeline=st.sampled_from(["mflp", "multi", "trilateration"]),
+       m=st.integers(2, 9), mode=st.sampled_from(["fast", "end_to_end"]))
+# A subnormal interval, and a waypoint whose path length overflows: before
+# the epoch cap, both sampled without end.
+@example(text=json.dumps(_WALK), command="simulate",
+         pipeline="trilateration", m=3, mode="fast")
+@example(text=json.dumps(dict(_WALK, trajectory=dict(
+    _WALK["trajectory"], interval_s=0.5,
+    waypoints=[[6, 5, 0], [1e300, 6.5, 0]]))), command="simulate",
+         pipeline="mflp", m=3, mode="fast")
+def test_cli_runs_fail_only_at_the_boundary(_input_path, text, command,
+                                            pipeline, m, mode):
+    _input_path.write_text(text)
+    argv = [command, "--scenario", str(_input_path), "--pipeline", pipeline]
+    if command == "simulate":
+        argv += ["--m", str(m), "--mode", mode]
+    else:
+        argv += ["--eps", "0,0.1", "--eps-h-deg", "0,5", "--trials", "2"]
+    _assert_fails_only_at_the_boundary(argv)
+
+
 def test_cli_calibrate(tmp_path, capsys):
     dist = EllipseParams(0.2, -0.1, 1.3, 0.9, 0.4)
     ang = np.linspace(0, 2 * math.pi, 60, endpoint=False)

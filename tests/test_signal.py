@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightpos import signal
@@ -355,9 +355,19 @@ def test_cached_basis_rows_are_read_only():
 # sums (each unit component and the noise projected on n phasor
 # samples, then summed over components) have the same form, so the two
 # sides differ by at most 16 (n + T) u L.
+#
+# That counts relative errors only, and a subnormal level underflows it
+# to 0.  With gradual underflow an operation is fl(x op y) =
+# (x op y)(1 + d) + e, |d| <= u, where e = 0 for a sum or difference and
+# |e| <= lambda u = 2**-1075 for a product or quotient, lambda = 2**-1022
+# being the smallest normal number (Higham, 2nd ed., sec. 2.1).  A
+# rounding that the count above bounds by u L (or u 2L) is then off by
+# at most u (L + lambda) (or u 2(L + lambda)), so L + lambda in place of
+# L bounds both sides' difference: 16 (n + T) u (L + lambda).
 
 def _roundoff_bound(components, rate_hz, n, noise_max):
-    """16 (n + T) u L for one trace of ``components`` at their peaks."""
+    """16 (n + T) u (L + lambda) for one trace of ``components`` at their
+    peaks."""
     level, terms = noise_max, 1
     for c in components:
         coefs = [1.0]
@@ -367,7 +377,7 @@ def _roundoff_bound(components, rate_hz, n, noise_max):
                              if c.freq_hz * h < rate_hz / 2]
         level += c.peak * sum(coefs)
         terms += len(coefs)
-    return 16 * (n + terms) * 2.0**-53 * level
+    return 16 * (n + terms) * 2.0**-53 * (level + 2.0**-1022)
 
 
 # The bound grows with the samples per trace, and the oracle synthesizes
@@ -375,6 +385,19 @@ def _roundoff_bound(components, rate_hz, n, noise_max):
 # long (1333 Hz over 0.6 s), a few sensor windows.
 @settings(max_examples=100, deadline=None)
 @given(_trace_batches())
+# A subnormal peak: the two sides differ by one subnormal, 5e-324, where a
+# bound without the underflow term reads 0.
+@example(
+    batch=([WaveComponent(freq_hz=5.0, peak=1.0, shape='sine'),
+            WaveComponent(freq_hz=5.0, peak=1.0, shape='sine'),
+            WaveComponent(freq_hz=4.875, peak=1.0, shape='sine')],
+           [[0.0, 0.0, 2.2250738585e-313]],
+           100.0,
+           0.25,
+           0.0,
+           [0],
+           [4.875]),
+)
 def test_amplitude_map_equals_synthesis_then_extraction(batch):
     components, peaks, rate, duration, noise_sd, seeds, freqs = batch
     n = int(round(rate * duration))

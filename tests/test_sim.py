@@ -453,9 +453,10 @@ def test_lamp_geometry_one_pass_equals_per_lamp_loop(case):
 # readings grouped per lamp and ranked by select_readings, multi-lamp
 # least squares seeded lamp by lamp, and scalar trilateration, as they ran
 # before locate_batch became the one locate core; kept here as the oracle
-# of sim.locate.  Trilateration here carries the core's two mends (each
-# lamp's own k and profile, degeneracy judged in plan view over all lamps)
-# and its pseudo-inverse lateration seed.
+# of sim.locate.  Trilateration here carries the core's three mends (each
+# lamp's own k and profile, degeneracy judged in plan view over all
+# lamps, each lamp's model of the measured top face in that lamp's solve
+# frame) and its pseudo-inverse lateration seed.
 
 @dataclass(frozen=True)
 class _LampSighting:
@@ -571,7 +572,7 @@ def _ref_solve_multi(readings, lamp_table, k_scale):
     return _ref_lm_result(p[0], cost[0], status[0], iters[0], len(readings))
 
 
-def _ref_trilaterate(lamps, k_scale, s, z_receiver=None):
+def _ref_trilaterate(lamps, k_scale, planes, s, z_receiver=None):
     pos = np.array([lamp.position for lamp in lamps])
     s = np.asarray(s, dtype=float)
     z_fixed = z_receiver is not None
@@ -598,20 +599,25 @@ def _ref_trilaterate(lamps, k_scale, s, z_receiver=None):
            - np.sum(pos[0, :2] ** 2)
            + dz0[1:] ** 2 - dz0[0] ** 2)
     xy0 = np.matvec(np.linalg.pinv(rows), rhs)
-    up = np.array([[[0.0, 0.0, 1.0]]])
 
     def residuals(theta, rows):
+        # Each lamp's model in its own solve frame, x = B^T (L - q), of
+        # the measured top face.
         q = theta if not z_fixed else np.column_stack(
             [theta, np.full(len(theta), z0)])
-        x = pos - q[:, None, :]
-        r = np.empty(x.shape[:2])
-        jac = np.empty(x.shape[:2] + (theta.shape[1],))
+        r = np.empty((len(q), len(lamps)))
+        jac = np.empty((len(q), len(lamps), theta.shape[1]))
+        feasible = np.ones(len(q), dtype=bool)
         for j, lamp in enumerate(lamps):
-            m, grad = rss_model(up, lamp.k * k_scale, lamp.profile,
-                                x[:, j:j + 1])
-            r[:, j] = (m[:, 0, 0] - s[j]) / s[j]
-            jac[:, j] = -grad[:, 0, 0, :theta.shape[1]] / s[j]
-        return r, jac, np.all(x[:, :, 2] > 0, axis=1)
+            basis = lamp.solve_basis
+            x = np.matvec(basis.T, lamp.position - q)
+            feasible &= x[:, 2] > 0
+            m, grad = rss_model(planes[j][None], lamp.k * k_scale,
+                                lamp.profile, x)
+            r[:, j] = (m[:, 0] - s[j]) / s[j]
+            jac[:, j] = -np.matvec(basis, grad[:, 0])[:, :theta.shape[1]] \
+                / s[j]
+        return r, jac, feasible
 
     theta, cost, status, iters = levenberg_marquardt(
         residuals, [xy0 if z_fixed else [*xy0, z0]], max_iter=100)
@@ -622,12 +628,13 @@ def _ref_trilaterate(lamps, k_scale, s, z_receiver=None):
 def _ref_locate(scn, mset, pipeline, m=3, z_receiver=None):
     readings = _readings(mset)
     if pipeline == sim.PIPELINE_TRILATERATION:
-        top = {r.lamp_id: r.s for r in readings if r.face_id == 0}
+        top = {r.lamp_id: r for r in readings if r.face_id == 0}
         if len(top) < 3:
             return SolveResult(np.full(3, np.nan), math.inf, "degenerate")
-        ids = sorted(top, key=top.get, reverse=True)[:3]
+        ids = sorted(top, key=lambda i: top[i].s, reverse=True)[:3]
         return _ref_trilaterate([scn.lamps[i] for i in ids], OOK_FUNDAMENTAL,
-                                [top[i] for i in ids], z_receiver)
+                                [top[i].plane for i in ids],
+                                [top[i].s for i in ids], z_receiver)
     by_lamp = {}
     for r in readings:
         by_lamp.setdefault(r.lamp_id, []).append(r)
@@ -854,6 +861,25 @@ def test_sample_trajectory_spacing():
     assert np.allclose(samples[4][1], [2, 0, 0])
 
 
+def test_sample_trajectory_caps_its_epochs():
+    # A path of more than MAX_TRAJECTORY_EPOCHS intervals raises before it
+    # samples: a subnormal interval or speed, and a length that overflows
+    # to inf, which would otherwise sample without end.
+    path = [[0, 0, 0], [4, 0, 0], [4, 3, 0]]
+    cap = sim.MAX_TRAJECTORY_EPOCHS
+    # Time accumulates interval by interval, so the last epoch may round
+    # past the path's end.
+    assert len(sample_trajectory(path, 1.0, 14.0 / cap)) in (cap // 2,
+                                                              cap // 2 + 1)
+    for speed, interval in ((1.0, 7.0 / cap / 1.01), (1.0, 1e-320),
+                            (1e-320, 1.0)):
+        with pytest.raises(ValueError, match=f"more than {cap} epochs"):
+            sample_trajectory(path, speed, interval)
+    with pytest.raises(ValueError, match="inf m"):
+        sample_trajectory([[0, 0, 0], [1e300, 0, 0], [-1e300, 0, 0]], 1.0,
+                          1.0)
+
+
 def test_run_trajectory_noise_free():
     scn = simple_scenario()
     fixes, stats = run_trajectory(scn, [[4, 4, 0], [6, 6, 0]], speed=1.0,
@@ -920,6 +946,40 @@ def test_trilateration_uses_each_lamps_own_k_and_profile():
         fixes, stats = run_static(scn, points, sim.PIPELINE_TRILATERATION)
         assert stats.failures == 0
         assert stats.max < 1e-6
+
+
+@pytest.mark.parametrize("tilt", [0.1, 0.3])
+def test_trilateration_recovers_points_under_tilted_lamps(tilt):
+    # Each lamp's reading is modeled in that lamp's own solve frame, so
+    # noise-free top-face readings of lamps whose central rays lean to
+    # (tilt, 0, -1) give every fixture point exactly at its true height.
+    # At a free height three lamps at one height have other exact roots,
+    # so a fourth lamp at another height joins them there.
+    loaded = load_scenario(resources.files("lightpos") / "fixtures"
+                           / "three_lamps.json")
+    points = np.array(loaded.points)
+    lamps = loaded.scenario.lamps + (
+        LampModel([8.0, 2.0, 2.6], [0.0, 0.0, -1.0], 40.0,
+                  loaded.scenario.lamps[0].profile, 85.0),)
+    lamps = tuple(replace(lamp, central_ray=[tilt, 0.0, -1.0])
+                  for lamp in lamps)
+    for n_lamps, z in ((3, points[:, 2]), (4, None)):
+        scn = replace(loaded.scenario, lamps=lamps[:n_lamps],
+                      noise=NoiseSpec())
+        batch = measure_batch(scn, points, Attitude(0.0, 0.0, 0.0),
+                              (_point_rng(0, i) for i in range(len(points))))
+        assert batch.valid[:, :, 0].all()
+        table = scn.lamp_table._replace(
+            k=scn.lamp_table.k * OOK_FUNDAMENTAL)
+        got, status, _, _, _ = solve.trilaterate_batch(
+            batch.planes[:, :, 0], batch.amps[:, :, 0],
+            np.tile(np.arange(n_lamps), (len(points), 1)), table, z)
+        assert np.all(status == "unique"), n_lamps
+        assert np.abs(got - points).max() <= 1e-12, n_lamps
+        if n_lamps == 3:
+            fixes = sim.locate_batch(scn, batch, sim.PIPELINE_TRILATERATION,
+                                     3, z)
+            assert fixes[0].tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("pipeline, m", [("bogus", 3),

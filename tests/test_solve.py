@@ -33,11 +33,7 @@ from lightpos.solve import (
     to_world_position,
     trilaterate,
 )
-from lightpos.solve import (
-    _invert_distances,
-    _multi_residuals,
-    _trilateration_residuals,
-)
+from lightpos.solve import _at_heights, _invert_distances, _multi_residuals
 from rss_oracle import profile_at
 
 COS = make_profile("cosine_power", [1.0])
@@ -503,35 +499,16 @@ def test_multi_callback_residuals_and_jacobian():
                                                 rel=1e-12, abs=1e-12)
         assert np.allclose(jac, central_difference_jacobian(
             residuals, receivers), rtol=1e-6, atol=1e-7)
-
-
-def test_trilateration_callback_residuals_and_jacobian():
-    rng = np.random.default_rng(31)
-    lamps = rng.uniform([0, 0, 2.5], [6, 6, 3.5], size=(4, 3))
-    receivers = rng.uniform([1, 1, 0], [5, 5, 1], size=(5, 3))
-    s = rng.uniform(0.5, 3.0, size=4)
-    # The same lamps and readings for every receiver.
-    rows = np.zeros(len(receivers), dtype=np.intp)
-    for profile in (make_profile("cosine_power", [1.6]), POLY):
-        profiles = ProfileTable((profile,), np.zeros((len(rows), 4),
-                                                     dtype=np.intp))
-        for z_receiver in (0.7, None):
-            theta = receivers if z_receiver is None else receivers[:, :2]
-            residuals = _trilateration_residuals(
-                lamps[None][rows], np.full((len(rows), 4), 20.0), profiles,
-                s[None][rows],
-                None if z_receiver is None else np.full(len(rows),
-                                                        z_receiver))
-            r, jac, feasible = residuals(theta, np.arange(len(theta)))
-            assert feasible.all()
-            q = receivers if z_receiver is None else np.column_stack(
-                [theta, np.full(len(theta), z_receiver)])
-            dz = lamps[:, 2] - q[:, None, 2]
-            d = np.linalg.norm(lamps - q[:, None, :], axis=2)
-            m = 20.0 * dz * profile_at(profile, np.arccos(dz / d)) / d**3
-            assert np.allclose(r, (m - s) / s, rtol=1e-12, atol=1e-12)
-            assert np.allclose(jac, central_difference_jacobian(
-                residuals, theta), rtol=1e-6, atol=1e-7)
+        # At fixed heights, over plan-view positions: the same residuals,
+        # and the Jacobian's first two columns.
+        at_heights = _at_heights(residuals, receivers[:, 2])
+        r_xy, jac_xy, feasible = at_heights(receivers[:, :2],
+                                            np.arange(len(receivers)))
+        assert feasible.all()
+        assert r_xy.tobytes() == r.tobytes()
+        assert np.array_equal(jac_xy, jac[..., :2])
+        assert np.allclose(jac_xy, central_difference_jacobian(
+            at_heights, receivers[:, :2]), rtol=1e-6, atol=1e-7)
 
 
 def test_invert_distances_matches_scalar_bisection():
@@ -615,5 +592,10 @@ def test_invert_distances_mixed_profile_table(monkeypatch):
         return seeds[-1]
 
     monkeypatch.setattr(solve, "_invert_distances", recording)
-    solve.trilaterate_batch(lamps, k, table, s, z)
+    # Problem i reads lamps 3i .. 3i + 2, hung vertically over upward faces.
+    lamp_table = LampTable(lamps.reshape(-1, 3),
+                           np.broadcast_to(np.eye(3), (24, 3, 3)), k.ravel(),
+                           ProfileTable(profiles, table.index.ravel()))
+    solve.trilaterate_batch(np.broadcast_to([0.0, 0.0, 1.0], (8, 3, 3)), s,
+                            np.arange(24).reshape(8, 3), lamp_table, z)
     assert len(seeds) == 1 and np.array_equal(seeds[0], alone)
