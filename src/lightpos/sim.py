@@ -4,8 +4,11 @@ trajectory evaluation, stability metrics, and deployment-cost analysis.
 All randomness is drawn per point from the stream of a generator seeded
 with the seed combined with the point/trial index, so identical scenario +
 seed pairs always reproduce bit-identical results regardless of evaluation
-order.  The sweep draws a whole noise cell's streams at once with
-``streams.KeyedStreams``, whose values equal those generators' draws.
+order.  The runs and the sweep draw all their fixes' streams at once with
+``streams.KeyedStreams``, whose values equal those generators' draws, and
+``measure`` draws from its generator through ``streams.GeneratorStreams``
+by the same code.  Gaussian attitude noise is Box-Muller on two of the
+stream's uniforms (``streams.normals``), not numpy's own normals.
 
 Measurements are arrays over (fix, lamp, face) (``MeasurementBatch``);
 ``measure`` makes a batch of one fix.  They are made in two parts.  The
@@ -58,7 +61,7 @@ from .signal import (
     amplitude_map,
     trace_noise,
 )
-from .streams import KeyedStreams
+from .streams import GeneratorStreams, KeyedStreams, normals
 from .solve import (
     STATUS_UNIQUE,
     SolveResult,
@@ -234,20 +237,6 @@ class CoverageReport:
     lamp_count: int
 
 
-def _attitude_noise(noise: NoiseSpec, rng):
-    """One pose's (pitch, roll, heading) offsets drawn from its generator,
-    in the order ``measure`` draws them: the heading offset, then pitch and
-    roll when the accelerometer is noisy.  Nothing is drawn without
-    attitude noise."""
-    if noise.heading_epsilon == 0 and noise.accel_sd == 0:
-        return 0.0, 0.0, 0.0
-    heading = rng.uniform(-noise.heading_epsilon, noise.heading_epsilon)
-    if not noise.accel_sd:
-        return 0.0, 0.0, heading
-    pitch = rng.normal(0, noise.accel_sd)
-    return pitch, rng.normal(0, noise.accel_sd), heading
-
-
 def _measured_attitudes(att: Attitude, offsets) -> np.ndarray:
     """Measured (pitch, roll, heading) rows, (N, 3), from (N, 3) offsets:
     pitch clipped to [-pi/2, pi/2], roll wrapped once toward (-pi, pi] and
@@ -378,15 +367,15 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
     """Simulate N measurement epochs at once, all at one receiver attitude.
 
     ``positions`` is (N, 3).  ``rngs`` is either an iterable yielding one
-    numpy Generator per pose or a ``KeyedStreams`` of N keys, whose stream
-    n equals the draws of ``np.random.default_rng(keys[n])``.  Each pose's
-    noise comes from its own generator or stream, in the order ``measure``
-    draws it: attitude noise, then the fast-mode noise signs or the
-    end-to-end trace seeds.  Both forms fill the same arrays, which one
-    array pass then applies.  Keyed streams are drawn as arrays, all poses
-    at once, except when the accelerometer is noisy
-    (``scn.noise.accel_sd > 0``): numpy's normals come from a ziggurat that
-    can reject and redraw, so those draws come from one Generator per key.
+    numpy Generator per pose, wrapped in a ``streams.GeneratorStreams``,
+    or a ``KeyedStreams`` of N keys, whose stream n equals the draws of
+    ``np.random.default_rng(keys[n])``; a stream count other than N
+    raises ValueError.  Each pose's noise comes from its own
+    generator or stream, all poses at once: with attitude noise the
+    heading offset, then with a noisy accelerometer pitch and roll
+    (``streams.normals``, Box-Muller on two uniforms each), then the
+    fast-mode noise signs or the end-to-end trace seeds.  So both forms
+    fill the same arrays, which one array pass then applies.
 
     Two parts, each over all lamps in one array pass.  Per pose
     (``_pose_geometry``), from the true position and attitude alone: the
@@ -410,6 +399,7 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
     if not inside.all():
         position = positions[np.argmin(inside)]
         raise ValueError(f"receiver pose {position} outside scenario bounds")
+    rngs = rngs if isinstance(rngs, KeyedStreams) else GeneratorStreams(rngs)
     return _measure_poses(scn, _pose_geometry(scn, positions, attitude),
                           rngs, mode)
 
@@ -423,34 +413,26 @@ def _measure_poses(scn: Scenario, poses: _Poses, rngs,
     attitude = poses.attitude
     noise = scn.noise
 
-    # Draw every pose's noise first, in the order measure draws it: the
-    # (pitch, roll, heading) offsets, then the fast-mode noise signs or
-    # the end-to-end trace seeds.
+    # Draw every pose's noise first, all poses at once: with attitude
+    # noise the heading offset, then pitch and roll when the accelerometer
+    # is noisy; then the fast-mode noise signs or the end-to-end trace
+    # seeds.
     offsets = np.zeros((n_fix, 3))
-    keyed = isinstance(rngs, KeyedStreams)
-    if keyed and len(rngs) != n_fix:
-        raise ValueError(f"{len(rngs)} keyed streams for {n_fix} poses")
     if rngs is None:
         # Noise-free fixes: no draw changes a value (1 + 0 * (+-1) is 1).
         draws = np.zeros(shape if mode == MODE_FAST else (n_fix, n_faces),
                          dtype=np.int64)
-    elif keyed and noise.accel_sd == 0:
-        if noise.heading_epsilon != 0:
+    else:
+        if len(rngs) != n_fix:
+            raise ValueError(f"{len(rngs)} streams for {n_fix} poses")
+        if noise.heading_epsilon or noise.accel_sd:
             offsets[:, 2] = rngs.uniform(-noise.heading_epsilon,
                                          noise.heading_epsilon)
+        if noise.accel_sd:
+            offsets[:, 0] = normals(rngs, noise.accel_sd)
+            offsets[:, 1] = normals(rngs, noise.accel_sd)
         draws = (rngs.binary(shape[1:]) if mode == MODE_FAST
                  else rngs.integers63(n_faces))
-    else:
-        rngs = iter(rngs.generators() if keyed else rngs)
-        draws = np.empty(shape if mode == MODE_FAST
-                         else (n_fix, n_faces), dtype=np.int64)
-        for n in range(n_fix):
-            rng = next(rngs)
-            offsets[n] = _attitude_noise(noise, rng)
-            if mode == MODE_FAST:
-                draws[n] = rng.integers(0, 2, size=shape[1:])
-            else:
-                draws[n] = rng.integers(2**63, size=n_faces)
 
     if noise.heading_epsilon == 0 and noise.accel_sd == 0:
         att_meas = np.full((n_fix, 3), [attitude.pitch, attitude.roll,
@@ -647,8 +629,10 @@ def sample_trajectory(waypoints, speed: float, interval_s: float):
     if not total + 1e-12 <= MAX_TRAJECTORY_EPOCHS * speed * interval_s:
         raise ValueError(f"{total:g} m at {speed:g} m/s every {interval_s:g} "
                          f"s makes more than {MAX_TRAJECTORY_EPOCHS} epochs")
-    out, t = [], 0.0
-    while t * speed <= total + 1e-12:
+    # Epoch k is at k * interval_s: a running sum of intervals would
+    # gather round-off and could drop the epoch at the path's end.
+    out, k = [], 0
+    while (t := k * interval_s) * speed <= total + 1e-12:
         dist, acc = t * speed, 0.0
         for li, (a, b, leg) in enumerate(legs):
             if dist <= acc + leg or li == len(legs) - 1:
@@ -656,7 +640,7 @@ def sample_trajectory(waypoints, speed: float, interval_s: float):
                 out.append((t, a + frac * (b - a)))
                 break
             acc += leg
-        t += interval_s
+        k += 1
     return out
 
 
@@ -806,11 +790,18 @@ def _visibility(bounds: Aabb, obstacles, lamps, cell_size: float,
         cells = cells[~box.contains(cells)]
     pos = np.array([lamp.position for lamp in lamps]).reshape(-1, 3)
     delta = pos[:, None, :] - cells
-    in_range = np.sqrt(np.vecdot(delta, delta)) <= np.array(
-        [lamp.range_m for lamp in lamps])[:, None]
-    coincide = np.all(np.abs(delta) <= 1e-8 + 1e-5 * np.abs(cells), axis=-1)
-    if np.any(in_range & coincide):
-        raise ValueError("a lamp coincides with a cell center")
+    dist = np.sqrt(np.vecdot(delta, delta))
+    in_range = dist <= np.array([lamp.range_m for lamp in lamps])[:, None]
+    # allclose bounds each |delta_i| by 1e-8 + 1e-5 |cell_i|, so a
+    # coinciding pair lies within sqrt(3) 1e-8 + 1e-5 |cell| (under twice
+    # 1e-8 + 1e-5 |cell| after round-off); only those take the exact test.
+    near = in_range & (dist <= 2 * (
+        1e-8 + 1e-5 * np.sqrt(np.vecdot(cells, cells))))
+    if near.any():
+        li, ki = np.nonzero(near)
+        if np.all(np.abs(delta[li, ki]) <= 1e-8 + 1e-5 * np.abs(cells[ki]),
+                  axis=-1).any():
+            raise ValueError("a lamp coincides with a cell center")
     return cells, in_range & ~segments_blocked(pos[:, None, :], cells,
                                                obstacles)
 

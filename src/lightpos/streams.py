@@ -9,6 +9,10 @@ over the N keys: seeding keys below 2**32, as a sweep's are, costs about
 Generator (2-core x86-64, numpy 2.4).  This module is the only place
 that knows numpy's seeding algorithm.
 
+``GeneratorStreams`` gives N numpy Generators the same draw methods, and
+``normals`` draws Gaussians from either kind by Box-Muller on their
+uniforms, so noise is drawn by one code path whichever kind a caller has.
+
 PCG64 is the XSL-RR 128/64 generator of O'Neill, "PCG: A Family of Simple
 Fast Space-Efficient Statistically Good Algorithms for Random Number
 Generation" (2014).  Its 128-bit state is held as (hi, lo) uint64 pairs.
@@ -155,28 +159,15 @@ class KeyedStreams:
     integers, which values of 2**64 and above need.  A negative value
     raises ValueError, as numpy does.  Values
     of 2**32 and above take more entropy words; keys are seeded in groups
-    of equal entropy length.  The states are seeded at the first array
-    draw, so streams read only through ``generators`` seed none.  Each
-    draw method returns one row per stream and advances every stream
-    alike.
+    of equal entropy length.  Each draw method returns one row per stream
+    and advances every stream alike.
     """
 
     def __init__(self, keys: np.ndarray):
-        self._keys = keys
-        # Words now, which checks the keys; states at the first array draw.
-        self._groups = _entropy_groups(keys)
-        # _half: the buffered upper half of a 64-bit draw.
-        self._hi = self._half = None
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def _seed(self):
-        """Every stream's PCG64 state, as numpy seeds it from the key."""
-        n = len(self)
-        self._hi, self._lo = np.zeros(n, np.uint64), np.zeros(n, np.uint64)
-        self._inc_hi, self._inc_lo = self._hi.copy(), self._lo.copy()
-        for rows, words in self._groups:
+        # Every stream's PCG64 state, as numpy seeds it from the key.
+        self._hi, self._lo, self._inc_hi, self._inc_lo = np.zeros(
+            (4, len(keys)), np.uint64)
+        for rows, words in _entropy_groups(keys):
             s_hi, s_lo, q_hi, q_lo = _seed_state(words)
             # PCG64 srandom: inc = seq << 1 | 1, step from 0, add, step.
             inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
@@ -184,15 +175,13 @@ class KeyedStreams:
             hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
             self._hi[rows], self._lo[rows] = hi, lo
             self._inc_hi[rows], self._inc_lo[rows] = inc_hi, inc_lo
+        # The buffered upper half of a 64-bit draw.
+        self._half = None
 
-    def generators(self):
-        """One numpy Generator per key, in order, each at the start of its
-        stream."""
-        return (np.random.default_rng(key) for key in self._keys.tolist())
+    def __len__(self) -> int:
+        return len(self._hi)
 
     def _next64(self) -> np.ndarray:
-        if self._hi is None:
-            self._seed()
         self._hi, self._lo = _lcg_step(self._hi, self._lo, self._inc_hi,
                                        self._inc_lo)
         # XSL-RR: xor the halves, rotate right by the top six bits.
@@ -219,13 +208,12 @@ class KeyedStreams:
         unit = (self._next64() >> 11).astype(np.float64) * _DOUBLE_UNIT
         return low + (high - low) * unit
 
-    def binary(self, shape) -> np.ndarray:
+    def binary(self, shape: tuple) -> np.ndarray:
         """(N, *shape) draws of ``Generator.integers(0, 2, size=shape)``.
 
         Lemire's bounded method on buffered 32-bit draws never rejects for
         a range of two: each value is the draw's top bit."""
-        shape = tuple(np.atleast_1d(shape))
-        return (self._next32(int(np.prod(shape))) >> 31).astype(
+        return (self._next32(math.prod(shape)) >> 31).astype(
             np.int64).reshape((len(self),) + shape)
 
     def integers63(self, count: int) -> np.ndarray:
@@ -238,3 +226,44 @@ class KeyedStreams:
         for c in range(count):
             out[:, c] = (self._next64() >> 1).astype(np.int64)
         return out
+
+
+class GeneratorStreams:
+    """N numpy Generators with ``KeyedStreams``'s draw methods.  Row n of
+    each draw comes from calling the n-th Generator, so its draws are
+    those of the same calls made on it directly."""
+
+    def __init__(self, generators):
+        self._gens = list(generators)
+
+    def __len__(self) -> int:
+        return len(self._gens)
+
+    def _each(self, draw, dtype, shape=()) -> np.ndarray:
+        """(N, *shape) rows, row n ``draw`` of the n-th Generator."""
+        out = np.empty((len(self),) + shape, dtype=dtype)
+        for n, gen in enumerate(self._gens):
+            out[n] = draw(gen)
+        return out
+
+    def uniform(self, low: float, high: float) -> np.ndarray:
+        return self._each(lambda g: g.uniform(low, high), np.float64)
+
+    def binary(self, shape: tuple) -> np.ndarray:
+        return self._each(lambda g: g.integers(0, 2, size=shape), np.int64,
+                          shape)
+
+    def integers63(self, count: int) -> np.ndarray:
+        return self._each(lambda g: g.integers(2**63, size=count), np.int64,
+                          (count,))
+
+
+def normals(streams, sd: float) -> np.ndarray:
+    """(N,) Gaussian draws of mean 0 and standard deviation ``sd``, one per
+    stream of a ``KeyedStreams`` or ``GeneratorStreams``: Box-Muller on
+    two uniforms u1, u2 in [0, 1), sqrt(-2 log(1 - u1)) cos(2 pi u2), which
+    is exactly standard normal for exact uniforms (Box & Muller, "A note
+    on the generation of random normal deviates", Ann. Math. Stat. 29(2),
+    1958).  1 - u1 lies in (0, 1], so the logarithm is finite."""
+    u1, u2 = streams.uniform(0.0, 1.0), streams.uniform(0.0, 1.0)
+    return sd * (np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2))

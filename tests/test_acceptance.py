@@ -348,18 +348,32 @@ def test_criterion_09_deployment_cost():
 def test_criterion_10_deterministic_reports(tmp_path):
     with criterion(10, 60.0, "reporting: same seed gives byte-identical "
                    "CSV and sidecar output"):
-        for fixture, extra in (
-                ("office_single_lamp.json", []),
-                ("three_lamps.json", ["--pipeline", "multi", "--m", "9"]),
-                ("three_lamps.json", ["--pipeline", "trilateration"])):
+        # The fixtures are noise-free; a copy of one with accelerometer,
+        # heading and amplitude noise draws every kind of noise, and its
+        # output must move with the seed.
+        data = json.loads((FIXTURES / "office_single_lamp.json").read_text())
+        data["noise"] = {"accel_sd": 0.02, "heading_epsilon_deg": 5.0,
+                         "rss_epsilon": 0.05}
+        noisy = tmp_path / "noisy_office.json"
+        noisy.write_text(json.dumps(data))
+        noisy = str(noisy)
+        for scenario, extra in (
+                (fixture_path("office_single_lamp.json"), []),
+                (fixture_path("three_lamps.json"),
+                 ["--pipeline", "multi", "--m", "9"]),
+                (fixture_path("three_lamps.json"),
+                 ["--pipeline", "trilateration"]),
+                (noisy, []), (noisy, ["--mode", "end_to_end"])):
             blobs = []
-            for name in ("run_a", "run_b"):
+            for name, seed in (("run_a", "123"), ("run_b", "123"),
+                               ("run_c", "124")):
                 out = tmp_path / f"{name}.csv"
-                rc = main(["simulate", "--scenario", fixture_path(fixture),
-                           "--out", str(out), "--seed", "123", *extra])
+                rc = main(["simulate", "--scenario", scenario, "--out",
+                           str(out), "--seed", seed, *extra])
                 assert rc == EXIT_OK
                 blobs.append((out.read_bytes(), (
                     tmp_path / f"{name}.csv.stats.json").read_bytes()))
             assert blobs[0] == blobs[1]
+            assert (blobs[0][0] != blobs[2][0]) == (scenario == noisy)
             side = json.loads(blobs[0][1])
             assert side["seed"] == 123 and side["timestamp"] is None

@@ -276,16 +276,44 @@ def _roundoff_bound(components, rate_hz, n, noise_max):
     return 16 * (n + terms) * 2.0**-53 * level
 
 
+def _ref_attitude_uniforms(noise, rng):
+    """One generator's attitude draws, in the order measure draws them:
+    the heading offset when the attitude is noisy, then two uniforms each
+    for pitch and roll when the accelerometer is; zeros for what is not
+    drawn."""
+    if not (noise.heading_epsilon or noise.accel_sd):
+        return [0.0] * 5
+    heading = rng.uniform(-noise.heading_epsilon, noise.heading_epsilon)
+    return [heading] + [rng.uniform() if noise.accel_sd else 0.0
+                        for _ in range(4)]
+
+
+def _ref_attitude_offsets(noise, uniforms):
+    """(N, 3) (pitch, roll, heading) offsets from N rows of
+    ``_ref_attitude_uniforms``: pitch and roll by Box-Muller,
+    sd sqrt(-2 log(1 - u1)) cos(2 pi u2), in numpy on arrays."""
+    u = np.array(uniforms, dtype=float).reshape(-1, 5)
+    offsets = np.zeros((len(u), 3))
+    offsets[:, 2] = u[:, 0]
+    if noise.accel_sd:
+        for j in range(2):
+            offsets[:, j] = noise.accel_sd * (
+                np.sqrt(-2.0 * np.log1p(-u[:, 1 + 2 * j]))
+                * np.cos(2.0 * np.pi * u[:, 2 + 2 * j]))
+    return offsets
+
+
 def _ref_measure_end_to_end(scn, positions, attitude, rngs):
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     poly = scn.receiver.polyhedron
     shape = (len(positions), len(scn.lamps), poly.n_faces)
-    rot_meas, trace_seeds = [], []
+    uniforms, trace_seeds = [], []
     for rng in rngs:
-        rot_meas.append(receiver_rotation(_ref_measured_attitude(
-            attitude, *sim._attitude_noise(scn.noise, rng))))
+        uniforms.append(_ref_attitude_uniforms(scn.noise, rng))
         trace_seeds.append([rng.integers(2**63)
                             for _ in range(poly.n_faces)])
+    rot_meas = [receiver_rotation(_ref_measured_attitude(attitude, *off))
+                for off in _ref_attitude_offsets(scn.noise, uniforms)]
     normals_meas = np.matmul(poly.normals,
                              np.array(rot_meas).transpose(0, 2, 1))
     poses = _ref_pose_geometry(scn, positions, attitude)
@@ -357,8 +385,10 @@ def test_end_to_end_batch_matches_per_face_reference(
 
 @pytest.mark.parametrize("mode", [sim.MODE_FAST, MODE_END_TO_END])
 def test_measure_batch_keyed_streams_equal_generators(monkeypatch, mode):
-    # Both forms of rngs fill the same arrays: keyed streams drawn as
-    # arrays, or with accelerometer noise one Generator per key.
+    # Both forms of rngs fill the same arrays, with heading, accelerometer
+    # and amplitude noise alone and together, and the measured attitudes
+    # are the true one plus the offsets drawn from each fix's Generator.
+    # Keyed streams draw everything as arrays: they build no Generator.
     three = load_scenario(resources.files("lightpos") / "fixtures"
                           / "three_lamps.json").scenario
     poses = np.array([[6.0, 5.0, 0.0], [5.0, 4.0, 2.0], [11.5, 3.0, 0.5],
@@ -368,24 +398,43 @@ def test_measure_batch_keyed_streams_equal_generators(monkeypatch, mode):
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
                         lambda *a: built.append(a) or default_rng(*a))
-    for noise in ({}, {"heading_epsilon": 0.3, "rss_epsilon": 0.2,
-                       "trace_noise_sd": 0.5},
-                  {"heading_epsilon": 0.3, "accel_sd": 0.05}):
+    amp_noise = {"rss_epsilon": 0.2, "trace_noise_sd": 0.5}
+    for noise in ({}, {"heading_epsilon": 0.3, **amp_noise},
+                  {"accel_sd": 0.05}, {"accel_sd": 0.05, **amp_noise},
+                  {"heading_epsilon": 0.3, "accel_sd": 0.05, **amp_noise}):
         scn = replace(three, noise=replace(three.noise, **noise))
         for att in (Attitude(0, 0, 0), Attitude(0.3, -0.2, 6.0)):
             built.clear()
             got = measure_batch(scn, poses, att, KeyedStreams(keys), mode)
             # Keys arrive as lists, trace-noise seeds as ints.
-            per_fix = sum(isinstance(a[0], list) for a in built)
+            assert not any(isinstance(a[0], list) for a in built), noise
             want = measure_batch(scn, poses, att,
                                  [default_rng(k) for k in keys.tolist()],
                                  mode)
             for name in ("amps", "valid", "planes", "saturated",
                          "attitudes"):
                 assert getattr(got, name).tobytes() == \
-                    getattr(want, name).tobytes(), name
-            # Generators per key only for normal (accelerometer) draws.
-            assert per_fix == (len(poses) if scn.noise.accel_sd else 0)
+                    getattr(want, name).tobytes(), (noise, name)
+            offsets = _ref_attitude_offsets(scn.noise, [
+                _ref_attitude_uniforms(scn.noise, default_rng(k))
+                for k in keys.tolist()])
+            want = [_ref_measured_attitude(att, *off) for off in offsets]
+            assert got.attitudes.tobytes() == np.array(
+                [[a.pitch, a.roll, a.heading] for a in want]).tobytes()
+
+
+def test_measure_batch_needs_one_stream_per_pose():
+    # Fewer or more Generators or keyed streams than poses is an error,
+    # in either form and mode, not a silent short or partial draw.
+    scn = simple_scenario(noise=NoiseSpec(rss_epsilon=0.1))
+    poses = [[4.0, 4.0, 0.0], [5.0, 5.0, 0.0], [6.0, 5.0, 0.0]]
+    for n in (0, 1, 2, 4):
+        for rngs in ([np.random.default_rng(i) for i in range(n)],
+                     KeyedStreams(np.arange(n).reshape(-1, 1))):
+            for mode in (sim.MODE_FAST, MODE_END_TO_END):
+                with pytest.raises(ValueError,
+                                   match=f"{n} streams for 3 poses"):
+                    measure_batch(scn, poses, Attitude(0, 0, 0), rngs, mode)
 
 
 _SCENE_BOUNDS = Aabb([0.0, 0.0, 0.0], [12.0, 12.0, 3.0])
@@ -594,10 +643,12 @@ def _ref_trilaterate(lamps, k_scale, planes, s, z_receiver=None):
                                         dz0[i:i + 1], s[i:i + 1])[0]
                       for i, lamp in enumerate(lamps)])
     rows = 2 * (pos[1:, :2] - pos[0, :2])
-    rhs = (d_est[0] ** 2 - d_est[1:] ** 2
+    # Squares of arrays, as the core takes them: a numpy scalar's ** 2 is
+    # C pow, which can be an ulp off x * x.
+    rhs = (d_est[:1] ** 2 - d_est[1:] ** 2
            + np.sum(pos[1:, :2] ** 2, axis=1)
            - np.sum(pos[0, :2] ** 2)
-           + dz0[1:] ** 2 - dz0[0] ** 2)
+           + dz0[1:] ** 2 - dz0[:1] ** 2)
     xy0 = np.matvec(np.linalg.pinv(rows), rhs)
 
     def residuals(theta, rows):
@@ -784,6 +835,121 @@ def test_locate_breaks_ties_like_reading_pipelines():
     assert {(p, m, "unique") for p, m in _PIPELINES} <= outcomes
 
 
+def _grid(lo, hi):
+    """Values on the 1/64 m grid in [lo, hi]."""
+    return st.integers(round(lo * 64), round(hi * 64)).map(lambda i: i / 64)
+
+
+@st.composite
+def _rigid_motions(draw):
+    """A noise-free scene of 1-4 lamps with tilted central rays, 0-2 boxes
+    and 1-6 poses below every lamp at one attitude, on a 1/64 m grid;
+    and a rigid motion: a turn about the vertical by ``angle`` and a
+    shift.  With boxes the turn is a whole number of quarter turns, which
+    keeps them axis-aligned, and the shift is on the grid, so the moved
+    lamps, poses and boxes are exact."""
+    boxes = draw(st.lists(st.tuples(_grid(0, 12), _grid(0, 12),
+                                    _grid(0, 1.5)), max_size=2))
+    lamps = tuple(
+        LampModel([draw(_grid(1, 11)), draw(_grid(1, 11)),
+                   draw(_grid(2.6, 3))],
+                  [draw(_tilt), draw(_tilt), -1.0],
+                  draw(st.floats(10.0, 80.0)), draw(_lamp_profile),
+                  45.0 + 10.0 * i)
+        for i in range(draw(st.integers(1, 4))))
+    scn = Scenario(
+        _SCENE_BOUNDS, tuple(Aabb(lo, np.add(lo, (1.0, 0.75, 1.25)))
+                             for lo in boxes), lamps,
+        ReceiverSpec.default(0.05), NoiseSpec())
+    poses = np.array(draw(st.lists(
+        st.tuples(_grid(0, 12), _grid(0, 12), _grid(0, 2.5)),
+        min_size=1, max_size=6)))
+    att = Attitude(draw(st.floats(-0.6, 0.6)), draw(st.floats(-0.6, 0.6)),
+                   draw(st.floats(0.0, 6.28)))
+    if boxes:
+        angle = draw(st.integers(0, 3)) * math.pi / 2
+        shift = np.array([draw(st.integers(-80, 80)) / 4 for _ in range(3)])
+    else:
+        angle = draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
+        shift = np.array([draw(st.floats(-20.0, 20.0)) for _ in range(3)])
+    return scn, poses, att, angle, shift
+
+
+def _turn(angle):
+    """The rotation by ``angle`` about +z; exact at whole quarter turns."""
+    quarter = angle / (math.pi / 2)
+    if quarter == round(quarter):
+        c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[round(quarter) % 4]
+    else:
+        c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _moved_scene(scn, poses, att, angle, shift):
+    """The scene, poses and attitude turned by ``angle`` about the vertical
+    and shifted: lamp positions, central rays, boxes and bounds move, and
+    the heading turns with the scene (a turn by t takes it to h - t)."""
+    rot = _turn(angle)
+
+    def move(p):
+        return np.asarray(p) @ rot.T + shift
+
+    def box(b):
+        corners = move([b.lo, b.hi])
+        return Aabb(corners.min(axis=0), corners.max(axis=0))
+
+    lamps = tuple(replace(lamp, position=move(lamp.position),
+                          central_ray=lamp.central_ray @ rot.T)
+                  for lamp in scn.lamps)
+    # The moved bounds are the box around the turned bounds: all of the
+    # scene stays inside them.
+    corners = np.array([[x, y, z] for x in (0.0, 12.0) for y in (0.0, 12.0)
+                        for z in (0.0, 3.0)])
+    bounds = Aabb(move(corners).min(axis=0), move(corners).max(axis=0))
+    heading = (att.heading - angle) % (2 * math.pi)
+    heading = 0.0 if heading == 2 * math.pi else heading
+    moved = replace(scn, bounds=bounds, lamps=lamps,
+                    obstacles=tuple(box(b) for b in scn.obstacles))
+    return moved, move(poses), Attitude(att.pitch, att.roll, heading), move
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rigid_motions())
+def test_fixes_move_with_the_scene(case):
+    # Turning the whole scene about the vertical and shifting it (lamps,
+    # their central rays, boxes, poses and the receiver heading) moves
+    # every mflp, multi m = 9 and fixed-height trilateration fix the same
+    # way: the same statuses and readings, and points equal to round-off.
+    scn, poses, att, angle, shift = case
+    moved, moved_poses, moved_att, move = _moved_scene(scn, poses, att,
+                                                       angle, shift)
+    assert np.abs(receiver_rotation(moved_att)
+                  - _turn(angle) @ receiver_rotation(att)).max() < 1e-12
+    def rngs():
+        return [np.random.default_rng(i) for i in range(len(poses))]
+    batch = measure_batch(scn, poses, att, rngs())
+    moved_batch = measure_batch(moved, moved_poses, moved_att, rngs())
+    assert np.array_equal(batch.valid, moved_batch.valid)
+    for pipeline, m, z in ((sim.PIPELINE_MFLP, 3, None),
+                           (sim.PIPELINE_MULTI, 9, None),
+                           (sim.PIPELINE_TRILATERATION, 3, poses[:, 2])):
+        points, status, _, _, error = sim.locate_batch(scn, batch, pipeline,
+                                                       m, z)
+        got, moved_status, _, _, moved_error = sim.locate_batch(
+            moved, moved_batch, pipeline, m,
+            None if z is None else moved_poses[:, 2])
+        assert status.tolist() == moved_status.tolist(), pipeline
+        assert error.tolist() == moved_error.tolist(), pipeline
+        want = move(points)
+        assert np.array_equal(np.isnan(got), np.isnan(want)), pipeline
+        # Over 1,500 examples the points differed by at most 2e-13 m
+        # (mflp, multi) and 1.2e-11 m (trilateration, whose wrong-basin
+        # fixes lie up to ~660 m out): 1e-9 of the scale is round-off.
+        scale = max(1.0, np.nanmax(np.abs(want), initial=0.0))
+        assert np.nanmax(np.abs(got - want), initial=0.0) <= 1e-9 * scale, \
+            pipeline
+
+
 def _ref_measured_attitude(att, d_pitch, d_roll, d_heading):
     # The scalar attitude-noise arithmetic on Python floats: the oracle for
     # the batched rows.
@@ -867,10 +1033,11 @@ def test_sample_trajectory_caps_its_epochs():
     # to inf, which would otherwise sample without end.
     path = [[0, 0, 0], [4, 0, 0], [4, 3, 0]]
     cap = sim.MAX_TRAJECTORY_EPOCHS
-    # Time accumulates interval by interval, so the last epoch may round
-    # past the path's end.
-    assert len(sample_trajectory(path, 1.0, 14.0 / cap)) in (cap // 2,
-                                                              cap // 2 + 1)
+    # Epoch k is at k * interval_s, so the epoch at the path's end is
+    # kept: 7 m in steps of 14 / cap m are cap // 2 intervals.
+    samples = sample_trajectory(path, 1.0, 14.0 / cap)
+    assert len(samples) == cap // 2 + 1
+    assert samples[-1][0] == (cap // 2) * (14.0 / cap)
     for speed, interval in ((1.0, 7.0 / cap / 1.01), (1.0, 1e-320),
                             (1e-320, 1.0)):
         with pytest.raises(ValueError, match=f"more than {cap} epochs"):
@@ -1436,6 +1603,29 @@ def test_planner_rejects_lamp_on_cell_center():
             with pytest.raises(ValueError):
                 coverage_analysis(bounds, (), cands, method, cell_size=0.5,
                                   receiver_height=1.0)
+    # np.allclose's tolerance is 1e-8 + 1e-5 |cell_i| per axis: ~1 cm far
+    # from the origin, 1e-8 at a cell center on it.  A lamp just inside
+    # it on every axis (the pair farthest apart that still coincides) is
+    # rejected, one just outside it on any one axis is not, as
+    # np.allclose decides.
+    for lo, cell in (([1000.0, 2000.0, 0.0], [1001.25, 2001.75, 0.0]),
+                     ([-0.25, -0.25, 0.0], [0.0, 0.0, 0.0])):
+        bounds = Aabb(lo, np.add(lo, [4.0, 4.0, 3.0]))
+        cell = np.array(cell)
+        tol = 1e-8 + 1e-5 * np.abs(cell)
+        for scale in ([1 - 1e-6] * 3, [1 + 1e-6, 1 - 1e-6, 1 - 1e-6],
+                      [1 - 1e-6, 1 - 1e-6, 1 + 1e-6]):
+            for sign in (1.0, -1.0):
+                pos = cell + sign * tol * scale
+                lamps = (LampModel(pos, [0, 0, -1], 40.0, COS, 55.0),)
+                coincide = np.allclose(pos, cell)
+                assert coincide == (max(scale) < 1)
+                for run in (greedy_min_lamps, coverage_analysis):
+                    if coincide:
+                        with pytest.raises(ValueError, match="coincides"):
+                            run(bounds, (), lamps, "mflp", cell_size=0.5)
+                    else:
+                        run(bounds, (), lamps, "mflp", cell_size=0.5)
 
 
 def test_locate_rejects_unknown_pipeline():

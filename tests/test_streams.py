@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lightpos import streams
-from lightpos.streams import KeyedStreams
+from lightpos.streams import GeneratorStreams, KeyedStreams, normals
 
 # Word-count edges of SeedSequence's coercion, and values of every size.
 _EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
@@ -20,6 +20,7 @@ _draw = st.one_of(
     st.tuples(st.just("uniform"), st.floats(-10, 10), st.floats(-10, 10)),
     st.tuples(st.just("binary"), st.integers(0, 7), st.integers(1, 3)),
     st.tuples(st.just("integers63"), st.integers(1, 4)),
+    st.tuples(st.just("normals"), st.floats(0, 10)),
 )
 
 
@@ -45,9 +46,14 @@ def _object_keys(draw):
 
 
 def _check_draws(keys, draws):
+    # Keyed streams, and the same keys' Generators behind GeneratorStreams,
+    # against direct calls of the Generators: normals as Box-Muller on two
+    # of their uniforms, evaluated with numpy on arrays.
     streams = KeyedStreams(keys)
-    gens = list(streams.generators())
-    assert len(streams) == len(gens) == len(keys)
+    wrapped = GeneratorStreams(np.random.default_rng(k)
+                               for k in keys.tolist())
+    gens = [np.random.default_rng(k) for k in keys.tolist()]
+    assert len(streams) == len(wrapped) == len(keys)
     for op in draws:
         if op[0] == "uniform":
             low, high = op[1:]
@@ -57,17 +63,26 @@ def _check_draws(keys, draws):
                 with pytest.raises(ValueError):
                     streams.uniform(low, high)
                 continue
-            got = streams.uniform(low, high)
+            got = streams.uniform(low, high), wrapped.uniform(low, high)
             want = [g.uniform(low, high) for g in gens]
         elif op[0] == "binary":
             shape = (op[1], op[2])
-            got = streams.binary(shape)
+            got = streams.binary(shape), wrapped.binary(shape)
             want = [g.integers(0, 2, size=shape) for g in gens]
-        else:
+        elif op[0] == "integers63":
             count = op[1]
-            got = streams.integers63(count)
+            got = streams.integers63(count), wrapped.integers63(count)
             want = [[g.integers(2**63) for _ in range(count)] for g in gens]
-        assert np.array(want).tobytes() == got.tobytes(), op
+        else:
+            sd = op[1]
+            got = normals(streams, sd), normals(wrapped, sd)
+            u = np.array([[g.uniform(), g.uniform()] for g in gens])
+            want = sd * (np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+                         * np.cos(2.0 * np.pi * u[:, 1]))
+        want = np.array(want)
+        for form in got:
+            assert (form.dtype, form.shape) == (want.dtype, want.shape), op
+            assert form.tobytes() == want.tobytes(), op
 
 
 @settings(max_examples=150, deadline=None)
@@ -75,10 +90,6 @@ def _check_draws(keys, draws):
 def test_array_keys_draw_numpy_streams(keys, draws):
     # Odd sizes of binary leave a buffered 32-bit half for the next call.
     _check_draws(keys, draws)
-    # numpy seeds the same key given as a row of ints.
-    for key, gen in zip(keys.tolist(), KeyedStreams(keys).generators()):
-        assert np.random.default_rng(key).bit_generator.state == \
-            gen.bit_generator.state
 
 
 @settings(max_examples=100, deadline=None)
@@ -96,7 +107,7 @@ def test_sweep_keys_with_wide_seed_draw_numpy_streams():
     keys[:, :3] = cell
     keys[:, 3:] = [(t, i) for t in range(4) for i in range(10)]
     _check_draws(keys, [("uniform", -0.5, 0.5), ("binary", 3, 5),
-                        ("integers63", 2)])
+                        ("integers63", 2), ("normals", 0.5)])
 
 
 @pytest.mark.parametrize("top", [2**32 - 1, 2**32])
@@ -111,26 +122,13 @@ def test_narrow_keys_seed_like_object_keys(top):
     objs[:] = rows
     groups = streams._entropy_groups(ints)
     assert isinstance(groups[0][0], slice) == (top < 2**32)
-    draws = [("uniform", -0.5, 0.5), ("binary", 3, 5), ("integers63", 2)]
+    draws = [("uniform", -0.5, 0.5), ("binary", 3, 5), ("integers63", 2),
+             ("normals", 1.0)]
     for keys in (ints, objs):
         _check_draws(keys, draws)
     a, b = KeyedStreams(ints), KeyedStreams(objs)
     assert a.binary((1, 7)).tobytes() == b.binary((1, 7)).tobytes()
     assert a.integers63(3).tobytes() == b.integers63(3).tobytes()
-
-
-def test_generators_alone_seed_no_arrays(monkeypatch):
-    # Streams drawn only through generators() never seed the array state.
-    def no_seed(words):
-        raise AssertionError("array state seeded")
-
-    monkeypatch.setattr(streams, "_seed_state", no_seed)
-    keys = np.array([[1, 2], [3, 2**40]])
-    gens = list(KeyedStreams(keys).generators())
-    assert [g.integers(2**63) for g in gens] == [
-        np.random.default_rng(k).integers(2**63) for k in keys.tolist()]
-    with pytest.raises(AssertionError, match="seeded"):
-        KeyedStreams(keys).uniform(0.0, 1.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -155,3 +153,26 @@ def test_negative_key_raises_like_numpy(keys, bad):
     with pytest.raises(ValueError):
         KeyedStreams(keys)
 
+
+
+def test_normals_are_gaussian():
+    # N = 200,000 keyed Box-Muller draws of sd 2, standardized, against
+    # N(0, 1).  Each bound is 5 standard errors of its statistic at this
+    # N, or a tail of at most 1e-6, so a correct sampler fails none of
+    # them by chance (the draws are fixed by their keys anyway):
+    # - the mean of N standard normals has standard error 1/sqrt(N);
+    # - their sample variance has standard error sqrt(2 / (N - 1));
+    # - the Kolmogorov-Smirnov distance D exceeds eps with probability at
+    #   most 2 exp(-2 N eps^2) (Dvoretzky-Kiefer-Wolfowitz, with Massart's
+    #   constant), so eps = sqrt(ln(2 / 1e-6) / (2 N)) ~ 0.0060.
+    n, sd = 200_000, 2.0
+    keys = np.column_stack([np.full(n, 11), np.arange(n)])
+    x = normals(KeyedStreams(keys), sd) / sd
+    assert x.shape == (n,) and np.all(np.isfinite(x))
+    assert abs(x.mean()) <= 5 / math.sqrt(n)
+    assert abs(x.var(ddof=1) - 1) <= 5 * math.sqrt(2 / (n - 1))
+    x.sort()
+    cdf = 0.5 * (1 + np.vectorize(math.erf)(x / math.sqrt(2)))
+    ks = max(np.max(np.arange(1, n + 1) / n - cdf),
+             np.max(cdf - np.arange(n) / n))
+    assert ks <= math.sqrt(math.log(2 / 1e-6) / (2 * n))
