@@ -9,12 +9,8 @@ comparison, magnetometer auto-calibration, and scenario-level
 simulation, sensitivity, and coverage tooling.
 """
 
-from importlib import metadata as _metadata
-
-try:
-    __version__ = _metadata.version("lightpos")
-except _metadata.PackageNotFoundError:  # running from a source tree
-    __version__ = "0.0.0"
+# The one version source: pyproject.toml reads it from here.
+__version__ = "0.1.0"
 
 from .compass import (
     AccelSample,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -25,10 +24,9 @@ SHAPE_SQUARE_OOK = "square_ook"
 OOK_FUNDAMENTAL = 2.0 / math.pi
 
 # Bounds on the work one synthesis may ask for: samples per trace (a
-# trace is allocated whole, and each cached sine row is one trace long),
-# and odd harmonics summed per square component (a square flash of f Hz
-# sums about rate / 4f of them).  Real sensor windows are a few hundred
-# samples with a few harmonics.
+# trace is allocated whole), and odd harmonics summed per square
+# component (a square flash of f Hz sums about rate / 4f of them).  Real
+# sensor windows are a few hundred samples with a few harmonics.
 MAX_TRACE_SAMPLES = 50_000
 MAX_SQUARE_HARMONICS = 1000
 
@@ -82,27 +80,14 @@ class PeakReading:
     amplitude: float
 
 
-# Rows of the sine and phasor bases are cached per sampling grid and
-# frequency: traces of one scenario share a few of them.
-_BASIS_CACHE = 256
-
-
-@lru_cache(maxsize=_BASIS_CACHE)
 def _sine_row(n: int, rate_hz: float, omega: float) -> np.ndarray:
-    """sin(omega t) at the n sample times t = arange(n) / rate_hz, as a
-    read-only row."""
-    row = np.sin(omega * (np.arange(n) / rate_hz))
-    row.flags.writeable = False
-    return row
+    """sin(omega t) at the n sample times t = arange(n) / rate_hz."""
+    return np.sin(omega * (np.arange(n) / rate_hz))
 
 
-@lru_cache(maxsize=_BASIS_CACHE)
 def _phasor_row(m: int, rate_hz: float, freq_hz: float) -> np.ndarray:
-    """exp(-2j pi freq_hz k / rate_hz) for k = 0 .. m-1, as a read-only
-    row."""
-    row = np.exp(-2j * math.pi * freq_hz / rate_hz * np.arange(m))
-    row.flags.writeable = False
-    return row
+    """exp(-2j pi freq_hz k / rate_hz) for k = 0 .. m-1."""
+    return np.exp(-2j * math.pi * freq_hz / rate_hz * np.arange(m))
 
 
 def synthesize_traces(components, peaks, rate_hz: float, duration_s: float,
@@ -266,25 +251,11 @@ def amplitude_map(components, rate_hz: float, duration_s: float,
     read at ``freqs`` as ``extract_amplitudes`` reads them.
 
     Its amplitudes equal that synthesis and extraction up to round-off:
-    the map sums the same terms in another order.  Maps are cached per
-    sampling grid, component frequencies and shapes, and extraction
-    frequencies.  Inputs that synthesis or extraction refuse raise the
-    same errors here.
+    the map sums the same terms in another order.  Each call builds a new
+    map, with read-only arrays: a ``sim.Scenario`` builds its map once,
+    and every measurement on that scenario shares it.  Inputs that
+    synthesis or extraction refuse raise the same errors here.
     """
-    return _amplitude_map(tuple((c.freq_hz, c.shape) for c in components),
-                          float(rate_hz), float(duration_s),
-                          tuple(float(f) for f in freqs))
-
-
-# A scenario reads one grid and one set of frequencies, and each map's Q
-# holds a whole trace per frequency, so few maps are kept.
-_MAP_CACHE = 16
-
-
-@lru_cache(maxsize=_MAP_CACHE)
-def _amplitude_map(shapes, rate_hz, duration_s, freqs) -> AmplitudeMap:
-    components = [WaveComponent(freq_hz, 1.0, shape)
-                  for freq_hz, shape in shapes]
     unit = synthesize_traces(components, np.eye(len(components)), rate_hz,
                              duration_s)
     n = unit.shape[1]
@@ -298,9 +269,9 @@ def _amplitude_map(shapes, rate_hz, duration_s, freqs) -> AmplitudeMap:
     # Row by row, so each component's row is the same in every map.  The
     # mean-removed projection rejects DC exactly; the computed one leaves
     # round-off.
-    p = np.array([np.zeros(len(freqs), complex) if shape == SHAPE_DC
+    p = np.array([np.zeros(len(freqs), complex) if c.shape == SHAPE_DC
                   else row @ q
-                  for row, (_, shape) in zip(unit, shapes)])
+                  for row, c in zip(unit, components)])
     amap = AmplitudeMap(np.hstack([p.real, p.imag]),
                         np.hstack([q.real, q.imag]), m)
     for a in amap:

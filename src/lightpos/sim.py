@@ -19,11 +19,12 @@ the sensing planes it gives, the noisy or extracted amplitudes and
 which readings are valid.  The sweep computes the pose part of each
 point once, with the planes of fixes without attitude noise, and the
 per-fix part of every fix at it, or of each point once in a noise-free
-cell.  End-to-end
-amplitudes are what synthesizing each face's trace and extracting each
-lamp's flash from it would give; they come from ``signal.amplitude_map``,
-the linear map from peaks and sensor noise to amplitudes, so no trace is
-built.
+cell; every cell runs on the caller's scenario, with its own noise.
+End-to-end amplitudes are what synthesizing each face's trace and
+extracting each lamp's flash from it would give; they come from the
+scenario's ``signal.amplitude_map``, the linear map from peaks and sensor
+noise to amplitudes, so no trace is built.  The map leaves the ambient
+DC out: extraction rejects it exactly.
 
 Every pipeline runs on one array core, ``locate_batch``, which chooses
 readings from the measurement arrays and gives the solvers each lamp's k
@@ -54,7 +55,6 @@ from .geom import (
 from .rss import LampTable, rss_model
 from .signal import (
     OOK_FUNDAMENTAL,
-    SHAPE_DC,
     SHAPE_SQUARE_OOK,
     AmplitudeMap,
     WaveComponent,
@@ -185,10 +185,11 @@ class Scenario:
 
     @cached_property
     def amplitude_map(self) -> AmplitudeMap:
-        """The map from a face's trace (DC, then each lamp) to amplitudes."""
-        components = [WaveComponent(0.0, self.ambient_dc, SHAPE_DC)] + [
-            WaveComponent(lamp.flash_hz, 0.0, SHAPE_SQUARE_OOK)
-            for lamp in self.lamps]
+        """The map from a face's trace (each lamp's flash) to amplitudes.
+        The trace's ambient DC is left out, as extraction rejects it
+        exactly."""
+        components = [WaveComponent(lamp.flash_hz, 0.0, SHAPE_SQUARE_OOK)
+                      for lamp in self.lamps]
         return amplitude_map(components, self.sample_rate_hz, self.window_s,
                              [lamp.flash_hz for lamp in self.lamps])
 
@@ -387,10 +388,11 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
     flash-fundamental amplitude with multiplicative noise (fast) or
     the single-bin amplitudes of a synthesized trace (end_to_end: one
     trace per fix and face, ambient DC plus every lamp's flash plus
-    sensor noise, mapped to amplitudes by ``signal.amplitude_map``
-    without building the trace; the noise of at most TRACE_BATCH traces
-    is drawn at a time) and the valid readings.  Saturated faces are
-    flagged and excluded.  A pose outside the scenario bounds raises
+    sensor noise, mapped to amplitudes by the scenario's
+    ``signal.amplitude_map`` without building the trace, or its DC,
+    which extraction rejects exactly; the noise of at most TRACE_BATCH
+    traces is drawn at a time) and the valid readings.  Saturated faces
+    are flagged and excluded.  A pose outside the scenario bounds raises
     ValueError.
     """
     _check_mode(mode)
@@ -401,17 +403,19 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
         raise ValueError(f"receiver pose {position} outside scenario bounds")
     rngs = rngs if isinstance(rngs, KeyedStreams) else GeneratorStreams(rngs)
     return _measure_poses(scn, _pose_geometry(scn, positions, attitude),
-                          rngs, mode)
+                          rngs, mode, scn.noise)
 
 
-def _measure_poses(scn: Scenario, poses: _Poses, rngs,
-                   mode: str) -> MeasurementBatch:
+def _measure_poses(scn: Scenario, poses: _Poses, rngs, mode: str,
+                   noise: NoiseSpec) -> MeasurementBatch:
     """The per-fix part of ``measure_batch``: one fix at each of the poses,
     each with the noise of its own generator or stream in ``rngs`` (None:
-    noise-free, nothing drawn); without attitude noise, the poses' planes."""
+    noise-free, nothing drawn); without attitude noise, the poses' planes.
+    The noise magnitudes are ``noise``'s, not ``scn.noise``'s, so a sweep
+    cell runs on its caller's scenario; the end-to-end amplitudes come
+    from that scenario's map, which leaves the ambient DC out."""
     n_fix, n_lamps, n_faces = shape = poses.rss.shape
     attitude = poses.attitude
-    noise = scn.noise
 
     # Draw every pose's noise first, all poses at once: with attitude
     # noise the heading offset, then pitch and roll when the accelerometer
@@ -450,13 +454,10 @@ def _measure_poses(scn: Scenario, poses: _Poses, rngs,
         amps = OOK_FUNDAMENTAL * rss * (
             1.0 + noise.rss_epsilon * (draws * 2 - 1))
     else:
-        # One trace per (fix, face): ambient DC, then every lamp in order,
-        # an unlit one at peak 0 (adding it changes no amplitude).
+        # One trace per (fix, face): every lamp in order, an unlit one at
+        # peak 0 (adding it changes no amplitude).
         amap = scn.amplitude_map
-        peaks = np.empty((n_fix, n_faces, 1 + n_lamps))
-        peaks[..., 0] = scn.ambient_dc
-        peaks[..., 1:] = np.where(rss > 0, rss, 0.0).transpose(0, 2, 1)
-        peaks = peaks.reshape(-1, 1 + n_lamps)
+        peaks = rss.transpose(0, 2, 1).reshape(-1, n_lamps)
         if noise.trace_noise_sd == 0:
             extracted = amap.amplitudes(peaks)
         else:
@@ -682,7 +683,10 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
     at a free height).  Every fix still draws the stream of its own
     generator seeded with (seed, cell indices, trial, point): the cell's
     (N, 5) keys go to the per-fix part as one ``KeyedStreams``, which
-    draws all of them as arrays.  A noise-free cell (no attitude noise,
+    draws all of them as arrays.  Every cell measures and locates on the
+    caller's scenario, with the cell's ``NoiseSpec`` passed alongside, so
+    the cells share one lamp table and one amplitude map (which leaves
+    the ambient DC out).  A noise-free cell (no attitude noise,
     nor ``rss_epsilon`` in fast mode or ``trace_noise_sd`` end to end)
     draws nothing: it measures and locates each point once and counts the
     fix once per trial, in the same order.  So a cell's statistics equal
@@ -727,18 +731,19 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
         row_poses = (fix_poses if eps_h or scn.noise.accel_sd
                      else fix_poses._replace(planes=poses.planes[at]))
         for cj, eps in enumerate(eps_grid):
-            noisy = replace(scn, noise=noises[ci][cj])
+            noise = noises[ci][cj]
             amp_noise = eps if mode == MODE_FAST else scn.noise.trace_noise_sd
             if not (eps_h or scn.noise.accel_sd or amp_noise):
                 # Noise-free: each point's trials all give one fix.
-                batch, reps = _measure_poses(noisy, poses, None, mode), trials
+                batch, reps = _measure_poses(scn, poses, None, mode,
+                                             noise), trials
             else:
                 cell = np.array((int(seed), ci, cj))
                 keys = np.empty((len(fix_keys), 5), dtype=cell.dtype)
                 keys[:, :3], keys[:, 3:] = cell, fix_keys
                 batch, reps = _measure_poses(
-                    noisy, row_poses, KeyedStreams(keys), mode), 1
-            est, status, *_ = locate_batch(noisy, batch, pipeline)
+                    scn, row_poses, KeyedStreams(keys), mode, noise), 1
+            est, status, *_ = locate_batch(scn, batch, pipeline)
             est, status = np.tile(est, (reps, 1)), np.tile(status, reps)
             unique = status == STATUS_UNIQUE
             miss = est[unique] - truth[unique]

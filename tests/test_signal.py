@@ -1,6 +1,7 @@
 """Trace synthesis and single-frequency amplitude extraction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,85 +267,11 @@ def test_batched_signal_rows_equal_single_traces(batch):
             assert amp == _ref_extract(row, rate, f)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_trace_batches())
-def test_cached_bases_equal_uncached_expressions(batch):
-    # The sine and phasor rows come from a cache; traces and amplitudes
-    # must equal the uncached expressions of the reference byte for byte,
-    # whether the rows are computed for this call or reused from it.
-    components, peaks, rate, duration, noise_sd, seeds, freqs = batch
-    want = np.array([
-        _ref_synthesize([WaveComponent(c.freq_hz, p, c.shape)
-                         for c, p in zip(components, row_peaks)],
-                        rate, duration, noise_sd, seed)
-        for row_peaks, seed in zip(peaks, seeds)])
-    want_amps = np.array([[_ref_extract(row, rate, f) for f in freqs]
-                          for row in want])
-    signal._sine_row.cache_clear()
-    signal._phasor_row.cache_clear()
-    for _ in range(2):
-        x = synthesize_traces(components, peaks, rate, duration, noise_sd,
-                              seeds)
-        assert x.tobytes() == want.tobytes()
-        assert extract_amplitudes(x, rate, freqs).tobytes() == \
-            want_amps.tobytes()
-
-
-def test_scene_traces_reuse_cached_bases():
-    # A scene's traces, ambient DC and square-OOK flashes of 55-105 Hz at
-    # 640 Hz, need a few sine and phasor rows: the first call computes
-    # each once, the second reads every one from the cache, and both give
-    # the uncached expressions byte for byte.
-    rate, duration, noise_sd = 640.0, 0.3, 0.5
-    flashes = [55.0, 65.0, 75.0, 85.0, 95.0, 105.0]
-    components = [WaveComponent(0.0, 1.0, "dc")] + [
-        WaveComponent(f, 1.0, "square_ook") for f in flashes]
-    rng = np.random.default_rng(5)
-    peaks = np.column_stack([np.full(8, 850.0),
-                             rng.uniform(0.0, 120.0, (8, len(flashes)))])
-    seeds = list(range(8))
-    want = np.array([
-        _ref_synthesize([WaveComponent(c.freq_hz, p, c.shape)
-                         for c, p in zip(components, row_peaks)],
-                        rate, duration, noise_sd, seed)
-        for row_peaks, seed in zip(peaks, seeds)])
-    want_amps = np.array([[_ref_extract(row, rate, f) for f in flashes]
-                          for row in want])
-    # One sine row per odd harmonic below Nyquist: 13 in all.
-    harmonics = sum(1 for f in flashes for h in range(1, 12, 2)
-                    if f * h < rate / 2)
-    signal._sine_row.cache_clear()
-    signal._phasor_row.cache_clear()
-    for call in range(2):
-        x = synthesize_traces(components, peaks, rate, duration, noise_sd,
-                              seeds)
-        assert x.tobytes() == want.tobytes()
-        assert extract_amplitudes(x, rate, flashes).tobytes() == \
-            want_amps.tobytes()
-        for row_fn, rows in ((signal._sine_row, harmonics),
-                             (signal._phasor_row, len(flashes))):
-            info = row_fn.cache_info()
-            assert (info.misses, info.hits) == (rows, call * rows)
-
-
-def test_cached_basis_rows_are_read_only():
-    for row in (signal._sine_row(192, 640.0, 2 * math.pi * 65.0),
-                signal._phasor_row(192, 640.0, 65.0)):
-        with pytest.raises(ValueError):
-            row[0] = 0.0
-    # A trace is a fresh array: writing to it leaves the cache as it was.
-    x = synthesize_traces([WaveComponent(65.0, 1.0, "sine")], [[2.0]],
-                          640.0, 0.3)
-    x[:] = 0.0
-    assert synthesize_traces([WaveComponent(65.0, 1.0, "sine")], [[2.0]],
-                             640.0, 0.3).any()
-
-
 # Synthesis then extraction, and the amplitude map, sum the same terms
 # in different orders, so their amplitudes agree to round-off.  A trace
 # sample sums T terms (ambient DC, each flash's half-peak and odd
 # harmonics, the noise) whose magnitudes add up to L; the phasors and
-# sine rows are the same cached rows on both sides.  A recursive sum of
+# sine rows are the same rows on both sides.  A recursive sum of
 # k terms is off by at most about k u times the sum of their magnitudes,
 # u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
 # 2nd ed., sec. 4.2).  So a sample is off by at most T u L, its window
@@ -402,7 +329,6 @@ def test_amplitude_map_equals_synthesis_then_extraction(batch):
     components, peaks, rate, duration, noise_sd, seeds, freqs = batch
     n = int(round(rate * duration))
     amap = signal.amplitude_map(components, rate, duration, freqs)
-    assert signal.amplitude_map(components, rate, duration, freqs) is amap
     assert not any(a.flags.writeable for a in amap)
     noise = signal.trace_noise(seeds, noise_sd, n) if noise_sd else None
     got = amap.amplitudes(peaks, noise)
@@ -427,3 +353,26 @@ def test_amplitude_map_equals_synthesis_then_extraction(batch):
     dc_map = signal.amplitude_map([WaveComponent(0.0, 1.0, "dc")]
                                   + components, rate, duration, freqs)
     assert not dc_map.amplitudes(dc_only).any()
+
+
+def test_signal_calls_keep_no_memory():
+    # Synthesis, extraction and the amplitude map keep nothing between
+    # calls: twenty calls of each over distinct ~40k-sample grids (each
+    # sine, phasor or map row a few hundred kB) leave under 1 MB behind.
+    components = [WaveComponent(0.0, 850.0, "dc"),
+                  WaveComponent(65.0, 30.0, "square_ook"),
+                  WaveComponent(85.0, 20.0, "square_ook")]
+    freqs = [65.0, 85.0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(20):
+            rate, duration = 640.0 + i, 62.5
+            trace = synthesize_trace(components, rate, duration)
+            extract_amplitudes(trace.samples[None], rate, freqs)
+            signal.amplitude_map(components, rate, duration, freqs)
+        del trace
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000

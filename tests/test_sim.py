@@ -204,7 +204,9 @@ def test_end_to_end_close_to_fast(caplog):
 
 def test_end_to_end_measure_builds_no_components_per_call(monkeypatch):
     # The scenario keeps its amplitude map: only the first end-to-end
-    # measure builds the trace components that key it.
+    # measure builds its trace components, one per lamp (the map leaves
+    # the ambient DC out).  A sweep's cells all run on the caller's
+    # scenario, so an end-to-end sweep builds them once, not per cell.
     scn = simple_scenario()
     built = []
     monkeypatch.setattr(sim, "WaveComponent",
@@ -212,7 +214,14 @@ def test_end_to_end_measure_builds_no_components_per_call(monkeypatch):
     for seed in range(3):
         measure(scn, [4.0, 4.0, 0.0], mode=MODE_END_TO_END,
                 rng=np.random.default_rng(seed))
-    assert len(built) == 1 + len(scn.lamps)
+    assert len(built) == len(scn.lamps)
+    built.clear()
+    scn = simple_scenario(noise=NoiseSpec(trace_noise_sd=0.5))
+    rows, _ = sensitivity_sweep(scn, [[4.0, 4.0, 0.0], [6.0, 5.0, 0.5]],
+                                [0.0, 0.1], [0.0, 0.2], 2,
+                                mode=MODE_END_TO_END, seed=4)
+    assert len(rows) == 4 and all(st.count for _, _, st in rows)
+    assert len(built) == len(scn.lamps)
 
 
 def _ref_pose_geometry(scn, positions, attitude):
