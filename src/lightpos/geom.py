@@ -195,7 +195,7 @@ class Aabb:
         """Whether the point p, or each point of a (..., 3) array, lies in
         the closed box."""
         p = np.asarray(p, dtype=float)
-        return np.all((p >= self.lo) & (p <= self.hi), axis=-1)
+        return ((p >= self.lo) & (p <= self.hi)).all(axis=-1)
 
 
 def segments_blocked(p, q, obstacles) -> np.ndarray:

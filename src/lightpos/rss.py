@@ -98,14 +98,20 @@ class EmissionProfile:
         x = np.asarray(x, dtype=float)
         return self._evaluate(x, np.sqrt(np.vecdot(x, x)))
 
-    def _evaluate(self, x, d):
-        """``evaluate`` at float vectors x whose norms |x| are d."""
-        z = np.atleast_1d(x[..., 2])
-        d = np.atleast_1d(d)
+    def _evaluate(self, x, d, slope: bool = True):
+        """``evaluate`` at float vectors x whose norms |x| are d; the slope
+        is None when ``slope`` is False."""
+        shape = x.shape[:-1]
+        if not shape:
+            x, d = x[None], np.reshape(d, 1)
+        z = x[..., 2]
+        df = None
         if self.kind == KIND_COSINE_POWER:
             gamma = self.params[0]
             c = np.minimum(np.maximum(z / d, 1e-12), 1.0)
-            f, df = c ** gamma, gamma * c ** (gamma - 1.0)
+            f = c ** gamma
+            if slope:
+                df = (gamma * c ** (gamma - 1.0)).reshape(shape)
         else:
             rho = np.hypot(x[..., 0], x[..., 1])
             w = off_axis_angle(rho, z)
@@ -113,11 +119,12 @@ class EmissionProfile:
             dfdw = np.zeros_like(w)
             for j in range(len(self.params) - 1, 0, -1):
                 f = f * w + self.params[j]
-                dfdw = dfdw * w + j * self.params[j]
+                if slope:
+                    dfdw = dfdw * w + j * self.params[j]
             f = f * w + self.params[0]
-            df = -dfdw / np.maximum(rho / d, 1e-9)
-        shape = x.shape[:-1]
-        return f.reshape(shape), df.reshape(shape)
+            if slope:
+                df = (-dfdw / np.maximum(rho / d, 1e-9)).reshape(shape)
+        return f.reshape(shape), df
 
 
 def make_profile(kind: str, params) -> EmissionProfile:
@@ -138,7 +145,7 @@ def rss_model(planes, k, profile, x, gradient: bool = True):
     k = np.asarray(k)[..., None]
     d = np.sqrt(np.vecdot(x, x))
     p = np.matvec(planes, x)
-    f, df = profile._evaluate(x, d)
+    f, df = profile._evaluate(x, d, gradient)
     d3 = d ** 3
     m = k / d3[..., None] * p * f[..., None]
     if not gradient:
@@ -202,16 +209,17 @@ class ProfileTable(NamedTuple):
     def gamma(self):
         return np.array([p.gamma for p in self.profiles])[self.index]
 
-    def _evaluate(self, x, d):
-        """Each element's ``EmissionProfile.evaluate``, |x| being d."""
+    def _evaluate(self, x, d, slope: bool = True):
+        """Each element's ``EmissionProfile.evaluate``, |x| being d; the
+        slope is None when ``slope`` is False."""
         if len(self.profiles) == 1:
-            return self.profiles[0]._evaluate(x, d)
+            return self.profiles[0]._evaluate(x, d, slope)
         index = np.broadcast_to(self.index, np.shape(x)[:-1])
-        out = np.empty((2,) + index.shape)
+        out = np.empty((1 + slope,) + index.shape)
         for i, profile in enumerate(self.profiles):
             own = index == i
-            out[:, own] = profile._evaluate(x[own], d[own])
-        return out[0], out[1]
+            out[:, own] = profile._evaluate(x[own], d[own], slope)[:1 + slope]
+        return out[0], out[1] if slope else None
 
 
 class LampTable(NamedTuple):

@@ -27,10 +27,14 @@ noise to amplitudes, so no trace is built.  The map leaves the ambient
 DC out: extraction rejects it exactly.
 
 Every pipeline runs on one array core, ``locate_batch``, which chooses
-readings from the measurement arrays and gives the solvers each lamp's k
-times 2/pi (amplitudes are flash fundamentals); scalar ``locate`` is its
-batch of one.  The runs and the sweep measure and locate all their fixes
-at once.
+readings from the measurement arrays and gives the solvers the
+scenario's ``fundamental_lamps``: its lamp table with each k times 2/pi
+(amplitudes are flash fundamentals), built once per scenario like the
+amplitude map.  Scalar ``locate`` is its batch of one, and ``measure``
+the batch of one of ``measure_batch``: neither has a scalar path, so a
+one-fix call costs what the core's numpy calls cost on one-element
+arrays, and the core keeps those calls few.  The runs and the sweep
+measure and locate all their fixes at once.
 """
 
 from __future__ import annotations
@@ -184,6 +188,13 @@ class Scenario:
         return LampTable.of(self.lamps)
 
     @cached_property
+    def fundamental_lamps(self) -> LampTable:
+        """The lamp table with each k times 2/pi: measured amplitudes are
+        flash fundamentals, and ``locate_batch`` solves with these."""
+        table = self.lamp_table
+        return table._replace(k=table.k * OOK_FUNDAMENTAL)
+
+    @cached_property
     def amplitude_map(self) -> AmplitudeMap:
         """The map from a face's trace (each lamp's flash) to amplitudes.
         The trace's ambient DC is left out, as extraction rejects it
@@ -238,22 +249,27 @@ class CoverageReport:
     lamp_count: int
 
 
-def _measured_attitudes(att: Attitude, offsets) -> np.ndarray:
+def _measured_attitudes(att: Attitude, offsets, tilted: bool = True
+                        ) -> np.ndarray:
     """Measured (pitch, roll, heading) rows, (N, 3), from (N, 3) offsets:
-    pitch clipped to [-pi/2, pi/2], roll wrapped once toward (-pi, pi] and
-    heading taken modulo 2*pi.  A row outside the ranges of ``Attitude``
-    raises its ValueError."""
+    heading taken modulo 2*pi, a heading that rounds up to 2*pi being 0,
+    and, when ``tilted``, pitch clipped to [-pi/2, pi/2] and roll wrapped
+    once toward (-pi, pi].  Untilted offsets have zero pitch and roll, so
+    the true pitch and roll stand.  A roll still outside (-pi, pi] raises
+    the ValueError of ``Attitude``."""
     meas = np.array([att.pitch, att.roll, att.heading]) + offsets
     # Column views: the assignments below update them in place.
     pitch, roll, heading = meas.T
-    meas[:, 0] = np.maximum(-math.pi / 2, np.minimum(math.pi / 2, pitch))
-    meas[:, 1] = np.where(roll <= -math.pi, roll + 2 * math.pi,
-                          np.where(roll > math.pi, roll - 2 * math.pi, roll))
-    meas[:, 2] = np.remainder(heading, 2 * math.pi)
-    bad = (np.abs(roll) > math.pi) | (roll == -math.pi) | (
-        heading == 2 * math.pi)
-    if bad.any():
-        Attitude(*meas[np.argmax(bad)].tolist())
+    np.remainder(heading, 2 * math.pi, out=heading)
+    heading[heading == 2 * math.pi] = 0.0
+    if tilted:
+        meas[:, 0] = np.maximum(-math.pi / 2, np.minimum(math.pi / 2, pitch))
+        meas[:, 1] = np.where(roll <= -math.pi, roll + 2 * math.pi,
+                              np.where(roll > math.pi, roll - 2 * math.pi,
+                                       roll))
+        bad = (np.abs(roll) > math.pi) | (roll == -math.pi)
+        if bad.any():
+            Attitude(*meas[np.argmax(bad)].tolist())
     return meas
 
 
@@ -269,7 +285,8 @@ class MeasurementBatch:
     ``saturated`` flags saturated faces per fix, and ``attitudes`` holds
     the measured attitudes as (pitch, roll, heading) rows.  Amplitudes
     are flash-fundamental values, (2/pi) x model RSS; ``locate_batch``
-    applies that factor to the lamps' k before it solves.
+    solves with the scenario's ``fundamental_lamps``, whose k carry that
+    factor.
     """
 
     amps: np.ndarray       # (N, lamps, faces)
@@ -300,7 +317,7 @@ class _Poses(NamedTuple):
         """These poses with planes: ``_fix_planes`` at the true attitude."""
         if self.planes is not None:
             return self
-        rot = np.repeat(self.rot[None], len(self.rss), axis=0)
+        rot = self.rot[None].repeat(len(self.rss), axis=0)
         normals = np.matmul(scn.receiver.polyhedron.normals,
                             rot.transpose(0, 2, 1))
         return self._replace(planes=_fix_planes(scn, normals, self.toward))
@@ -330,8 +347,7 @@ def _pose_geometry(scn: Scenario, positions, attitude: Attitude) -> _Poses:
     lamp_pos, basis_t = table.position, table.basis.transpose(0, 2, 1)
     x = np.matvec(basis_t[:, None], lamp_pos[:, None, :] - positions)
     rss, _ = rss_model(np.matmul(normals_true, table.basis)[:, None],
-                       table.k[:, None],
-                       table.profiles.take(np.arange(len(lamp_pos))[:, None]),
+                       table.k[:, None], table.profiles.take(np.s_[:, None]),
                        x, gradient=False)                         # (L, N, F)
     # Lit: the pose in the lamp's forward hemisphere, the face toward it.
     lit = (x[..., 2] > 0)[..., None] & (rss > 0)
@@ -354,7 +370,8 @@ def _fix_planes(scn: Scenario, normals_meas, toward) -> np.ndarray:
     positively with the pose's direction from the face toward the lamp,
     ``toward`` (lamps, N, faces, 3)."""
     planes = np.matmul(normals_meas, scn.lamp_table.basis[:, None])
-    planes *= np.where(np.vecdot(planes, toward) < 0, -1.0, 1.0)[..., None]
+    np.negative(planes, out=planes,
+                where=(np.vecdot(planes, toward) < 0)[..., None])
     return np.ascontiguousarray(planes.transpose(1, 0, 2, 3))
 
 
@@ -443,16 +460,18 @@ def _measure_poses(scn: Scenario, poses: _Poses, rngs, mode: str,
                                         attitude.heading], dtype=float)
         planes = poses.with_planes(scn).planes
     else:
-        att_meas = _measured_attitudes(attitude, offsets)
+        att_meas = _measured_attitudes(attitude, offsets, noise.accel_sd > 0)
         rot_meas = receiver_rotations(att_meas)
         normals_meas = np.matmul(scn.receiver.polyhedron.normals,
                                  rot_meas.transpose(0, 2, 1))
         planes = _fix_planes(scn, normals_meas, poses.toward)
 
     rss = poses.rss
+    lit = rss > 0
     if mode == MODE_FAST:
-        amps = OOK_FUNDAMENTAL * rss * (
-            1.0 + noise.rss_epsilon * (draws * 2 - 1))
+        # 1 + eps * (+-1), the factor each noise sign gives.
+        eps = noise.rss_epsilon
+        amps = OOK_FUNDAMENTAL * rss * np.where(draws, 1.0 + eps, 1.0 - eps)
     else:
         # One trace per (fix, face): every lamp in order, an unlit one at
         # peak 0 (adding it changes no amplitude).
@@ -468,11 +487,11 @@ def _measure_poses(scn: Scenario, poses: _Poses, rngs, mode: str,
                     peaks[lo:lo + TRACE_BATCH],
                     trace_noise(seeds[lo:lo + TRACE_BATCH],
                                 noise.trace_noise_sd, len(amap.Q)))
-        amps = np.where(rss > 0, extracted.reshape(n_fix, n_faces, n_lamps)
+        amps = np.where(lit, extracted.reshape(n_fix, n_faces, n_lamps)
                         .transpose(0, 2, 1), 0.0)
 
     saturated = poses.saturated
-    valid = ~saturated[:, None, :] & (amps > 0) & (rss > 0)
+    valid = ~saturated[:, None, :] & (amps > 0) & lit
     return MeasurementBatch(amps, valid, planes, saturated, att_meas)
 
 
@@ -515,22 +534,29 @@ def locate_batch(scn: Scenario, batch: MeasurementBatch,
     there (``trilaterate_batch``), at the receiver heights ``z_receiver``
     (one, or one per fix) or free; fewer than three is degenerate.
 
+    Every pipeline models the lamps of ``scn.fundamental_lamps``, the
+    scenario's lamp table with each k times 2/pi, built on the first call
+    and shared by every later one.
+
     Returns (points (N, 3), status, residual, iterations, error), error
     being the code in ``LOCATE_ERRORS`` of the ValueError ``locate``
     raises for the fix, 0 for none.  Raises ValueError for an unknown
     pipeline or multi with m < 3.
     """
     _check_pipeline(pipeline, m)
-    lamps = scn.lamp_table._replace(k=scn.lamp_table.k * OOK_FUNDAMENTAL)
+    lamps = scn.fundamental_lamps
     if pipeline == PIPELINE_TRILATERATION:
         return _trilaterate_fixes(lamps, batch, z_receiver)
     if pipeline == PIPELINE_MULTI and m > 3:
         lamp_ids, faces, count = select_pooled_readings(batch.amps,
                                                         batch.valid, m)
+        sizes = [n for n in np.unique(count).tolist() if n >= 3]
     else:
+        # Each fix has its best lamp's three readings, or none (count 0).
         lamp_ids, faces, count = select_top_readings(batch.amps, batch.valid)
+        sizes = [3]
     points, status, residual, iterations = degenerate_fixes(len(count))
-    for n in np.unique(count[count >= 3]):
+    for n in sizes:
         rows = np.flatnonzero(count == n)
         idx = (rows[:, None], lamp_ids[rows, :n], faces[rows, :n])
         planes = batch.planes[idx]
@@ -542,7 +568,7 @@ def locate_batch(scn: Scenario, batch: MeasurementBatch,
         else:
             points[rows], status[rows], residual[rows], iterations[rows] = \
                 solve_multi(*args)
-    return points, status, residual, iterations, np.where(count < 3, 1, 0)
+    return points, status, residual, iterations, (count < 3).astype(np.int64)
 
 
 def _trilaterate_fixes(lamps: LampTable, batch, z_receiver):

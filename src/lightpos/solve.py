@@ -26,9 +26,10 @@ More readings, or a caller-supplied starting point, are refined by the
 multi-lamp world model (``_multi_residuals``) on one lamp, at the
 solve-frame origin with an identity basis, capped at 100 iterations.
 Residuals are relative, (model - measured) / measured, matching the
-sensor's multiplicative error structure; ``sim.locate_batch`` passes k
-times 2/pi, the flash fundamental.  Face planes are oriented so their
-coefficients dot positively with the lamp position.
+sensor's multiplicative error structure; ``sim.locate_batch`` passes
+the scenario's ``fundamental_lamps``, k times 2/pi, the flash
+fundamental.  Face planes are oriented so their coefficients dot
+positively with the lamp position.
 """
 
 from __future__ import annotations
@@ -76,6 +77,11 @@ LM_STEP_TOL = 1e-10
 LM_FTOL = 1e-8
 
 _EZ = np.array([0.0, 0.0, 1.0])
+
+# Each of two vectors' components in the order (1, 2, 0, 2, 0, 1): the
+# first half times the other's second half, less the second half times
+# the other's first half, is their cross product.
+_CROSS_ORDER = np.array([1, 2, 0, 2, 0, 1])
 
 
 def _steps(a, b):
@@ -228,12 +234,12 @@ def mflp_closed_form_batch(planes, s, k, profile):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         unique = np.abs(np.linalg.det(planes)) > INDEPENDENCE_TOL
         rows = planes / s[:, :, None]
-        # The cross product a x b written out: the arithmetic of np.cross
-        # in its order, without its overhead on (N, 3) rows.
-        a0, a1, a2 = (rows[:, 0] - rows[:, 1]).T
-        b0, b1, b2 = (rows[:, 0] - rows[:, 2]).T
-        direction = np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
-                                     a0 * b1 - a1 * b0])
+        # The cross product a x b of a = rows 0 - 1 and b = rows 0 - 2
+        # written out: the arithmetic of np.cross in its order, without its
+        # overhead on (N, 3) rows.  ``ab`` holds a and b each as
+        # (v1, v2, v0, v2, v0, v1), so the component products pair up.
+        ab = (rows[:, :1] - rows[:, 1:])[..., _CROSS_ORDER]
+        direction = ab[:, 0, :3] * ab[:, 1, 3:] - ab[:, 0, 3:] * ab[:, 1, :3]
         unique &= ((np.sqrt(np.vecdot(direction, direction)) >= 1e-12)
                    & (np.abs(direction[:, 2]) >= 1e-12))
         # The lamp direction scaled to z = 1, u = (c1, c2, 1): the lamp at
@@ -242,19 +248,21 @@ def mflp_closed_form_batch(planes, s, k, profile):
         model, _ = rss_model(planes, k, profile, u, gradient=False)
         # Sign assumptions violated (a plane facing away, or f = 0): the
         # data is inconsistent with a lamp in the solver's domain.
-        unique &= np.all(model > 0, axis=1)
+        unique &= (model > 0).all(axis=1)
         z_sq = model / s
         # Means over the three readings written out: np.mean's sum in its
         # order, without a reduction loop per row.
         mean_z_sq = (z_sq[:, 0] + z_sq[:, 1] + z_sq[:, 2]) / 3
         z = np.sqrt(mean_z_sq)
         # Each reading's model value at the point over its amplitude is
-        # its z_sq over z**2.
-        r0, r1, r2 = (z_sq / mean_z_sq[:, None] - 1.0).T
-        residual = np.sqrt((r0 * r0 + r1 * r1 + r2 * r2) / 3)
+        # its z_sq over z**2; r holds the squares of those residuals.
+        r = z_sq / mean_z_sq[:, None] - 1.0
+        r *= r
+        residual = np.sqrt((r[:, 0] + r[:, 1] + r[:, 2]) / 3)
     points = u * z[:, None]
-    points[~unique] = np.nan
-    residual[~unique] = np.inf
+    failed = ~unique
+    points[failed] = np.nan
+    residual[failed] = np.inf
     return points, unique, residual
 
 
@@ -334,20 +342,23 @@ def _rank_readings(s, valid):
     """
     # Fewer than one lamp or three faces: pad with invalid readings, which
     # keep no lamp.
-    pad = [(0, 0)] * (s.ndim - 2) + [(0, max(0, 1 - s.shape[-2])),
-                                     (0, max(0, 3 - s.shape[-1]))]
-    if pad[-2][1] or pad[-1][1]:
+    if s.shape[-2] < 1 or s.shape[-1] < 3:
+        pad = [(0, 0)] * (s.ndim - 2) + [(0, max(0, 1 - s.shape[-2])),
+                                         (0, max(0, 3 - s.shape[-1]))]
         s, valid = np.pad(s, pad), np.pad(valid, pad)
     order = np.argsort(np.where(valid, -s, np.inf), axis=-1, kind="stable")
-    s_sorted = np.take_along_axis(np.where(valid, s, 0.0), order, axis=-1)
+    # Each row of readings gathered in its order, by flat row index.
+    rows = order.reshape(-1, order.shape[-1])
+    s_sorted = np.where(valid, s, 0.0).reshape(rows.shape)[
+        np.arange(len(rows))[:, None], rows].reshape(order.shape)
     # The valid readings, and of them those above the floor, are prefixes
     # of the sorted ones.
     floor = RSS_FLOOR_FRACTION * s_sorted[..., 0]
     kept = (valid.sum(axis=-1) >= 3) & (s_sorted[..., 2] >= floor)
     # np.mean's sum, in its order.
     mean3 = (s_sorted[..., 0] + s_sorted[..., 1] + s_sorted[..., 2]) / 3
-    return order, s_sorted, kept, np.argmax(np.where(kept, mean3, -np.inf),
-                                            axis=-1)
+    return order, s_sorted, kept, np.where(kept, mean3, -np.inf).argmax(
+        axis=-1)
 
 
 def select_top_readings(s, valid):
@@ -359,7 +370,7 @@ def select_top_readings(s, valid):
     """
     order, _, kept, best = _rank_readings(np.asarray(s, dtype=float),
                                           np.asarray(valid, dtype=bool))
-    return (np.repeat(best[:, None], 3, axis=1),
+    return (best[:, None].repeat(3, axis=1),
             order[np.arange(len(best)), best, :3], 3 * kept.any(axis=-1))
 
 
@@ -402,10 +413,12 @@ def closed_form_fixes(planes, s, lamp_ids, lamps: LampTable):
     x, unique, rms = mflp_closed_form_batch(
         planes, s, lamps.k[lamp_of], lamps.profiles.take(lamp_of))
     unique &= x[:, 2] > 0
-    # to_world_position, each fix with its own lamp.
+    # to_world_position, each fix with its own lamp.  The closed form's
+    # failed fixes have a NaN x already; those failing z > 0 do not.
     world = lamps.position[lamp_of] - np.matvec(lamps.basis[lamp_of], x)
-    return (np.where(unique[:, None], world, np.nan), unique,
-            np.where(unique, rms, np.inf))
+    failed = ~unique
+    world[failed], rms[failed] = np.nan, np.inf
+    return world, unique, rms
 
 
 def _multi_residuals(planes, s, lamp_ids, lamps):
@@ -424,7 +437,7 @@ def _multi_residuals(planes, s, lamp_ids, lamps):
         m, grad = rss_model(planes[rows], k[rows], lamps.profiles.take(li), x)
         return ((m[..., 0] - sa) / sa,
                 -np.matvec(b, grad[..., 0, :]) / sa[..., None],
-                np.all(x[..., 2] > 0, axis=1))
+                (x[..., 2] > 0).all(axis=1))
 
     return residuals
 
@@ -551,7 +564,7 @@ def trilaterate_batch(planes, s, lamp_ids, lamps: LampTable,
                         ).max(axis=1)
     spanned = ~(area < 1e-9 * np.maximum(spread, 1.0) ** 2)
     dz0 = position[..., 2] - z0[:, None]
-    below = ~spanned | np.all(dz0 > 0, axis=1)
+    below = ~spanned | (dz0 > 0).all(axis=1)
     rows = np.flatnonzero(spanned & below)
 
     # Linear lateration seed from inverted ranges at the initial height.
@@ -559,8 +572,8 @@ def trilaterate_batch(planes, s, lamp_ids, lamps: LampTable,
     d_est = _invert_distances(lamps.k[ids], lamps.profiles.take(ids), dz0, s)
     lhs = 2 * (position[:, 1:, :2] - position[:, :1, :2])
     rhs = (d_est[:, :1] ** 2 - d_est[:, 1:] ** 2
-           + np.sum(position[:, 1:, :2] ** 2, axis=2)
-           - np.sum(position[:, :1, :2] ** 2, axis=2)
+           + (position[:, 1:, :2] ** 2).sum(axis=2)
+           - (position[:, :1, :2] ** 2).sum(axis=2)
            + dz0[:, 1:] ** 2 - dz0[:, :1] ** 2)
     xy = np.matvec(np.linalg.pinv(lhs), rhs)
 

@@ -6,8 +6,14 @@ seeded through numpy's SeedSequence into a PCG64 state, and the draws follow
 ``Generator``'s algorithms.  Everything is uint32/uint64 array arithmetic
 over the N keys: seeding keys below 2**32, as a sweep's are, costs about
 0.3 us per key and wider ones about 1 us, against 20-35 us to build one
-Generator (2-core x86-64, numpy 2.4).  This module is the only place
-that knows numpy's seeding algorithm.
+Generator (2-core x86-64, numpy 2.4).  Building a ``KeyedStreams`` also
+has a fixed cost, the same array passes whatever N: 0.18-0.19 ms for one
+key below 2**32, 0.23-0.44 ms for one wider key and 0.24-0.46 ms for
+1,000 keys below 2**32, where ``np.random.default_rng`` takes 13-20 us
+(the same host, quiet and busy).  So below roughly ten keys Generators
+are cheaper, and a one-fix ``measure`` draws from its Generator through
+``GeneratorStreams``.  This module is the only place that knows numpy's
+seeding algorithm.
 
 ``GeneratorStreams`` gives N numpy Generators the same draw methods, and
 ``normals`` draws Gaussians from either kind by Box-Muller on their
@@ -254,8 +260,11 @@ class GeneratorStreams:
                           shape)
 
     def integers63(self, count: int) -> np.ndarray:
-        return self._each(lambda g: g.integers(2**63, size=count), np.int64,
-                          (count,))
+        # Generator.integers(2**63) is each 64-bit draw shifted right by
+        # one (see KeyedStreams.integers63): the same values, and the
+        # same state after, from the raw draws without its bound checks.
+        return self._each(lambda g: g.bit_generator.random_raw(count) >> 1,
+                          np.int64, (count,))
 
 
 def normals(streams, sd: float) -> np.ndarray:

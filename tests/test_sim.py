@@ -29,7 +29,7 @@ from lightpos.signal import (
     extract_amplitude,
     synthesize_trace,
 )
-from lightpos import sim, solve
+from lightpos import geom, sim, solve
 from lightpos.solve import (
     SolveResult,
     _invert_distances,
@@ -963,6 +963,8 @@ def _ref_measured_attitude(att, d_pitch, d_roll, d_heading):
     # The scalar attitude-noise arithmetic on Python floats: the oracle for
     # the batched rows.
     heading = (att.heading + d_heading) % (2 * math.pi)
+    if heading == 2 * math.pi:  # a tiny negative heading rounds up
+        heading = 0.0
     pitch = max(-math.pi / 2, min(math.pi / 2, att.pitch + d_pitch))
     roll = att.roll + d_roll
     if roll <= -math.pi:
@@ -988,6 +990,39 @@ def test_measured_attitudes_match_scalar_reference():
     # A roll still outside (-pi, pi] after one wrap is no Attitude.
     with pytest.raises(ValueError, match="roll"):
         sim._measured_attitudes(Attitude(0, 3.0, 0), np.array([[0, 7.0, 0]]))
+
+
+class _GivenUniform:
+    """A Generator whose uniform draws are all ``u``; its other draws are
+    those of a Generator seeded with 0."""
+
+    def __init__(self, u):
+        self.u = u
+        self._generator = np.random.default_rng(0)
+
+    def uniform(self, low, high):
+        return self.u
+
+    def __getattr__(self, name):
+        return getattr(self._generator, name)
+
+
+def test_heading_that_rounds_to_two_pi_wraps_to_zero():
+    # A heading offset of -1.39e-17 at true heading 0 is a reachable
+    # uniform(-h, h) draw (h = 5 deg); modulo 2*pi it rounds up to 2*pi,
+    # which no Attitude holds.  It wraps to 0, with or without pitch and
+    # roll noise, so the fix is measured and located instead of raising.
+    off = -1.39e-17
+    assert off % (2 * math.pi) == 2 * math.pi
+    for tilted in (True, False):
+        rows = sim._measured_attitudes(Attitude(0, 0, 0),
+                                       np.array([[0.0, 0.0, off]]), tilted)
+        assert rows.tolist() == [[0.0, 0.0, 0.0]]
+    scn = simple_scenario(noise=NoiseSpec(heading_epsilon=math.radians(5)))
+    for mode in (sim.MODE_FAST, MODE_END_TO_END):
+        batch = measure(scn, [4.0, 4.0, 0.0], mode=mode, rng=_GivenUniform(off))
+        assert batch.attitudes.tolist() == [[0.0, 0.0, 0.0]]
+        assert locate(scn, batch).ok
 
 
 def test_measured_attitude_perturbed_within_bounds():
@@ -1388,6 +1423,72 @@ def test_sweep_measures_pose_geometry_once_per_call(monkeypatch):
         assert np.array_equal(seen[0], np.delete(points, -2, axis=0))
         assert all(st.failures >= 2 * 2 for _, _, st in rows)
         assert plane_rows == [len(points) - 1] + [2 * (len(points) - 1)] * 3
+
+
+def _three_lamps(**noise):
+    sf = load_scenario(str(resources.files("lightpos") / "fixtures"
+                           / "three_lamps.json"))
+    return replace(sf.scenario, noise=replace(sf.scenario.noise, **noise))
+
+
+def test_one_fix_locate_repeats_no_per_call_work(monkeypatch):
+    # locate solves with the scenario's k * 2/pi lamp table, built once,
+    # not a table per call; its mflp selection gathers the sorted readings
+    # directly and knows its one reading count, so it calls neither
+    # np.take_along_axis nor np.unique.  The closed form evaluates the
+    # model once, without its gradient.
+    scn = _three_lamps(heading_epsilon=math.radians(5.0), trace_noise_sd=0.5)
+    batch = measure(scn, [8.0, 6.0, 0.0], mode=MODE_END_TO_END,
+                    rng=np.random.default_rng(2))
+    lamps = scn.fundamental_lamps
+    assert lamps is scn.fundamental_lamps
+    assert np.array_equal(lamps.k, scn.lamp_table.k * OOK_FUNDAMENTAL)
+    calls = {"tables": 0, "unique": 0, "take_along_axis": 0}
+    models = []
+
+    def count(name, func):
+        return lambda *a, **kw: calls.__setitem__(name, calls[name] + 1) \
+            or func(*a, **kw)
+
+    monkeypatch.setattr(sim.LampTable, "_replace",
+                        count("tables", sim.LampTable._replace))
+    monkeypatch.setattr(sim.LampTable, "of", count("tables",
+                                                   sim.LampTable.of))
+    monkeypatch.setattr(np, "unique", count("unique", np.unique))
+    monkeypatch.setattr(np, "take_along_axis",
+                        count("take_along_axis", np.take_along_axis))
+    monkeypatch.setattr(solve, "rss_model", lambda *a, **kw: models.append(
+        kw.get("gradient", True)) or rss_model(*a, **kw))
+    for _ in range(3):
+        fix = locate(scn, batch)
+        assert fix.ok
+    assert calls == {"tables": 0, "unique": 0, "take_along_axis": 0}
+    assert models == [False] * 3
+    for pipeline, m in ((sim.PIPELINE_MULTI, 9),
+                        (sim.PIPELINE_TRILATERATION, 3)):
+        locate(scn, batch, pipeline, m, z_receiver=0.0)
+        assert calls["tables"] == 0
+
+
+def test_one_fix_measure_rotates_each_attitude_once(monkeypatch):
+    # One measure computes the receiver rotation of the true attitude, and
+    # with attitude noise that of the measured one: one attitude_rotations
+    # call each.  The model runs once, without its gradient.
+    rotations, models = [], []
+    attitude_rotations = geom.attitude_rotations
+    monkeypatch.setattr(geom, "attitude_rotations", lambda att: (
+        rotations.append(np.shape(att)) or attitude_rotations(att)))
+    monkeypatch.setattr(sim, "rss_model", lambda *a, **kw: models.append(
+        kw.get("gradient", True)) or rss_model(*a, **kw))
+    for noise, want in (({}, [(3,)]),
+                        ({"heading_epsilon": 0.1}, [(3,), (1, 3)]),
+                        ({"accel_sd": 0.02}, [(3,), (1, 3)])):
+        for mode in (sim.MODE_FAST, MODE_END_TO_END):
+            rotations.clear()
+            models.clear()
+            measure(_three_lamps(**noise), [8.0, 6.0, 0.0], mode=mode,
+                    rng=np.random.default_rng(5))
+            assert rotations == want and models == [False], (noise, mode)
 
 
 def test_sweep_with_no_point_in_bounds_fails_every_fix():
