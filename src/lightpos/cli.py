@@ -25,10 +25,12 @@ from .report import (
     render_csv,
     render_json,
     stats_row,
-    write_json,
 )
 from .scenario import ScenarioFormatError, load_scenario, profile_from_json
 from .sim import (
+    METHODS,
+    MODES,
+    PIPELINES,
     coverage_analysis,
     greedy_min_lamps,
     run_static,
@@ -47,11 +49,48 @@ class _InputError(Exception):
     pass
 
 
+# The Python types a decoded JSON value of each kind has.  A JSON
+# boolean is no number, though Python's bool is an int.
+_JSON_TYPES = {"an integer": (int,), "a number": (int, float),
+               "a number or null": (int, float, type(None)),
+               "a list": (list,), "an object": (dict,)}
+
+
+def _json(value, name: str, kind: str = "a number"):
+    """``value`` if JSON gave it as ``kind`` (a key of _JSON_TYPES), else
+    a ValueError naming the field ``name``."""
+    if type(value) not in _JSON_TYPES[kind]:
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def _numbers(value, name: str):
+    """``value`` if it is a number or a list whose items are such values
+    (its shape is the reader's to check), at any depth; else a ValueError
+    naming, by its JSON path, the first item that is not."""
+    todo = [(name, value)]
+    while todo:
+        at, item = todo.pop()
+        if type(item) is list:
+            todo += reversed([(f"{at}/{i}", x) for i, x in enumerate(item)])
+        else:
+            _json(item, at)
+    return value
+
+
+def _profile(data):
+    """A solver input's emission profile, its params JSON numbers."""
+    if "profile" in data:
+        _numbers(data["profile"]["params"], "profile/params")
+    return profile_from_json(data)
+
+
 def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # A document nested past the recursion limit is bad input too.
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise _InputError(f"{path}: {exc}") from None
 
 
@@ -121,10 +160,7 @@ def _cmd_simulate(args):
         "failures": stats.failures,
         "stats": dict(zip(STATS_COLUMNS, (fmt(v) for v in stats_row(stats)))),
     })
-    if args.out:
-        write_json(args.out + ".stats.json", sidecar)
-    else:
-        sys.stdout.write(render_json(sidecar))
+    _emit(render_json(sidecar), args.out and args.out + ".stats.json")
     if fixes and stats.failures > args.max_failure_frac * len(fixes):
         return EXIT_SOLVE
     return EXIT_OK
@@ -145,17 +181,16 @@ def _cmd_solve(args):
     data = _load_json(args.input)
     try:
         planes, s = [], []
-        for r in data["readings"]:
-            planes.append(np.array(r["plane"], dtype=float))
-            s.append(float(r["s"]))
-            # The ids are not solved for; they must still be JSON
-            # integers (bool is an int in Python, but not in JSON).
+        for i, r in enumerate(data["readings"]):
+            at = f"readings/{i}/"
+            planes.append(np.array(_numbers(r["plane"], at + "plane"),
+                                   dtype=float))
+            s.append(float(_json(r["s"], at + "s")))
+            # The ids are not solved for; they must still be integers.
             for name in ("lamp_id", "face_id"):
-                if type(r.get(name, 0)) is not int:
-                    raise ValueError(f"{name} must be an integer, "
-                                     f"got {r[name]!r}")
-        profile = profile_from_json(data)
-        res = mflp_least_squares(planes, s, float(data["k"]), profile)
+                _json(r.get(name, 0), at + name, "an integer")
+        res = mflp_least_squares(planes, s, float(_json(data["k"], "k")),
+                                 _profile(data))
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise _InputError(str(exc)) from None
     return _emit_solve_result(res, args.out)
@@ -164,9 +199,11 @@ def _cmd_solve(args):
 def _cmd_trilaterate(args):
     data = _load_json(args.input)
     try:
-        res = trilaterate(data["lamps"], float(data["k"]),
-                          profile_from_json(data), data["s"],
-                          z_receiver=data.get("z_receiver"))
+        # A null or absent receiver height is solved for.
+        z = _json(data.get("z_receiver"), "z_receiver", "a number or null")
+        res = trilaterate(_numbers(data["lamps"], "lamps"),
+                          float(_json(data["k"], "k")), _profile(data),
+                          _numbers(data["s"], "s"), z_receiver=z)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise _InputError(str(exc)) from None
     return _emit_solve_result(res, args.out)
@@ -177,7 +214,7 @@ def _cmd_trilaterate(args):
 def _cmd_calibrate(args):
     data = _load_json(args.input)
     try:
-        fit = fit_ellipse(data["points"])
+        fit = fit_ellipse(_numbers(data["points"], "points"))
         out = {
             "ellipse": {
                 "cx": fmt(fit.cx), "cy": fmt(fit.cy),
@@ -187,14 +224,14 @@ def _cmd_calibrate(args):
         }
         if "samples" in data:
             samples = [
-                MagSample(s["mx"], s["my"], s.get("sensor", i))
+                MagSample(_json(s["mx"], f"samples/{i}/mx"),
+                          _json(s["my"], f"samples/{i}/my"),
+                          s.get("sensor", i))
                 for i, s in enumerate(data["samples"])
             ]
-            heading = calibrate_heading(
-                samples, fit,
-                pitch=math.radians(data.get("pitch_deg", 0.0)),
-                roll=math.radians(data.get("roll_deg", 0.0)),
-            )
+            pitch, roll = (math.radians(_json(data.get(key, 0.0), key))
+                           for key in ("pitch_deg", "roll_deg"))
+            heading = calibrate_heading(samples, fit, pitch=pitch, roll=roll)
             out["heading_deg"] = fmt(math.degrees(heading))
     except (KeyError, ValueError, TypeError, OverflowError,
             FloatingPointError) as exc:
@@ -272,10 +309,7 @@ def _cmd_sensitivity(args):
         "trials": args.trials,
         "mean_monotone_in_rss_epsilon": monotone,
     })
-    if args.out:
-        write_json(args.out + ".stats.json", sidecar)
-    else:
-        sys.stdout.write(render_json(sidecar))
+    _emit(render_json(sidecar), args.out and args.out + ".stats.json")
     return EXIT_OK
 
 
@@ -285,23 +319,25 @@ def _cmd_signal(args):
     data = _load_json(args.input)
     try:
         for key in ("components", "candidates"):
-            if type(data[key]) is not list:
-                raise ValueError(f"{key} must be a list, got {data[key]!r}")
+            _json(data[key], key, "a list")
         components = []
-        for c in data["components"]:
-            if type(c) is not dict:
-                raise ValueError(f"a component must be an object, got {c!r}")
+        for i, c in enumerate(data["components"]):
+            _json(c, f"components/{i}", "an object")
             shape = {"shape": c["shape"]} if "shape" in c else {}
-            components.append(
-                WaveComponent(c.get("freq_hz", 0.0), c["peak"], **shape))
-        seed = data.get("seed", 0)
-        if type(seed) is not int or seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+            components.append(WaveComponent(
+                _json(c.get("freq_hz", 0.0), f"components/{i}/freq_hz"),
+                _json(c["peak"], f"components/{i}/peak"), **shape))
+        seed = _json(data.get("seed", 0), "seed", "an integer")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         trace = synthesize_trace(
-            components, data["rate_hz"], data["duration_s"],
-            gaussian_noise_sd=data.get("noise_sd", 0.0), seed=seed,
+            components, _json(data["rate_hz"], "rate_hz"),
+            _json(data["duration_s"], "duration_s"),
+            gaussian_noise_sd=_json(data.get("noise_sd", 0.0), "noise_sd"),
+            seed=seed,
         )
-        readings = identify_lamps(trace, data["candidates"])
+        readings = identify_lamps(
+            trace, _numbers(data["candidates"], "candidates"))
     except (KeyError, ValueError, TypeError, OverflowError,
             FloatingPointError) as exc:
         raise _InputError(str(exc)) from None
@@ -322,11 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a scenario and report fixes")
     sim.add_argument("--scenario", required=True)
     sim.add_argument("--out", help="CSV output path (stdout when omitted)")
-    sim.add_argument("--pipeline", default="mflp",
-                     choices=["mflp", "trilateration", "multi"])
+    sim.add_argument("--pipeline", default="mflp", choices=PIPELINES)
     sim.add_argument("--m", type=int, default=3,
                      help="readings used by the multi pipeline")
-    sim.add_argument("--mode", default="fast", choices=["fast", "end_to_end"])
+    sim.add_argument("--mode", default="fast", choices=MODES)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--max-failure-frac", type=float, default=0.5,
                      help="exit 2 when more than this fraction of fixes fail")
@@ -353,8 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cov = sub.add_parser("coverage", help="coverage fraction or lamp planning")
     cov.add_argument("--scenario", required=True)
-    cov.add_argument("--method", default="mflp",
-                     choices=["mflp", "trilateration"])
+    cov.add_argument("--method", default="mflp", choices=METHODS)
     cov.add_argument("--plan", action="store_true",
                      help="greedy minimum-lamp placement from candidates")
     cov.add_argument("--out")
@@ -367,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sen.add_argument("--eps-h-deg", default="0,5,10",
                      help="comma-separated heading noise bounds in degrees")
     sen.add_argument("--trials", type=int, default=100)
-    sen.add_argument("--pipeline", default="mflp",
-                     choices=["mflp", "trilateration", "multi"])
+    sen.add_argument("--pipeline", default="mflp", choices=PIPELINES)
     sen.add_argument("--seed", type=int, default=None)
     sen.add_argument("--timestamp", default=None)
     sen.add_argument("--out")

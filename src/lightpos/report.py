@@ -65,8 +65,3 @@ def envelope(scenario_path=None, seed=None, timestamp=None, extra=None) -> dict:
 
 def render_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_json(obj))

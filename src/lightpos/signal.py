@@ -30,6 +30,10 @@ OOK_FUNDAMENTAL = 2.0 / math.pi
 MAX_TRACE_SAMPLES = 50_000
 MAX_SQUARE_HARMONICS = 1000
 
+# ``AmplitudeMap.amplitudes`` draws the sensor noise of at most this many
+# traces at a time, which bounds its memory on long runs.
+TRACE_BATCH = 4096
+
 
 class NyquistError(ValueError):
     """Raised when a component frequency violates the sampling rate."""
@@ -173,15 +177,33 @@ def synthesize_trace(components, rate_hz: float, duration_s: float,
 
 def _trim_window(n: int, rate_hz: float, freq_hz: float) -> int:
     """Window length in samples covering a whole number of periods of a
-    frequency in (0, rate/2)."""
+    frequency in (0, rate/2): NyquistError outside it, ValueError when the
+    n samples hold less than one period."""
     if not 0 < freq_hz < rate_hz / 2:
-        raise ValueError(f"frequency {freq_hz} Hz outside (0, rate/2)")
+        raise NyquistError(f"frequency {freq_hz} Hz outside the Nyquist "
+                           f"band (0, {rate_hz / 2}) Hz")
     periods = math.floor(n * freq_hz / rate_hz)
     if periods < 1:
-        raise ValueError(
-            f"trace shorter than one period of {freq_hz} Hz"
-        )
+        raise ValueError(f"a {n}-sample window at {rate_hz} Hz is shorter "
+                         f"than one period of {freq_hz} Hz")
     return min(int(round(periods * rate_hz / freq_hz)), n)
+
+
+def check_flashes(freqs, rate_hz: float, n: int):
+    """The one rule for which flash frequencies a window of n samples at
+    rate_hz can tell apart: each below Nyquist (else NyquistError), each
+    filling at least one whole period (else ValueError), and any two more
+    than the window's resolution rate_hz / n apart (else
+    ResolutionError)."""
+    for f in freqs:
+        _trim_window(n, rate_hz, f)
+    # Only a pair needs the resolution, so no n divides without one.
+    for i, f in enumerate(freqs):
+        for g in freqs[i + 1:]:
+            if abs(f - g) <= rate_hz / n:
+                raise ResolutionError(
+                    f"frequencies {f} and {g} Hz closer than the "
+                    f"{rate_hz / n:.3f} Hz resolution of a {n}-sample window")
 
 
 def extract_amplitudes(samples, rate_hz: float, freqs) -> np.ndarray:
@@ -222,19 +244,31 @@ class AmplitudeMap(NamedTuple):
     zero past each frequency's window; m (L,) holds the window lengths.
     P and Q store the real parts of the projections in their first L
     columns and the imaginary parts in the last L, so the map is real
-    matrix products.
+    matrix products.  The map draws the noise itself, trace by trace
+    from each trace's seed as ``trace_noise`` does, so its amplitudes
+    are those of the traces ``synthesize_traces`` makes from the same
+    peaks, sd and seeds.
     """
 
     P: np.ndarray
     Q: np.ndarray
     m: np.ndarray
 
-    def amplitudes(self, peaks, noise=None) -> np.ndarray:
-        """The (F, L) amplitudes of the traces of ``peaks`` (F, C) plus,
-        when given, ``noise`` (F, n)."""
+    def amplitudes(self, peaks, seeds=None, sd: float = 0.0) -> np.ndarray:
+        """The (F, L) amplitudes of the traces of ``peaks`` (F, C), each
+        with Gaussian sensor noise of sd ``sd`` drawn from its own seed,
+        ``seeds[f]`` (sd 0: no noise, and no seeds needed).  The noise of
+        at most TRACE_BATCH traces is drawn at a time; a seed count other
+        than F, or a missing seed, raises ValueError."""
         peaks = np.asarray(peaks, dtype=float)
-        z = (np.zeros((len(peaks), self.P.shape[1])) if noise is None
-             else noise @ self.Q)
+        z = np.zeros((len(peaks), self.P.shape[1]))
+        if sd:
+            if seeds is not None and len(seeds) != len(peaks):
+                raise ValueError(f"{len(seeds)} noise seeds for "
+                                 f"{len(peaks)} traces")
+            for lo in range(0, len(peaks), TRACE_BATCH):
+                z[lo:lo + TRACE_BATCH] = trace_noise(
+                    seeds[lo:lo + TRACE_BATCH], sd, len(self.Q)) @ self.Q
         # Component by component, as synthesis sums them, so that a
         # component at peak 0 adds exactly nothing.
         for peak, row in zip(peaks.T, self.P):
@@ -283,19 +317,15 @@ def identify_lamps(trace: SampleTrace, candidates) -> list[PeakReading]:
     """Per-candidate amplitudes, zeroing readings below the noise floor.
 
     The floor is 3x the median off-candidate DFT bin magnitude of the
-    trace.  Candidates must be separated by more than the window's
-    frequency resolution rate/N.
+    trace.  The candidates must pass ``check_flashes`` on the trace's N
+    samples, as a scenario's lamp flashes do on its window: each below
+    Nyquist, each filling a whole period, and any two more than the
+    resolution rate/N apart.
     """
     candidates = [float(f) for f in candidates]
     n = len(trace.samples)
+    check_flashes(candidates, trace.rate_hz, n)
     resolution = trace.rate_hz / n
-    for i, f in enumerate(candidates):
-        for g in candidates[i + 1:]:
-            if abs(f - g) <= resolution:
-                raise ResolutionError(
-                    f"candidates {f} and {g} Hz closer than the "
-                    f"{resolution:.3f} Hz window resolution"
-                )
 
     spectrum = np.abs(np.fft.rfft(trace.samples - np.mean(trace.samples)))
     freqs = np.fft.rfftfreq(n, d=1.0 / trace.rate_hz)

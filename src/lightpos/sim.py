@@ -24,7 +24,11 @@ End-to-end amplitudes are what synthesizing each face's trace and
 extracting each lamp's flash from it would give; they come from the
 scenario's ``signal.amplitude_map``, the linear map from peaks and sensor
 noise to amplitudes, so no trace is built.  The map leaves the ambient
-DC out: extraction rejects it exactly.
+DC out, as extraction rejects it exactly, and draws each trace's sensor
+noise itself, from the trace seed the fix's stream gives; ``sim`` only
+draws those seeds.  Which lamp flashes a scenario's sensor window can
+tell apart is ``signal.check_flashes``'s rule, the one
+``signal.identify_lamps`` applies to its candidates.
 
 Every pipeline runs on one array core, ``locate_batch``, which chooses
 readings from the measurement arrays and gives the solvers the
@@ -63,7 +67,7 @@ from .signal import (
     AmplitudeMap,
     WaveComponent,
     amplitude_map,
-    trace_noise,
+    check_flashes,
 )
 from .streams import GeneratorStreams, KeyedStreams, normals
 from .solve import (
@@ -79,10 +83,12 @@ from .solve import (
 
 MODE_FAST = "fast"
 MODE_END_TO_END = "end_to_end"
+MODES = (MODE_FAST, MODE_END_TO_END)
 
 PIPELINE_MFLP = "mflp"
 PIPELINE_TRILATERATION = "trilateration"
 PIPELINE_MULTI = "multi"
+PIPELINES = (PIPELINE_MFLP, PIPELINE_TRILATERATION, PIPELINE_MULTI)
 
 # The ValueError ``locate`` raises for a fix, by ``locate_batch`` code.
 LOCATE_ERRORS = ("", "no lamp has three readings above the RSS floor",
@@ -91,10 +97,7 @@ LOCATE_ERRORS = ("", "no lamp has three readings above the RSS floor",
 
 METHOD_MFLP = "mflp"
 METHOD_TRILATERATION = "trilateration"
-
-# End-to-end measurement draws the sensor noise of at most this many
-# traces at a time, which bounds its memory on long runs.
-TRACE_BATCH = 4096
+METHODS = (METHOD_MFLP, METHOD_TRILATERATION)
 
 # Trilateration geometry guards: lamps closer than this or spanning less
 # triangle area give ill-conditioned or ambiguous fixes.
@@ -155,29 +158,11 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         object.__setattr__(self, "lamps", tuple(self.lamps))
-        freqs = [l.flash_hz for l in self.lamps]
-        # Each flash must be sampled below Nyquist and fill at least one
-        # whole period of the window's samples, or it cannot be extracted.
-        samples = round(self.sample_rate_hz * self.window_s)
-        for f in freqs:
-            if f >= self.sample_rate_hz / 2:
-                raise ValueError(
-                    f"lamp flash {f} Hz at or above the Nyquist frequency "
-                    f"of {self.sample_rate_hz} Hz sampling"
-                )
-            if samples * f / self.sample_rate_hz < 1:
-                raise ValueError(
-                    f"a {self.window_s} s window is shorter than one period "
-                    f"of the {f} Hz lamp flash"
-                )
-        resolution = 1.0 / self.window_s
-        for i, fi in enumerate(freqs):
-            for fj in freqs[i + 1:]:
-                if abs(fi - fj) <= resolution:
-                    raise ValueError(
-                        f"lamp frequencies {fi} and {fj} Hz not resolvable "
-                        f"in a {self.window_s} s window"
-                    )
+        # The flashes must be extractable from, and told apart in, the
+        # window's samples, as ``signal.identify_lamps`` requires.
+        check_flashes([lamp.flash_hz for lamp in self.lamps],
+                      self.sample_rate_hz,
+                      round(self.sample_rate_hz * self.window_s))
         for lamp in self.lamps:
             if not self.bounds.contains(lamp.position):
                 raise ValueError("lamp outside scenario bounds")
@@ -376,7 +361,7 @@ def _fix_planes(scn: Scenario, normals_meas, toward) -> np.ndarray:
 
 
 def _check_mode(mode: str):
-    if mode not in (MODE_FAST, MODE_END_TO_END):
+    if mode not in MODES:
         raise ValueError(f"unknown measurement mode {mode!r}")
 
 
@@ -407,10 +392,10 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
     trace per fix and face, ambient DC plus every lamp's flash plus
     sensor noise, mapped to amplitudes by the scenario's
     ``signal.amplitude_map`` without building the trace, or its DC,
-    which extraction rejects exactly; the noise of at most TRACE_BATCH
-    traces is drawn at a time) and the valid readings.  Saturated faces
-    are flagged and excluded.  A pose outside the scenario bounds raises
-    ValueError.
+    which extraction rejects exactly; the map draws each trace's sensor
+    noise from the trace seed drawn here) and the valid readings.
+    Saturated faces are flagged and excluded.  A pose outside the
+    scenario bounds raises ValueError.
     """
     _check_mode(mode)
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
@@ -475,18 +460,9 @@ def _measure_poses(scn: Scenario, poses: _Poses, rngs, mode: str,
     else:
         # One trace per (fix, face): every lamp in order, an unlit one at
         # peak 0 (adding it changes no amplitude).
-        amap = scn.amplitude_map
-        peaks = rss.transpose(0, 2, 1).reshape(-1, n_lamps)
-        if noise.trace_noise_sd == 0:
-            extracted = amap.amplitudes(peaks)
-        else:
-            seeds = draws.ravel().tolist()
-            extracted = np.empty((len(peaks), n_lamps))
-            for lo in range(0, len(peaks), TRACE_BATCH):
-                extracted[lo:lo + TRACE_BATCH] = amap.amplitudes(
-                    peaks[lo:lo + TRACE_BATCH],
-                    trace_noise(seeds[lo:lo + TRACE_BATCH],
-                                noise.trace_noise_sd, len(amap.Q)))
+        extracted = scn.amplitude_map.amplitudes(
+            rss.transpose(0, 2, 1).reshape(-1, n_lamps),
+            draws.ravel().tolist(), noise.trace_noise_sd)
         amps = np.where(lit, extracted.reshape(n_fix, n_faces, n_lamps)
                         .transpose(0, 2, 1), 0.0)
 
@@ -595,7 +571,7 @@ def _trilaterate_fixes(lamps: LampTable, batch, z_receiver):
 
 def _check_pipeline(pipeline: str, m: int):
     """Reject a pipeline ``locate`` does not know, or multi with m < 3."""
-    if pipeline not in (PIPELINE_MFLP, PIPELINE_MULTI, PIPELINE_TRILATERATION):
+    if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
     if pipeline == PIPELINE_MULTI and m < 3:
         raise ValueError("at least three readings are required to solve")
@@ -857,11 +833,11 @@ def _anchor_groups(lamps, method: str) -> np.ndarray:
     """The lamp sets that position a cell when all of them see it: each
     lamp alone for the multi-face method, each valid triple for
     trilateration; a (groups, group size) index array."""
+    if method not in METHODS:
+        raise ValueError(f"unknown coverage method {method!r}")
     if method == METHOD_MFLP:
         return np.arange(len(lamps))[:, None]
-    if method == METHOD_TRILATERATION:
-        return _valid_triples(lamps)
-    raise ValueError(f"unknown coverage method {method!r}")
+    return _valid_triples(lamps)
 
 
 def coverage_analysis(bounds: Aabb, obstacles, lamps, method: str,

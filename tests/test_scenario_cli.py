@@ -852,3 +852,84 @@ def test_cli_signal_and_calibrate_reject_bad_values(tmp_path, capsys,
     p = tmp_path / "input.json"
     p.write_text(json.dumps(doc))
     assert_input_error(capsys, main([command, "--input", str(p)]), message)
+
+
+# Every value a JSON command reads as a number must be a JSON number: a
+# string or a boolean exits 1 naming its field.  Each of these documents
+# was read as a number before, and each command exited 0 on it.
+def _with(doc, path, value):
+    """A copy of ``doc`` whose member at ``path`` is ``value``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _assert_not_a_number(tmp_path, capsys, command, doc, path, value):
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(_with(doc, path, value)))
+    field = "/".join(str(key) for key in path)
+    assert_input_error(capsys, main([command, "--input", str(p)]),
+                       f"{field} must be a number")
+
+
+_COS_ONE = dict(_WORKED, profile={"kind": "cosine_power", "params": [1]})
+_SAMPLED = {"points": _CIRCLE, "samples": [{"mx": 1.0, "my": 0.0}]}
+
+
+@pytest.mark.parametrize("doc, path, value", [
+    (_WORKED, ("k",), "1.0"), (_WORKED, ("k",), True),
+    (_WORKED, ("readings", 1, "s"), str(1 / 900)),
+    (_WORKED, ("readings", 1, "s"), True),
+    (_WORKED, ("readings", 1, "plane", 1), True),
+    (_WORKED, ("readings", 1, "plane", 1), "1"),
+    (_COS_ONE, ("profile", "params", 0), True),
+    (_COS_ONE, ("profile", "params", 0), "1"),
+])
+def test_cli_solve_rejects_strings_and_booleans(tmp_path, capsys, doc,
+                                                path, value):
+    _assert_not_a_number(tmp_path, capsys, "solve", doc, path, value)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("k",), "1"), (("k",), True), (("z_receiver",), True),
+    (("z_receiver",), "0"), (("lamps", 1, 0), "4"), (("lamps", 1, 2), True),
+    (("s", 1), "0.6"), (("s", 1), True),
+])
+def test_cli_trilaterate_rejects_strings_and_booleans(tmp_path, capsys,
+                                                      path, value):
+    _assert_not_a_number(tmp_path, capsys, "trilaterate", _TRIANGLE, path,
+                         value)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("points", 0, 0), "1.0"), (("points", 0, 0), True),
+    (("samples", 0, "mx"), True), (("pitch_deg",), True),
+])
+def test_cli_calibrate_rejects_strings_and_booleans(tmp_path, capsys,
+                                                    path, value):
+    _assert_not_a_number(tmp_path, capsys, "calibrate", _SAMPLED, path,
+                         value)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("components", 0, "peak"), True), (("candidates", 1), "85"),
+    (("candidates", 0), True), (("noise_sd",), True),
+    (("duration_s",), True),
+])
+def test_cli_signal_rejects_strings_and_booleans(tmp_path, capsys, path,
+                                                 value):
+    _assert_not_a_number(tmp_path, capsys, "signal",
+                         dict(_TONE, candidates=[65.0, 85.0]), path, value)
+
+
+@pytest.mark.parametrize("depth", [900, 5000])
+def test_cli_deeply_nested_input_is_input_error(tmp_path, capsys, depth):
+    # Past numpy's 64 dimensions, and past the JSON decoder's recursion
+    # limit, a nested plane exits 1 with no traceback.
+    p = tmp_path / "input.json"
+    p.write_text('{"k": 1.0, "readings": [{"s": 1.0, "plane": '
+                 + "[" * depth + "1" + "]" * depth + "}]}")
+    assert_input_error(capsys, main(["solve", "--input", str(p)]), "")

@@ -331,7 +331,7 @@ def test_amplitude_map_equals_synthesis_then_extraction(batch):
     amap = signal.amplitude_map(components, rate, duration, freqs)
     assert not any(a.flags.writeable for a in amap)
     noise = signal.trace_noise(seeds, noise_sd, n) if noise_sd else None
-    got = amap.amplitudes(peaks, noise)
+    got = amap.amplitudes(peaks, seeds, noise_sd)
     want = extract_amplitudes(
         synthesize_traces(components, peaks, rate, duration, noise_sd, seeds),
         rate, freqs)
@@ -346,7 +346,8 @@ def test_amplitude_map_equals_synthesis_then_extraction(batch):
     with_lamp = signal.amplitude_map(components + [lamp], rate, duration,
                                      freqs)
     zero = np.column_stack([peaks, np.zeros(len(peaks))])
-    assert with_lamp.amplitudes(zero, noise).tobytes() == got.tobytes()
+    assert (with_lamp.amplitudes(zero, seeds, noise_sd).tobytes()
+            == got.tobytes())
     # Without noise, a DC-only trace extracts exactly 0.
     dc_only = np.zeros((len(peaks), len(components) + 1))
     dc_only[:, 0] = 1000.0

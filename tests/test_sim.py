@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lightpos.geom import (
@@ -29,7 +29,7 @@ from lightpos.signal import (
     extract_amplitude,
     synthesize_trace,
 )
-from lightpos import geom, sim, solve
+from lightpos import geom, signal, sim, solve
 from lightpos.solve import (
     SolveResult,
     _invert_distances,
@@ -121,6 +121,56 @@ def test_scenario_rejects_unresolvable_frequencies():
     )
     with pytest.raises(ValueError):
         simple_scenario(lamps=lamps)  # 1 Hz apart in a 0.3 s window
+
+
+@st.composite
+def _flash_plans(draw):
+    """A sampling rate, a window (rate x window often not a whole number
+    of samples) and one to four flash frequencies: anywhere up to past
+    Nyquist, or near one resolution step rate / n, or 1 / window, from
+    the previous one."""
+    rate = draw(st.floats(50.0, 2000.0))
+    window = draw(st.floats(0.005, 0.5))
+    anywhere = st.floats(0.001, 0.6).map(lambda x: x * rate)
+    freqs = [draw(anywhere)]
+    for _ in range(draw(st.integers(0, 3))):
+        step = draw(st.sampled_from([rate / max(round(rate * window), 1),
+                                     1.0 / window]))
+        freqs.append(draw(st.one_of(
+            anywhere,
+            st.floats(0.98, 1.02).map(lambda x: freqs[-1] + x * step))))
+    return rate, window, freqs
+
+
+def _error_class(call):
+    """The class of the ValueError ``call`` raises, or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(plan=_flash_plans())
+# 333 and 334 samples at 1000 Hz: a resolution of 1 / window_s in place
+# of rate / n loaded the first scenario and rejected the second, where
+# identify_lamps rejected the first set and accepted the second.
+@example(plan=(1000.0, 0.3333, [60.0, 63.002, 80.0]))
+@example(plan=(1000.0, 0.3336, [60.0, 62.996, 80.0]))
+def test_scenario_loads_exactly_when_identify_lamps_accepts(plan):
+    # One flash rule: a scenario's lamps load exactly when identify_lamps
+    # accepts their frequencies as candidates on a trace of the scenario's
+    # sample count, and both raise the same error class otherwise.
+    rate, window, freqs = plan
+    n = round(rate * window)
+    assume(n >= 2)  # a trace holds at least two samples
+    lamps = tuple(LampModel([1.0 + 2 * i, 5.0, 3.0], [0, 0, -1], 40.0, COS, f)
+                  for i, f in enumerate(freqs))
+    loads = _error_class(lambda: simple_scenario(
+        lamps=lamps, sample_rate_hz=rate, window_s=window))
+    trace = signal.SampleTrace(rate, np.zeros(n))
+    assert loads is _error_class(lambda: signal.identify_lamps(trace, freqs))
 
 
 def test_scenario_rejects_lamp_outside_bounds():
@@ -358,7 +408,7 @@ def test_end_to_end_batch_matches_per_face_reference(
         monkeypatch, trace_noise_sd, trace_batch):
     # A trace batch of 7 splits the noise of the 36 traces of a call
     # unevenly.
-    monkeypatch.setattr(sim, "TRACE_BATCH", trace_batch)
+    monkeypatch.setattr(signal, "TRACE_BATCH", trace_batch)
     three = load_scenario(resources.files("lightpos") / "fixtures"
                           / "three_lamps.json")
     # A wall, a tilted lamp and a low saturation level leave faces
