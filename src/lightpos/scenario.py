@@ -182,6 +182,10 @@ def parse_scenario(data) -> ScenarioFile:
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
         raise ScenarioFormatError(f"at {path}: {exc.message}") from None
+    except RecursionError:
+        # Reporting a member nested near the recursion limit recurses past it.
+        raise ScenarioFormatError(
+            "document nested past the recursion limit") from None
     for path in _non_finite_paths(data):
         if path != "/noise/seed":  # an integer, of any size
             raise ScenarioFormatError(f"at {path[1:]}: number is not finite")
@@ -239,6 +243,7 @@ def load_scenario(path) -> ScenarioFile:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # A file nested past the recursion limit is malformed input too.
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ScenarioFormatError(f"invalid JSON: {exc}") from None
     return parse_scenario(data)

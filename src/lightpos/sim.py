@@ -158,6 +158,12 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         object.__setattr__(self, "lamps", tuple(self.lamps))
+        for name in ("sample_rate_hz", "window_s"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got "
+                                 f"{getattr(self, name)!r}")
+        if self.sample_rate_hz * self.window_s == math.inf:
+            raise ValueError("sample_rate_hz * window_s samples overflow")
         # The flashes must be extractable from, and told apart in, the
         # window's samples, as ``signal.identify_lamps`` requires.
         check_flashes([lamp.flash_hz for lamp in self.lamps],

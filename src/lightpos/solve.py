@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -76,6 +77,10 @@ LM_LAMBDA0 = 1e-3
 LM_STEP_TOL = 1e-10
 LM_FTOL = 1e-8
 
+# The fix status of each ``levenberg_marquardt`` outcome, indexed by its
+# code: STATUS_CONVERGED (0), STATUS_MAX_ITER (1), STATUS_INFEASIBLE (2).
+_FIX_STATUS = np.array([STATUS_UNIQUE, STATUS_NO_CONVERGE, STATUS_NO_CONVERGE])
+
 _EZ = np.array([0.0, 0.0, 1.0])
 
 # Each of two vectors' components in the order (1, 2, 0, 2, 0, 1): the
@@ -86,19 +91,19 @@ _CROSS_ORDER = np.array([1, 2, 0, 2, 0, 1])
 
 def _steps(a, b):
     """Solutions of a @ x = b per problem, and which problems had a
-    singular matrix (their steps are zero)."""
+    regular matrix: True for all of them, or a mask (a singular one's step
+    is zero)."""
     try:
-        return np.linalg.solve(a, b[:, :, None])[:, :, 0], \
-            np.zeros(len(a), dtype=bool)
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0], True
     except np.linalg.LinAlgError:
         out = np.zeros(b.shape)
-        singular = np.zeros(len(a), dtype=bool)
+        regular = np.ones(len(a), dtype=bool)
         for i in range(len(a)):
             try:
                 out[i] = np.linalg.solve(a[i], b[i])
             except np.linalg.LinAlgError:
-                singular[i] = True
-        return out, singular
+                regular[i] = False
+        return out, regular
 
 
 def levenberg_marquardt(residuals, theta0, max_iter: int = 100):
@@ -122,6 +127,13 @@ def levenberg_marquardt(residuals, theta0, max_iter: int = 100):
     stops unconverged when a rejected, non-singular step takes lambda
     above 1e14, or after ``max_iter`` iterations.  A problem infeasible
     at its start is not iterated.
+
+    An iteration moves the state of its problems (point, residuals,
+    Jacobian, cost and lambda) by one np.where update on which trials were
+    taken.  When all of them were taken, or none (a batch of one always
+    is one or the other), it takes that update restricted to the
+    all-accepted or all-rejected batch: the same values and stop tests,
+    without the masks.
 
     Returns (theta (N, p), cost (N,), status (N,), iterations (N,)), with
     status STATUS_CONVERGED, STATUS_MAX_ITER or STATUS_INFEASIBLE (cost
@@ -148,7 +160,7 @@ def levenberg_marquardt(residuals, theta0, max_iter: int = 100):
             if not act.size:
                 break
             jac_t = jac.transpose(0, 2, 1)
-            step, singular = _steps(
+            step, regular = _steps(
                 np.matmul(jac_t, jac) + lam[:, None, None] * eye,
                 -np.matvec(jac_t, r))
             trial = th + step
@@ -156,18 +168,41 @@ def levenberg_marquardt(residuals, theta0, max_iter: int = 100):
                 trial, act if act.size < n_problems else slice(None))
             f_t = np.vecdot(r_t, r_t)
             better = feasible & (f_t < f)
-            improved = f - f_t
             step_small = np.sqrt(np.vecdot(step, step)) < LM_STEP_TOL
-            th = np.where(better[:, None], trial, th)
-            r = np.where(better[:, None], r_t, r)
-            jac = np.where(better[:, None, None], jac_trial, jac)
-            f = np.where(better, f_t, f)
-            lam = np.where(better, np.maximum(lam * 0.1, 1e-15), lam * 10.0)
-            small_gain = improved <= LM_FTOL * np.maximum(f, 1e-300)
-            converged = np.where(better, step_small | small_gain,
-                                 step_small & ~singular)
-            done = converged | (~better & ~singular & (lam > 1e14))
-            if done.any():
+            accepted = np.count_nonzero(better)
+            # The np.where update below copies r and jac C-contiguous, and
+            # matvec rounds a strided operand (an ``_at_heights`` Jacobian)
+            # differently, so the uniform branches keep them contiguous too.
+            if accepted == act.size:
+                improved, th, f = f - f_t, trial, f_t
+                r = np.ascontiguousarray(r_t)
+                jac = np.ascontiguousarray(jac_trial)
+                lam = np.maximum(lam * 0.1, 1e-15)
+                converged = done = step_small | (
+                    improved <= LM_FTOL * np.maximum(f, 1e-300))
+            elif not accepted:
+                r, jac = np.ascontiguousarray(r), np.ascontiguousarray(jac)
+                lam = lam * 10.0
+                converged = step_small & regular
+                done = converged | (regular & (lam > 1e14))
+            else:
+                improved = f - f_t
+                th = np.where(better[:, None], trial, th)
+                r = np.where(better[:, None], r_t, r)
+                jac = np.where(better[:, None, None], jac_trial, jac)
+                f = np.where(better, f_t, f)
+                lam = np.where(better, np.maximum(lam * 0.1, 1e-15),
+                               lam * 10.0)
+                small_gain = improved <= LM_FTOL * np.maximum(f, 1e-300)
+                converged = np.where(better, step_small | small_gain,
+                                     step_small & regular)
+                done = converged | (~better & regular & (lam > 1e14))
+            n_done = np.count_nonzero(done)
+            if n_done == act.size:  # every problem stops: no compaction
+                theta[act], cost[act], iters[act] = th, f, it
+                status[act[converged]] = STATUS_CONVERGED
+                return theta, cost, status, iters
+            if n_done:
                 rows = act[done]
                 theta[rows], cost[rows], iters[rows] = th[done], f[done], it
                 status[rows[converged[done]]] = STATUS_CONVERGED
@@ -185,8 +220,7 @@ def _lm_fixes(n_fix, rows, points, cost, status, iterations, n):
     out = degenerate_fixes(n_fix)
     out[0][rows] = np.where((status == STATUS_INFEASIBLE)[:, None], np.nan,
                             points)
-    out[1][rows] = np.where(status == STATUS_CONVERGED, STATUS_UNIQUE,
-                            STATUS_NO_CONVERGE)
+    out[1][rows] = _FIX_STATUS[status]
     out[2][rows], out[3][rows] = np.sqrt(cost / n), iterations
     return out
 
@@ -391,7 +425,7 @@ def select_pooled_readings(s, valid, m: int):
     pool = np.where(np.repeat(kept, 3, axis=1),
                     -s_sorted[..., :3].reshape(pooled), np.inf)
     pick = np.argsort(pool, axis=1, kind="stable")[:, :m]
-    faces = np.take_along_axis(order[..., :3].reshape(pooled), pick, 1)
+    faces = order[..., :3].reshape(pooled)[np.arange(len(pick))[:, None], pick]
     return lamp_ids[pick], faces, np.minimum(m, 3 * kept.sum(axis=1))
 
 
@@ -427,16 +461,25 @@ def _multi_residuals(planes, s, lamp_ids, lamps):
     (M, 3): each reading's relative residual in its own lamp's solve
     frame, feasible when every lamp is above (solve-frame z > 0)."""
     position, basis = lamps.position[lamp_ids], lamps.basis[lamp_ids]
-    k = lamps.k[lamp_ids]
+    k, profiles = lamps.k[lamp_ids], lamps.profiles.take(lamp_ids)
     planes = planes[:, :, None, :]
 
+    def problems(rows):
+        b, sa = basis[rows], s[rows]
+        return (b, b.transpose(0, 1, 3, 2), position[rows], planes[rows],
+                k[rows], profiles.take(rows), sa, sa[..., None])
+
+    # Every problem's arrays, for the whole slice the driver passes while
+    # all of them iterate.
+    whole = problems(slice(None))
+
     def residuals(p, rows):
-        b, sa, li = basis[rows], s[rows], lamp_ids[rows]
+        b, b_t, q, pl, kr, prof, sa, sa_col = (
+            whole if isinstance(rows, slice) else problems(rows))
         # Per reading, the lamp's solve-frame position x = B^T (L - p).
-        x = np.matvec(b.transpose(0, 1, 3, 2), position[rows] - p[:, None])
-        m, grad = rss_model(planes[rows], k[rows], lamps.profiles.take(li), x)
-        return ((m[..., 0] - sa) / sa,
-                -np.matvec(b, grad[..., 0, :]) / sa[..., None],
+        x = np.matvec(b_t, q - p[:, None])
+        m, grad = rss_model(pl, kr, prof, x)
+        return ((m[..., 0] - sa) / sa, -np.matvec(b, grad[..., 0, :]) / sa_col,
                 (x[..., 2] > 0).all(axis=1))
 
     return residuals
@@ -457,26 +500,39 @@ def solve_multi(planes, s, lamp_ids, lamps: LampTable):
     # Each problem's readings grouped by lamp, in their order: a lamp's
     # three readings are the runs of three equal lamp indices.
     order = np.argsort(lamp_ids, axis=1, kind="stable")
-    grouped = np.take_along_axis(lamp_ids, order, axis=1)
+    grouped = np.sort(lamp_ids, axis=1)
     if (grouped[:, 3:] == grouped[:, :-3]).any():
         raise ValueError("a problem takes at most three readings of a lamp")
     fix, first = np.nonzero(grouped[:, 2:] == grouped[:, :-2])
-    chosen = (fix[:, None], order[fix[:, None], first[:, None] + np.arange(3)])
-    seeds, unique, _ = closed_form_fixes(
-        planes[chosen], s[chosen], grouped[fix, first, None], lamps)
+    fix_col = fix[:, None]
+    chosen = (fix_col, order[fix_col, first[:, None] + np.arange(3)])
     s3 = s[chosen]
+    seeds, unique, _ = closed_form_fixes(
+        planes[chosen], s3, grouped[fix, first, None], lamps)
     # np.mean's sum, in reading order.
     mean = np.where(unique, (s3[:, 0] + s3[:, 1] + s3[:, 2]) / 3, -np.inf)
-    # Per problem, its lamps by mean descending, stably in lamp order.
+    # Per problem, its lamps by mean descending, stably in lamp order; the
+    # first of each problem is its seed when that closed form is unique.
     by_mean = np.lexsort((-mean, fix))
-    best = by_mean[np.unique(fix[by_mean], return_index=True)[1]]
-    best = best[mean[best] > -np.inf]
+    ranked = fix[by_mean]
+    leads = np.ones(len(ranked), dtype=bool)
+    leads[1:] = ranked[1:] != ranked[:-1]
+    best = by_mean[leads & (mean[by_mean] > -np.inf)]
 
     seeded = fix[best]
     p, cost, status, iters = levenberg_marquardt(
         _multi_residuals(planes[seeded], s[seeded], lamp_ids[seeded], lamps),
         seeds[best], max_iter=400)
     return _lm_fixes(len(s), seeded, p, cost, status, iters, s.shape[1])
+
+
+@lru_cache(maxsize=16)
+def _triples(n: int):
+    """The plan-view triangles of n lamps, their index triples in
+    ``combinations`` order as (3, C) rows, shared and read-only."""
+    triples = np.array(list(combinations(range(n), 3))).T
+    triples.flags.writeable = False
+    return triples
 
 
 def _invert_distances(k, profile, dz, s):
@@ -486,12 +542,13 @@ def _invert_distances(k, profile, dz, s):
     [dz (1 + 1e-9), dz + 1 doubled until >= dz + 1e6].  Cosine-power lamps
     invert in closed form, d^(3 + gamma) = k dz^(1 + gamma) / s, in logs;
     polynomial lamps bisect together until no interval shrinks any more."""
-    gamma, top, lo = profile.gamma, dz + 1e6, dz * (1 + 1e-9)
-    cap = np.ldexp(dz + 1.0, np.frexp(top / (dz + 1.0))[1])
-    cap = np.where(cap / 2 >= top, cap / 2, cap)
+    gamma, top, lo, dz1 = profile.gamma, dz + 1e6, dz * (1 + 1e-9), dz + 1.0
+    cap = np.ldexp(dz1, np.frexp(top / dz1)[1])
+    half = cap / 2
+    cap = np.where(half >= top, half, cap)
     d = np.clip(np.exp(((1 + gamma) * np.log(dz) + np.log(k) - np.log(s))
                        / (3 + gamma)), lo, cap)
-    if not np.any(bisect := np.isnan(gamma)):
+    if not (bisect := np.isnan(gamma)).any():
         return d
 
     def val(d):
@@ -502,7 +559,7 @@ def _invert_distances(k, profile, dz, s):
         return rss_model(_EZ[None], k, profile, x, gradient=False)[0][..., 0]
 
     # Closed-form lamps hold a bracket of width 0 at d.
-    lo, hi = np.where(bisect, lo, d), np.where(bisect, dz + 1.0, d)
+    lo, hi = np.where(bisect, lo, d), np.where(bisect, dz1, d)
     while (grow := bisect & (val(hi) > s) & (hi < top)).any():
         hi = np.where(grow, hi * 2.0, hi)
     for _ in range(200):
@@ -518,8 +575,11 @@ def _at_heights(residuals, z):
     """A callback over positions (M, 3), such as ``_multi_residuals``, as
     one over plan-view positions (M, 2) at the problems' heights ``z``
     (N,): each z appended, the Jacobian's z column dropped."""
+    z = z[:, None]
+
     def at_heights(xy, rows):
-        r, jac, feasible = residuals(np.column_stack([xy, z[rows]]), rows)
+        r, jac, feasible = residuals(np.concatenate((xy, z[rows]), axis=1),
+                                     rows)
         return r, jac[..., :2], feasible
 
     return at_heights
@@ -556,9 +616,10 @@ def trilaterate_batch(planes, s, lamp_ids, lamps: LampTable,
     z0 = np.asarray(z_receiver, dtype=float) if z_fixed else np.zeros(n_fix)
     position = lamps.position[lamp_ids]
     xy = position[..., :2]
-    centered = xy - xy.mean(axis=1)[:, None]
+    # np.mean: the sum, then one division.
+    centered = xy - (xy.sum(axis=1) / n)[:, None]
     spread = np.sqrt(np.vecdot(centered, centered)).max(axis=1)
-    a, b, c = (xy[:, i] for i in np.array(list(combinations(range(n), 3))).T)
+    a, b, c = xy[:, _triples(n)].swapaxes(0, 1)
     u, v = b - a, c - a
     area = 0.5 * np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
                         ).max(axis=1)
@@ -571,10 +632,10 @@ def trilaterate_batch(planes, s, lamp_ids, lamps: LampTable,
     position, s, ids, dz0 = position[rows], s[rows], lamp_ids[rows], dz0[rows]
     d_est = _invert_distances(lamps.k[ids], lamps.profiles.take(ids), dz0, s)
     lhs = 2 * (position[:, 1:, :2] - position[:, :1, :2])
-    rhs = (d_est[:, :1] ** 2 - d_est[:, 1:] ** 2
-           + (position[:, 1:, :2] ** 2).sum(axis=2)
-           - (position[:, :1, :2] ** 2).sum(axis=2)
-           + dz0[:, 1:] ** 2 - dz0[:, :1] ** 2)
+    d_sq, dz_sq = d_est ** 2, dz0 ** 2
+    xy_sq = (position[..., :2] ** 2).sum(axis=2)
+    rhs = (d_sq[:, :1] - d_sq[:, 1:] + xy_sq[:, 1:] - xy_sq[:, :1]
+           + dz_sq[:, 1:] - dz_sq[:, :1])
     xy = np.matvec(np.linalg.pinv(lhs), rhs)
 
     z0 = z0[rows]

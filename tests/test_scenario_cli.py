@@ -148,6 +148,19 @@ def test_cli_simulate_missing_scenario_is_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", [990, 5000])
+def test_cli_deeply_nested_scenario_is_input_error(tmp_path, capsys, depth):
+    # A member of 5,000 nested lists is past the JSON decoder's recursion
+    # limit; one of 990 is near it, where decoding or reporting the bad
+    # member recurses past it.  Either file exits 1 with no traceback.
+    text = (FIXTURES / "empty_room.json").read_text(encoding="utf-8")
+    end = text.rindex("}")
+    p = tmp_path / "nested.json"
+    p.write_text(text[:end] + ', "points": ' + "[" * depth + "]" * depth
+                 + text[end:], encoding="utf-8")
+    assert_input_error(capsys, main(["simulate", "--scenario", str(p)]), "")
+
+
 @pytest.mark.parametrize("command", ["simulate", "sensitivity"])
 def test_cli_negative_seed_is_input_error(capsys, command):
     rc = main([command, "--scenario", fixture_path("empty_room.json"),

@@ -114,6 +114,20 @@ def test_noise_spec_validation():
                 NoiseSpec(**{field: bad})
 
 
+@pytest.mark.parametrize("field", ["sample_rate_hz", "window_s"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -320.0])
+def test_scenario_rejects_bad_rate_or_window(field, bad):
+    # A ValueError naming the field, not an OverflowError from the sample
+    # count or a Nyquist band of negative width.
+    with pytest.raises(ValueError, match=field):
+        simple_scenario(**{field: bad})
+
+
+def test_scenario_rejects_an_overflowing_sample_count():
+    with pytest.raises(ValueError, match="overflow"):
+        simple_scenario(sample_rate_hz=1e300, window_s=1e10)
+
+
 def test_scenario_rejects_unresolvable_frequencies():
     lamps = (
         LampModel([3, 5, 3], [0, 0, -1], 40.0, COS, 65.0),
