@@ -26,7 +26,13 @@ from .report import (
     render_json,
     stats_row,
 )
-from .scenario import ScenarioFormatError, load_scenario, profile_from_json
+from .scenario import (
+    ScenarioFormatError,
+    _json,
+    _numbers,
+    load_scenario,
+    profile_from_json,
+)
 from .sim import (
     METHODS,
     MODES,
@@ -47,42 +53,6 @@ EXIT_SOLVE = 2
 
 class _InputError(Exception):
     pass
-
-
-# The Python types a decoded JSON value of each kind has.  A JSON
-# boolean is no number, though Python's bool is an int.
-_JSON_TYPES = {"an integer": (int,), "a number": (int, float),
-               "a number or null": (int, float, type(None)),
-               "a list": (list,), "an object": (dict,)}
-
-
-def _json(value, name: str, kind: str = "a number"):
-    """``value`` if JSON gave it as ``kind`` (a key of _JSON_TYPES), else
-    a ValueError naming the field ``name``."""
-    if type(value) not in _JSON_TYPES[kind]:
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
-    return value
-
-
-def _numbers(value, name: str):
-    """``value`` if it is a number or a list whose items are such values
-    (its shape is the reader's to check), at any depth; else a ValueError
-    naming, by its JSON path, the first item that is not."""
-    todo = [(name, value)]
-    while todo:
-        at, item = todo.pop()
-        if type(item) is list:
-            todo += reversed([(f"{at}/{i}", x) for i, x in enumerate(item)])
-        else:
-            _json(item, at)
-    return value
-
-
-def _profile(data):
-    """A solver input's emission profile, its params JSON numbers."""
-    if "profile" in data:
-        _numbers(data["profile"]["params"], "profile/params")
-    return profile_from_json(data)
 
 
 def _load_json(path):
@@ -190,7 +160,7 @@ def _cmd_solve(args):
             for name in ("lamp_id", "face_id"):
                 _json(r.get(name, 0), at + name, "an integer")
         res = mflp_least_squares(planes, s, float(_json(data["k"], "k")),
-                                 _profile(data))
+                                 profile_from_json(data))
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise _InputError(str(exc)) from None
     return _emit_solve_result(res, args.out)
@@ -202,8 +172,9 @@ def _cmd_trilaterate(args):
         # A null or absent receiver height is solved for.
         z = _json(data.get("z_receiver"), "z_receiver", "a number or null")
         res = trilaterate(_numbers(data["lamps"], "lamps"),
-                          float(_json(data["k"], "k")), _profile(data),
-                          _numbers(data["s"], "s"), z_receiver=z)
+                          float(_json(data["k"], "k")),
+                          profile_from_json(data), _numbers(data["s"], "s"),
+                          z_receiver=z)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise _InputError(str(exc)) from None
     return _emit_solve_result(res, args.out)

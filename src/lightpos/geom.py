@@ -36,6 +36,20 @@ class DegenerateGeometryError(ValueError):
     """Raised when an input configuration has no usable geometry."""
 
 
+def check_finite(name: str, value, low: float = -math.inf,
+                 strict: bool = False):
+    """``value`` if it is finite and at least ``low``, or above it when
+    ``strict``; else a ValueError naming ``name``.  The models and the
+    functions that share their rules check their numbers with it."""
+    if not (-math.inf < value < math.inf
+            and (value > low if strict else value >= low)):
+        rule = "finite"
+        if low > -math.inf:
+            rule += f" and {'>' if strict else '>='} {low:g}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
 def unit(v) -> np.ndarray:
     """Return v normalized to unit length; reject near-zero and
     non-finite vectors, and those whose length overflows."""
@@ -133,8 +147,7 @@ def half_dodecahedron(edge_length: float) -> Polyhedron:
     """Upper half of a regular dodecahedron: a top face with vertical
     normal plus five faces tilted arctan(2) from vertical, azimuths 72
     degrees apart.  Face centroids sit at the dodecahedron inradius."""
-    if edge_length <= 0:
-        raise ValueError("edge length must be positive")
+    check_finite("edge length", edge_length, 0, strict=True)
     theta = math.atan(2.0)  # supplement of the 116.565-degree dihedral
     inradius = 0.5 * edge_length * math.sqrt((25 + 11 * math.sqrt(5)) / 10)
     normals = [np.array([0.0, 0.0, 1.0])]
@@ -156,8 +169,7 @@ def half_dodecahedron(edge_length: float) -> Polyhedron:
 def tri_face_min_distance(edge_length: float) -> float:
     """Distance beyond which any point sees at least three faces of a
     regular dodecahedron of the given edge length (about 2.49x the edge)."""
-    if edge_length <= 0:
-        raise ValueError("edge length must be positive")
+    check_finite("edge length", edge_length, 0, strict=True)
     s5 = math.sqrt(5.0)
     return (
         math.sqrt(1 + 0.4 * s5) + 0.5 * math.sqrt(2.5 + 1.1 * s5)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import solve_frame_basis, unit
+from .geom import check_finite, solve_frame_basis, unit
 
 # The validation grid of omega on [0, pi/2], and as unit vectors.
 _GRID = np.linspace(0.0, math.pi / 2, 1024)
@@ -65,13 +65,16 @@ class EmissionProfile:
         elif not params:
             raise ProfileError("polynomial takes at least one coefficient")
         object.__setattr__(self, "params", params)
-        vals, _ = self.evaluate(_GRID_X)
+        # Huge coefficients overflow f to inf on the grid, which the
+        # checks below reject.
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals, _ = self.evaluate(_GRID_X)
+            diffs = np.diff(vals)
         if vals[0] <= 0:
             raise ProfileError("profile must be positive at omega = 0")
         if np.any(vals < 0):
             i = int(np.argmax(vals < 0))
             raise ProfileError(f"profile negative at omega = {_GRID[i]:.6f}")
-        diffs = np.diff(vals)
         if np.any(diffs >= 0):
             i = int(np.argmax(diffs >= 0))
             raise ProfileError(
@@ -184,10 +187,8 @@ class LampModel:
         object.__setattr__(self, "central_ray", unit(self.central_ray))
         if not np.all(np.isfinite(self.position)):
             raise ValueError("lamp position must be finite")
-        if not 0 < self.k < math.inf:
-            raise ValueError("lamp intensity constant must be positive and finite")
-        if not 0 < self.flash_hz < math.inf:
-            raise ValueError("lamp flash frequency must be positive and finite")
+        check_finite("k", self.k, 0, strict=True)
+        check_finite("flash_hz", self.flash_hz, 0, strict=True)
         if not self.range_m > 0:
             raise ValueError("lamp range must be positive (inf for unbounded)")
         object.__setattr__(self, "solve_basis",

@@ -1,124 +1,58 @@
-"""Scenario file loading: JSON schema validation and conversion to the
-simulation model.
+"""Scenario file loading: a JSON document's shape, read into the model.
 
 Files use meters, degrees, and Hz; angles are converted to radians on
-load.  Validation failures report the JSON path of the offending field.
+load.  The loader checks each object's keys, each list's length and that
+every number is a finite JSON number; the model constructors own every
+value rule, for files and the Python API alike.  An error opens with the
+JSON path of the bad member, or of the object whose constructor rejected
+it: ``at lamps/1: k must be finite and > 0, got -1.0``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
 
-from .geom import Aabb
+from .geom import Aabb, check_finite
 from .rss import KIND_COSINE_POWER, EmissionProfile, LampModel, make_profile
 from .sim import NoiseSpec, ReceiverSpec, Scenario
 
-_VEC3 = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 3,
-    "maxItems": 3,
-}
+# A scenario document's top-level keys; bounds and lamps are required.
+SCENARIO_KEYS = ("bounds", "lamps", "obstacles", "candidates", "receiver",
+                 "noise", "saturation", "ambient_dc", "sample_rate_hz",
+                 "window_s", "points", "trajectory", "coverage")
 
-_BOX = {
-    "type": "object",
-    "properties": {"min": _VEC3, "max": _VEC3},
-    "required": ["min", "max"],
-    "additionalProperties": False,
-}
-
-_PROFILE = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["cosine_power", "polynomial"]},
-        "params": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-    },
-    "required": ["kind", "params"],
-    "additionalProperties": False,
-}
-
-_LAMP = {
-    "type": "object",
-    "properties": {
-        "position": _VEC3,
-        "central_ray": _VEC3,
-        "k": {"type": "number", "exclusiveMinimum": 0},
-        "profile": _PROFILE,
-        "flash_hz": {"type": "number", "exclusiveMinimum": 0},
-        "range_m": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["position", "k", "flash_hz"],
-    "additionalProperties": False,
-}
-
-SCHEMA = {
-    "type": "object",
-    "properties": {
-        "bounds": _BOX,
-        "obstacles": {"type": "array", "items": _BOX},
-        "lamps": {"type": "array", "items": _LAMP, "minItems": 1},
-        "candidates": {"type": "array", "items": _LAMP},
-        "receiver": {
-            "type": "object",
-            "properties": {
-                "edge_length_m": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "noise": {
-            "type": "object",
-            "properties": {
-                "rss_epsilon": {"type": "number", "minimum": 0, "maximum": 0.2},
-                "heading_epsilon_deg": {"type": "number", "minimum": 0},
-                "accel_sd": {"type": "number", "minimum": 0},
-                "trace_noise_sd": {"type": "number", "minimum": 0},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "saturation": {"type": "number", "exclusiveMinimum": 0},
-        "ambient_dc": {"type": "number", "minimum": 0},
-        "sample_rate_hz": {"type": "number", "exclusiveMinimum": 0},
-        "window_s": {"type": "number", "exclusiveMinimum": 0},
-        "points": {"type": "array", "items": _VEC3, "minItems": 1},
-        "trajectory": {
-            "type": "object",
-            "properties": {
-                "waypoints": {"type": "array", "items": _VEC3, "minItems": 2},
-                "speed_mps": {"type": "number", "exclusiveMinimum": 0},
-                "interval_s": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["waypoints", "speed_mps", "interval_s"],
-            "additionalProperties": False,
-        },
-        "coverage": {
-            "type": "object",
-            "properties": {
-                "cell_size_m": {"type": "number", "exclusiveMinimum": 0},
-                "receiver_height_m": {"type": "number"},
-            },
-            "additionalProperties": False,
-        },
-    },
-    "required": ["bounds", "lamps"],
-    "additionalProperties": False,
-}
+# The Python types a decoded JSON value of each kind has.  A JSON
+# boolean is no number, though Python's bool is an int.
+_JSON_TYPES = {"an integer": (int,), "a number": (int, float),
+               "a number or null": (int, float, type(None)),
+               "a string": (str,), "a list": (list,), "an object": (dict,)}
 
 
 class ScenarioFormatError(ValueError):
-    """Raised for scenario files that fail schema or model validation."""
+    """Raised for scenario files that break a shape or model rule."""
 
 
 @dataclass(frozen=True)
 class Trajectory:
+    """A piecewise-linear walk through its waypoints, sampled every
+    ``interval_s`` seconds at ``speed_mps``."""
+
     waypoints: tuple
     speed_mps: float
     interval_s: float
+
+    def __post_init__(self):
+        if len(self.waypoints) < 2:
+            raise ValueError("a trajectory needs at least 2 waypoints, got "
+                             f"{len(self.waypoints)}")
+        # The rules sim.sample_trajectory applies to its speed and interval.
+        check_finite("speed_mps", self.speed_mps, 0, strict=True)
+        check_finite("interval_s", self.interval_s, 0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -132,110 +66,181 @@ class ScenarioFile:
     cell_size_m: float = 0.3
     receiver_height_m: float = 0.0
 
-
-def _given(obj, *keys) -> dict:
-    """The members among ``keys`` that a file object sets."""
-    return {key: obj[key] for key in keys if key in obj}
-
-
-def profile_from_json(obj) -> EmissionProfile:
-    """A lamp or solver input's profile, cos(omega) when it sets none."""
-    profile = obj.get("profile", {"kind": KIND_COSINE_POWER, "params": [1.0]})
-    return make_profile(profile["kind"], profile["params"])
+    def __post_init__(self):
+        # The rules sim.grid_cells applies to its cell size and height.
+        check_finite("cell_size_m", self.cell_size_m, 0, strict=True)
+        check_finite("receiver_height_m", self.receiver_height_m)
+        for i, lamp in enumerate(self.candidates):
+            if not self.scenario.bounds.contains(lamp.position):
+                raise ValueError(f"candidates/{i} lies outside the scenario "
+                                 "bounds")
 
 
-def _lamp_from_json(obj) -> LampModel:
-    return LampModel(
-        position=np.array(obj["position"], dtype=float),
-        central_ray=np.array(obj.get("central_ray", [0.0, 0.0, -1.0])),
-        k=obj["k"],
-        profile=profile_from_json(obj),
-        flash_hz=obj["flash_hz"],
-        **_given(obj, "range_m"),
-    )
+def _json(value, path: str, kind: str = "a number"):
+    """``value`` if JSON gave it as ``kind`` (a key of _JSON_TYPES), and
+    finite if it is a number, unless ``kind`` is "an integer" (of any
+    size); else a ValueError naming the member by its JSON ``path``."""
+    if type(value) not in _JSON_TYPES[kind]:
+        # A container is named, not printed: it may nest deep.
+        got = {list: "a list", dict: "an object"}.get(type(value)) \
+            or repr(value)
+        raise ValueError(f"at {path or '(top level)'}: must be {kind}, "
+                         f"got {got}")
+    # An int past the float range is not finite either.
+    if kind != "an integer" and type(value) in (int, float) \
+            and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"at {path}: number is not finite")
+    return value
 
 
-def _is_finite(x) -> bool:
+def _numbers(value, path: str):
+    """``value`` if it is a number or a list whose items are such values
+    (its shape is the reader's to check), at any depth; else a ValueError
+    naming, by its JSON path, the first item that is not."""
+    todo = [(path, value)]
+    while todo:
+        at, item = todo.pop()
+        if type(item) is list:
+            todo += reversed([(f"{at}/{i}", x) for i, x in enumerate(item)])
+        else:
+            _json(item, at)
+    return value
+
+
+def _child(path: str, key) -> str:
+    return f"{path}/{key}" if path else str(key)
+
+
+def _object(value, path: str, allowed, required=()) -> dict:
+    """``value`` if it is a JSON object whose keys are among ``allowed``
+    and include ``required``."""
+    _json(value, path, "an object")
+    for key in value:
+        if key not in allowed:
+            raise ValueError(f"at {_child(path, key)}: unknown key")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"at {_child(path, key)}: required key missing")
+    return value
+
+
+def _each(value, path: str, read, least: int = 0,
+          most: float = math.inf) -> tuple:
+    """``read(item, item_path)`` of each item of ``value``, a JSON list of
+    ``least`` to ``most`` items."""
+    _json(value, path, "a list")
+    if not least <= len(value) <= most:
+        want = least if least == most else f"at least {least}"
+        raise ValueError(f"at {path}: {len(value)} items, expected {want}")
+    return tuple(read(item, f"{path}/{i}") for i, item in enumerate(value))
+
+
+def _vector(value, path: str) -> np.ndarray:
+    """A point or direction: three finite JSON numbers, as floats."""
+    return np.array(_each(value, path, _json, 3, 3), dtype=float)
+
+
+def _given(obj, path: str, *keys) -> dict:
+    """The members among ``keys`` that a file object sets, each a finite
+    JSON number."""
+    return {key: _json(obj[key], _child(path, key)) for key in keys
+            if key in obj}
+
+
+def _build(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``: its ValueError opens with the JSON path
+    of the object it builds."""
     try:
-        return math.isfinite(x)
-    except OverflowError:  # an integer past the float range
-        return False
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"at {path or '(top level)'}: {exc}") from None
 
 
-def _non_finite_paths(node, path=""):
-    # JSON paths of the numbers no finite float holds in a decoded
-    # document: Python's json module reads NaN, Infinity and 1e999 as
-    # floats, and 10**400 written out as an int.
-    if isinstance(node, (int, float)) and not _is_finite(node):
-        yield path
-    elif isinstance(node, (dict, list)):
-        items = node.items() if isinstance(node, dict) else enumerate(node)
-        for key, child in items:
-            yield from _non_finite_paths(child, f"{path}/{key}")
+def profile_from_json(obj, path: str = "") -> EmissionProfile:
+    """The ``profile`` member of the lamp or solver input ``obj`` at JSON
+    ``path``, a ``kind`` string and a list of ``params`` numbers; cos(omega)
+    when it sets none."""
+    if "profile" not in obj:
+        return make_profile(KIND_COSINE_POWER, [1.0])
+    at = _child(path, "profile")
+    profile = _object(obj["profile"], at, ("kind", "params"),
+                      ("kind", "params"))
+    return _build(at, make_profile,
+                  _json(profile["kind"], f"{at}/kind", "a string"),
+                  _each(profile["params"], f"{at}/params", _json))
+
+
+def _lamp(obj, path: str) -> LampModel:
+    _object(obj, path, ("position", "central_ray", "k", "profile",
+                        "flash_hz", "range_m"), ("position", "k", "flash_hz"))
+    ray = (_vector(obj["central_ray"], f"{path}/central_ray")
+           if "central_ray" in obj else np.array([0.0, 0.0, -1.0]))
+    return _build(path, LampModel,
+                  _vector(obj["position"], f"{path}/position"), ray,
+                  _json(obj["k"], f"{path}/k"),
+                  profile_from_json(obj, path),
+                  _json(obj["flash_hz"], f"{path}/flash_hz"),
+                  **_given(obj, path, "range_m"))
+
+
+def _box(obj, path: str) -> Aabb:
+    _object(obj, path, ("min", "max"), ("min", "max"))
+    return _build(path, Aabb, _vector(obj["min"], f"{path}/min"),
+                  _vector(obj["max"], f"{path}/max"))
+
+
+def _receiver(obj) -> ReceiverSpec:
+    _object(obj, "receiver", ("edge_length_m",))
+    edge = _given(obj, "receiver", "edge_length_m")
+    return _build("receiver", ReceiverSpec.default, *edge.values())
+
+
+def _noise(obj) -> NoiseSpec:
+    _object(obj, "noise", ("rss_epsilon", "heading_epsilon_deg", "accel_sd",
+                           "trace_noise_sd", "seed"))
+    values = _given(obj, "noise", "rss_epsilon", "accel_sd", "trace_noise_sd")
+    if "heading_epsilon_deg" in obj:
+        values["heading_epsilon"] = math.radians(
+            _json(obj["heading_epsilon_deg"], "noise/heading_epsilon_deg"))
+    if "seed" in obj:  # an integer of any size
+        values["seed"] = _json(obj["seed"], "noise/seed", "an integer")
+    return _build("noise", NoiseSpec, **values)
+
+
+def _trajectory(obj) -> Trajectory:
+    keys = ("waypoints", "speed_mps", "interval_s")
+    _object(obj, "trajectory", keys, keys)
+    return _build("trajectory", Trajectory,
+                  _each(obj["waypoints"], "trajectory/waypoints", _vector),
+                  _json(obj["speed_mps"], "trajectory/speed_mps"),
+                  _json(obj["interval_s"], "trajectory/interval_s"))
 
 
 def parse_scenario(data) -> ScenarioFile:
-    """Validate a decoded scenario document, whose numbers must all be
-    finite, and build the model objects."""
+    """Check a decoded scenario document's shape, whose numbers must all
+    be finite, and build the model objects, which check its values."""
     try:
-        jsonschema.validate(data, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ScenarioFormatError(f"at {path}: {exc.message}") from None
-    except RecursionError:
-        # Reporting a member nested near the recursion limit recurses past it.
-        raise ScenarioFormatError(
-            "document nested past the recursion limit") from None
-    for path in _non_finite_paths(data):
-        if path != "/noise/seed":  # an integer, of any size
-            raise ScenarioFormatError(f"at {path[1:]}: number is not finite")
-
-    try:
-        bounds = Aabb(data["bounds"]["min"], data["bounds"]["max"])
-        obstacles = tuple(
-            Aabb(o["min"], o["max"]) for o in data.get("obstacles", [])
-        )
-        lamps = tuple(_lamp_from_json(l) for l in data["lamps"])
-        candidates = tuple(_lamp_from_json(l) for l in data.get("candidates", []))
-        rx = data.get("receiver", {})
-        receiver = (ReceiverSpec.default(rx["edge_length_m"])
-                    if "edge_length_m" in rx else ReceiverSpec.default())
-        noise = dict(data.get("noise", {}))
-        if "heading_epsilon_deg" in noise:
-            noise["heading_epsilon"] = math.radians(
-                noise.pop("heading_epsilon_deg"))
-        scn = Scenario(
-            bounds=bounds,
-            obstacles=obstacles,
-            lamps=lamps,
-            receiver=receiver,
-            noise=NoiseSpec(**noise),
-            **_given(data, "saturation", "ambient_dc", "sample_rate_hz",
-                     "window_s"),
-        )
+        _object(data, "", SCENARIO_KEYS, ("bounds", "lamps"))
+        scn = _build("", Scenario, _box(data["bounds"], "bounds"),
+                     _each(data.get("obstacles", []), "obstacles", _box),
+                     _each(data["lamps"], "lamps", _lamp, least=1),
+                     _receiver(data.get("receiver", {})),
+                     _noise(data.get("noise", {})),
+                     **_given(data, "", "saturation", "ambient_dc",
+                              "sample_rate_hz", "window_s"))
+        coverage = _object(data.get("coverage", {}), "coverage",
+                           ("cell_size_m", "receiver_height_m"))
+        return _build("", ScenarioFile, scn,
+                      _each(data["points"], "points", _vector, least=1)
+                      if "points" in data else (),
+                      _trajectory(data["trajectory"])
+                      if "trajectory" in data else None,
+                      _each(data.get("candidates", []), "candidates",
+                            _lamp),
+                      **_given(coverage, "coverage", "cell_size_m",
+                               "receiver_height_m"))
     except ValueError as exc:
         raise ScenarioFormatError(str(exc)) from None
-    for i, lamp in enumerate(candidates):
-        if not bounds.contains(lamp.position):
-            raise ScenarioFormatError(
-                f"at candidates/{i}: lamp site outside scenario bounds")
-
-    traj = None
-    if "trajectory" in data:
-        t = data["trajectory"]
-        traj = Trajectory(
-            tuple(np.array(w, dtype=float) for w in t["waypoints"]),
-            t["speed_mps"],
-            t["interval_s"],
-        )
-    return ScenarioFile(
-        scenario=scn,
-        points=tuple(np.array(p, dtype=float) for p in data.get("points", [])),
-        trajectory=traj,
-        candidates=candidates,
-        **_given(data.get("coverage", {}), "cell_size_m",
-                 "receiver_height_m"),
-    )
 
 
 def load_scenario(path) -> ScenarioFile:

@@ -195,6 +195,9 @@ def check_flashes(freqs, rate_hz: float, n: int):
     filling at least one whole period (else ValueError), and any two more
     than the window's resolution rate_hz / n apart (else
     ResolutionError)."""
+    # Then n * f / rate_hz stays finite for each f below rate_hz / 2.
+    if n * rate_hz == math.inf:
+        raise ValueError(f"{n:g} samples at {rate_hz} Hz overflow")
     for f in freqs:
         _trim_window(n, rate_hz, f)
     # Only a pair needs the resolution, so no n divides without one.

@@ -55,6 +55,7 @@ from .geom import (
     Aabb,
     Attitude,
     Polyhedron,
+    check_finite,
     half_dodecahedron,
     receiver_rotation,
     receiver_rotations,
@@ -129,9 +130,12 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.rss_epsilon <= 0.2:
             raise ValueError("rss_epsilon outside [0, 0.2]")
-        if not all(0 <= v < math.inf for v in (
-                self.heading_epsilon, self.accel_sd, self.trace_noise_sd)):
-            raise ValueError("noise magnitudes must be nonnegative and finite")
+        for name in ("heading_epsilon", "accel_sd", "trace_noise_sd"):
+            check_finite(name, getattr(self, name), 0)
+        # Any Python int, however large; a bool or a float is no seed.
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer, got "
+                             f"{self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -158,10 +162,9 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         object.__setattr__(self, "lamps", tuple(self.lamps))
-        for name in ("sample_rate_hz", "window_s"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got "
-                                 f"{getattr(self, name)!r}")
+        for name in ("saturation", "sample_rate_hz", "window_s"):
+            check_finite(name, getattr(self, name), 0, strict=True)
+        check_finite("ambient_dc", self.ambient_dc, 0)
         if self.sample_rate_hz * self.window_s == math.inf:
             raise ValueError("sample_rate_hz * window_s samples overflow")
         # The flashes must be extractable from, and told apart in, the
@@ -628,8 +631,8 @@ def sample_trajectory(waypoints, speed: float, interval_s: float):
     A path of more than MAX_TRAJECTORY_EPOCHS intervals raises ValueError
     before any is sampled."""
     waypoints = [np.asarray(w, dtype=float) for w in waypoints]
-    if interval_s <= 0 or speed <= 0:
-        raise ValueError("speed and interval must be positive")
+    check_finite("speed", speed, 0, strict=True)
+    check_finite("interval_s", interval_s, 0, strict=True)
     if len(waypoints) == 1:
         return [(0.0, waypoints[0])]
     legs = [(a, b, np.linalg.norm(b - a))
@@ -770,9 +773,8 @@ def grid_cells(bounds: Aabb, cell_size: float, height: float) -> np.ndarray:
     """Cell-center grid over the floorplan at the receiver height, as a
     (K, 3) array in x-major order.  A grid of more than MAX_GRID_CELLS
     cells raises ValueError before anything is allocated."""
-    if not (0 < cell_size < math.inf and math.isfinite(height)):
-        raise ValueError("cell size must be positive and finite, and the "
-                         "receiver height finite")
+    check_finite("cell size", cell_size, 0, strict=True)
+    check_finite("receiver height", height)
     starts = bounds.lo[:2] + cell_size / 2
     # np.arange's own lengths, ceil((stop - start) / step), in Python
     # floats: a span over a tiny cell counts inf.  Each axis is capped

@@ -7,17 +7,17 @@ from pathlib import Path
 import lightpos
 
 # Prints the third-party packages that importing every lightpos module
-# loads beyond numpy and jsonschema, the declared dependencies.
+# loads beyond numpy, the one declared dependency.
 _IMPORT_ALL = """
 import importlib, pkgutil, sys
-import jsonschema, numpy
+import numpy
 before = set(sys.modules)
 import lightpos
 for module in pkgutil.iter_modules(lightpos.__path__, "lightpos."):
     importlib.import_module(module.name)
 print(sorted({name.split(".")[0] for name in set(sys.modules) - before}
              - set(sys.stdlib_module_names)
-             - {"lightpos", "numpy", "jsonschema"}))
+             - {"lightpos", "numpy"}))
 """
 
 
@@ -38,7 +38,7 @@ def _run_fresh(script: str) -> str:
                           check=True).stdout.strip()
 
 
-def test_lightpos_imports_only_numpy_and_jsonschema():
+def test_lightpos_imports_only_numpy():
     assert _run_fresh(_IMPORT_ALL) == "[]"
 
 

@@ -1,6 +1,7 @@
 """The README's examples: its python blocks run and print what their
 comments say, its `lightpos solve` input solves and its `lightpos
-signal` input prints the CSV shown."""
+signal` input prints the CSV shown.  Its scenario file table lists the
+keys the loader accepts."""
 
 import io
 import json
@@ -9,6 +10,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from lightpos.cli import EXIT_OK, main
+from lightpos.scenario import SCENARIO_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -52,3 +54,11 @@ def test_readme_signal_input_prints_its_csv(tmp_path, capsys):
     assert main(["signal", "--input", str(path)]) == EXIT_OK
     (csv,) = _blocks("csv")
     assert capsys.readouterr().out == csv
+
+
+def test_readme_scenario_table_lists_the_loaders_keys():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("### Scenario files", 1)[1].split("\n\n")[2]
+    keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+    assert sorted(keys) == sorted(SCENARIO_KEYS)
+    assert len(keys) == len(set(keys))

@@ -4,7 +4,7 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from lightpos.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVE, main
 from lightpos.compass import EllipseParams, synth_distorted_samples
+from lightpos.geom import Aabb
 from lightpos.rss import LampModel, make_profile
 from lightpos.scenario import (
     ScenarioFile,
     ScenarioFormatError,
+    Trajectory,
     load_scenario,
     parse_scenario,
 )
@@ -66,7 +68,8 @@ def test_parse_converts_heading_noise_to_radians():
 def test_schema_error_reports_json_path():
     doc = {"bounds": {"min": [0, 0, 0], "max": [10, 10, 3]},
            "lamps": [{"position": [5, 5, 3], "k": -1.0, "flash_hz": 65.0}]}
-    with pytest.raises(ScenarioFormatError, match="lamps/0/k"):
+    # The lamp's path, and the field its constructor names.
+    with pytest.raises(ScenarioFormatError, match="at lamps/0: k must be"):
         parse_scenario(doc)
 
 
@@ -159,6 +162,28 @@ def test_cli_deeply_nested_scenario_is_input_error(tmp_path, capsys, depth):
     p.write_text(text[:end] + ', "points": ' + "[" * depth + "]" * depth
                  + text[end:], encoding="utf-8")
     assert_input_error(capsys, main(["simulate", "--scenario", str(p)]), "")
+
+
+@pytest.mark.parametrize("member, path", [
+    ('"saturation": {}', "saturation"),
+    ('"noise": {{"seed": {}}}', "noise/seed"),
+    ('"obstacles": [{{"min": [0, 0, {}], "max": [1, 1, 1]}}]',
+     "obstacles/0/min/2"),
+])
+def test_cli_deeply_nested_member_is_not_a_number(tmp_path, capsys, member,
+                                                  path):
+    # The loader reads a document by its known shape, so a list nested
+    # near the recursion limit where a number belongs fails at a short
+    # path, and is named, not printed.
+    text = (FIXTURES / "empty_room.json").read_text(encoding="utf-8")
+    end = text.rindex("}")
+    p = tmp_path / "nested.json"
+    p.write_text(text[:end] + ", " + member.format("[" * 900 + "]" * 900)
+                 + text[end:], encoding="utf-8")
+    assert_input_error(capsys, main(["simulate", "--scenario", str(p)]),
+                       f"at {path}: must be ")
+    assert "got a list" in str(pytest.raises(
+        ScenarioFormatError, load_scenario, p).value)
 
 
 @pytest.mark.parametrize("command", ["simulate", "sensitivity"])
@@ -664,6 +689,41 @@ def test_huge_integer_seed_is_finite():
     assert sf.scenario.noise.seed == 10**400
 
 
+_BASE_FILE = parse_scenario(MINIMAL)
+_WAYPOINTS = ((4.0, 4.0, 0.0), (6.0, 6.0, 0.0))
+
+
+@pytest.mark.parametrize("build, field", [
+    *[(lambda v=v: replace(_BASE_FILE.scenario, saturation=v), "saturation")
+      for v in (0.0, -1.0, math.nan, math.inf)],
+    *[(lambda v=v: replace(_BASE_FILE.scenario, ambient_dc=v), "ambient_dc")
+      for v in (-5.0, math.nan, math.inf)],
+    *[(lambda v=v: NoiseSpec(seed=v), "seed")
+      for v in (-1, True, 3.0, "1", None)],
+    *[(lambda v=v: Trajectory(_WAYPOINTS, v, 0.5), "speed_mps")
+      for v in (0.0, -1.0, math.nan, math.inf)],
+    *[(lambda v=v: Trajectory(_WAYPOINTS, 1.0, v), "interval_s")
+      for v in (0.0, -1.0, math.nan, math.inf)],
+    (lambda: Trajectory(_WAYPOINTS[:1], 1.0, 0.5), "2 waypoints"),
+    *[(lambda v=v: replace(_BASE_FILE, cell_size_m=v), "cell_size_m")
+      for v in (0.0, -1.0, math.nan, math.inf)],
+    *[(lambda v=v: replace(_BASE_FILE, receiver_height_m=v),
+       "receiver_height_m") for v in (math.nan, math.inf, -math.inf)],
+    *[(lambda v=v: ReceiverSpec.default(v), "edge length")
+      for v in (math.nan, math.inf)],
+])
+def test_models_reject_what_files_may_not_hold(build, field):
+    # The rules a scenario file's values follow are the constructors', so
+    # the Python API keeps them too; each error names its field.
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+def test_seed_of_any_integer_size_is_valid():
+    assert NoiseSpec(seed=10**400).seed == 10**400
+    assert NoiseSpec(seed=0).seed == 0
+
+
 def test_non_finite_number_reports_json_path():
     doc = dict(MINIMAL, noise={"accel_sd": math.nan},
                points=[[1, 1, 0], [2, math.inf, 0]])
@@ -672,6 +732,147 @@ def test_non_finite_number_reports_json_path():
     del doc["noise"]
     with pytest.raises(ScenarioFormatError, match="at points/1/1"):
         parse_scenario(doc)
+
+
+def _api_build(doc) -> ScenarioFile:
+    """The model of a well-shaped scenario document built through the
+    constructors alone, as a Python API caller would build it."""
+    def lamp(obj):
+        profile = obj.get("profile", {"kind": "cosine_power", "params": [1]})
+        return LampModel(obj["position"], obj.get("central_ray", [0, 0, -1]),
+                         obj["k"], make_profile(**profile), obj["flash_hz"],
+                         **{k: obj[k] for k in ("range_m",) if k in obj})
+
+    def box(obj):
+        return Aabb(obj["min"], obj["max"])
+
+    noise = dict(doc.get("noise", {}))
+    if "heading_epsilon_deg" in noise:
+        noise["heading_epsilon"] = math.radians(
+            noise.pop("heading_epsilon_deg"))
+    scn = Scenario(box(doc["bounds"]),
+                   [box(obj) for obj in doc.get("obstacles", [])],
+                   [lamp(obj) for obj in doc["lamps"]],
+                   ReceiverSpec.default(*doc.get("receiver", {}).values()),
+                   NoiseSpec(**noise),
+                   **{k: doc[k] for k in ("saturation", "ambient_dc",
+                                          "sample_rate_hz", "window_s")
+                      if k in doc})
+    walk = doc.get("trajectory")
+    return ScenarioFile(
+        scn, tuple(doc.get("points", ())),
+        walk and Trajectory(tuple(walk["waypoints"]), walk["speed_mps"],
+                            walk["interval_s"]),
+        tuple(lamp(obj) for obj in doc.get("candidates", ())),
+        **doc.get("coverage", {}))
+
+
+def _agreement_docs():
+    """Fixture documents that set every field a scenario file may hold."""
+    three = json.loads(_RUN_FLOORS[2])
+    three.update(noise={"rss_epsilon": 0.1, "heading_epsilon_deg": 5.0,
+                        "accel_sd": 0.05, "trace_noise_sd": 0.5, "seed": 3},
+                 receiver={"edge_length_m": 0.05}, saturation=1000.0,
+                 ambient_dc=850.0, sample_rate_hz=640.0)
+    three["lamps"][0]["profile"] = {"kind": "polynomial",
+                                    "params": [1.0, -0.4]}
+    three["lamps"][1]["central_ray"] = [0.1, 0.0, -1.0]
+    walk = {key: value for key, value in three.items() if key != "points"}
+    walk["trajectory"] = {"waypoints": [[6, 5, 0], [10, 6.5, 0]],
+                          "speed_mps": 1.0, "interval_s": 0.5}
+    return [three, walk, json.loads(_FLOORS[0])]
+
+
+_AGREEMENT_DOCS = _agreement_docs()
+
+
+def _paths(node, path=()):
+    """The JSON path of every member of a document, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+def _is_number(x):
+    return type(x) in (int, float)
+
+
+@st.composite
+def _one_edit(draw):
+    """A fixture document with one edit, the edited member's path, and
+    the new number when a number replaced a number (else None).  An edit
+    sets an edge value, or deletes a member, or adds a key or list item."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(_AGREEMENT_DOCS))))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    kind = draw(st.sampled_from(["value", "delete", "add"]))
+    if kind == "value":
+        old = node[path[-1]]
+        node[path[-1]] = draw(st.sampled_from(
+            [0, -1, 0.2000001, 1e308, math.nan, 3.0, True, "1"]))
+        new = node[path[-1]]
+        return doc, path, new if _is_number(old) and _is_number(new) else None
+    member = node[path[-1]]
+    if kind == "delete":
+        del node[path[-1]]  # a key, or a list item: a list too short
+    elif type(member) is dict:
+        member["bogus"], path = 1.0, path + ("bogus",)
+    elif type(member) is list and member:
+        member.append(member[-1])  # a list too long
+    return doc, path, None
+
+
+def _ok(build):
+    try:
+        build()
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_one_edit())
+@example(case=(dict(_AGREEMENT_DOCS[0], saturation=-1), ("saturation",),
+               -1))
+@example(case=(dict(_AGREEMENT_DOCS[0], ambient_dc=-1), ("ambient_dc",),
+               -1))
+@example(case=(dict(_AGREEMENT_DOCS[0], noise=dict(
+    _AGREEMENT_DOCS[0]["noise"], seed=3.0)), ("noise", "seed"), 3.0))
+@example(case=(dict(_AGREEMENT_DOCS[1], trajectory=dict(
+    _AGREEMENT_DOCS[1]["trajectory"], speed_mps=0)),
+               ("trajectory", "speed_mps"), 0))
+@example(case=(dict(_AGREEMENT_DOCS[2], coverage={"cell_size_m": -1}),
+               ("coverage", "cell_size_m"), -1))
+def test_loader_agrees_with_the_api(_input_path, case):
+    # One edit to a fixture: the loader either loads the document or
+    # names the edited member, or an object enclosing it.  A finite number
+    # in place of a number is rejected exactly when the constructors,
+    # given it through the Python API, reject it; a NaN always is.  Every
+    # rejection exits 1 from the CLI with the same path.
+    doc, path, number = case
+    loaded = _ok(lambda: parse_scenario(doc))
+    if number is not None:
+        assert loaded == (not math.isnan(number)
+                          and _ok(lambda: _api_build(doc)))
+    if loaded:
+        return
+    with pytest.raises(ScenarioFormatError) as exc:
+        parse_scenario(doc)
+    at = str(exc.value).split(": ", 1)[0]
+    assert at.startswith("at ")
+    if at != "at (top level)":
+        named = at[3:].split("/")
+        assert named == [str(key) for key in path[:len(named)]]
+    _input_path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(["coverage", "--scenario", str(_input_path)]) \
+            == EXIT_INPUT
+    assert err.getvalue().startswith(f"error: {at}: ")
 
 
 def test_cli_coverage_candidate_on_cell_center_is_input_error(tmp_path,
@@ -724,7 +925,8 @@ def test_flash_just_below_nyquist_and_one_period_accepted(tmp_path):
 def test_cli_plan_rejects_candidate_outside_bounds(tmp_path, capsys):
     path = _edited_two_room(
         tmp_path, lambda d: d["candidates"][3]["position"].__setitem__(0, 60.0))
-    with pytest.raises(ScenarioFormatError, match="at candidates/3"):
+    with pytest.raises(ScenarioFormatError,
+                       match=r"at \(top level\): candidates/3 lies outside"):
         load_scenario(path)
     rc = main(["coverage", "--scenario", path, "--plan"])
     assert rc == EXIT_INPUT
@@ -848,8 +1050,8 @@ def test_cli_signal_noise_is_reproducible(tmp_path, capsys):
     ("signal", dict(_TONE, seed=True), "seed"),
     ("signal", dict(_TONE, components=[1]), "component"),
     ("signal", dict(_TONE, duration_s=1e308), "infinity"),
-    ("signal", dict(_TONE, candidates="7"), "candidates must be a list"),
-    ("signal", dict(_TONE, components={}), "components must be a list"),
+    ("signal", dict(_TONE, candidates="7"), "at candidates: must be a list"),
+    ("signal", dict(_TONE, components={}), "at components: must be a list"),
     ("signal", dict(_TONE, duration_s=100.0), "samples"),
     ("signal", dict(_TONE, components=[{"freq_hz": 0.15, "peak": 1.0}]),
      "harmonics"),
@@ -885,7 +1087,7 @@ def _assert_not_a_number(tmp_path, capsys, command, doc, path, value):
     p.write_text(json.dumps(_with(doc, path, value)))
     field = "/".join(str(key) for key in path)
     assert_input_error(capsys, main([command, "--input", str(p)]),
-                       f"{field} must be a number")
+                       f"at {field}: must be a number")
 
 
 _COS_ONE = dict(_WORKED, profile={"kind": "cosine_power", "params": [1]})
