@@ -28,8 +28,10 @@ from .report import (
 )
 from .scenario import (
     ScenarioFormatError,
+    _each,
     _json,
     _numbers,
+    _object,
     load_scenario,
     profile_from_json,
 )
@@ -45,6 +47,7 @@ from .sim import (
 )
 from .signal import WaveComponent, identify_lamps, synthesize_trace
 from .solve import STATUS_UNIQUE, mflp_least_squares, trilaterate
+from .streams import check_seed
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -91,9 +94,10 @@ def _run_seed(args, sf) -> int:
     """The run's seed: ``--seed``, else the scenario's ``noise.seed``."""
     if args.seed is None:
         return sf.scenario.noise.seed
-    if args.seed < 0:
-        raise _InputError(f"--seed must be non-negative, got {args.seed}")
-    return args.seed
+    try:
+        return check_seed(args.seed, "--seed")
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
 
 
 def _cmd_simulate(args):
@@ -147,19 +151,26 @@ def _emit_solve_result(res, out_path):
     return EXIT_OK if res.status == STATUS_UNIQUE else EXIT_SOLVE
 
 
+def _reading(obj, path):
+    """A ``lightpos solve`` reading: its plane as floats and its
+    amplitude."""
+    _object(obj, path, ("plane", "s", "lamp_id", "face_id"), ("plane", "s"))
+    plane = np.array(_numbers(obj["plane"], f"{path}/plane"), dtype=float)
+    s = float(_json(obj["s"], f"{path}/s"))
+    # The ids are not solved for; they must still be integers.
+    for name in ("lamp_id", "face_id"):
+        _json(obj.get(name, 0), f"{path}/{name}", "an integer")
+    return plane, s
+
+
 def _cmd_solve(args):
     data = _load_json(args.input)
     try:
-        planes, s = [], []
-        for i, r in enumerate(data["readings"]):
-            at = f"readings/{i}/"
-            planes.append(np.array(_numbers(r["plane"], at + "plane"),
-                                   dtype=float))
-            s.append(float(_json(r["s"], at + "s")))
-            # The ids are not solved for; they must still be integers.
-            for name in ("lamp_id", "face_id"):
-                _json(r.get(name, 0), at + name, "an integer")
-        res = mflp_least_squares(planes, s, float(_json(data["k"], "k")),
+        _object(data, "", ("readings", "k", "profile"), ("readings", "k"))
+        readings = _each(data["readings"], "readings", _reading)
+        res = mflp_least_squares([p for p, _ in readings],
+                                 [s for _, s in readings],
+                                 float(_json(data["k"], "k")),
                                  profile_from_json(data))
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise _InputError(str(exc)) from None
@@ -169,6 +180,8 @@ def _cmd_solve(args):
 def _cmd_trilaterate(args):
     data = _load_json(args.input)
     try:
+        _object(data, "", ("lamps", "k", "profile", "s", "z_receiver"),
+                ("lamps", "k", "s"))
         # A null or absent receiver height is solved for.
         z = _json(data.get("z_receiver"), "z_receiver", "a number or null")
         res = trilaterate(_numbers(data["lamps"], "lamps"),
@@ -180,11 +193,20 @@ def _cmd_trilaterate(args):
     return _emit_solve_result(res, args.out)
 
 
+def _mag_sample(obj, path, index):
+    """A ``lightpos calibrate`` sample; its sensor defaults to its index."""
+    _object(obj, path, ("mx", "my", "sensor"), ("mx", "my"))
+    return MagSample(_json(obj["mx"], f"{path}/mx"),
+                     _json(obj["my"], f"{path}/my"), obj.get("sensor", index))
+
+
 # A fit or heading that overflows floats is an input error.
 @np.errstate(over="raise", invalid="raise")
 def _cmd_calibrate(args):
     data = _load_json(args.input)
     try:
+        _object(data, "", ("points", "samples", "pitch_deg", "roll_deg"),
+                ("points",))
         fit = fit_ellipse(_numbers(data["points"], "points"))
         out = {
             "ellipse": {
@@ -194,12 +216,8 @@ def _cmd_calibrate(args):
             }
         }
         if "samples" in data:
-            samples = [
-                MagSample(_json(s["mx"], f"samples/{i}/mx"),
-                          _json(s["my"], f"samples/{i}/my"),
-                          s.get("sensor", i))
-                for i, s in enumerate(data["samples"])
-            ]
+            samples = [_mag_sample(s, f"samples/{i}", i) for i, s in
+                       enumerate(_json(data["samples"], "samples", "a list"))]
             pitch, roll = (math.radians(_json(data.get(key, 0.0), key))
                            for key in ("pitch_deg", "roll_deg"))
             heading = calibrate_heading(samples, fit, pitch=pitch, roll=roll)
@@ -284,23 +302,25 @@ def _cmd_sensitivity(args):
     return EXIT_OK
 
 
+def _component(obj, path):
+    """A ``lightpos signal`` component; without a frequency, DC."""
+    _object(obj, path, ("freq_hz", "peak", "shape"), ("peak",))
+    shape = {"shape": obj["shape"]} if "shape" in obj else {}
+    return WaveComponent(_json(obj.get("freq_hz", 0.0), f"{path}/freq_hz"),
+                         _json(obj["peak"], f"{path}/peak"), **shape)
+
+
 # A trace that overflows floats is an input error.
 @np.errstate(over="raise", invalid="raise")
 def _cmd_signal(args):
     data = _load_json(args.input)
     try:
-        for key in ("components", "candidates"):
-            _json(data[key], key, "a list")
-        components = []
-        for i, c in enumerate(data["components"]):
-            _json(c, f"components/{i}", "an object")
-            shape = {"shape": c["shape"]} if "shape" in c else {}
-            components.append(WaveComponent(
-                _json(c.get("freq_hz", 0.0), f"components/{i}/freq_hz"),
-                _json(c["peak"], f"components/{i}/peak"), **shape))
-        seed = _json(data.get("seed", 0), "seed", "an integer")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+        _object(data, "", ("components", "candidates", "rate_hz",
+                           "duration_s", "noise_sd", "seed"),
+                ("components", "candidates", "rate_hz", "duration_s"))
+        _json(data["candidates"], "candidates", "a list")
+        components = _each(data["components"], "components", _component)
+        seed = check_seed(data.get("seed", 0))
         trace = synthesize_trace(
             components, _json(data["rate_hz"], "rate_hz"),
             _json(data["duration_s"], "duration_s"),

@@ -30,6 +30,8 @@ TWO_PI = 2.0 * math.pi
 # the forward/right/down body frame.
 NED_TO_WORLD = np.diag([1.0, -1.0, -1.0])
 LOCAL_TO_BODY = np.diag([1.0, -1.0, -1.0])
+# The signs NED_TO_WORLD @ R @ LOCAL_TO_BODY gives each entry of R.
+_SIGNS = np.outer([1.0, -1.0, -1.0], [1.0, -1.0, -1.0])
 
 
 class DegenerateGeometryError(ValueError):
@@ -119,8 +121,12 @@ def rotation_to_attitude(rot: np.ndarray) -> Attitude:
 
 def receiver_rotations(att) -> np.ndarray:
     """Receiver-local (z up) to world (z up) rotations, (..., 3, 3), for
-    (..., 3) (pitch, roll, heading) rows; identity at zero attitude."""
-    return NED_TO_WORLD @ attitude_rotations(att) @ LOCAL_TO_BODY
+    (..., 3) (pitch, roll, heading) rows; identity at zero attitude.
+
+    ``NED_TO_WORLD @ R @ LOCAL_TO_BODY`` with diagonal flips is R with
+    sign-flipped entries, so the entries are multiplied by their signs;
+    adding 0.0 turns a -0.0 into the 0.0 the matrix products' sums give."""
+    return attitude_rotations(att) * _SIGNS + 0.0
 
 
 def receiver_rotation(att: Attitude) -> np.ndarray:

@@ -70,7 +70,7 @@ from .signal import (
     amplitude_map,
     check_flashes,
 )
-from .streams import GeneratorStreams, KeyedStreams, normals
+from .streams import GeneratorStreams, KeyedStreams, check_seed, normals
 from .solve import (
     STATUS_UNIQUE,
     SolveResult,
@@ -132,10 +132,7 @@ class NoiseSpec:
             raise ValueError("rss_epsilon outside [0, 0.2]")
         for name in ("heading_epsilon", "accel_sd", "trace_noise_sd"):
             check_finite(name, getattr(self, name), 0)
-        # Any Python int, however large; a bool or a float is no seed.
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer, got "
-                             f"{self.seed!r}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -172,9 +169,10 @@ class Scenario:
         check_flashes([lamp.flash_hz for lamp in self.lamps],
                       self.sample_rate_hz,
                       round(self.sample_rate_hz * self.window_s))
-        for lamp in self.lamps:
+        for i, lamp in enumerate(self.lamps):
             if not self.bounds.contains(lamp.position):
-                raise ValueError("lamp outside scenario bounds")
+                raise ValueError(f"lamps/{i} lies outside the scenario "
+                                 "bounds")
 
     @cached_property
     def lamp_table(self) -> LampTable:
@@ -692,9 +690,11 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
     fast-mode noise or the end-to-end traces and the valid readings.  One
     ``locate_batch`` call locates the cell (multi at m = 3, trilateration
     at a free height).  Every fix still draws the stream of its own
-    generator seeded with (seed, cell indices, trial, point): the cell's
-    (N, 5) keys go to the per-fix part as one ``KeyedStreams``, which
-    draws all of them as arrays.  Every cell measures and locates on the
+    generator seeded with (seed, cell indices, trial, point): the call
+    seeds the (N, 5) keys of all its noisy cells once, as one
+    ``KeyedStreams``, and each cell's rows of it (``KeyedStreams.take``)
+    go to the per-fix part, which draws all of them as arrays.  A seed of
+    any size keys them unrounded.  Every cell measures and locates on the
     caller's scenario, with the cell's ``NoiseSpec`` passed alongside, so
     the cells share one lamp table and one amplitude map (which leaves
     the ambient DC out).  A noise-free cell (no attitude noise,
@@ -735,6 +735,21 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
     truth = points[fix_keys[:, 1]]
     if 0 in eps_h_grid and not scn.noise.accel_sd:
         poses = poses.with_planes(scn)
+    # The noisy cells' fixes, keyed (seed, cell indices, trial, point) and
+    # seeded as one KeyedStreams: the c-th noisy cell's n_fix fixes draw
+    # its rows c * n_fix to (c + 1) * n_fix.
+    noisy = [(ci, cj) for ci, eps_h in enumerate(eps_h_grid)
+             for cj, eps in enumerate(eps_grid)
+             if eps_h or scn.noise.accel_sd
+             or (eps if mode == MODE_FAST else scn.noise.trace_noise_sd)]
+    n_fix = len(fix_keys)
+    keys = np.empty((len(noisy), n_fix, 5), dtype=np.array(int(seed)).dtype)
+    keys[..., 0] = int(seed)
+    keys[..., 1:3] = np.array(noisy, dtype=np.int64).reshape(-1, 1, 2)
+    keys[..., 3:] = fix_keys
+    streams = KeyedStreams(keys.reshape(-1, 5))
+    del keys  # the streams hold what the cells need of them
+    first_row = {cell: c * n_fix for c, cell in enumerate(noisy)}
     rows = []
     for ci, eps_h in enumerate(eps_h_grid):
         # A row of cells without attitude noise gathers the planes of its
@@ -743,17 +758,15 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
                      else fix_poses._replace(planes=poses.planes[at]))
         for cj, eps in enumerate(eps_grid):
             noise = noises[ci][cj]
-            amp_noise = eps if mode == MODE_FAST else scn.noise.trace_noise_sd
-            if not (eps_h or scn.noise.accel_sd or amp_noise):
+            if (ci, cj) not in first_row:
                 # Noise-free: each point's trials all give one fix.
                 batch, reps = _measure_poses(scn, poses, None, mode,
                                              noise), trials
             else:
-                cell = np.array((int(seed), ci, cj))
-                keys = np.empty((len(fix_keys), 5), dtype=cell.dtype)
-                keys[:, :3], keys[:, 3:] = cell, fix_keys
+                row = first_row[ci, cj]
                 batch, reps = _measure_poses(
-                    scn, row_poses, KeyedStreams(keys), mode, noise), 1
+                    scn, row_poses, streams.take(slice(row, row + n_fix)),
+                    mode, noise), 1
             est, status, *_ = locate_batch(scn, batch, pipeline)
             est, status = np.tile(est, (reps, 1)), np.tile(status, reps)
             unique = status == STATUS_UNIQUE

@@ -89,6 +89,23 @@ _EZ = np.array([0.0, 0.0, 1.0])
 _CROSS_ORDER = np.array([1, 2, 0, 2, 0, 1])
 
 
+def _cross_of_differences(rows):
+    """(r0 - r1) x (r0 - r2) of (N, 3, 3) row triples: the arithmetic of
+    np.cross in its order, without its overhead on (N, 3) rows.  ``ab``
+    holds a = r0 - r1 and b = r0 - r2 each as (v1, v2, v0, v2, v0, v1), so
+    the component products pair up."""
+    ab = (rows[:, :1] - rows[:, 1:])[..., _CROSS_ORDER]
+    return ab[:, 0, :3] * ab[:, 1, 3:] - ab[:, 0, 3:] * ab[:, 1, :3]
+
+
+def _triple_products(planes):
+    """The determinants of (N, 3, 3) plane triples p0, p1, p2, as
+    p0 . ((p0 - p1) x (p0 - p2)), which equals p0 . (p1 x p2): no LAPACK
+    call, and no division, so unit planes cannot overflow it.  For unit
+    planes it lies within ~1e-15 of LAPACK's LU determinant."""
+    return np.vecdot(planes[:, 0], _cross_of_differences(planes))
+
+
 def _steps(a, b):
     """Solutions of a @ x = b per problem, and which problems had a
     regular matrix: True for all of them, or a mask (a singular one's step
@@ -253,6 +270,10 @@ def mflp_closed_form_batch(planes, s, k, profile):
     equations cancels the distance and emission factors, leaving two
     homogeneous linear equations; the lamp direction is their null space,
     and the remaining scale follows from the equations using z > 0.
+    The planes are independent when their determinant, computed as the
+    triple product p0 . ((p0 - p1) x (p0 - p2)) of the unit planes with
+    the direction's cross-product arithmetic (no LAPACK call), exceeds
+    INDEPENDENCE_TOL in magnitude.
     Returns (points (N, 3), unique (N,), residual (N,)), the residual
     being the relative RMS residual of the readings at the point; a
     problem is degenerate, with a NaN point and an infinite residual, when
@@ -262,18 +283,15 @@ def mflp_closed_form_batch(planes, s, k, profile):
     """
     planes = np.asarray(planes, dtype=float)
     s = np.asarray(s, dtype=float)
-    # A subnormal amplitude overflows its row to inf, and a subnormal
-    # plane coefficient can overflow the determinant; the NaN or inf that
-    # gives fails the checks below, so the problem is degenerate.
+    # A subnormal amplitude overflows its row to inf; the NaN or inf that
+    # gives fails the checks below, so the problem is degenerate.  The
+    # planes' independence is tested on the planes themselves, not on the
+    # rows, which that overflow would spoil.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        unique = np.abs(np.linalg.det(planes)) > INDEPENDENCE_TOL
+        unique = np.abs(_triple_products(planes)) > INDEPENDENCE_TOL
         rows = planes / s[:, :, None]
-        # The cross product a x b of a = rows 0 - 1 and b = rows 0 - 2
-        # written out: the arithmetic of np.cross in its order, without its
-        # overhead on (N, 3) rows.  ``ab`` holds a and b each as
-        # (v1, v2, v0, v2, v0, v1), so the component products pair up.
-        ab = (rows[:, :1] - rows[:, 1:])[..., _CROSS_ORDER]
-        direction = ab[:, 0, :3] * ab[:, 1, 3:] - ab[:, 0, 3:] * ab[:, 1, :3]
+        # The direction is normal to rows 0 - 1 and rows 0 - 2.
+        direction = _cross_of_differences(rows)
         unique &= ((np.sqrt(np.vecdot(direction, direction)) >= 1e-12)
                    & (np.abs(direction[:, 2]) >= 1e-12))
         # The lamp direction scaled to z = 1, u = (c1, c2, 1): the lamp at
@@ -309,13 +327,14 @@ def mflp_least_squares(planes, s, k: float, profile: EmissionProfile,
     Without an initial point, the closed form on the strongest independent
     plane triple is the start: the first triple, in ``combinations``
     order over the readings sorted stably by s descending, whose |det|
-    exceeds INDEPENDENCE_TOL.  With exactly three readings that triple is
-    the whole square system, so ``mflp_closed_form_batch``'s point and
-    residual are the fix (0 iterations).  More readings, or a supplied
-    ``init``, are refined by ``levenberg_marquardt`` from there, over
-    ``_multi_residuals`` of one lamp at the solve-frame origin with an
-    identity basis: the receiver is at -x there, so the start is -init
-    and the fix the negated solution.
+    (the closed form's triple product) exceeds INDEPENDENCE_TOL.  With
+    exactly three readings that triple is the whole square system, so
+    ``mflp_closed_form_batch``'s point and residual are the fix (0
+    iterations).  More readings, or a supplied ``init``, are refined by
+    ``levenberg_marquardt`` from there, over ``_multi_residuals`` of one
+    lamp at the solve-frame origin with an identity basis: the receiver
+    is at -x there, so the start is -init and the fix the negated
+    solution.
     """
     shapes = [np.shape(p) for p in planes if np.shape(p) != (3,)]
     if shapes:
@@ -337,8 +356,7 @@ def mflp_least_squares(planes, s, k: float, profile: EmissionProfile,
     if closed_form:
         triples = np.array(list(combinations(
             np.argsort(-s, kind="stable"), 3)))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            det = np.linalg.det(planes[triples])
+        det = _triple_products(planes[triples])
         # With no independent triple, the first one is degenerate.
         triple = triples[np.argmax(np.abs(det) > INDEPENDENCE_TOL)]
         seeds, unique, residual = mflp_closed_form_batch(

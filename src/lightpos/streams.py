@@ -7,13 +7,17 @@ seeded through numpy's SeedSequence into a PCG64 state, and the draws follow
 over the N keys: seeding keys below 2**32, as a sweep's are, costs about
 0.3 us per key and wider ones about 1 us, against 20-35 us to build one
 Generator (2-core x86-64, numpy 2.4).  Building a ``KeyedStreams`` also
-has a fixed cost, the same array passes whatever N: 0.18-0.19 ms for one
-key below 2**32, 0.23-0.44 ms for one wider key and 0.24-0.46 ms for
-1,000 keys below 2**32, where ``np.random.default_rng`` takes 13-20 us
-(the same host, quiet and busy).  So below roughly ten keys Generators
-are cheaper, and a one-fix ``measure`` draws from its Generator through
-``GeneratorStreams``.  This module is the only place that knows numpy's
-seeding algorithm.
+has a fixed cost, the same array passes whatever N: building one takes
+0.18-0.20 ms for one key below 2**32, 0.23-0.44 ms for one wider key,
+0.24-0.46 ms for 1,000 keys below 2**32 and ~0.47 ms for 5,000, where
+``np.random.default_rng`` takes 13-20 us (the same host, quiet and
+busy).  So below roughly ten keys Generators are cheaper, and a one-fix
+``measure`` draws from its Generator through ``GeneratorStreams``; and
+one seeding of many keys is cheaper than several of fewer, so a sweep
+call seeds the fixes of all its noisy cells at once and gives each cell
+its rows (``KeyedStreams.take``).
+This module is the only place that knows numpy's seeding algorithm, and
+``check_seed`` the one rule for what a seed is.
 
 ``GeneratorStreams`` gives N numpy Generators the same draw methods, and
 ``normals`` draws Gaussians from either kind by Box-Muller on their
@@ -41,6 +45,16 @@ _MASK32 = 0xFFFFFFFF
 # PCG64's 128-bit LCG multiplier, and 2**-53 for doubles.
 _MULT_HI, _MULT_LO = 2549297995355413924, 4865540595714422341
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0
+
+
+def check_seed(seed, name: str = "seed"):
+    """``seed`` if it is a seed: a Python int >= 0 of any size, as numpy's
+    SeedSequence takes it (a bool or a float is none); else a ValueError
+    naming ``name``."""
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got "
+                         f"{seed!r}")
+    return seed
 
 
 def _int_words(value) -> list:
@@ -186,6 +200,17 @@ class KeyedStreams:
 
     def __len__(self) -> int:
         return len(self._hi)
+
+    def take(self, rows) -> KeyedStreams:
+        """The streams at ``rows`` (an index array or a slice) in their
+        current state, the buffered half of a 64-bit draw included: their
+        later draws are those same rows of this object's.  A slice shares
+        the state arrays, which draws replace and never write into."""
+        sub = object.__new__(KeyedStreams)
+        sub._hi, sub._lo = self._hi[rows], self._lo[rows]
+        sub._inc_hi, sub._inc_lo = self._inc_hi[rows], self._inc_lo[rows]
+        sub._half = None if self._half is None else self._half[rows]
+        return sub
 
     def _next64(self) -> np.ndarray:
         self._hi, self._lo = _lcg_step(self._hi, self._lo, self._inc_hi,

@@ -1148,3 +1148,103 @@ def test_cli_deeply_nested_input_is_input_error(tmp_path, capsys, depth):
     p.write_text('{"k": 1.0, "readings": [{"s": 1.0, "plane": '
                  + "[" * depth + "1" + "]" * depth + "}]}")
     assert_input_error(capsys, main(["solve", "--input", str(p)]), "")
+
+
+# Each JSON command reads its objects as scenario files are read: a
+# misspelt member exits 1 naming its path, as a missing required one does.
+# Before, ``"z_reciever": 0.0`` solved for a free height and exited 0.
+_FREE_TRIANGLE = {k: v for k, v in _TRIANGLE.items() if k != "z_receiver"}
+
+
+@pytest.mark.parametrize("command, doc, path", [
+    ("solve", dict(_WORKED, K=1.0), "K"),
+    ("solve", _with(_WORKED, ("readings", 1, "face"), 2), "readings/1/face"),
+    ("trilaterate", dict(_FREE_TRIANGLE, z_reciever=0.0), "z_reciever"),
+    ("calibrate", dict(_SAMPLED, roll=1.0), "roll"),
+    ("calibrate", _with(_SAMPLED, ("samples", 0, "mz"), 0.5),
+     "samples/0/mz"),
+    ("signal", dict(_TONE, noise=1.0), "noise"),
+    ("signal", _with(_TONE, ("components", 0, "freq"), 65.0),
+     "components/0/freq"),
+])
+def test_cli_json_commands_reject_unknown_keys(tmp_path, capsys, command,
+                                               doc, path):
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(doc))
+    assert_input_error(capsys, main([command, "--input", str(p)]),
+                       f"error: at {path}: unknown key")
+
+
+def _without(doc, path):
+    """A copy of ``doc`` without its member at ``path``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return doc
+
+
+@pytest.mark.parametrize("command, doc, path", [
+    ("solve", _WORKED, ("k",)),
+    ("solve", _WORKED, ("readings", 0, "s")),
+    ("trilaterate", _TRIANGLE, ("s",)),
+    ("calibrate", _SAMPLED, ("points",)),
+    ("calibrate", _SAMPLED, ("samples", 0, "my")),
+    ("signal", _TONE, ("rate_hz",)),
+    ("signal", _TONE, ("components", 0, "peak")),
+])
+def test_cli_json_commands_name_missing_keys(tmp_path, capsys, command, doc,
+                                             path):
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(_without(doc, path)))
+    field = "/".join(str(key) for key in path)
+    assert_input_error(capsys, main([command, "--input", str(p)]),
+                       f"error: at {field}: required key missing")
+
+
+def test_json_commands_keep_their_optional_keys(tmp_path, capsys):
+    # Every optional member a command documents is still read.
+    docs = [
+        ("solve", _with(dict(_WORKED, profile={"kind": "cosine_power",
+                                                "params": [1.0]}),
+                        ("readings", 0, "lamp_id"), 0)),
+        ("solve", _with(_WORKED, ("readings", 0, "face_id"), 2)),
+        ("trilaterate", dict(_TRIANGLE, profile={"kind": "cosine_power",
+                                                 "params": [1.0]})),
+        ("calibrate", {"points": _CIRCLE, "pitch_deg": 0.0, "roll_deg": 0.0,
+                       "samples": [{"mx": 1.0, "my": 0.0, "sensor": 3}]}),
+        ("signal", dict(_TONE, seed=4, components=[
+            {"freq_hz": 65.0, "peak": 100.0, "shape": "sine"}])),
+    ]
+    p = tmp_path / "input.json"
+    for command, doc in docs:
+        p.write_text(json.dumps(doc))
+        assert main([command, "--input", str(p)]) == EXIT_OK, command
+        assert capsys.readouterr().err == ""
+
+
+def test_one_seed_rule_for_files_flags_and_signal(tmp_path, capsys):
+    # NoiseSpec, --seed and the signal input's seed share one check and
+    # its text.
+    rule = "seed must be a non-negative integer, got -1"
+    with pytest.raises(ValueError, match=rule):
+        NoiseSpec(seed=-1)
+    with pytest.raises(ScenarioFormatError, match=f"at noise: {rule}"):
+        parse_scenario(dict(MINIMAL, noise={"seed": -1}))
+    for command in ("simulate", "sensitivity"):
+        assert_input_error(capsys, main([
+            command, "--scenario", fixture_path("empty_room.json"),
+            "--seed", "-1"]), f"error: --{rule}")
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(dict(_TONE, seed=-1)))
+    assert_input_error(capsys, main(["signal", "--input", str(p)]),
+                       f"error: {rule}")
+
+
+def test_lamp_outside_bounds_is_named():
+    doc = dict(MINIMAL, lamps=MINIMAL["lamps"] + [
+        {"position": [5, 5, 4], "k": 40.0, "flash_hz": 85.0}])
+    with pytest.raises(ScenarioFormatError,
+                       match="lamps/1 lies outside the scenario bounds"):
+        parse_scenario(doc)

@@ -1489,6 +1489,46 @@ def test_sweep_measures_pose_geometry_once_per_call(monkeypatch):
         assert plane_rows == [len(points) - 1] + [2 * (len(points) - 1)] * 3
 
 
+@pytest.mark.parametrize("eps_grid, eps_h_grid, noisy_cells", [
+    ([0.0], [0.0], 0), ([0.1], [0.0], 1), ([0.0, 0.1, 0.2], [0.0, 0.2], 5),
+    ([0.0, 0.05, 0.1, 0.2], [0.0, 0.1, 0.2], 11)])
+def test_sweep_seeds_streams_once_per_call(monkeypatch, eps_grid, eps_h_grid,
+                                           noisy_cells):
+    # One KeyedStreams holds every noisy cell's fixes, whatever the cell
+    # count; each cell draws its own rows of it.
+    scn, points = _office_sweep_points()
+    n_fix = 2 * (len(points) - 1)
+    seeded = []
+    keyed = sim.KeyedStreams
+    monkeypatch.setattr(sim, "KeyedStreams",
+                        lambda keys: seeded.append(keys.shape) or keyed(keys))
+    rows, _ = sensitivity_sweep(scn, points, eps_grid, eps_h_grid, 2, seed=3)
+    assert len(rows) == len(eps_grid) * len(eps_h_grid)
+    assert seeded == [(noisy_cells * n_fix, 5)]
+
+
+@pytest.mark.parametrize("seed", [2**63 + 5, 2**64 + 3])
+def test_sweep_keys_hold_a_seed_above_int64(seed):
+    # A seed past int64 keys the sweep's streams unrounded: the fixes are
+    # those of the Generators seeded (seed, cell indices, trial, point).
+    sf = load_scenario(str(resources.files("lightpos") / "fixtures"
+                           / "office_single_lamp.json"))
+    scn, points = sf.scenario, np.asarray(sf.points[:4])
+    (eps, eps_h, st), = sensitivity_sweep(scn, points, [0.2], [0.0], 2,
+                                          seed=seed)[0]
+    noisy = replace(scn, noise=replace(scn.noise, rss_epsilon=0.2))
+    errors = []
+    for t in range(2):
+        for i, p in enumerate(points):
+            mset = measure(noisy, p, Attitude(0, 0, 0), sim.MODE_FAST,
+                           rng=_point_rng(seed, 0, 0, t, i))
+            errors.append(float(np.linalg.norm(locate(noisy, mset).point
+                                               - p)))
+    assert (st.count, st.failures) == (len(errors), 0)
+    assert [st.mean, st.max] == pytest.approx([np.mean(errors),
+                                               np.max(errors)], rel=1e-9)
+
+
 def _three_lamps(**noise):
     sf = load_scenario(str(resources.files("lightpos") / "fixtures"
                            / "three_lamps.json"))

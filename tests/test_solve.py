@@ -123,6 +123,56 @@ def test_least_squares_seeds_from_strongest_independent_triple(monkeypatch):
     assert seen == [(want, [0.9, 0.9, 0.7])]
 
 
+# The triple product stays within this of LAPACK's determinant on unit
+# planes (the largest difference seen below is ~6e-16), so the two agree
+# on the INDEPENDENCE_TOL test for every triple whose |det| lies outside
+# the band INDEPENDENCE_TOL +- _DET_TOL.
+_DET_TOL = 4e-15
+
+
+def _unit_rows(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def test_triple_product_is_the_determinant_of_unit_planes():
+    # Random unit triples, and near-degenerate ones: p2 in the plane of p0
+    # and p1 up to a tilt of 1e-8 to 1e-4, so |det| spans the test's
+    # threshold.  Outside the band the outcomes agree, and none of these
+    # triples flips it at all.
+    rng = np.random.default_rng(17)
+    n = 100_000
+    random = _unit_rows(rng.normal(size=(n, 3, 3)))
+    near = random.copy()
+    a, b = rng.normal(size=(2, n, 1))
+    tilt = 10 ** rng.uniform(-8, -4, size=(n, 1))
+    near[:, 2] = _unit_rows(a * near[:, 0] + b * near[:, 1]
+                            + tilt * _unit_rows(rng.normal(size=(n, 3))))
+    for planes in (random, near):
+        want = np.linalg.det(planes)
+        got = solve._triple_products(planes)
+        assert np.max(np.abs(got - want)) <= _DET_TOL
+        outside = np.abs(np.abs(want) - solve.INDEPENDENCE_TOL) > _DET_TOL
+        independent = np.abs(got) > solve.INDEPENDENCE_TOL
+        assert np.array_equal(independent[outside],
+                              (np.abs(want) > solve.INDEPENDENCE_TOL)[outside])
+        assert np.array_equal(independent,
+                              np.abs(want) > solve.INDEPENDENCE_TOL)
+    # The near triples straddle the threshold.
+    assert 0.1 < np.mean(np.abs(want) > solve.INDEPENDENCE_TOL) < 0.9
+
+
+def test_tiny_amplitudes_keep_a_unique_fix():
+    # A lamp of k = 1e-150 reads ~1e-153: its rows planes / s reach ~1e153,
+    # whose determinant would overflow, so independence is tested on the
+    # unit planes themselves, and the fix stays unique and exact.
+    r = readings_for([10, 10, 10], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1e-150)
+    assert np.all(r[1] < 1e-152)
+    point, unique, residual = closed_form(r, 1e-150, COS)
+    assert unique
+    assert np.allclose(point, [10, 10, 10], atol=1e-9)
+    assert residual < 1e-12
+
+
 def test_worked_example_forward_values():
     # Lamp at (10,10,10), k = 1, cosine profile: the coordinate planes
     # each read 1/900 and the plane x + 2y = 0 reads 1/(300*sqrt(5)).

@@ -176,3 +176,58 @@ def test_normals_are_gaussian():
     ks = max(np.max(np.arange(1, n + 1) / n - cdf),
              np.max(cdf - np.arange(n) / n))
     assert ks <= math.sqrt(math.log(2 / 1e-6) / (2 * n))
+
+
+@st.composite
+def _narrow_keys(draw):
+    """An (N, K) int64 key array of values below 2**32: one entropy group."""
+    k = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=k,
+                                  max_size=k), min_size=1, max_size=12))
+    return np.array(rows, dtype=np.int64)
+
+
+# Draws that advance streams: a binary draw of an odd count leaves the
+# upper half of a 64-bit draw buffered for the next 32-bit draw.
+_advance = st.one_of(
+    st.tuples(st.just("binary"), st.integers(0, 3).map(lambda n: 2 * n + 1)),
+    st.tuples(st.just("binary"), st.integers(0, 4)),
+    st.tuples(st.just("uniform")), st.tuples(st.just("integers63"),
+                                             st.integers(1, 3)))
+
+
+def _apply(streams, op) -> np.ndarray:
+    if op[0] == "binary":
+        return streams.binary((op[1],))
+    if op[0] == "uniform":
+        return streams.uniform(-1.0, 1.0)
+    return streams.integers63(op[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_narrow_keys(), _array_keys(), _object_keys()),
+       st.lists(_advance, max_size=4), st.lists(_advance, min_size=1,
+                                                max_size=4),
+       st.data())
+def test_row_subset_draws_the_same_rows_of_the_streams(keys, before, after,
+                                                       data):
+    # A subset taken mid-sequence, the buffered half included, continues
+    # each of its rows as the full streams do: as an index array (rows in
+    # any order, repeated) and as a slice.
+    full = KeyedStreams(keys)
+    for op in before:
+        _apply(full, op)
+    idx = np.array(data.draw(st.lists(st.integers(0, len(keys) - 1),
+                                      max_size=8)), dtype=np.intp)
+    start = data.draw(st.integers(0, len(keys)))
+    stop = data.draw(st.integers(start, len(keys)))
+    subsets = [(full.take(idx), idx), (full.take(slice(start, stop)),
+                                       slice(start, stop))]
+    for sub, rows in subsets:
+        assert len(sub) == len(np.arange(len(keys))[rows])
+    for op in after:
+        want = _apply(full, op)
+        for sub, rows in subsets:
+            got = _apply(sub, op)
+            assert got.dtype == want.dtype, op
+            assert got.tobytes() == want[rows].tobytes(), op
