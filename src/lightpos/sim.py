@@ -13,11 +13,11 @@ stream's uniforms (``streams.normals``), not numpy's own normals.
 Measurements are arrays over (fix, lamp, face) (``MeasurementBatch``);
 ``measure`` makes a batch of one fix.  They are made in two parts.  The
 pose part depends only on the true pose and attitude: line of sight,
-model RSS, saturation and each face's direction toward each lamp.  The
-per-fix part depends on the fix's noise draws: the measured attitude,
-the sensing planes it gives, the noisy or extracted amplitudes and
-which readings are valid.  The sweep computes the pose part of each
-point once, with the planes of fixes without attitude noise, and the
+model RSS and saturation.  The per-fix part depends on the fix's noise
+draws: the measured attitude, the sensing planes it gives (each face's
+outward normal, as a real receiver knows it, in each lamp's solve
+frame), the noisy or extracted amplitudes and which readings are
+valid.  The sweep computes the pose part of each point once and the
 per-fix part of every fix at it, or of each point once in a noise-free
 cell; every cell runs on the caller's scenario, with its own noise.
 End-to-end amplitudes are what synthesizing each face's trace and
@@ -272,8 +272,11 @@ class MeasurementBatch:
     ``amps`` holds the extracted amplitudes and ``valid`` marks the
     readings a solver may use: lit, unoccluded, unsaturated and positive.
     ``planes`` are each face's sensing-plane coefficients in the lamp's
-    solve frame, signed to dot positively with the lamp but not yet
-    normalized (``locate_batch`` normalizes the chosen ones).
+    solve frame: its outward normal at the measured attitude, not yet
+    normalized (``locate_batch`` normalizes the chosen ones).  A lit
+    face's plane dots positively with the lamp; an unlit one's need not.
+    Without attitude noise every fix has the same planes, and ``planes``
+    may then be a read-only broadcast view of one fix's.
     ``saturated`` flags saturated faces per fix, and ``attitudes`` holds
     the measured attitudes as (pitch, roll, heading) rows.  Amplitudes
     are flash-fundamental values, (2/pi) x model RSS; ``locate_batch``
@@ -294,25 +297,13 @@ class _Poses(NamedTuple):
     noise draws."""
 
     attitude: Attitude     # the true receiver attitude
-    rot: np.ndarray        # (3, 3) its receiver rotation
+    normals: np.ndarray    # (faces, 3) its world face normals
     rss: np.ndarray        # (N, lamps, faces) model RSS
     saturated: np.ndarray  # (N, faces)
-    toward: np.ndarray     # (lamps, N, faces, 3) face to lamp, solve frame
-    planes: np.ndarray = None  # (N, lamps, faces, 3) at the true attitude
 
     def take(self, idx) -> _Poses:
-        """The poses at the indices ``idx``, in that order, without planes."""
-        return self._replace(rss=self.rss[idx], saturated=self.saturated[idx],
-                             toward=self.toward[:, idx], planes=None)
-
-    def with_planes(self, scn: Scenario) -> _Poses:
-        """These poses with planes: ``_fix_planes`` at the true attitude."""
-        if self.planes is not None:
-            return self
-        rot = self.rot[None].repeat(len(self.rss), axis=0)
-        normals = np.matmul(scn.receiver.polyhedron.normals,
-                            rot.transpose(0, 2, 1))
-        return self._replace(planes=_fix_planes(scn, normals, self.toward))
+        """The poses at the indices ``idx``, in that order."""
+        return self._replace(rss=self.rss[idx], saturated=self.saturated[idx])
 
 
 def _pose_geometry(scn: Scenario, positions, attitude: Attitude) -> _Poses:
@@ -321,12 +312,10 @@ def _pose_geometry(scn: Scenario, positions, attitude: Attitude) -> _Poses:
     over all lamps at once.
 
     Per (pose, lamp, face): the model RSS, zero where the line of sight
-    from the lamp to the face centroid is blocked or the face is back-lit,
-    and the direction from the face centroid toward the lamp in the lamp's
-    solve frame, which signs the planes.  Per (pose, face): saturation.
-    Faces share the receiver origin in the model (the face planes pass
-    through it); centroids are used for occlusion realism and the plane
-    signs only.
+    from the lamp to the face centroid is blocked or the face is back-lit.
+    Per (pose, face): saturation.  Faces share the receiver origin in the
+    model (the face planes pass through it); centroids are used for
+    occlusion realism only.
     """
     poly = scn.receiver.polyhedron
     rot_true = receiver_rotation(attitude)
@@ -349,21 +338,15 @@ def _pose_geometry(scn: Scenario, positions, attitude: Attitude) -> _Poses:
         lit[li, pose, face] = ~segments_blocked(
             lamp_pos[li], centers[pose, face], scn.obstacles)
     rss = np.ascontiguousarray(np.where(lit, rss, 0.0).transpose(1, 0, 2))
-    toward = np.matvec(basis_t[:, None, None],
-                       lamp_pos[:, None, None, :] - centers)
     saturated = scn.ambient_dc + rss.sum(axis=1) > scn.saturation
-    return _Poses(attitude, rot_true, rss, saturated, toward)
+    return _Poses(attitude, normals_true, rss, saturated)
 
 
-def _fix_planes(scn: Scenario, normals_meas, toward) -> np.ndarray:
-    """The per-fix planes: each face's sensing plane in each lamp's solve
+def _fix_planes(scn: Scenario, normals) -> np.ndarray:
+    """The per-fix planes: each face's outward normal in each lamp's solve
     frame, (N, lamps, faces, 3), from the world face normals of each
-    fix's measured attitude, ``normals_meas`` (N, faces, 3), signed to dot
-    positively with the pose's direction from the face toward the lamp,
-    ``toward`` (lamps, N, faces, 3)."""
-    planes = np.matmul(normals_meas, scn.lamp_table.basis[:, None])
-    np.negative(planes, out=planes,
-                where=(np.vecdot(planes, toward) < 0)[..., None])
+    fix's measured attitude, ``normals`` (N, faces, 3)."""
+    planes = np.matmul(normals, scn.lamp_table.basis[:, None])
     return np.ascontiguousarray(planes.transpose(1, 0, 2, 3))
 
 
@@ -389,11 +372,10 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
 
     Two parts, each over all lamps in one array pass.  Per pose
     (``_pose_geometry``), from the true position and attitude alone: the
-    line-of-sight check to each face centroid, the forward RSS, saturation
-    and each face's direction toward the lamp.  Per fix
-    (``_measure_poses``), from its noise draws: the measured attitude, the
-    solve-frame planes of its faces (``_fix_planes``), signed by the
-    pose's directions toward the lamps, and either the direct
+    line-of-sight check to each face centroid, the forward RSS and
+    saturation.  Per fix (``_measure_poses``), from its noise draws: the
+    measured attitude, the solve-frame planes of its faces
+    (``_fix_planes``: their outward normals), and either the direct
     flash-fundamental amplitude with multiplicative noise (fast) or
     the single-bin amplitudes of a synthesized trace (end_to_end: one
     trace per fix and face, ambient DC plus every lamp's flash plus
@@ -419,7 +401,8 @@ def _measure_poses(scn: Scenario, poses: _Poses, rngs, mode: str,
                    noise: NoiseSpec) -> MeasurementBatch:
     """The per-fix part of ``measure_batch``: one fix at each of the poses,
     each with the noise of its own generator or stream in ``rngs`` (None:
-    noise-free, nothing drawn); without attitude noise, the poses' planes.
+    noise-free, nothing drawn); without attitude noise, one set of planes,
+    the true attitude's, shared by every fix.
     The noise magnitudes are ``noise``'s, not ``scn.noise``'s, so a sweep
     cell runs on its caller's scenario; the end-to-end amplitudes come
     from that scenario's map, which leaves the ambient DC out."""
@@ -450,13 +433,14 @@ def _measure_poses(scn: Scenario, poses: _Poses, rngs, mode: str,
     if noise.heading_epsilon == 0 and noise.accel_sd == 0:
         att_meas = np.full((n_fix, 3), [attitude.pitch, attitude.roll,
                                         attitude.heading], dtype=float)
-        planes = poses.with_planes(scn).planes
+        # Every fix measures the true attitude: one set of planes.
+        planes = np.broadcast_to(_fix_planes(scn, poses.normals[None]),
+                                 (n_fix, n_lamps, n_faces, 3))
     else:
         att_meas = _measured_attitudes(attitude, offsets, noise.accel_sd > 0)
         rot_meas = receiver_rotations(att_meas)
-        normals_meas = np.matmul(scn.receiver.polyhedron.normals,
-                                 rot_meas.transpose(0, 2, 1))
-        planes = _fix_planes(scn, normals_meas, poses.toward)
+        planes = _fix_planes(scn, np.matmul(scn.receiver.polyhedron.normals,
+                                            rot_meas.transpose(0, 2, 1)))
 
     rss = poses.rss
     lit = rss > 0
@@ -682,19 +666,18 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
     and cell, all independently seeded.
 
     The sweep measures each in-bounds point's true-pose geometry once per
-    call (``_pose_geometry``: line of sight, model RSS, saturation and the
-    directions that sign the planes, and the planes themselves when a
-    cell has no attitude noise); noise changes none of it.  Each cell
-    then runs only the per-fix part of ``measure_batch`` on its trials x
-    points fixes, gathered by point: attitude noise, the planes, the
-    fast-mode noise or the end-to-end traces and the valid readings.  One
-    ``locate_batch`` call locates the cell (multi at m = 3, trilateration
-    at a free height).  Every fix still draws the stream of its own
-    generator seeded with (seed, cell indices, trial, point): the call
-    seeds the (N, 5) keys of all its noisy cells once, as one
-    ``KeyedStreams``, and each cell's rows of it (``KeyedStreams.take``)
-    go to the per-fix part, which draws all of them as arrays.  A seed of
-    any size keys them unrounded.  Every cell measures and locates on the
+    call (``_pose_geometry``: line of sight, model RSS and saturation);
+    noise changes none of it.  Each cell then runs only the per-fix part
+    of ``measure_batch`` on its trials x points fixes, gathered by point:
+    attitude noise, the planes (one set when the cell has no attitude
+    noise), the fast-mode noise or the end-to-end traces and the valid
+    readings.  One ``locate_batch`` call locates the cell (multi at
+    m = 3, trilateration at a free height).  Every fix still draws the
+    stream of its own generator seeded with (seed, cell indices, trial,
+    point): the call seeds the (N, 5) keys of all its noisy cells once,
+    as one ``KeyedStreams``, and each cell's rows of it
+    (``KeyedStreams.take``) go to the per-fix part, which draws all of
+    them as arrays.  A seed of any size keys them unrounded.  Every cell measures and locates on the
     caller's scenario, with the cell's ``NoiseSpec`` passed alongside, so
     the cells share one lamp table and one amplitude map (which leaves
     the ambient DC out).  A noise-free cell (no attitude noise,
@@ -733,8 +716,6 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
     at = np.tile(np.arange(len(inside)), trials)
     fix_poses = poses.take(at)
     truth = points[fix_keys[:, 1]]
-    if 0 in eps_h_grid and not scn.noise.accel_sd:
-        poses = poses.with_planes(scn)
     # The noisy cells' fixes, keyed (seed, cell indices, trial, point) and
     # seeded as one KeyedStreams: the c-th noisy cell's n_fix fixes draw
     # its rows c * n_fix to (c + 1) * n_fix.
@@ -752,10 +733,6 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
     first_row = {cell: c * n_fix for c, cell in enumerate(noisy)}
     rows = []
     for ci, eps_h in enumerate(eps_h_grid):
-        # A row of cells without attitude noise gathers the planes of its
-        # fixes, and holds them only while it runs.
-        row_poses = (fix_poses if eps_h or scn.noise.accel_sd
-                     else fix_poses._replace(planes=poses.planes[at]))
         for cj, eps in enumerate(eps_grid):
             noise = noises[ci][cj]
             if (ci, cj) not in first_row:
@@ -765,7 +742,7 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
             else:
                 row = first_row[ci, cj]
                 batch, reps = _measure_poses(
-                    scn, row_poses, streams.take(slice(row, row + n_fix)),
+                    scn, fix_poses, streams.take(slice(row, row + n_fix)),
                     mode, noise), 1
             est, status, *_ = locate_batch(scn, batch, pipeline)
             est, status = np.tile(est, (reps, 1)), np.tile(status, reps)

@@ -28,8 +28,10 @@ solve-frame origin with an identity basis, capped at 100 iterations.
 Residuals are relative, (model - measured) / measured, matching the
 sensor's multiplicative error structure; ``sim.locate_batch`` passes
 the scenario's ``fundamental_lamps``, k times 2/pi, the flash
-fundamental.  Face planes are oriented so their coefficients dot
-positively with the lamp position.
+fundamental.  Face planes are the faces' outward normals, so a lit
+face's plane dots positively with the lamp position; the closed form
+finds the lamp in front of all three faces, and readings that would put
+it behind one make the triple degenerate.
 """
 
 from __future__ import annotations

@@ -325,29 +325,30 @@ def test_solve_frame_basis_orthonormal_for_any_ray():
         assert np.linalg.det(basis) == pytest.approx(1.0)
 
 
-def _fix_plane(face_normal_body, att, toward):
-    """One face's sensing plane, as ``sim._fix_planes`` signs it, under a
+def _fix_plane(face_normal, att):
+    """One face's sensing plane, as ``sim._fix_planes`` makes it, under a
     single vertical lamp, whose solve frame is the world frame: the plane
-    rule's one owner, fed the world normal of a body-frame face."""
+    rule's one owner, fed the world normal of a receiver-local (z up)
+    face, rotated as ``sim`` rotates the receiver's faces."""
     scn = sim.Scenario(
         bounds=Aabb([0, 0, 0], [10, 10, 3]), obstacles=(),
         lamps=(LampModel([5.0, 5.0, 3.0], [0, 0, -1], 40.0,
                          make_profile("cosine_power", [1.0]), 65.0),),
         receiver=sim.ReceiverSpec.default(0.05), noise=sim.NoiseSpec())
-    n_world = NED_TO_WORLD @ attitude_to_rotation(att) @ unit(
-        face_normal_body)
-    return sim._fix_planes(scn, n_world[None, None],
-                           np.asarray(toward, float)[None, None, None])[0, 0, 0]
+    n_world = receiver_rotation(att) @ unit(face_normal)
+    return sim._fix_planes(scn, n_world[None, None])[0, 0, 0]
 
 
 def test_solve_frame_plane_top_face_level_receiver():
-    plane = _fix_plane([0, 0, 1], Attitude(0, 0, 0), [0.0, 0.0, 3.0])
+    plane = _fix_plane([0, 0, 1], Attitude(0, 0, 0))
     assert np.allclose(plane, [0, 0, 1], atol=1e-12)
     assert np.array_equal(plane, [0.0, 0.0, 1.0])
 
 
-def test_solve_frame_plane_sign_follows_lamp_direction():
-    # Tilted face with the lamp on the opposite side of its plane.
-    plane = _fix_plane([1, 0, 0], Attitude(0, 0, 0), [-2.0, 0.0, 5.0])
-    assert plane @ np.array([-2.0, 0.0, 5.0]) > 0
-    assert np.array_equal(plane, [-1.0, 0.0, 0.0])
+def test_solve_frame_plane_is_the_outward_normal():
+    # A face turned away from the lamp keeps its outward normal: a lamp
+    # toward (-2, 0, 5) lies behind the +x face, whose plane still reads
+    # +x (the closed form calls a triple holding it degenerate).
+    plane = _fix_plane([1, 0, 0], Attitude(0, 0, 0))
+    assert plane @ np.array([-2.0, 0.0, 5.0]) < 0
+    assert np.array_equal(plane, [1.0, 0.0, 0.0])

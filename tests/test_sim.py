@@ -299,7 +299,6 @@ def _ref_pose_geometry(scn, positions, attitude):
     normals_true = poly.normals @ rot_true.T
     shape = (len(positions), len(scn.lamps), len(normals_true))
     rss = np.zeros(shape)
-    toward = np.empty((len(scn.lamps), len(positions), len(normals_true), 3))
     for li, lamp in enumerate(scn.lamps):
         basis = solve_frame_basis(lamp.central_ray)
         x = np.matvec(basis.T, lamp.position - positions)
@@ -311,20 +310,18 @@ def _ref_pose_geometry(scn, positions, attitude):
         lit[lit] = ~segments_blocked(lamp.position, centers[lit],
                                      scn.obstacles)
         rss[:, li] = np.where(lit, m, 0.0)
-        toward[li] = np.matvec(basis.T, lamp.position - centers)
     saturated = scn.ambient_dc + rss.sum(axis=1) > scn.saturation
-    return sim._Poses(attitude, rot_true, rss, saturated, toward)
+    return sim._Poses(attitude, normals_true, rss, saturated)
 
 
-def _ref_fix_planes(scn, normals_meas, toward):
-    # The per-lamp loop that sim._fix_planes replaced, kept as its oracle.
+def _ref_fix_planes(scn, normals_meas):
+    # The per-lamp loop that sim._fix_planes replaced, kept as its oracle:
+    # each face's outward normal in each lamp's solve frame.
     planes = np.empty((len(normals_meas), len(scn.lamps))
                       + normals_meas.shape[1:])
     for li, lamp in enumerate(scn.lamps):
-        basis = solve_frame_basis(lamp.central_ray)
-        n_solve = np.matmul(normals_meas, basis)
-        n_solve[np.vecdot(n_solve, toward[li]) < 0] *= -1.0
-        planes[:, li] = n_solve
+        planes[:, li] = np.matmul(normals_meas,
+                                  solve_frame_basis(lamp.central_ray))
     return planes
 
 
@@ -391,7 +388,7 @@ def _ref_measure_end_to_end(scn, positions, attitude, rngs):
                              np.array(rot_meas).transpose(0, 2, 1))
     poses = _ref_pose_geometry(scn, positions, attitude)
     rss, saturated = poses.rss, poses.saturated
-    planes = _ref_fix_planes(scn, normals_meas, poses.toward)
+    planes = _ref_fix_planes(scn, normals_meas)
     amps = np.zeros(shape)
     bound = np.zeros(shape)
     for n, seeds in enumerate(trace_seeds):
@@ -1104,6 +1101,75 @@ def test_measured_attitude_perturbed_within_bounds():
     assert np.std(seen) > 0
 
 
+def _grazing_face_scene():
+    """A tilted lamp that lights one face of the receiver 0.47 degrees
+    from grazing, at 1.04% of the strongest reading: above the RSS floor,
+    so that face is one of the three the closed form solves."""
+    lamp = LampModel([4.0, 5.578125, 2.984375], [0.0, 0.2830, -0.9591],
+                     22.075, make_profile("cosine_power", [2.8837]), 45.0)
+    scn = Scenario(bounds=Aabb([0, 0, 0], [12, 12, 3]), obstacles=(),
+                   lamps=(lamp,), receiver=ReceiverSpec.default(0.05),
+                   noise=NoiseSpec())
+    return scn, np.array([1.140625, 11.375, 1.859375]), \
+        Attitude(0.0, -0.45777, 5.09999)
+
+
+@pytest.mark.parametrize("pipeline, m", [(sim.PIPELINE_MFLP, 3),
+                                         (sim.PIPELINE_MULTI, 9)])
+def test_face_near_grazing_gives_an_exact_fix(pipeline, m):
+    # The measured planes are the faces' outward normals.  When each was
+    # signed by the direction from its centroid to the lamp, this face
+    # read light yet had its plane negated, and the closed form returned
+    # (1.282, 10.912, 2.065), 0.526 m off, as unique.  Multi m = 9 reads
+    # the same three faces, so its fix is that closed form.
+    scn, position, att = _grazing_face_scene()
+    batch = measure(scn, position, att)
+    assert batch.valid.sum() == 3
+    fix = locate(scn, batch, pipeline, m)
+    assert fix.status == "unique"
+    assert np.linalg.norm(fix.point - position) <= 1e-12
+
+
+def _single_lamp_scenes(seed, n):
+    """n random noise-free one-lamp scenes in a 12 x 12 x 3 m room: ray
+    tilt t = 0, 0.1, 0.3, 0.5 in turn (a ray (tx, ty, -1), |tx|, |ty| <=
+    t), a cos^gamma profile with gamma in [1, 3], and a receiver anywhere
+    below 2 m, at any heading, pitch and roll within +-0.5 rad."""
+    rng = np.random.default_rng(seed)
+    receiver, bounds = ReceiverSpec.default(0.05), Aabb([0, 0, 0],
+                                                        [12, 12, 3])
+    for i in range(n):
+        t = (0.0, 0.1, 0.3, 0.5)[i % 4]
+        ray = [*rng.uniform(-t, t, 2), -1.0]
+        lamp = LampModel([*rng.uniform(0.0, 12.0, 2), rng.uniform(2.5, 3.0)],
+                         ray, rng.uniform(10, 50),
+                         make_profile("cosine_power", [rng.uniform(1, 3)]),
+                         45.0)
+        scn = Scenario(bounds=bounds, obstacles=(), lamps=(lamp,),
+                       receiver=receiver, noise=NoiseSpec())
+        position = np.array([*rng.uniform(0.0, 12.0, 2), rng.uniform(0, 2)])
+        att = Attitude(*rng.uniform(-0.5, 0.5, 2),
+                       rng.uniform(0.0, 2 * math.pi))
+        yield scn, position, att
+
+
+def test_unique_noise_free_mflp_fixes_are_exact():
+    # Every unique noise-free mflp fix of 1,600 random scenes (seed
+    # 20261021) lies within 1e-9 m of the truth.  With planes signed by
+    # the direction from each face's centroid to the lamp, 1 of the 1,297
+    # unique fixes here was 0.061 m off (t = 0.3).
+    unique = 0
+    for scn, position, att in _single_lamp_scenes(20261021, 1600):
+        try:
+            fix = locate(scn, measure(scn, position, att))
+        except ValueError:  # no three readings above the floor
+            continue
+        if fix.status == "unique":
+            unique += 1
+            assert np.linalg.norm(fix.point - position) <= 1e-9
+    assert unique >= 1200  # 1,297 here
+
+
 def test_run_static_noise_free_exact():
     scn = simple_scenario()
     points = [[4, 4, 0], [5, 6, 0], [6.5, 5, 0]]
@@ -1462,8 +1528,9 @@ def test_sweep_cell_arrays_equal_measure_batch(monkeypatch, mode,
 def test_sweep_measures_pose_geometry_once_per_call(monkeypatch):
     # The pose part, line of sight included, runs once per sweep over the
     # in-bounds points, not once per cell; the point outside the bounds
-    # never reaches it.  So do the planes of the cells without attitude
-    # noise; each cell with it builds the planes of its every fix.
+    # never reaches it.  A cell without attitude noise builds one set of
+    # planes, the true attitude's; each cell with it builds the planes of
+    # its every fix.
     scn, points = _office_sweep_points()
     seen, blocked_calls, plane_rows = [], [], []
     pose_geometry, blocked = sim._pose_geometry, sim.segments_blocked
@@ -1474,8 +1541,8 @@ def test_sweep_measures_pose_geometry_once_per_call(monkeypatch):
     monkeypatch.setattr(sim, "segments_blocked",
                         lambda *a: blocked_calls.append(1) or blocked(*a))
     monkeypatch.setattr(sim, "_fix_planes",
-                        lambda s, normals, toward: plane_rows.append(
-                            len(normals)) or fix_planes(s, normals, toward))
+                        lambda s, normals: plane_rows.append(
+                            len(normals)) or fix_planes(s, normals))
     for mode in (sim.MODE_FAST, MODE_END_TO_END):
         seen.clear()
         blocked_calls.clear()
@@ -1486,7 +1553,7 @@ def test_sweep_measures_pose_geometry_once_per_call(monkeypatch):
         assert len(seen) == 1 and len(blocked_calls) == 1
         assert np.array_equal(seen[0], np.delete(points, -2, axis=0))
         assert all(st.failures >= 2 * 2 for _, _, st in rows)
-        assert plane_rows == [len(points) - 1] + [2 * (len(points) - 1)] * 3
+        assert plane_rows == [1] * 3 + [2 * (len(points) - 1)] * 3
 
 
 @pytest.mark.parametrize("eps_grid, eps_h_grid, noisy_cells", [
