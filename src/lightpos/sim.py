@@ -297,7 +297,7 @@ class _Poses(NamedTuple):
     noise draws."""
 
     attitude: Attitude     # the true receiver attitude
-    normals: np.ndarray    # (faces, 3) its world face normals
+    planes: np.ndarray     # (lamps, faces, 3) its solve-frame face planes
     rss: np.ndarray        # (N, lamps, faces) model RSS
     saturated: np.ndarray  # (N, faces)
 
@@ -313,9 +313,11 @@ def _pose_geometry(scn: Scenario, positions, attitude: Attitude) -> _Poses:
 
     Per (pose, lamp, face): the model RSS, zero where the line of sight
     from the lamp to the face centroid is blocked or the face is back-lit.
-    Per (pose, face): saturation.  Faces share the receiver origin in the
-    model (the face planes pass through it); centroids are used for
-    occlusion realism only.
+    Per (pose, face): saturation.  Per (lamp, face): the true attitude's
+    face planes in the lamp's solve frame, which the model reads and every
+    fix without attitude noise measures.  Faces share the receiver origin
+    in the model (the face planes pass through it); centroids are used
+    for occlusion realism only.
     """
     poly = scn.receiver.polyhedron
     rot_true = receiver_rotation(attitude)
@@ -327,9 +329,10 @@ def _pose_geometry(scn: Scenario, positions, attitude: Attitude) -> _Poses:
     table = scn.lamp_table
     lamp_pos, basis_t = table.position, table.basis.transpose(0, 2, 1)
     x = np.matvec(basis_t[:, None], lamp_pos[:, None, :] - positions)
-    rss, _ = rss_model(np.matmul(normals_true, table.basis)[:, None],
-                       table.k[:, None], table.profiles.take(np.s_[:, None]),
-                       x, gradient=False)                         # (L, N, F)
+    planes = np.matmul(normals_true, table.basis)                 # (L, F, 3)
+    rss, _ = rss_model(planes[:, None], table.k[:, None],
+                       table.profiles.take(np.s_[:, None]), x,
+                       gradient=False)                            # (L, N, F)
     # Lit: the pose in the lamp's forward hemisphere, the face toward it.
     lit = (x[..., 2] > 0)[..., None] & (rss > 0)
     if scn.obstacles:
@@ -339,7 +342,7 @@ def _pose_geometry(scn: Scenario, positions, attitude: Attitude) -> _Poses:
             lamp_pos[li], centers[pose, face], scn.obstacles)
     rss = np.ascontiguousarray(np.where(lit, rss, 0.0).transpose(1, 0, 2))
     saturated = scn.ambient_dc + rss.sum(axis=1) > scn.saturation
-    return _Poses(attitude, normals_true, rss, saturated)
+    return _Poses(attitude, planes, rss, saturated)
 
 
 def _fix_planes(scn: Scenario, normals) -> np.ndarray:
@@ -372,11 +375,12 @@ def measure_batch(scn: Scenario, positions, attitude: Attitude, rngs,
 
     Two parts, each over all lamps in one array pass.  Per pose
     (``_pose_geometry``), from the true position and attitude alone: the
-    line-of-sight check to each face centroid, the forward RSS and
-    saturation.  Per fix (``_measure_poses``), from its noise draws: the
-    measured attitude, the solve-frame planes of its faces
-    (``_fix_planes``: their outward normals), and either the direct
-    flash-fundamental amplitude with multiplicative noise (fast) or
+    line-of-sight check to each face centroid, the forward RSS,
+    saturation and the true attitude's solve-frame face planes.  Per fix
+    (``_measure_poses``), from its noise draws: the measured attitude,
+    the solve-frame planes of its faces (their outward normals: without
+    attitude noise the pose part's, else ``_fix_planes``'s), and either
+    the direct flash-fundamental amplitude with multiplicative noise (fast) or
     the single-bin amplitudes of a synthesized trace (end_to_end: one
     trace per fix and face, ambient DC plus every lamp's flash plus
     sensor noise, mapped to amplitudes by the scenario's
@@ -401,8 +405,8 @@ def _measure_poses(scn: Scenario, poses: _Poses, rngs, mode: str,
                    noise: NoiseSpec) -> MeasurementBatch:
     """The per-fix part of ``measure_batch``: one fix at each of the poses,
     each with the noise of its own generator or stream in ``rngs`` (None:
-    noise-free, nothing drawn); without attitude noise, one set of planes,
-    the true attitude's, shared by every fix.
+    noise-free, nothing drawn); without attitude noise, the true
+    attitude's planes (``_Poses.planes``), shared by every fix.
     The noise magnitudes are ``noise``'s, not ``scn.noise``'s, so a sweep
     cell runs on its caller's scenario; the end-to-end amplitudes come
     from that scenario's map, which leaves the ambient DC out."""
@@ -433,9 +437,8 @@ def _measure_poses(scn: Scenario, poses: _Poses, rngs, mode: str,
     if noise.heading_epsilon == 0 and noise.accel_sd == 0:
         att_meas = np.full((n_fix, 3), [attitude.pitch, attitude.roll,
                                         attitude.heading], dtype=float)
-        # Every fix measures the true attitude: one set of planes.
-        planes = np.broadcast_to(_fix_planes(scn, poses.normals[None]),
-                                 (n_fix, n_lamps, n_faces, 3))
+        # Every fix measures the true attitude: its planes.
+        planes = np.broadcast_to(poses.planes, (n_fix, n_lamps, n_faces, 3))
     else:
         att_meas = _measured_attitudes(attitude, offsets, noise.accel_sd > 0)
         rot_meas = receiver_rotations(att_meas)
@@ -669,9 +672,9 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
     call (``_pose_geometry``: line of sight, model RSS and saturation);
     noise changes none of it.  Each cell then runs only the per-fix part
     of ``measure_batch`` on its trials x points fixes, gathered by point:
-    attitude noise, the planes (one set when the cell has no attitude
-    noise), the fast-mode noise or the end-to-end traces and the valid
-    readings.  One ``locate_batch`` call locates the cell (multi at
+    attitude noise, the planes (the pose part's when the cell has no
+    attitude noise), the fast-mode noise or the end-to-end traces and the
+    valid readings.  One ``locate_batch`` call locates the cell (multi at
     m = 3, trilateration at a free height).  Every fix still draws the
     stream of its own generator seeded with (seed, cell indices, trial,
     point): the call seeds the (N, 5) keys of all its noisy cells once,

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -329,7 +328,10 @@ def mflp_least_squares(planes, s, k: float, profile: EmissionProfile,
     Without an initial point, the closed form on the strongest independent
     plane triple is the start: the first triple, in ``combinations``
     order over the readings sorted stably by s descending, whose |det|
-    (the closed form's triple product) exceeds INDEPENDENCE_TOL.  With
+    (the closed form's triple product) exceeds INDEPENDENCE_TOL, or the
+    first triple when none does.  The search is lazy, one triple per
+    triple-product call, and usually ends at the first triple; when every
+    triple is dependent it visits all C(n, 3), in constant memory.  With
     exactly three readings that triple is the whole square system, so
     ``mflp_closed_form_batch``'s point and residual are the fix (0
     iterations).  More readings, or a supplied ``init``, are refined by
@@ -356,11 +358,12 @@ def mflp_least_squares(planes, s, k: float, profile: EmissionProfile,
 
     closed_form = init is None
     if closed_form:
-        triples = np.array(list(combinations(
-            np.argsort(-s, kind="stable"), 3)))
-        det = _triple_products(planes[triples])
+        order = np.argsort(-s, kind="stable")
+        independent = (
+            t for t in map(list, combinations(order, 3))
+            if abs(_triple_products(planes[t][None])[0]) > INDEPENDENCE_TOL)
         # With no independent triple, the first one is degenerate.
-        triple = triples[np.argmax(np.abs(det) > INDEPENDENCE_TOL)]
+        triple = next(independent, order[:3])
         seeds, unique, residual = mflp_closed_form_batch(
             planes[triple][None], s[triple][None], k, profile)
         if not unique[0]:
@@ -546,15 +549,6 @@ def solve_multi(planes, s, lamp_ids, lamps: LampTable):
     return _lm_fixes(len(s), seeded, p, cost, status, iters, s.shape[1])
 
 
-@lru_cache(maxsize=16)
-def _triples(n: int):
-    """The plan-view triangles of n lamps, their index triples in
-    ``combinations`` order as (3, C) rows, shared and read-only."""
-    triples = np.array(list(combinations(range(n), 3))).T
-    triples.flags.writeable = False
-    return triples
-
-
 def _invert_distances(k, profile, dz, s):
     """Per lamp, the distance d >= dz at which an upward face reads s: its
     model reading (``rss_model``) of a lamp at distance d and height dz,
@@ -617,19 +611,25 @@ def trilaterate_batch(planes, s, lamp_ids, lamps: LampTable,
     the readings' lamps ``lamp_ids`` (N, n), and ``s`` (N, n) their
     amplitudes, modeled with the k and profiles of ``lamps``;
     ``z_receiver`` (N,) holds the receivers' heights, or is None for free
-    ones starting at 0.  Lamps collinear in plan view (no plan-view
-    triangle of them spans 1e-9 of their squared plan-view spread, at
-    least 1) are degenerate.  Ranges inverted at the starting height (in
+    ones starting at 0.  Ranges inverted at the starting height (in
     closed form for cosine-power lamps, by bisection for polynomial ones)
-    seed a linear lateration; only this seed takes the lamps as hung
-    vertically over upward faces.  ``solve_multi``'s least squares
-    (``_multi_residuals``) refines it, over plan-view positions at a fixed
-    height, capped at 100 iterations.  Returns the fields of a
-    ``SolveResult`` per problem, (points (N, 3), status, residual,
-    iterations), and below (N,), False where a problem that is not
-    degenerate does not start below every lamp; it too has a NaN point.
-    A start that has a lamp at solve-frame z <= 0 is infeasible: its fix
-    is NaN and no_converge.
+    seed a linear lateration, the plan-view rows 2 (p_i - p_0) of the
+    lamps i > 0; only this seed takes the lamps as hung vertically over
+    upward faces.  One SVD of those rows forms the seed, as
+    np.linalg.pinv's pseudo-inverse, and judges degeneracy: lamps are
+    collinear in plan view when the product of the two singular values is
+    below 8e-9 of their squared plan-view spread (at least 1).  For three
+    lamps that product is |det|, 8 times their triangle's area, so the
+    rule is that the triangle spans less than 1e-9 of the squared spread;
+    for more, by Cauchy-Binet, it is 8 times the root of the sum of
+    squared areas of the triangles through lamp 0.  ``solve_multi``'s
+    least squares (``_multi_residuals``) refines the seed, over plan-view
+    positions at a fixed height, capped at 100 iterations.  Returns the
+    fields of a ``SolveResult`` per problem, (points (N, 3), status,
+    residual, iterations), and below (N,), False where a problem that is
+    not degenerate does not start below every lamp; it too has a NaN
+    point.  A start that has a lamp at solve-frame z <= 0 is infeasible:
+    its fix is NaN and no_converge.
     """
     n_fix, n = s.shape
     z_fixed = z_receiver is not None
@@ -639,11 +639,11 @@ def trilaterate_batch(planes, s, lamp_ids, lamps: LampTable,
     # np.mean: the sum, then one division.
     centered = xy - (xy.sum(axis=1) / n)[:, None]
     spread = np.sqrt(np.vecdot(centered, centered)).max(axis=1)
-    a, b, c = xy[:, _triples(n)].swapaxes(0, 1)
-    u, v = b - a, c - a
-    area = 0.5 * np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-                        ).max(axis=1)
-    spanned = ~(area < 1e-9 * np.maximum(spread, 1.0) ** 2)
+    # The plan-view lateration matrix of every problem and its SVD, which
+    # both judges degeneracy and forms the seed.
+    u, sigma, vt = np.linalg.svd(2 * (xy[:, 1:] - xy[:, :1]),
+                                 full_matrices=False)
+    spanned = ~(sigma.prod(axis=1) < 8e-9 * np.maximum(spread, 1.0) ** 2)
     dz0 = position[..., 2] - z0[:, None]
     below = ~spanned | (dz0 > 0).all(axis=1)
     rows = np.flatnonzero(spanned & below)
@@ -651,12 +651,17 @@ def trilaterate_batch(planes, s, lamp_ids, lamps: LampTable,
     # Linear lateration seed from inverted ranges at the initial height.
     position, s, ids, dz0 = position[rows], s[rows], lamp_ids[rows], dz0[rows]
     d_est = _invert_distances(lamps.k[ids], lamps.profiles.take(ids), dz0, s)
-    lhs = 2 * (position[:, 1:, :2] - position[:, :1, :2])
     d_sq, dz_sq = d_est ** 2, dz0 ** 2
     xy_sq = (position[..., :2] ** 2).sum(axis=2)
     rhs = (d_sq[:, :1] - d_sq[:, 1:] + xy_sq[:, 1:] - xy_sq[:, :1]
            + dz_sq[:, 1:] - dz_sq[:, :1])
-    xy = np.matvec(np.linalg.pinv(lhs), rhs)
+    # The pseudo-inverse from the SVD in np.linalg.pinv's arithmetic:
+    # singular values at most 1e-15 of the largest count as zero.
+    u, sigma, vt = u[rows], sigma[rows], vt[rows]
+    inv = np.divide(1, sigma, out=np.zeros_like(sigma),
+                    where=sigma > 1e-15 * sigma.max(axis=1, keepdims=True))
+    xy = np.matvec(np.matmul(vt.swapaxes(1, 2),
+                             inv[..., None] * u.swapaxes(1, 2)), rhs)
 
     z0 = z0[rows]
     residuals = _multi_residuals(planes[rows], s, ids, lamps)

@@ -311,7 +311,8 @@ def _ref_pose_geometry(scn, positions, attitude):
                                      scn.obstacles)
         rss[:, li] = np.where(lit, m, 0.0)
     saturated = scn.ambient_dc + rss.sum(axis=1) > scn.saturation
-    return sim._Poses(attitude, normals_true, rss, saturated)
+    return sim._Poses(attitude, _ref_fix_planes(scn, normals_true[None])[0],
+                      rss, saturated)
 
 
 def _ref_fix_planes(scn, normals_meas):
@@ -1528,9 +1529,9 @@ def test_sweep_cell_arrays_equal_measure_batch(monkeypatch, mode,
 def test_sweep_measures_pose_geometry_once_per_call(monkeypatch):
     # The pose part, line of sight included, runs once per sweep over the
     # in-bounds points, not once per cell; the point outside the bounds
-    # never reaches it.  A cell without attitude noise builds one set of
-    # planes, the true attitude's; each cell with it builds the planes of
-    # its every fix.
+    # never reaches it.  A cell without attitude noise takes the true
+    # attitude's planes from the pose part and builds none; each cell with
+    # it builds the planes of its every fix.
     scn, points = _office_sweep_points()
     seen, blocked_calls, plane_rows = [], [], []
     pose_geometry, blocked = sim._pose_geometry, sim.segments_blocked
@@ -1553,7 +1554,7 @@ def test_sweep_measures_pose_geometry_once_per_call(monkeypatch):
         assert len(seen) == 1 and len(blocked_calls) == 1
         assert np.array_equal(seen[0], np.delete(points, -2, axis=0))
         assert all(st.failures >= 2 * 2 for _, _, st in rows)
-        assert plane_rows == [1] * 3 + [2 * (len(points) - 1)] * 3
+        assert plane_rows == [2 * (len(points) - 1)] * 3
 
 
 @pytest.mark.parametrize("eps_grid, eps_h_grid, noisy_cells", [
