@@ -242,7 +242,7 @@ def _cmd_coverage(args):
         else:
             rep = coverage_analysis(
                 scn.bounds, scn.obstacles, scn.lamps, args.method, **grid)
-    except ValueError as exc:  # a lamp on a cell center, a grid over the cap
+    except ValueError as exc:  # a lamp on a cell center, no free cell, a cap
         raise _InputError(str(exc)) from None
     if args.plan:
         out = {"plan": {

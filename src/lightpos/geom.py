@@ -216,44 +216,61 @@ class Aabb:
         return ((p >= self.lo) & (p <= self.hi)).all(axis=-1)
 
 
-def segments_blocked(p, q, obstacles) -> np.ndarray:
-    """Which of the open segments p[i]-q[i] some box blocks, as a bool
-    array; p and q are (..., 3) and broadcast against each other.
+def slab_blocked(axes, obstacles) -> np.ndarray:
+    """Which of the open segments p + t (q - p), 0 < t < 1, some box
+    blocks: the slab method of Kay & Kajiya (SIGGRAPH 1986), as a bool
+    array of the segments' broadcast shape.
 
-    The slab method on the open segment: endpoints touching a box face do
-    not count as occlusion, and a hit needs an overlap longer than 1e-12
-    of the segment.  The steps q - p, and where an axis step is below
-    1e-15 (parallel to the slab), are found once for all boxes.  p stays
-    unbroadcast, so (L, 1, 3) lamp rows against (K, 3) cells offset each
-    box corner by L values, not L*K.  A tiny step overflows a slab bound
-    to +-inf, the right bound.  A parallel axis takes the bounds
-    (-inf, +inf) where p lies in the slab and the empty (+inf, -inf)
-    where it does not, set by index at those segments only: the other
-    axes then decide as if the axis were skipped or the box missed.
+    ``axes`` gives the segments one coordinate axis at a time, as
+    (i, p_i, d_i): the axis index, the starts and the steps d_i = q_i - p_i
+    along it, arrays that broadcast against each other.  Each axis's
+    entry and exit parameters are computed on its own arrays' shapes, so a
+    coordinate shared by many segments (a lamp's, or a grid column's) is
+    divided once; each box's running max and min of them grow to the
+    broadcast shape only as the axes come in, so listing the axes of the
+    smaller shapes first keeps more of the work small.  Endpoints touching a
+    box face do not count as occlusion, and a hit needs an overlap longer
+    than 1e-12 of the segment.  A tiny step overflows a slab bound to
+    +-inf, the right bound.  Where an axis step is below 1e-15 (parallel
+    to the slab), found once for all boxes, the axis takes the bounds
+    (-inf, +inf) where p lies in the slab and the empty (+inf, -inf) where
+    it does not, set by index at those segments only: the other axes then
+    decide as if the axis were skipped or the box missed.
     """
-    shape = np.broadcast_shapes(np.shape(p), np.shape(q))[:-1]
-    p, q = np.atleast_2d(np.asarray(p, float)), np.asarray(q, float)
-    axes = []
-    for i in range(3):
-        pi, di = p[..., i], q[..., i] - p[..., i]
+    parallel = []
+    for _, pi, di in axes:
         par = np.nonzero(np.abs(di) < 1e-15)
-        pin = np.broadcast_to(pi, di.shape)[par] if par[0].size else None
-        axes.append((pi, di, par, pin))
-    blocked = np.zeros(shape or (1,), dtype=bool)
+        parallel.append((par, np.broadcast_to(pi, di.shape)[par]
+                         if par[0].size else None))
+    blocked = np.zeros(np.broadcast_shapes(*(np.shape(d) for *_, d in axes)),
+                       dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for box in obstacles:
             tmin, tmax = 0.0, 1.0
-            for i, (pi, di, par, pin) in enumerate(axes):
+            for (i, pi, di), (par, pin) in zip(axes, parallel):
                 t1, t2 = (box.lo[i] - pi) / di, (box.hi[i] - pi) / di
                 near, far = np.minimum(t1, t2), np.maximum(t1, t2, out=t1)
                 if pin is not None:
                     out = np.where((pin < box.lo[i]) | (pin > box.hi[i]),
                                    np.inf, -np.inf)
                     near[par], far[par] = out, -out
-                tmin = np.maximum(tmin, near, out=near)
-                tmax = np.minimum(tmax, far, out=far)
+                tmin, tmax = np.maximum(tmin, near), np.minimum(tmax, far)
             blocked |= np.subtract(tmax, tmin, out=tmax) > 1e-12
-    return blocked.reshape(shape)
+    return blocked
+
+
+def segments_blocked(p, q, obstacles) -> np.ndarray:
+    """Which of the open segments p[i]-q[i] some box blocks, as a bool
+    array; p and q are (..., 3) and broadcast against each other.
+
+    The call of ``slab_blocked`` on the segments' three axes.  p stays
+    unbroadcast, so (L, 1, 3) lamp rows against (K, 3) centroids offset
+    each box corner by L values, not L*K.
+    """
+    shape = np.broadcast_shapes(np.shape(p), np.shape(q))[:-1]
+    p, q = np.atleast_2d(np.asarray(p, float)), np.asarray(q, float)
+    axes = [(i, p[..., i], q[..., i] - p[..., i]) for i in range(3)]
+    return slab_blocked(axes, obstacles).reshape(shape)
 
 
 def line_of_sight(p, q, obstacles) -> bool:

@@ -60,6 +60,7 @@ from .geom import (
     receiver_rotation,
     receiver_rotations,
     segments_blocked,
+    slab_blocked,
 )
 from .rss import LampTable, rss_model
 from .signal import (
@@ -106,9 +107,16 @@ MIN_LAMP_SEPARATION = 1.0
 MIN_TRIANGLE_AREA = 0.5
 
 # Coverage and planning grids hold at most this many cells.  The planner
-# keeps a few (lamps, cells) and (lamp groups, cells) arrays at once, so
-# its memory grows with this cap times the candidate count.
+# keeps a few (lamps, cells) arrays at once, so its memory grows with this
+# cap times the candidate count.
 MAX_GRID_CELLS = 100_000
+
+# Coverage and planning take at most this many (anchor group, grid cell)
+# pairs: lamps times cells for the multi-face method, valid lamp triples
+# times cells for trilateration.  The planner holds ~5 bytes a pair in its
+# (groups, cells) arrays, ~50 MB at the cap; four_room's 9 candidates
+# make 84 valid triples, which fit any grid under MAX_GRID_CELLS.
+MAX_GROUP_CELLS = 10_000_000
 
 # A trajectory run samples at most this many epochs, so a tiny interval
 # or speed is an input error instead of a run without end.
@@ -762,10 +770,13 @@ def sensitivity_sweep(scn: Scenario, points, eps_grid, eps_h_grid,
     return rows, monotone
 
 
-def grid_cells(bounds: Aabb, cell_size: float, height: float) -> np.ndarray:
-    """Cell-center grid over the floorplan at the receiver height, as a
-    (K, 3) array in x-major order.  A grid of more than MAX_GRID_CELLS
-    cells raises ValueError before anything is allocated."""
+def _grid(bounds: Aabb, cell_size: float, height: float):
+    """The cell-center grid over the floorplan at the receiver height: its
+    column x and row y coordinates, (nx,) and (ny,), and its (nx * ny, 3)
+    cells in x-major order, cell i * ny + j at (x_i, y_j, height).  A grid
+    of more than MAX_GRID_CELLS cells raises ValueError before anything
+    is allocated, and so do a non-finite height and a cell size that is
+    not finite and positive."""
     check_finite("cell size", cell_size, 0, strict=True)
     check_finite("receiver height", height)
     starts = bounds.lo[:2] + cell_size / 2
@@ -783,22 +794,29 @@ def grid_cells(bounds: Aabb, cell_size: float, height: float) -> np.ndarray:
     xs = np.arange(starts[0], bounds.hi[0], cell_size)
     ys = np.arange(starts[1], bounds.hi[1], cell_size)
     x, y = np.meshgrid(xs, ys, indexing="ij")
-    return np.column_stack([x.ravel(), y.ravel(), np.full(x.size, height)])
+    cells = np.column_stack([x.ravel(), y.ravel(), np.full(x.size, height)])
+    return xs, ys, cells
 
 
-def _visibility(bounds: Aabb, obstacles, lamps, cell_size: float,
-                height: float):
-    """The grid cells outside every box, (K, 3), and which lamps see them,
-    (lamps, K): the cell center lies within the lamp's ``range_m`` and no
-    box blocks the segment between them.  A lamp in range of a cell
-    center it coincides with (``np.allclose``) raises ValueError, as
-    ``line_of_sight`` does, and so does a grid over MAX_GRID_CELLS."""
-    cells = grid_cells(bounds, cell_size, height)
-    for box in obstacles:
-        cells = cells[~box.contains(cells)]
-    pos = np.array([lamp.position for lamp in lamps]).reshape(-1, 3)
-    delta = pos[:, None, :] - cells
-    dist = np.sqrt(np.vecdot(delta, delta))
+def grid_cells(bounds: Aabb, cell_size: float, height: float) -> np.ndarray:
+    """Cell-center grid over the floorplan at the receiver height, as a
+    (K, 3) array in x-major order: the cells of ``_grid``, which rejects
+    a grid over MAX_GRID_CELLS before allocating it."""
+    return _grid(bounds, cell_size, height)[2]
+
+
+def _in_range(pos, lamps, cells) -> np.ndarray:
+    """(lamps, K): whether each cell center lies within each lamp's
+    ``range_m`` of its position, a row of ``pos``.  A lamp in range of a
+    cell center it coincides with (``np.allclose``) raises ValueError, as
+    ``line_of_sight`` does.
+
+    The distances are ``np.vecdot`` over each lamp's (3, K) differences in
+    turn: the bits of the (lamps, K, 3) form, without holding it."""
+    dist = np.empty((len(pos), len(cells)))
+    for row, p in zip(dist, pos):
+        delta = p[:, None] - cells.T
+        np.sqrt(np.vecdot(delta, delta, axis=0), out=row)
     in_range = dist <= np.array([lamp.range_m for lamp in lamps])[:, None]
     # allclose bounds each |delta_i| by 1e-8 + 1e-5 |cell_i|, so a
     # coinciding pair lies within sqrt(3) 1e-8 + 1e-5 |cell| (under twice
@@ -807,11 +825,54 @@ def _visibility(bounds: Aabb, obstacles, lamps, cell_size: float,
         1e-8 + 1e-5 * np.sqrt(np.vecdot(cells, cells))))
     if near.any():
         li, ki = np.nonzero(near)
-        if np.all(np.abs(delta[li, ki]) <= 1e-8 + 1e-5 * np.abs(cells[ki]),
-                  axis=-1).any():
+        if np.all(np.abs(pos[li] - cells[ki])
+                  <= 1e-8 + 1e-5 * np.abs(cells[ki]), axis=-1).any():
             raise ValueError("a lamp coincides with a cell center")
-    return cells, in_range & ~segments_blocked(pos[:, None, :], cells,
-                                               obstacles)
+    return in_range
+
+
+def _visibility(bounds: Aabb, obstacles, lamps, groups, cell_size: float,
+                height: float):
+    """The grid cells outside every box, (K, 3), which lamps see them,
+    (lamps, K), and which anchor groups (``_anchor_groups``) see them,
+    (groups, K): a lamp sees a cell center within its ``range_m`` when no
+    box blocks the segment between them, and a group when all its lamps
+    do.
+
+    A cell's x is its grid column's, its y its row's and its z the
+    receiver height.  So a box drops the cells of its columns and rows at
+    that height, and ``slab_blocked`` takes the lamp-to-cell segments
+    axis by axis as (lamps, nx, 1) x, (lamps, 1, 1) z and (lamps, 1, ny)
+    y steps: per box only the last max, min, subtract and compare run
+    over all (lamps, nx * ny) segments, the masked cells' included.
+    ValueError is raised before the lamps are looked at for a grid over
+    MAX_GRID_CELLS, for more than MAX_GROUP_CELLS (group, grid cell)
+    pairs and for a grid with no cell outside the boxes, and then for a
+    lamp on a cell center (``_in_range``).
+    """
+    xs, ys, cells = _grid(bounds, cell_size, height)
+    if len(groups) * len(cells) > MAX_GROUP_CELLS:
+        raise ValueError(
+            f"{len(groups)} lamp groups over {len(cells)} grid cells exceed "
+            f"the cap of {MAX_GROUP_CELLS} (group, cell) pairs")
+    free = np.ones((xs.size, ys.size), dtype=bool)
+    for box in obstacles:
+        if box.lo[2] <= height <= box.hi[2]:
+            free &= ~(((xs >= box.lo[0]) & (xs <= box.hi[0]))[:, None]
+                      & (ys >= box.lo[1]) & (ys <= box.hi[1]))
+    keep = free.ravel()
+    cells = cells[keep]
+    if not len(cells):
+        raise ValueError(
+            f"no free grid cell: the {xs.size} x {ys.size} grid of "
+            f"{cell_size} m cells has none outside the boxes")
+    pos = np.array([lamp.position for lamp in lamps]).reshape(-1, 3)
+    in_range = _in_range(pos, lamps, cells)
+    px, py, pz = pos.T[:, :, None, None]
+    blocked = slab_blocked([(0, px, xs[:, None] - px), (2, pz, height - pz),
+                            (1, py, ys - py)], obstacles)
+    vis = in_range & ~blocked.reshape(len(pos), -1)[:, keep]
+    return cells, vis, vis[groups].all(axis=1)
 
 
 def _valid_triples(lamps) -> np.ndarray:
@@ -851,14 +912,16 @@ def coverage_analysis(bounds: Aabb, obstacles, lamps, method: str,
     faces), and for trilateration when three sufficiently separated,
     non-collinear lamps see it.  A lamp sees a cell within its
     ``range_m`` of the cell center with a clear line of sight; the whole
-    (lamps, cells) visibility matrix is built at once.
+    (lamps, cells) visibility matrix is built at once.  A grid with no
+    cell outside the boxes raises ValueError, as do the other inputs
+    ``_visibility`` rejects.
     """
     groups = _anchor_groups(lamps, method)
-    cells, vis = _visibility(bounds, obstacles, lamps, cell_size,
-                             receiver_height)
-    covered = vis[groups].all(axis=1).any(axis=0)
+    cells, _, group_vis = _visibility(bounds, obstacles, lamps, groups,
+                                      cell_size, receiver_height)
+    covered = group_vis.any(axis=0)
     uncovered = tuple(tuple(c) for c in cells[~covered])
-    fraction = 1.0 - len(uncovered) / len(cells) if len(cells) else 0.0
+    fraction = 1.0 - len(uncovered) / len(cells)
     return CoverageReport(method, fraction, uncovered, len(lamps))
 
 
@@ -872,14 +935,15 @@ def greedy_min_lamps(bounds: Aabb, obstacles, candidates, method: str,
     candidate order.  Planning stops when no candidate makes progress.
     Returns (count, chosen indices, uncovered cell count); a nonzero
     shortfall means full coverage is unattainable with the given
-    candidates.
+    candidates.  A grid with no cell outside the boxes raises ValueError,
+    as do the other inputs ``_visibility`` rejects.
     """
     groups = _anchor_groups(candidates, method)
-    cells, vis = _visibility(bounds, obstacles, candidates, cell_size,
-                             receiver_height)
+    cells, vis, group_vis = _visibility(bounds, obstacles, candidates, groups,
+                                        cell_size, receiver_height)
     # Counted by a float32 (BLAS) matmul, far faster than a boolean one:
     # at any precision a sum of 0/1 terms is > 0 exactly when one term is.
-    group_vis = vis[groups].all(axis=1).astype(np.float32)
+    group_vis = group_vis.astype(np.float32)
     need = groups.shape[1]
     n = len(candidates)
     # with_candidate[ci, ci2]: lamp ci2 is in the plan once ci is added.

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import MISSING, fields, replace
 from importlib import resources
@@ -883,6 +884,44 @@ def test_cli_coverage_candidate_on_cell_center_is_input_error(tmp_path,
     rc = main(["coverage", "--scenario", path, "--plan"])
     assert rc == EXIT_INPUT
     assert "cell center" in capsys.readouterr().err
+
+
+def test_cli_coverage_without_free_cell_is_input_error(tmp_path, capsys):
+    # A cell over twice the floor's width leaves the grid empty, and a box
+    # over the whole floor up to the receiver height (1.0) leaves no cell
+    # outside it.  Both used to print 0 lamps or fraction 0 and exit 0.
+    for edit in (lambda d: d["coverage"].update(cell_size_m=30.0),
+                 lambda d: d["obstacles"].append(
+                     {"min": [0, 0, 0], "max": [12, 6, 1.0]})):
+        path = _edited_two_room(tmp_path, edit)
+        for method in ("mflp", "trilateration"):
+            for extra in ([], ["--plan"]):
+                rc = main(["coverage", "--scenario", path, "--method",
+                           method, *extra])
+                assert rc == EXIT_INPUT
+                assert capsys.readouterr().err.startswith(
+                    "error: no free grid cell")
+
+
+def test_cli_plan_caps_lamp_triples_times_cells(tmp_path, capsys):
+    # 40 spread candidates make 9,337 valid triples; at 0.1 m cells the
+    # 12 x 6 m floor has 7,200 cells, ~67 million (triple, cell) pairs or
+    # ~340 MB of group arrays.  The plan exits 1 before building any.
+    def forty(doc):
+        doc["candidates"] = [
+            dict(doc["candidates"][0], flash_hz=55.0 + i, position=[
+                12 * (i % 8 + 0.5) / 8, 6 * (i // 8 + 0.5) / 5
+                + 0.1 * (i % 3), 2.8])
+            for i in range(40)]
+        doc["coverage"]["cell_size_m"] = 0.1
+
+    path = _edited_two_room(tmp_path, forty)
+    start = time.perf_counter()
+    rc = main(["coverage", "--scenario", path, "--method", "trilateration",
+               "--plan"])
+    assert rc == EXIT_INPUT and time.perf_counter() - start < 5.0
+    assert "9337 lamp groups over 7200 grid cells exceed the cap" in \
+        capsys.readouterr().err
 
 
 def _edited_three_lamps(tmp_path, edit):

@@ -1910,6 +1910,240 @@ def test_planner_rejects_lamp_on_cell_center():
                         run(bounds, (), lamps, "mflp", cell_size=0.5)
 
 
+def test_planner_rejects_grid_without_free_cell():
+    # A cell over twice the floor's width puts the first center past the
+    # floor, so the grid is empty, and a box over the whole floor up to the
+    # receiver height (a closed box: its top face holds the cell centers)
+    # leaves no cell outside it: nothing to cover or plan for.  The same
+    # box just below that height masks no cell.
+    bounds = Aabb([0, 0, 0], [4, 4, 3])
+    lamps = tuple(LampModel([x, y, 2.8], [0, 0, -1], 40.0, COS, 55.0 + i)
+                  for i, (x, y) in enumerate(((0.5, 0.5), (3.5, 0.5),
+                                              (0.5, 3.5))))
+    floor = (Aabb([0, 0, 0], [4, 4, 1.0]),)
+    for obstacles, size in (((), 10.0), (floor, 0.5)):
+        for method in ("mflp", "trilateration"):
+            for run in (coverage_analysis, greedy_min_lamps):
+                with pytest.raises(ValueError, match="no free grid cell"):
+                    run(bounds, obstacles, lamps, method, cell_size=size,
+                        receiver_height=1.0)
+    low = (Aabb([0, 0, 0], [4, 4, 1.0 - 1e-9]),)
+    assert coverage_analysis(bounds, low, lamps, "trilateration",
+                             cell_size=0.5, receiver_height=1.0).fraction \
+        == 1.0
+    assert greedy_min_lamps(bounds, low, lamps, "trilateration",
+                            cell_size=0.5, receiver_height=1.0) \
+        == (3, [0, 1, 2], 0)
+
+
+def _spread_candidates(n, bounds):
+    # n lamps on a jittered 8-wide lattice over the floor, 2.8 m up: any
+    # three of them not in one lattice line make a valid triple.
+    lo, hi = bounds.lo[:2], bounds.hi[:2]
+    cols, rows = 8, -(-n // 8)
+    return tuple(
+        LampModel([lo[0] + (hi[0] - lo[0]) * (i % cols + 0.5) / cols,
+                   lo[1] + (hi[1] - lo[1]) * (i // cols + 0.5) / rows
+                   + 0.1 * (i % 3), 2.8],
+                  [0, 0, -1], 40.0, COS, 55.0 + i)
+        for i in range(n))
+
+
+def test_planner_caps_group_cell_pairs(monkeypatch):
+    # Trilateration anchors a cell by a lamp triple, and the valid triples
+    # grow as C(n, 3): 40 spread candidates make 9,337, which at 0.1 m
+    # cells on a 12 x 6 m floor are ~67 million (triple, cell) pairs, ~5
+    # bytes each in the group arrays.  The planner raises before it holds
+    # anything per pair or per (lamp, cell): its peak is the triple search's
+    # own arrays.
+    import tracemalloc
+
+    bounds = Aabb([0, 0, 0], [12, 6, 3])
+    cands = _spread_candidates(40, bounds)
+    triples = len(sim._valid_triples(cands))
+    cells = len(grid_cells(bounds, 0.1, 1.0))
+    assert triples * cells > 6 * sim.MAX_GROUP_CELLS
+    tracemalloc.start()
+    try:
+        for run in (coverage_analysis, greedy_min_lamps):
+            with pytest.raises(ValueError, match="exceed the cap"):
+                run(bounds, (), cands, "trilateration", cell_size=0.1,
+                    receiver_height=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * triples * cells
+    # The cap counts (group, grid cell) pairs, cells in boxes included:
+    # one lamp per group for the multi-face method, and 3 lamps x 64 cells
+    # are 192 pairs.
+    bounds, pillar = Aabb([0, 0, 0], [4, 4, 3]), (Aabb([1.5, 1.5, 0],
+                                                       [2.5, 2.5, 3]),)
+    lamps = _spread_candidates(3, bounds)
+    monkeypatch.setattr(sim, "MAX_GROUP_CELLS", 192)
+    for method in ("mflp", "trilateration"):
+        coverage_analysis(bounds, pillar, lamps, method, cell_size=0.5)
+    monkeypatch.setattr(sim, "MAX_GROUP_CELLS", 191)
+    with pytest.raises(ValueError, match="3 lamp groups over 64 grid cells"):
+        greedy_min_lamps(bounds, pillar, lamps, "mflp", cell_size=0.5)
+    coverage_analysis(bounds, pillar, lamps, "trilateration", cell_size=0.5)
+
+
+# Random small scenes against the per-pair oracle above.  Each planner rule
+# acts on one (lamp, cell, box) at a time, so a few lamps, boxes and cells
+# reach every one of its cases; the scenes place them where the rules
+# change their answer.  Coordinates are multiples of a quarter of a cell
+# (or random floats), so lamps and box faces fall on cell centers and on
+# grid lines exactly, with the floor's corner off the origin by up to
+# 1,000 m.  Lamps hang above, at (a parallel segment in z) and below the
+# receiver height; boxes can have zero thickness on any axis, span the
+# full height or stop at the receiver plane.  A lamp can also sit at an
+# exact Pythagorean offset from a cell center with that distance as its
+# range_m, so the cell lies at exactly range_m.  At most 5 x 5 cells, 4
+# lamps and 3 boxes keep an example (the oracle's greedy loop included)
+# to ~10 ms.
+_SCENE_SIZES = (0.5, 1.0, 0.75)
+_SCENE_ORIGINS = (0.0, 0.25, -3.5, 1000.0, -1000.25)
+_EXACT_OFFSETS = (((0.75, 1.0, 0.0), 1.25), ((0.75, 0.0, 1.0), 1.25),
+                  ((0.0, 1.5, 2.0), 2.5), ((1.0, 0.0, 0.0), 1.0),
+                  ((0.0, 0.0, 1.0), 1.0))
+
+
+@st.composite
+def _planner_scenes(draw):
+    size = draw(st.sampled_from(_SCENE_SIZES))
+    n = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    lo = [draw(st.sampled_from(_SCENE_ORIGINS)) for _ in range(2)]
+    bounds = Aabb(lo + [0.0], [lo[0] + n[0] * size, lo[1] + n[1] * size,
+                               3.0])
+    height = draw(st.sampled_from([0.0, 1.0, 1.5]))
+
+    def coord(axis):
+        return draw(st.one_of(
+            st.integers(0, 4 * n[axis]).map(
+                lambda q: lo[axis] + q * size / 4),
+            st.floats(lo[axis], lo[axis] + n[axis] * size)))
+
+    def lamp(i):
+        if draw(st.booleans()):
+            pos = [coord(0), coord(1), draw(st.sampled_from(
+                [3.0, 2.8, height, height + 1.0, height - 0.5]))]
+            reach = draw(st.sampled_from([20.0, 1.0, 2.5]))
+        else:
+            offset, reach = draw(st.sampled_from(_EXACT_OFFSETS))
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            pos = [lo[a] + (draw(st.integers(0, n[a] - 1)) + 0.5) * size
+                   + sign * offset[a] for a in range(2)]
+            pos.append(height + offset[2])
+        return LampModel(pos, [0, 0, -1], 40.0, COS, 55.0 + i,
+                         range_m=reach)
+
+    lamps = tuple(lamp(i) for i in range(draw(st.integers(1, 4))))
+    boxes = []
+    for _ in range(draw(st.integers(0, 3))):
+        corner = [coord(0), coord(1)]
+        span = [draw(st.integers(0, 4)) * size / 4 for _ in range(2)]
+        z = draw(st.sampled_from([(0.0, 3.0), (0.0, height),
+                                  (height, height), (height, 3.0),
+                                  (0.0, height / 2)]))
+        boxes.append(Aabb(corner + [z[0]],
+                          [corner[0] + span[0], corner[1] + span[1], z[1]]))
+    return bounds, tuple(boxes), lamps, size, height
+
+
+@settings(max_examples=150, deadline=None)
+@given(scene=_planner_scenes(),
+       method=st.sampled_from(["mflp", "trilateration"]))
+# A lamp at the receiver height on a grid line, exactly its range of 1.25
+# m from the cell center (1001.25, 1.25), and a zero-thickness full-height
+# wall through half a row of cell centers.
+@example(scene=(Aabb([1000.0, 0.0, 0.0], [1002.0, 2.0, 3.0]),
+                (Aabb([1000.0, 1.25, 0.0], [1001.0, 1.25, 3.0]),),
+                (LampModel([1000.5, 0.25, 1.0], [0, 0, -1], 40.0, COS, 55.0,
+                           range_m=1.25),
+                 LampModel([1000.25, 1.75, 2.8], [0, 0, -1], 40.0, COS,
+                           56.0)),
+                0.5, 1.0),
+         method="mflp")
+def test_planner_matches_per_cell_reference_on_random_scenes(scene, method):
+    bounds, boxes, lamps, size, height = scene
+    args = (bounds, boxes, lamps, method)
+    grid = dict(cell_size=size, receiver_height=height)
+    try:
+        cells, vis = _ref_visibility(bounds, boxes, lamps, size, height)
+    except ValueError:  # line_of_sight: a lamp on a cell center in range
+        cells, vis = None, "coincides"
+    if not cells:
+        match = vis if cells is None else "no free grid cell"
+        for run in (greedy_min_lamps, coverage_analysis):
+            with pytest.raises(ValueError, match=match):
+                run(*args, **grid)
+        return
+    assert greedy_min_lamps(*args, **grid) == _ref_greedy(cells, vis, lamps,
+                                                          method)
+    rep = coverage_analysis(*args, **grid)
+    assert (rep.fraction, rep.uncovered_cells) == _ref_coverage(
+        cells, vis, lamps, method)
+
+
+def _whole_grid_visibility(bounds, obstacles, lamps, groups, cell_size,
+                           height):
+    # The planner's visibility as the whole-grid arithmetic computed it:
+    # each box's contains() over the (K, 3) cells, (lamps, K, 3)
+    # differences, and the slab test broadcasting (lamps, 1, 3) lamp rows
+    # over the (K, 3) cells.  Kept as the reference for the per-axis
+    # code.
+    cells = grid_cells(bounds, cell_size, height)
+    for box in obstacles:
+        cells = cells[~box.contains(cells)]
+    pos = np.array([lamp.position for lamp in lamps]).reshape(-1, 3)
+    delta = pos[:, None, :] - cells
+    dist = np.sqrt(np.vecdot(delta, delta))
+    in_range = dist <= np.array([lamp.range_m for lamp in lamps])[:, None]
+    vis = in_range & ~segments_blocked(pos[:, None, :], cells, obstacles)
+    return cells, vis, vis[groups].all(axis=1)
+
+
+def test_planner_at_fine_grid_matches_whole_grid_arithmetic(monkeypatch):
+    # four_room at 0.096 m cells, 125 x 125: the walls' centerlines run
+    # through a row and a column of cell centers, so they drop cells too.
+    # Shrunken ranges make range_m cut visibility as well as the walls.
+    import tracemalloc
+
+    sf = load_scenario(resources.files("lightpos") / "fixtures"
+                       / "four_room.json")
+    cands = [replace(c, range_m=r) if r else c for c, r in
+             zip(sf.candidates, (None, 5.0, None, 7.5, None, 4.0, None,
+                                 None, 9.0))]
+    args = (sf.scenario.bounds, sf.scenario.obstacles, cands)
+    grid = dict(cell_size=0.096, receiver_height=sf.receiver_height_m)
+    groups = np.arange(len(cands))[:, None]
+    tracemalloc.start()
+    try:
+        cells, vis, _ = sim._visibility(*args, groups, *grid.values())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ref_cells, ref_vis, _ = _whole_grid_visibility(*args, groups,
+                                                   *grid.values())
+    assert 15_000 < len(cells) < 125 * 125
+    assert cells.tobytes() == ref_cells.tobytes()
+    assert np.array_equal(vis, ref_vis) and 0 < vis.mean() < 1
+    # Under the (lamps, K, 3) float64 differences alone of the whole-grid
+    # arithmetic (3.3 MB), whose own peak here is ~14 MB.
+    assert peak < vis.size * 3 * 8
+    plans = {}
+    for visibility in (sim._visibility, _whole_grid_visibility):
+        monkeypatch.setattr(sim, "_visibility", visibility)
+        for method in ("mflp", "trilateration"):
+            rep = coverage_analysis(*args, method, **grid)
+            plans[visibility, method] = (
+                greedy_min_lamps(*args, method, **grid),
+                rep.fraction, rep.uncovered_cells)
+    for method in ("mflp", "trilateration"):
+        assert plans[sim._visibility, method] == plans[
+            _whole_grid_visibility, method]
+
+
 def test_locate_rejects_unknown_pipeline():
     scn = simple_scenario()
     mset = measure(scn, [5, 5, 0], rng=np.random.default_rng(0))
